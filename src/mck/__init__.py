@@ -10,8 +10,7 @@ from .morse_graph import (
     automorphisms, to_json, from_json, to_dot, mirror, dual,
 )
 from .perturbation import (
-    Refinement, Resolution, resolution, split_level, delta, delta_direct,
-    merge_all_levels,
+    Refinement, Resolution, resolution, split_level, delta, merge_all_levels,
 )
 from .twist_algebra import (
     HomologyModel, Transvection, CircleClassification, UPolytope,
@@ -20,9 +19,8 @@ from .twist_algebra import (
 )
 from .complex_builder import (
     MarkingSpec, HandleRecord, ComplexK, enumerate_top_classes,
-    enumerate_classes_direct, build_complex, euler_characteristic,
-    q_polynomial, morse_smale_report, complex_dimension, complex_rank,
-    betti0,
+    build_complex, euler_characteristic, q_polynomial, morse_smale_report,
+    complex_dimension, complex_rank, betti0,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

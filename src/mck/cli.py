@@ -112,6 +112,8 @@ def _load_complex_or_catalog(path):
     except ValueError as exc:
         raise CliError(EXIT_IO, "invalid JSON in %s: %s" % (path, exc))
     try:
+        if not isinstance(doc, dict):
+            raise mg.LMGJSONError("document is not a JSON object")
         if "incidence" in doc:
             return cb.complex_from_json(text)
         classes, p, q, r, marking = cb.catalog_from_json(text)

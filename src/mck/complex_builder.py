@@ -201,119 +201,6 @@ def enumerate_top_classes(p, q, r, marking=None, jobs=1, cache=None):
 
 
 # ---------------------------------------------------------------------------
-# Direct enumeration (verification oracle, small q)
-# ---------------------------------------------------------------------------
-
-def _set_partitions(items):
-    items = sorted(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] | {first}] + part[i + 1:]
-        yield part + [{first}]
-
-
-def _connected_matchings(saddles):
-    outs = [(v, s) for v in saddles for s in mg.OUT_SLOTS]
-    ins = [(v, s) for v in saddles for s in mg.IN_SLOTS]
-    for perm in itertools.permutations(ins):
-        atom = mg.Atom.of(saddles, list(zip(outs, perm)))
-        try:
-            atom.check()
-        except mg.LMGError:
-            continue
-        yield atom
-
-
-def enumerate_classes_direct(p, q, r, marking=None, max_q=2):
-    """Independent direct enumeration of all classes (every level count).
-
-    Brute force over level partitions, per-level atom splittings, matchings,
-    circle pairings, and cap labelings; used as a completeness oracle against
-    the downward closure.  Exponential: guarded to q <= max_q.
-    """
-    if marking is None:
-        marking = MarkingSpec.all_marked(p, q, r)
-    if q > max_q:
-        raise ParameterError("direct enumeration is guarded to q <= %d" % max_q)
-    if p - q + r != 2 or p < 1 or r < 1:
-        raise ParameterError("not a sphere parameter set")
-    marking.check(p, q, r)
-    marked_s, fixed_s = _marked_saddle_sets(marking, q)
-    from .permutohedron import enumerate_partitions
-
-    forms = {}
-    for J in enumerate_partitions(q):
-        level_sets = [sorted(b) for b in J.blocks]
-        per_level_splits = [list(_set_partitions(b)) for b in level_sets]
-        for split_combo in itertools.product(*per_level_splits):
-            groups = [[sorted(x) for x in lev] for lev in split_combo]
-            atom_groups = [grp for lev in groups for grp in lev]
-            atom_level = [k + 1 for k, lev in enumerate(groups) for _ in lev]
-            per_atom = [list(_connected_matchings(grp)) for grp in atom_groups]
-            for atoms in itertools.product(*per_atom):
-                levels = []
-                for k in range(len(groups)):
-                    levels.append(tuple(i for i in range(len(atoms))
-                                        if atom_level[i] == k + 1))
-                uppers, lowers = [], []
-                for ai, atom in enumerate(atoms):
-                    for ci, (side, _) in enumerate(atom.circles()):
-                        (uppers if side == "upper" else lowers).append(
-                            (ai, ci, atom_level[ai]))
-                for g in _assemble(p, q, r, marking, marked_s, fixed_s,
-                                   atoms, tuple(levels), uppers, lowers):
-                    forms.setdefault(mg.canonical_form(g), None)
-    return [mg.decode_canonical(cf) for cf in sorted(forms)]
-
-
-def _assemble(p, q, r, marking, marked_s, fixed_s, atoms, levels, uppers, lowers):
-    """All capped-and-tubed assemblies of a fixed atom arrangement."""
-    def pairings(ups, lows):
-        if not ups:
-            yield [], lows
-            return
-        u = ups[0]
-        # u stays uncapped-by-cylinder: becomes a max cap
-        for rest, low_left in pairings(ups[1:], lows):
-            yield rest, low_left
-        for lo in lows:
-            if lo[2] > u[2]:
-                remaining = [x for x in lows if x != lo]
-                for rest, low_left in pairings(ups[1:], remaining):
-                    yield [ (u, lo) ] + rest, low_left
-
-    for cyls, low_left in pairings(uppers, lowers):
-        up_caps = [u for u in uppers if u not in {c[0] for c in cyls}]
-        if len(low_left) != p or len(up_caps) != r:
-            continue
-        cylinders = tuple(sorted(((u[0], u[1]), (lo[0], lo[1]))
-                                 for u, lo in cyls))
-        for min_labels in itertools.permutations(range(1, p + 1)):
-            for max_labels in itertools.permutations(range(1, r + 1)):
-                caps = []
-                for (ai, ci, _), lab in zip(sorted(low_left), min_labels):
-                    m, f = _cap_flags(marking, "min", lab)
-                    caps.append(mg.Cap(circle=(ai, ci), kind="min", label=lab,
-                                       marked=m, fixed=f))
-                for (ai, ci, _), lab in zip(sorted(up_caps), max_labels):
-                    m, f = _cap_flags(marking, "max", lab)
-                    caps.append(mg.Cap(circle=(ai, ci), kind="max", label=lab,
-                                       marked=m, fixed=f))
-                g = mg.LMG(q=q, p=p, r=r, levels=levels, atoms=tuple(atoms),
-                           caps=tuple(caps), cylinders=cylinders,
-                           marked_saddles=marked_s, fixed_saddles=fixed_s)
-                try:
-                    mg.validate(g)
-                except mg.LMGError:
-                    continue
-                yield g
-
-
-# ---------------------------------------------------------------------------
 # Handle records and the complex
 # ---------------------------------------------------------------------------
 
@@ -383,16 +270,8 @@ def _poincare(g, classification, autos, checks):
             perm[bp] = image
         # det(I + t P) over cycles: a length-m cycle contributes 1 - (-t)^m
         poly = [Fraction(1)]
-        seen = set()
-        for bp in b_positions:
-            if bp in seen:
-                continue
-            m = 0
-            cur = bp
-            while cur not in seen:
-                seen.add(cur)
-                cur = perm[cur]
-                m += 1
+        for cyc in mg.trace_cycles(perm, b_positions):
+            m = len(cyc)
             factor = [Fraction(0)] * (m + 1)
             factor[0] = Fraction(1)
             factor[m] = -Fraction(-1) ** m
@@ -557,19 +436,7 @@ def q_polynomial(K):
 def betti0(K):
     """Number of connected components of the incidence graph."""
     ids = [rec.class_id for rec in K.classes]
-    parent = {i: i for i in ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for src, _, dst in K.incidence:
-        a, b = find(src), find(dst)
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in ids})
+    return len(mg.components(ids, [(src, dst) for src, _, dst in K.incidence]))
 
 
 def complex_dimension(K):

@@ -3,6 +3,11 @@
 Matrices are lists of lists of Fraction (rows).  Everything here is
 fraction-free in spirit but lazy in practice: Fraction arithmetic keeps the
 code short and the matrices involved are tiny (at most ~20 x ~20).
+
+Routines: `rref` (reduced row echelon form of any matrix) with `rank` and
+`affine_rank` on top of it; `solve_square` (the unique solution of a square
+system, or None when it is singular); `mat_mul`, `mat_vec`, `identity`,
+`mat_eq` and `frac_rows`.
 """
 
 from fractions import Fraction
@@ -49,33 +54,6 @@ def rref(matrix):
 
 def rank(matrix):
     return len(rref(matrix)[1])
-
-
-def solve(A, b):
-    """Solve A x = b exactly.
-
-    Returns one solution as a list of Fractions, or None if inconsistent.
-    If the system is underdetermined, free variables are set to 0.
-    """
-    if not A:
-        return [] if all(x == 0 for x in b) else None
-    n = len(A[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(A, b)]
-    R, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = R[i][n]
-    return x
-
-
-def solve_unique(A, b):
-    """Solve A x = b when A is square and invertible; raises on failure."""
-    x = solve(A, b)
-    if x is None or rank(A) != len(A[0]):
-        raise ValueError("linear system is not uniquely solvable")
-    return x
 
 
 def solve_square(A, b):

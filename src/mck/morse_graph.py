@@ -90,12 +90,62 @@ class LMGJSONError(LMGError):
 
 
 # ---------------------------------------------------------------------------
-# Atoms
+# Graph primitives
 # ---------------------------------------------------------------------------
 
-def dart(saddle, slot):
-    return (saddle, slot)
+def trace_cycles(succ, starts):
+    """Cycles of the successor map `succ` through the elements of `starts`.
 
+    Each cycle is a list in walk order, beginning at the first start not on
+    an earlier cycle.  `succ` must permute the elements it reaches.
+    """
+    seen = set()
+    cycles = []
+    for start in starts:
+        if start in seen:
+            continue
+        cyc = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = succ[cur]
+        cycles.append(cyc)
+    return cycles
+
+
+def components(nodes, pairs):
+    """Connected components of the graph on `nodes` with edges `pairs`.
+
+    Each component lists its nodes in `nodes` order; components are ordered
+    by their first node.
+    """
+    adj = {v: [] for v in nodes}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    comp_of = {}
+    count = 0
+    for v in nodes:
+        if v in comp_of:
+            continue
+        comp_of[v] = count
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp_of:
+                    comp_of[w] = count
+                    stack.append(w)
+        count += 1
+    out = [[] for _ in range(count)]
+    for v in nodes:
+        out[comp_of[v]].append(v)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Atoms
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Atom:
@@ -137,24 +187,9 @@ class Atom:
         if seen_out != outs or seen_in != ins:
             missing = (outs - seen_out) | (ins - seen_in)
             raise UnmatchedDartError("unmatched darts: %s" % sorted(missing))
-        if not self.connected():
+        pairs = [(o[0], i[0]) for o, i in self.edges]
+        if len(components(self.saddles, pairs)) != 1:
             raise DisconnectedError("atom on saddles %s is not connected" % (self.saddles,))
-
-    def connected(self):
-        if not self.saddles:
-            return False
-        adj = {v: set() for v in self.saddles}
-        for (ov, _), (iv, _) in self.edges:
-            adj[ov].add(iv)
-            adj[iv].add(ov)
-        seen = {self.saddles[0]}
-        stack = [self.saddles[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.saddles)
 
     def edge_at_out(self):
         """Map out-dart -> local edge index."""
@@ -162,39 +197,21 @@ class Atom:
 
     def _trace(self, turn):
         """Decompose edges into cycles: after arriving at incoming slot s,
-        continue from outgoing slot (s + turn) mod 4."""
+        continue from outgoing slot (s + turn) mod 4.  Walking from each
+        smallest unseen edge yields every cycle rotated to its smallest edge,
+        in increasing order of that edge."""
         by_out = self.edge_at_out()
-        succ = {}
-        for i, (_, (v, s)) in enumerate(self.edges):
-            succ[i] = by_out[(v, (s + turn) % 4)]
-        cycles = []
-        seen = set()
-        for start in range(len(self.edges)):
-            if start in seen:
-                continue
-            cyc = []
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                cur = succ[cur]
-            m = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[m:] + cyc[:m]))
-        return tuple(sorted(cycles))
-
-    def upper_circles(self):
-        """Boundary circles with the region above; edge cycles, forward."""
-        return self._trace(-1)
-
-    def lower_circles(self):
-        """Boundary circles with the region below; edge cycles, forward."""
-        return self._trace(+1)
+        succ = [by_out[(v, (s + turn) % 4)] for _, (v, s) in self.edges]
+        return [tuple(c) for c in trace_cycles(succ, range(len(succ)))]
 
     def circles(self):
-        """Canonical circle list: (side, edge cycle), lowers then uppers."""
-        lows = [("lower", c) for c in self.lower_circles()]
-        ups = [("upper", c) for c in self.upper_circles()]
-        return tuple(lows + ups)
+        """Canonical circle list: (side, edge cycle), lowers then uppers.
+
+        Lower circles (region below) turn by +1, upper circles (region
+        above) by -1; every cycle is traversed forward.
+        """
+        return tuple([("lower", c) for c in self._trace(+1)]
+                     + [("upper", c) for c in self._trace(-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +242,6 @@ class LMG:
     fixed_saddles: frozenset
 
     # -- basic derived data ------------------------------------------------
-
-    def level_of_atom(self, a):
-        for k, lev in enumerate(self.levels):
-            if a in lev:
-                return k + 1
-        raise StructureError("atom %d is on no level" % a)
 
     def atom_levels(self):
         out = {}
@@ -372,20 +383,9 @@ def validate(g, require_marks=True):
         raise StructureError("fixed saddles must be marked")
 
     # surface connectivity through cylinders
-    if len(g.atoms) > 1:
-        adj = {a: set() for a in range(len(g.atoms))}
-        for lo, hi in g.cylinders:
-            adj[lo[0]].add(hi[0])
-            adj[hi[0]].add(lo[0])
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(g.atoms):
-            raise DisconnectedError("assembled surface is not connected")
+    pairs = [(lo[0], hi[0]) for lo, hi in g.cylinders]
+    if len(components(range(len(g.atoms)), pairs)) != 1:
+        raise DisconnectedError("assembled surface is not connected")
 
     (ph, qh, rh), _ = g.marking_counts()
     if require_marks and ph + qh + rh <= 2:
@@ -830,6 +830,13 @@ def to_json(g):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def _circle_ref(ref):
+    if not (isinstance(ref, list) and len(ref) == 2
+            and all(type(x) is int for x in ref)):
+        raise LMGJSONError("circle reference is not a pair of ints: %r" % (ref,))
+    return tuple(ref)
+
+
 def from_json(text):
     """Parse a leveled graph; raises LMGJSONError naming the offending key."""
     if isinstance(text, bytes):
@@ -838,6 +845,8 @@ def from_json(text):
         doc = json.loads(text)
     except ValueError as exc:
         raise LMGJSONError("invalid JSON: %s" % exc)
+    if not isinstance(doc, dict):
+        raise LMGJSONError("graph document is not a JSON object")
     for key in ("q", "p", "r", "levels", "atoms", "caps", "cylinders",
                 "marked_saddles", "fixed_saddles"):
         if key not in doc:
@@ -849,11 +858,11 @@ def from_json(text):
             edges = [((saddles[o // 4], o % 4), (saddles[i // 4], i % 4))
                      for o, i in ad["edges"]]
             atoms.append(Atom.of(saddles, edges))
-        caps = tuple(Cap(circle=tuple(cd["circle"]), kind=cd["kind"],
+        caps = tuple(Cap(circle=_circle_ref(cd["circle"]), kind=cd["kind"],
                          label=cd["label"], marked=bool(cd["marked"]),
                          fixed=bool(cd["fixed"]))
                      for cd in doc["caps"])
-        cylinders = tuple(sorted((tuple(lo), tuple(hi))
+        cylinders = tuple(sorted((_circle_ref(lo), _circle_ref(hi))
                                  for lo, hi in doc["cylinders"]))
         return LMG(q=doc["q"], p=doc["p"], r=doc["r"],
                    levels=tuple(tuple(lev) for lev in doc["levels"]),

@@ -100,29 +100,8 @@ def enumerate_partitions(q):
     """
     if not isinstance(q, int) or q < 1 or q > MAX_ORDER:
         raise OrderBoundError("q must be an integer in 1..%d, got %r" % (MAX_ORDER, q))
-    out = []
-
-    def extend(prefix, used_max):
-        pos = len(prefix)
-        if pos == q:
-            out.append(prefix)
-            return
-        # value v may exceed used_max, but the final image must be {1..s}:
-        # after choosing v, the missing values below max(used_max, v) must
-        # still fit in the remaining positions.
-        for v in range(1, q + 1):
-            new_max = max(used_max, v)
-            missing = len([w for w in range(1, new_max + 1) if w != v and w not in prefix])
-            if missing <= q - pos - 1:
-                extend(prefix + (v,), new_max)
-
-    extend((), 0)
-    parts = []
-    for a in out:
-        s = max(a)
-        blocks = [frozenset(i + 1 for i, v in enumerate(a) if v == k) for k in range(1, s + 1)]
-        parts.append(OrderedPartition.of(blocks, q))
-    return parts
+    return [OrderedPartition.of(blocks, q)
+            for blocks in _ordered_partitions_of_set(range(1, q + 1))]
 
 
 def composition_signature(J):
@@ -272,13 +251,6 @@ def face_of(J):
                     coords=tuple(_doubled_coords(pi) for pi in verts))
 
 
-def face_contains(J_small, J_big):
-    """Exact geometric containment of faces via vertex sets."""
-    vs = frozenset(face_vertices(J_small))
-    vb = frozenset(face_vertices(J_big))
-    return vs <= vb
-
-
 # ---------------------------------------------------------------------------
 # Evaluating 0-cochains
 # ---------------------------------------------------------------------------
@@ -365,18 +337,6 @@ def induced_face_automorphism(sigma, J):
                 break
     admissible = trivial or (not fixed and subfaces_ok)
     return image, FaceAutReport(image, True, trivial, fixed, subfaces_ok, admissible)
-
-
-def face_barycenter(J):
-    """Exact barycenter of the face of J (undoubled rational coordinates)."""
-    face = face_of(J)
-    n = len(face.coords)
-    q = J.q
-    acc = [Fraction(0)] * q
-    for c in face.coords:
-        for j in range(q):
-            acc[j] += Fraction(c[j], 2)
-    return [a / n for a in acc]
 
 
 # ---------------------------------------------------------------------------

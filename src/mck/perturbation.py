@@ -19,6 +19,11 @@ transiently: they bound annuli on both sides and merge them.  The maximal
 annulus chains are the new complementary regions: chains ending on old
 circles extend the caps and cylinders that were attached there, chains
 between two new-atom circles become new cylinders.
+
+`delta` reaches a deep refinement through a chain of hyperface splits (one
+level into two).  `delta(g, J, chain=())` instead splits every level of g
+into all of its target sub-blocks at once; the two must agree on canonical
+forms, which the tests use as a cross-check.
 """
 
 import itertools
@@ -96,23 +101,9 @@ class Refinement:
 def _interface_cycles(atom, blk, k):
     """Interface curves I_k as edge-index cycles (each edge used once)."""
     by_out = atom.edge_at_out()
-    succ = []
-    for _, (v, s) in atom.edges:
-        turn = -1 if blk[v] <= k else +1
-        succ.append(by_out[(v, (s + turn) % 4)])
-    cycles = []
-    seen = set()
-    for start in range(len(atom.edges)):
-        if start in seen:
-            continue
-        cyc = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            cur = succ[cur]
-        cycles.append(frozenset(cyc))
-    return cycles
+    succ = [by_out[(v, (s + (-1 if blk[v] <= k else +1)) % 4)]
+            for _, (v, s) in atom.edges]
+    return [frozenset(c) for c in mg.trace_cycles(succ, range(len(succ)))]
 
 
 def _sublevel_system(atom, blk, k):
@@ -125,6 +116,13 @@ def _sublevel_system(atom, blk, k):
     saddle-free closed curves.
     """
     by_out = atom.edge_at_out()
+
+    def resolved_next(cur):
+        """The edge after `cur` when its head saddle is resolved."""
+        w, s = atom.edges[cur][1]
+        assert blk[w] != k
+        return by_out[(w, (s + (-1 if blk[w] < k else +1)) % 4)]
+
     kept = [v for v in atom.saddles if blk[v] == k]
     comp_edges = {}
     used = set()
@@ -140,49 +138,19 @@ def _sublevel_system(atom, blk, k):
                     comp_edges[o] = ((o, (w, s)), frozenset(path))
                     used.update(path)
                     break
-                turn = -1 if blk[w] < k else +1
-                cur = by_out[(w, (s + turn) % 4)]
+                cur = resolved_next(cur)
 
-    # saddle-free closed curves on the remaining edges
-    transients = []
-    seen = set(used)
-    for start in range(len(atom.edges)):
-        if start in seen:
-            continue
-        cyc = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            w, s = atom.edges[cur][1]
-            assert blk[w] != k
-            turn = -1 if blk[w] < k else +1
-            cur = by_out[(w, (s + turn) % 4)]
-        transients.append(frozenset(cyc))
+    # saddle-free closed curves on the remaining edges, whose heads are all
+    # resolved: every edge into a kept saddle ends a strand path
+    succ = {e: resolved_next(e) for e in range(len(atom.edges)) if e not in used}
+    transients = [frozenset(c) for c in mg.trace_cycles(succ, succ)]
 
-    # group kept saddles into connected components
-    parent = {v: v for v in kept}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (o, i), _ in comp_edges.values():
-        a, b = find(o[0]), find(i[0])
-        if a != b:
-            parent[a] = b
-
-    groups = {}
-    for v in kept:
-        groups.setdefault(find(v), set()).add(v)
     new_atoms = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        saddles = sorted(groups[root])
-        pairs = [comp_edges[(v, slot)] for v in saddles for slot in mg.OUT_SLOTS]
-        new_atom = mg.Atom.of(saddles, [e for e, _ in pairs])
-        path_by_out = {e[0]: path for e, path in pairs}
+    pairs = [(o[0], i[0]) for (o, i), _ in comp_edges.values()]
+    for saddles in mg.components(kept, pairs):
+        strands = [comp_edges[(v, slot)] for v in saddles for slot in mg.OUT_SLOTS]
+        new_atom = mg.Atom.of(saddles, [e for e, _ in strands])
+        path_by_out = {e[0]: path for e, path in strands}
         paths = {idx: path_by_out[o] for idx, (o, _) in enumerate(new_atom.edges)}
         new_atoms.append((new_atom, paths))
     return new_atoms, transients
@@ -433,17 +401,6 @@ def _split_toward(g, target, single):
         if len(groups[i]) > 1:
             cur = split_level(cur, i + 1, list(groups[i]))
     return cur
-
-
-def delta_direct(g, target):
-    """Multi-way variant of `delta`: one split per level, no hyperface chain.
-
-    Used as a cross-check; must agree with `delta` on canonical forms.
-    """
-    J = g.level_partition()
-    if not refines_eq(target, J):
-        raise PerturbationError("%s does not refine %s" % (target, J))
-    return _split_toward(g, target, single=False)
 
 
 # ---------------------------------------------------------------------------

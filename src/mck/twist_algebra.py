@@ -69,10 +69,6 @@ class HomologyModel:
     def n(self):
         return len(self.deleted)
 
-    def value_row(self, edge_pos):
-        """The functional u -> u([e_i]) over the kept-edge coordinates."""
-        return self.expansion[edge_pos]
-
 
 def _circle_attachments(g):
     """Maps edge-side -> region: ("cap", k) or ("cyl", k) per circle."""
@@ -180,7 +176,10 @@ def homology_model(g):
     A = [[relations[k][d] for d in deleted] for k in range(n)]
     m = len(basis)
     rhs_cols = [[-relations[k][b] for k in range(n)] for b in basis]
-    sols = [linalg.solve_unique(A, col) if n else [] for col in rhs_cols]
+    sols = [linalg.solve_square(A, col) if n else [] for col in rhs_cols]
+    if None in sols:
+        raise AlgebraInvariantViolation("cylinder relations are singular on "
+                                        "the traded edges")
 
     expansion = []
     for i in range(nq2):
@@ -229,9 +228,6 @@ class Transvection:
     cylinder: int
     core: tuple    # core-class row over kept-edge coordinates
     matrix: tuple  # (n + m) x (n + m) rows of Fraction
-
-    def apply(self, u):
-        return linalg.mat_vec([list(r) for r in self.matrix], u)
 
 
 def transvections(g, model):
@@ -290,23 +286,13 @@ def _fixed_point_places(g):
 def _tree_sides(g):
     """For each cylinder, (atoms on its lower-end side, atoms on the other);
     removing a cylinder disconnects the sphere's assembly tree."""
-    t = len(g.atoms)
-    adj = {a: [] for a in range(t)}
-    for k, (lo, hi) in enumerate(g.cylinders):
-        adj[lo[0]].append((hi[0], k))
-        adj[hi[0]].append((lo[0], k))
+    atoms = range(len(g.atoms))
+    pairs = [(lo[0], hi[0]) for lo, hi in g.cylinders]
     out = []
-    for k, (lo, hi) in enumerate(g.cylinders):
-        comp = {lo[0]}
-        stack = [lo[0]]
-        while stack:
-            v = stack.pop()
-            for w, kk in adj[v]:
-                if kk == k or w in comp:
-                    continue
-                comp.add(w)
-                stack.append(w)
-        out.append((frozenset(comp), frozenset(range(t)) - frozenset(comp)))
+    for k, (lo, _) in enumerate(g.cylinders):
+        comps = mg.components(atoms, pairs[:k] + pairs[k + 1:])
+        comp = frozenset(next(c for c in comps if lo[0] in c))
+        out.append((comp, frozenset(atoms) - comp))
     return out
 
 
@@ -345,6 +331,7 @@ def classify_circles(g):
 
     # parallel adjacency among the remaining cores
     adj = {k: set() for k in rest}
+    pairs = []
     for a, b in itertools.combinations(rest, 2):
         middle = _between(sides, g.cylinders, a, b)
         if fixed_in(middle) != 0:
@@ -360,20 +347,15 @@ def classify_circles(g):
         if not blocked:
             adj[a].add(b)
             adj[b].add(a)
+            pairs.append((a, b))
 
     families = []
-    seen = set()
-    for k in sorted(rest):
-        if k in seen or not adj[k]:
+    loose = []
+    for comp in mg.components(rest, pairs):
+        if len(comp) == 1:
+            loose.extend(comp)
             continue
-        comp = {k}
-        stack = [k]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
+        comp = set(comp)
         ends = sorted(x for x in comp if len(adj[x] & comp) <= 1)
         if not ends:
             raise AlgebraInvariantViolation("parallel family is not a chain")
@@ -385,7 +367,6 @@ def classify_circles(g):
             chain.append(nxt[0])
         families.append(tuple(chain))
 
-    loose = sorted(k for k in rest if k not in seen)
     order = list(nu0_set)
     fam_bounds = [len(order)]
     for fam in families:
@@ -493,7 +474,6 @@ class AutomorphismCheck:
     identity: bool
     consistent: bool          # edge action descends to the quotient
     face_admissible: bool
-    values_permuted: bool
     pi_trivial: bool          # loose/non-nu0 cores all fixed
     a_trivial: bool
     b_trivial: bool
@@ -581,16 +561,8 @@ def check_stab_action(g, model, autos, classification=None):
         free = False
         free_exact = True
         if not ident:
-            seen = set()
-            for k in range(n):
-                if k in seen:
-                    continue
-                cyc = [k]
-                cur = cyl_map[k]
-                while cur != k:
-                    cyc.append(cur)
-                    cur = cyl_map[cur]
-                seen |= set(cyc)
+            for cyc in mg.trace_cycles(cyl_map, range(n)):
+                k = cyc[0]
                 mlen = len(cyc)
                 psi = list(range(len(model.edges)))
                 for _ in range(mlen):
@@ -610,7 +582,7 @@ def check_stab_action(g, model, autos, classification=None):
         checks.append(AutomorphismCheck(
             identity=ident, consistent=consistent,
             face_admissible=facerep.admissible,
-            values_permuted=consistent, pi_trivial=pi_trivial,
+            pi_trivial=pi_trivial,
             a_trivial=a_trivial, b_trivial=b_trivial,
             rho_trivial=rho_trivial, degeneracies_ok=deg_ok,
             free=free or ident, free_exact=free_exact,

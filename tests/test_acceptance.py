@@ -14,8 +14,8 @@ from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.complex_builder import (
     betti0, build_complex, complex_dimension, complex_rank,
-    enumerate_classes_direct, enumerate_top_classes, euler_characteristic,
-    morse_smale_report, q_polynomial)
+    enumerate_top_classes, euler_characteristic, morse_smale_report,
+    q_polynomial)
 from mck.permutohedron import (
     OrderedPartition, ZeroCochain, coarsenings, composition_signature,
     enumerate_partitions, face_vertices, partition_of_values, refinements,
@@ -23,6 +23,7 @@ from mck.permutohedron import (
 from mck.perturbation import delta
 
 from conftest import Q2_SPLITS, Q3_SPLITS
+from oracles import enumerate_classes_direct
 from test_permutohedron import ordered_bell, realize_refinement
 
 

@@ -129,6 +129,26 @@ def test_corrupted_catalog_refused(tmp_path, capsys):
     assert code == 3 and "cylinders" in err
 
 
+def test_non_object_document_refused(tmp_path, capsys):
+    bad = tmp_path / "five.json"
+    bad.write_text("5")
+    code, _, err = run(capsys, "euler", "--input", str(bad))
+    assert code == 3 and "not a JSON object" in err
+
+
+def test_malformed_circle_reference_refused(tmp_path, capsys):
+    cat = tmp_path / "cat.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",
+        "--out", str(cat))
+    doc = json.loads(cat.read_text())
+    doc["classes"][0]["caps"][0]["circle"] = [0]
+    cat.write_text(json.dumps(doc))
+    for argv in (("euler", "--input", str(cat)),
+                 ("export-dot", "--what", "graph", "--input", str(cat))):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "pair of ints" in err
+
+
 def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     cat = tmp_path / "cat.json"
     run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",

@@ -6,10 +6,11 @@ from mck import morse_graph as mg
 from mck.complex_builder import (
     MarkingSpec, ParameterError, ScopeError, betti0, build_complex,
     catalog_from_json, catalog_to_json, class_poset_dot, complex_dimension,
-    complex_from_json, complex_rank, complex_to_json, enumerate_classes_direct,
-    enumerate_top_classes, euler_characteristic,
-    morse_smale_report, q_polynomial)
+    complex_from_json, complex_rank, complex_to_json, enumerate_top_classes,
+    euler_characteristic, morse_smale_report, q_polynomial)
 from mck.permutohedron import face_vertices
+
+from oracles import enumerate_classes_direct
 
 
 # ---------------------------------------------------------------------------

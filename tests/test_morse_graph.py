@@ -1,14 +1,17 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fig8
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError, MarkCountError,
     NonAlternatingError, StructureError, UnmatchedDartError,
-    automorphisms, canonical_form, decode_canonical, dual, from_json,
-    invariants, mirror, to_dot, to_json, validate,
+    automorphisms, canonical_form, components, decode_canonical, dual,
+    from_json, invariants, mirror, to_dot, to_json, trace_cycles, validate,
 )
 
 # a one-level q=3 class that is neither mirror-symmetric nor has any
@@ -278,7 +281,6 @@ def test_json_roundtrip(fig8_lmg, q2_two_level):
 
 
 def test_missing_key_is_a_parse_error(q2_two_level):
-    import json
     doc = json.loads(to_json(q2_two_level))
     del doc["cylinders"]
     with pytest.raises(LMGJSONError) as err:
@@ -289,7 +291,74 @@ def test_missing_key_is_a_parse_error(q2_two_level):
 def test_invalid_json_is_a_parse_error():
     with pytest.raises(LMGJSONError):
         from_json("{not json")
+    with pytest.raises(LMGJSONError):
+        from_json("5")
+
+
+@pytest.mark.parametrize("bad", [[0], [0, 1, 2], [0, "1"], [0, 1.0], 7, None])
+def test_circle_reference_must_be_an_int_pair(q2_two_level, bad):
+    for path in (("caps", 0, "circle"), ("cylinders", 0, 1)):
+        doc = json.loads(to_json(q2_two_level))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+        with pytest.raises(LMGJSONError):
+            from_json(json.dumps(doc))
 
 
 def test_dot_golden_q2(q2_two_level):
     assert to_dot(q2_two_level) == GOLDEN_DOT_Q2
+
+
+# ---------------------------------------------------------------------------
+# graph primitives
+# ---------------------------------------------------------------------------
+
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+@settings(max_examples=200, deadline=None)
+def test_trace_cycles_partitions_a_permutation(perm_and_starts):
+    succ, starts = perm_and_starts
+    cycles = trace_cycles(succ, starts)
+    flat = [x for cyc in cycles for x in cyc]
+    assert sorted(flat) == list(range(len(succ)))
+    for cyc in cycles:
+        assert [succ[x] for x in cyc] == cyc[1:] + cyc[:1]
+    # each cycle begins at the first start not covered by an earlier cycle
+    covered = set()
+    heads = []
+    for x in starts:
+        if x not in covered:
+            heads.append(x)
+            covered |= set(next(c for c in cycles if x in c))
+    assert [cyc[0] for cyc in cycles] == heads
+
+
+def _reachable(nodes, pairs, v):
+    out = {v}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in pairs:
+            if (a in out) != (b in out):
+                out |= {a, b}
+                grew = True
+    return [x for x in nodes if x in out]
+
+
+@given(st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                           st.integers(0, max(n - 1, 0))),
+                 max_size=12 if n else 0))))
+@settings(max_examples=200, deadline=None)
+def test_components_match_naive_reachability(graph):
+    nodes, pairs = graph
+    expected = []
+    for v in nodes:
+        if not any(v in comp for comp in expected):
+            expected.append(_reachable(nodes, pairs, v))
+    assert components(nodes, pairs) == expected

@@ -6,12 +6,13 @@ import pytest
 from conftest import fig8
 from mck import linalg
 from mck import morse_graph as mg
-from mck.complex_builder import enumerate_classes_direct, enumerate_top_classes
+from mck.complex_builder import enumerate_top_classes
 from mck.twist_algebra import (
     algebra_json, check_stab_action,
     classify_circles, double_factorial_bound, homology_model, transvections,
     u_polytope,
 )
+from oracles import enumerate_classes_direct
 
 
 def family_tower():
@@ -121,15 +122,19 @@ def test_transvection_kernel(q2_two_level):
     m = homology_model(q2_two_level)
     (tv,) = transvections(q2_two_level, m)
     dim = m.n + len(m.basis)
-    # a dual vector vanishing on the core is fixed
+    # a nonzero dual vector vanishing on the core is fixed
     core = list(tv.core)
-    u_prime = linalg.solve([core], [Fraction(0)])
+    i = next(j for j, c in enumerate(core) if c != 0)
+    j = (i + 1) % len(core)
+    u_prime = [Fraction(0)] * len(core)
+    u_prime[j], u_prime[i] = core[i], -core[j]
+    assert sum(c * x for c, x in zip(core, u_prime)) == 0
     u = [Fraction(7)] * m.n + u_prime
-    assert tv.apply(u) == u
+    assert linalg.mat_vec(tv.matrix, u) == u
     # a vector with core value v shifts its transverse coordinate by v
     u2 = [Fraction(0)] * m.n + [Fraction(1)] * len(m.basis)
     core_val = sum(core)
-    moved = tv.apply(u2)
+    moved = linalg.mat_vec(tv.matrix, u2)
     assert moved[0] - u2[0] == core_val
     assert moved[m.n:] == u2[m.n:]
 
