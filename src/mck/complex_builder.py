@@ -500,26 +500,23 @@ def morse_smale_report(K, betti=None):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def complex_to_json(K):
+def _record_fields(rec):
+    """The per-class fields of a dump entry that are derived from its lmg."""
+    return {
+        "index": rec.index, "s": rec.s, "t": rec.t, "n": rec.n,
+        "c": rec.c, "d": rec.d, "nu0": rec.nu0, "e": rec.e,
+        "dim_upoly": rec.dim_upoly, "handle_dim": rec.handle_dim,
+        "gamma_order": rec.gamma_order, "mirror_self": rec.mirror_self,
+        "admissible": rec.all_admissible, "free": rec.all_free,
+        "free_exact": rec.free_exact,
+        "poincare": list(rec.poincare),
+    }
+
+
+def _report_fields(K):
+    """The global invariants a dump reports."""
     chi = euler_characteristic(K)
-    doc = {
-        "params": {"p": K.p, "q": K.q, "r": K.r,
-                   "marked": list(K.marking.marked),
-                   "fixed": list(K.marking.fixed)},
-        "classes": [{
-            "id": rec.class_id,
-            "canonical": rec.canonical.decode("ascii"),
-            "lmg": json.loads(mg.to_json(rec.lmg)),
-            "index": rec.index, "s": rec.s, "t": rec.t, "n": rec.n,
-            "c": rec.c, "d": rec.d, "nu0": rec.nu0, "e": rec.e,
-            "dim_upoly": rec.dim_upoly, "handle_dim": rec.handle_dim,
-            "gamma_order": rec.gamma_order, "mirror_self": rec.mirror_self,
-            "admissible": rec.all_admissible, "free": rec.all_free,
-            "free_exact": rec.free_exact,
-            "poincare": list(rec.poincare),
-        } for rec in K.classes],
-        "incidence": [[src, [list(b) for b in face], dst]
-                      for src, face, dst in K.incidence],
+    return {
         "chi": {"formula": chi.formula,
                 "independent": [chi.independent.numerator,
                                 chi.independent.denominator],
@@ -529,12 +526,51 @@ def complex_to_json(K):
         "rank": complex_rank(K),
         "top_count": K.top_count,
     }
+
+
+def complex_to_json(K):
+    doc = {
+        "params": {"p": K.p, "q": K.q, "r": K.r,
+                   "marked": list(K.marking.marked),
+                   "fixed": list(K.marking.fixed)},
+        "classes": [{
+            "id": rec.class_id,
+            "canonical": rec.canonical.decode("ascii"),
+            "lmg": json.loads(mg.to_json(rec.lmg)),
+            **_record_fields(rec),
+        } for rec in K.classes],
+        "incidence": [[src, [list(b) for b in face], dst]
+                      for src, face, dst in K.incidence],
+        **_report_fields(K),
+    }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def _json_equal(a, b):
+    """Equality of decoded JSON values that also tells true from 1 and 1
+    from 1.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    return a == b
+
+
+def _check_stored(where, stored, derived):
+    """Refuse a document whose stored fields differ from the derived ones."""
+    for field, value in derived.items():
+        if field not in stored or not _json_equal(stored[field], value):
+            raise mg.LMGJSONError(
+                "%s: stored %s %r does not match the recomputed %r"
+                % (where, field, stored.get(field), value))
+
+
 def complex_from_json(text):
-    """Rebuild a complex from its JSON dump, revalidating every class and
-    recomputing all per-class records."""
+    """Rebuild a complex from its JSON dump, revalidating every class,
+    recomputing all per-class records and the global invariants, and
+    refusing the dump when a stored value differs from its recomputation."""
     try:
         doc = json.loads(text)
         params = doc["params"]
@@ -545,6 +581,8 @@ def complex_from_json(text):
                                  for src, face, dst in doc["incidence"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))
+    if not entries:
+        raise mg.LMGJSONError("complex document has no classes")
     records = []
     for entry in entries:
         g = mg.from_json(json.dumps(entry["lmg"]))
@@ -553,16 +591,20 @@ def complex_from_json(text):
         if class_id(cf) != entry["id"]:
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry["id"])
-        records.append(handle_record(g, cf))
+        rec = handle_record(g, cf)
+        _check_stored("class " + rec.class_id, entry, _record_fields(rec))
+        records.append(rec)
     records.sort(key=lambda rec: rec.canonical)
     known = {rec.class_id for rec in records}
     for src, _, dst in incidence:
         if src not in known or dst not in known:
             raise mg.LMGJSONError("incidence references unknown class")
     top_count = sum(1 for rec in records if rec.s == 1)
-    return ComplexK(p=params["p"], q=params["q"], r=params["r"],
-                    marking=marking, classes=tuple(records),
-                    incidence=incidence, top_count=top_count)
+    K = ComplexK(p=params["p"], q=params["q"], r=params["r"],
+                 marking=marking, classes=tuple(records),
+                 incidence=incidence, top_count=top_count)
+    _check_stored("complex document", doc, _report_fields(K))
+    return K
 
 
 def catalog_to_json(classes, p, q, r, marking):

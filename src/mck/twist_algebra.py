@@ -12,9 +12,18 @@ on its upper boundary equals the sum on its lower boundary.
 Everything is over Q; matrices are Fraction rows.  Coordinates on the dual
 space are (u~_1..u~_n, u'_{n+1}..u'_{2q}): values on the transverse edges
 followed by values on the kept graph edges.
+
+The dimension of the edge-value polytope is certified, not enumerated: a
+polytope is full-dimensional exactly when its strict system is feasible, and
+Fourier-Motzkin elimination over the integers decides that and yields a
+rational interior point, which is checked against every inequality.  Only
+when the strict system is infeasible (implicit equalities, or an empty
+polytope) are the vertices enumerated and their affine rank taken.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,7 +179,8 @@ def homology_model(g):
 
     deleted_edges = _choose_deleted(g)
     deleted = tuple(pos[e] for e in deleted_edges)
-    basis = tuple(i for i in range(nq2) if i not in set(deleted))
+    deleted_set = set(deleted)
+    basis = tuple(i for i in range(nq2) if i not in deleted_set)
 
     # solve the n relations for the deleted edges over the kept ones
     A = [[relations[k][d] for d in deleted] for k in range(n)]
@@ -183,7 +193,7 @@ def homology_model(g):
 
     expansion = []
     for i in range(nq2):
-        if i in set(deleted):
+        if i in deleted_set:
             di = deleted.index(i)
             expansion.append(tuple(sols[j][di] for j in range(m)))
         else:
@@ -327,7 +337,8 @@ def classify_circles(g):
     sides = _tree_sides(g)
     side_fixed = [(fixed_in(s1), fixed_in(s2)) for s1, s2 in sides]
     nu0_set = sorted(k for k in range(n) if min(side_fixed[k]) <= 1)
-    rest = [k for k in range(n) if k not in set(nu0_set)]
+    nu0_members = set(nu0_set)
+    rest = [k for k in range(n) if k not in nu0_members]
 
     # parallel adjacency among the remaining cores
     adj = {k: set() for k in rest}
@@ -360,11 +371,13 @@ def classify_circles(g):
         if not ends:
             raise AlgebraInvariantViolation("parallel family is not a chain")
         chain = [min(ends)]
+        in_chain = {chain[0]}
         while len(chain) < len(comp):
-            nxt = [w for w in adj[chain[-1]] & comp if w not in set(chain)]
+            nxt = [w for w in adj[chain[-1]] & comp if w not in in_chain]
             if len(nxt) != 1:
                 raise AlgebraInvariantViolation("parallel family is not a chain")
             chain.append(nxt[0])
+            in_chain.add(nxt[0])
         families.append(tuple(chain))
 
     order = list(nu0_set)
@@ -394,14 +407,27 @@ def classify_circles(g):
 @dataclass(frozen=True)
 class UPolytope:
     """Exact H-representation of the kept-coordinate polytope:
-    1 <= row . u' <= bound for every edge row of the expansion matrix."""
+    1 <= row . u' <= bound for every edge row of the expansion matrix.
+
+    `dim` is certified by `_polytope_dim`.  `vertices` is enumerated only
+    when first read: the sorted vertex tuple when ambient <= 6, else None.
+    """
 
     rows: tuple      # 2q rows over the kept-edge coordinates
+    slabs: tuple     # the rows of the traded edges; the others are unit rows
     bound: int
     ambient: int
     dim: int
-    vertices: tuple  # tuple of coordinate tuples, or None above tiny scale
-    is_point: bool
+
+    @functools.cached_property
+    def vertices(self):
+        if self.ambient > 6:
+            return None
+        return tuple(_polytope_vertices(self.slabs, self.bound, self.ambient))
+
+    @property
+    def is_point(self):
+        return self.dim == 0
 
 
 def _polytope_vertices(slab_rows, bound, ambient):
@@ -445,22 +471,118 @@ def _polytope_vertices(slab_rows, bound, ambient):
     return sorted(verts)
 
 
+def _strict_system(slab_rows, bound, ambient):
+    """Integer rows (a, b) of the strict system a . u < b of the polytope:
+    1 < u_j < bound, then 1 < row . u < bound with each row scaled by the
+    common denominator of its entries."""
+    system = []
+    for j in range(ambient):
+        unit = tuple(1 if i == j else 0 for i in range(ambient))
+        system.append((tuple(-x for x in unit), -1))
+        system.append((unit, bound))
+    for row in slab_rows:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        ints = tuple(int(x * scale) for x in row)
+        system.append((tuple(-x for x in ints), -scale))
+        system.append((ints, bound * scale))
+    return system
+
+
+def _reduced(system):
+    """Divide each row by the gcd of its entries, keep the tightest right
+    side per left side, and drop rows without variables; None when one of
+    those reads 0 < b with b <= 0."""
+    out = {}
+    for a, b in system:
+        if not any(a):
+            if b <= 0:
+                return None
+            continue
+        k = math.gcd(b, *a)
+        a, b = tuple(x // k for x in a), b // k
+        if a not in out or b < out[a]:
+            out[a] = b
+    return out
+
+
+def _strict_witness(system, ambient):
+    """A rational point with a . u < b for every row, or None when there is
+    none.  Every variable must be bounded on both sides by rows of its own
+    (the box rows do that).
+
+    Fourier-Motzkin: eliminating u_k adds a positive integer combination of
+    every pair of rows with opposite signs on u_k, and strictness survives
+    such combinations.  The point is then built by back-substitution, with
+    each u_k midway between the bounds that the rows of its step give it."""
+    rows = _reduced(system)
+    steps = []
+    for k in range(ambient):
+        if rows is None:
+            return None
+        steps.append(rows)
+        nxt = [(a, b) for a, b in rows.items() if a[k] == 0]
+        for ap, bp in rows.items():
+            if ap[k] <= 0:
+                continue
+            for an, bn in rows.items():
+                if an[k] < 0:
+                    fp, fn = -an[k], ap[k]
+                    nxt.append((tuple(fp * x + fn * y for x, y in zip(ap, an)),
+                                fp * bp + fn * bn))
+        rows = _reduced(nxt)
+    if rows is None:
+        return None
+    point = [Fraction(0)] * ambient
+    for k in reversed(range(ambient)):
+        # u_k is still 0 here, so a . point sums the later coordinates only
+        lows, highs = [], []
+        for a, b in steps[k].items():
+            if a[k]:
+                edge = Fraction(b - sum(x * v for x, v in zip(a, point)), a[k])
+                (highs if a[k] > 0 else lows).append(edge)
+        point[k] = (max(lows) + min(highs)) / 2
+    return point
+
+
+def _polytope_dim(slab_rows, bound, ambient):
+    """Dimension of the box [1, bound]^ambient cut by 1 <= row . u <= bound,
+    never guessed.
+
+    bound 1: the box is the all-ones point.  Otherwise an interior point of
+    the strict system, checked exactly against every inequality, certifies
+    full dimension.  When the strict system is infeasible the polytope has
+    implicit equalities (or is empty): the vertices are enumerated and their
+    affine rank taken.  An empty polytope raises."""
+    if bound == 1:
+        if all(sum(row) == 1 for row in slab_rows):
+            return 0
+        raise AlgebraInvariantViolation("empty edge-value polytope")
+    point = _strict_witness(_strict_system(slab_rows, bound, ambient), ambient)
+    if point is None:
+        verts = _polytope_vertices(slab_rows, bound, ambient)
+        if not verts:
+            raise AlgebraInvariantViolation("empty edge-value polytope")
+        return linalg.affine_rank(verts)
+    values = point + [sum((x * v for x, v in zip(row, point)), Fraction(0))
+                      for row in slab_rows]
+    if not all(1 < v < bound for v in values):
+        raise AlgebraInvariantViolation("interior-point certificate of the "
+                                        "edge-value polytope fails")
+    return ambient
+
+
 def u_polytope(g, model):
     """The polytope of positive edge values within the double-factorial
-    bound, in kept-edge coordinates."""
+    bound, in kept-edge coordinates; its dimension is certified by
+    `_polytope_dim` without enumerating vertices."""
     q = g.q
     s = len(g.levels)
     bound = double_factorial_bound(q, s)
     ambient = len(model.basis)
-    slab_rows = [list(model.expansion[d]) for d in model.deleted]
-    verts = _polytope_vertices(slab_rows, bound, ambient)
-    if not verts:
-        raise AlgebraInvariantViolation("empty edge-value polytope")
-    dim = linalg.affine_rank(verts)
-    return UPolytope(rows=tuple(model.expansion), bound=bound, ambient=ambient,
-                     dim=dim,
-                     vertices=tuple(verts) if ambient <= 6 else None,
-                     is_point=(len(verts) == 1))
+    slabs = tuple(model.expansion[d] for d in model.deleted)
+    return UPolytope(rows=tuple(model.expansion), slabs=slabs, bound=bound,
+                     ambient=ambient,
+                     dim=_polytope_dim(slabs, bound, ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +658,10 @@ def check_stab_action(g, model, autos, classification=None):
         ident = phi.is_identity()
         edge_pos = _edge_perm_positions(g, model, phi)
         B = _quotient_matrix(model, edge_pos)
+        Bt = list(map(list, zip(*B)))
         consistent = all(
             list(model.expansion[edge_pos[i]]) ==
-            linalg.mat_vec(list(map(list, zip(*B))), list(model.expansion[i]))
+            linalg.mat_vec(Bt, list(model.expansion[i]))
             for i in range(len(model.edges)))
         sperm = phi.saddles()
         _, facerep = induced_face_automorphism(lambda x: sperm[x], J)

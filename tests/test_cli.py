@@ -149,6 +149,20 @@ def test_malformed_circle_reference_refused(tmp_path, capsys):
         assert code == 3 and "pair of ints" in err
 
 
+def test_wrong_stored_handle_field_refused(tmp_path, capsys):
+    cat = tmp_path / "cat.json"
+    comp = tmp_path / "K.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+        "--out", str(cat))
+    run(capsys, "complex", "--input", str(cat), "--out", str(comp))
+    doc = json.loads(comp.read_text())
+    entry = doc["classes"][0]
+    entry["dim_upoly"] += 1
+    comp.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "euler", "--input", str(comp))
+    assert code == 3 and entry["id"] in err and "dim_upoly" in err
+
+
 def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     cat = tmp_path / "cat.json"
     run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",

@@ -275,6 +275,31 @@ def test_corrupted_complex_is_rejected(complexes_q2):
         complex_from_json(json.dumps(doc))
 
 
+def test_stored_fields_are_cross_checked(complexes_q2):
+    K = complexes_q2[(3, 1)]
+    doc = json.loads(complex_to_json(K))
+    entry = doc["classes"][-1]
+    entry["dim_upoly"] += 1
+    with pytest.raises(mg.LMGJSONError, match="class %s: stored dim_upoly"
+                       % entry["id"]):
+        complex_from_json(json.dumps(doc))
+    entry["dim_upoly"] -= 1
+    entry["mirror_self"] = int(entry["mirror_self"])
+    with pytest.raises(mg.LMGJSONError, match="stored mirror_self"):
+        complex_from_json(json.dumps(doc))
+    entry["mirror_self"] = bool(entry["mirror_self"])
+    doc["top_count"] += 1
+    with pytest.raises(mg.LMGJSONError, match="stored top_count"):
+        complex_from_json(json.dumps(doc))
+    doc["top_count"] -= 1
+    del doc["Q"]
+    with pytest.raises(mg.LMGJSONError, match="stored Q None"):
+        complex_from_json(json.dumps(doc))
+    doc["classes"] = []
+    with pytest.raises(mg.LMGJSONError, match="no classes"):
+        complex_from_json(json.dumps(doc))
+
+
 def test_class_poset_dot(complexes_q2):
     K = complexes_q2[(3, 1)]
     dot = class_poset_dot(K)

@@ -6,8 +6,10 @@ import pytest
 from conftest import fig8
 from mck import linalg
 from mck import morse_graph as mg
+from mck import twist_algebra as ta
 from mck.complex_builder import enumerate_top_classes
 from mck.twist_algebra import (
+    AlgebraInvariantViolation, _polytope_dim, _polytope_vertices,
     algebra_json, check_stab_action,
     classify_circles, double_factorial_bound, homology_model, transvections,
     u_polytope,
@@ -318,10 +320,72 @@ def test_vertex_enumeration_matches_brute_force():
         assert _polytope_vertices(rows, bound, ambient) == brute(rows, bound, ambient)
 
 
+def dim_oracle(slab_rows, bound, ambient):
+    return linalg.affine_rank(_polytope_vertices(slab_rows, bound, ambient))
+
+
+def test_certified_dim_matches_vertex_oracle():
+    import random
+    rng = random.Random(13)
+    empty = 0
+    for _ in range(120):
+        ambient = rng.randint(1, 5)
+        nslab = rng.randint(0, 3)
+        rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(ambient))
+                for _ in range(nslab)]
+        bound = rng.choice([1, 3, 5, 15])
+        if _polytope_vertices(rows, bound, ambient):
+            assert (_polytope_dim(rows, bound, ambient)
+                    == dim_oracle(rows, bound, ambient))
+        else:
+            empty += 1
+            with pytest.raises(AlgebraInvariantViolation, match="empty"):
+                _polytope_dim(rows, bound, ambient)
+    assert 0 < empty < 120
+
+
+@pytest.mark.parametrize("rows, bound, ambient, dim, fallback", [
+    ([(1, 1)], 2, 2, 0, True),             # forces u = (1, 1)
+    ([(1, -1)], 2, 2, 0, True),            # forces u = (2, 1)
+    ([(1, 1, 0)], 2, 3, 1, True),          # u_3 alone stays free
+    ([(1, 1), (1, -1)], 3, 2, 0, True),    # two slabs force u = (2, 1)
+    ([(Fraction(1, 2), Fraction(1, 2))], 3, 2, 2, False),
+    ([(1, 0, 0), (-1, 1, 1)], 1, 3, 0, False),   # bound 1, rows sum to 1
+    ([], 5, 4, 4, False),
+])
+def test_certified_dim_degenerate_cases(monkeypatch, rows, bound, ambient,
+                                        dim, fallback):
+    rows = [tuple(Fraction(x) for x in row) for row in rows]
+    assert dim == dim_oracle(rows, bound, ambient)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _polytope_vertices(*args)
+
+    monkeypatch.setattr(ta, "_polytope_vertices", counted)
+    assert _polytope_dim(rows, bound, ambient) == dim
+    assert bool(calls) == fallback
+
+
+@pytest.mark.parametrize("row, bound", [((1, 1), 1), ((-1, -1), 5)])
+def test_empty_polytope_raises(row, bound):
+    with pytest.raises(AlgebraInvariantViolation, match="empty"):
+        _polytope_dim([tuple(Fraction(x) for x in row)], bound, 2)
+
+
+def test_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(ta, "_strict_witness",
+                        lambda system, ambient: [Fraction(1)] * ambient)
+    with pytest.raises(AlgebraInvariantViolation, match="certificate"):
+        _polytope_dim([(Fraction(1), Fraction(1))], 5, 2)
+
+
 def test_polytope_dims_q2_exhaustive():
     for g, m in q2_catalog_with_models():
         P = u_polytope(g, m)
         assert 0 <= P.dim <= len(m.basis)
+        assert P.dim == dim_oracle(P.slabs, P.bound, P.ambient)
         if len(g.levels) == 1:
             assert P.is_point
         else:
