@@ -7,14 +7,13 @@ file outputs are byte-identical for identical configurations.
 Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure,
 4 internal invariant violation (diagnostic dump on stderr).
 
-The environment variable MCK_SEEN_CACHE may point to a JSON file used as a
-persistent candidate-fingerprint -> canonical-form memo for `enumerate`;
-outputs do not depend on the cache.
+Every input file is re-derived when it is read: catalogs are revalidated
+graph by graph, and a complex dump must match its recomputed handle records,
+global invariants and per-class faces, or the command exits with 3.
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -80,28 +79,16 @@ def _write(path, text):
         raise CliError(EXIT_IO, "cannot write %s: %s" % (path, exc))
 
 
-def _load_cache():
-    path = os.environ.get("MCK_SEEN_CACHE")
-    if not path:
-        return None, None
-    cache = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cache = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise CliError(EXIT_IO, "bad cache file %s: %s" % (path, exc))
-    return cache, path
-
-
-def _save_cache(cache, path):
-    if path is None:
-        return
+def _catalog_seeds(path, text):
+    """The one-level seeds and the marking of catalog `text` read from `path`."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, separators=(",", ":"), sort_keys=True)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "cannot write cache %s: %s" % (path, exc))
+        classes, _, _, _, marking = cb.catalog_from_json(text)
+    except mg.LMGJSONError as exc:
+        raise CliError(EXIT_IO, "corrupted catalog %s: %s" % (path, exc))
+    if any(len(g.levels) != 1 for g in classes):
+        raise CliError(EXIT_PARAMS, "catalog must contain one-level seeds "
+                       "only; provide a complex dump instead")
+    return classes, marking
 
 
 def _load_complex_or_catalog(path):
@@ -116,15 +103,9 @@ def _load_complex_or_catalog(path):
             raise mg.LMGJSONError("document is not a JSON object")
         if "incidence" in doc:
             return cb.complex_from_json(text)
-        classes, p, q, r, marking = cb.catalog_from_json(text)
-        seeds = [g for g in classes if len(g.levels) == 1]
-        if len(seeds) != len(classes):
-            raise CliError(EXIT_PARAMS,
-                           "catalog contains non-seed classes; provide a "
-                           "complex dump instead")
-        return cb.build_complex(seeds, marking)
     except mg.LMGJSONError as exc:
         raise CliError(EXIT_IO, "corrupted input %s: %s" % (path, exc))
+    return cb.build_complex(*_catalog_seeds(path, text))
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +114,8 @@ def _load_complex_or_catalog(path):
 
 def cmd_enumerate(args):
     marking = _marking(args, args.p, args.q, args.r)
-    cache, cache_path = _load_cache()
     classes = cb.enumerate_top_classes(args.p, args.q, args.r, marking,
-                                       jobs=args.jobs, cache=cache)
-    _save_cache(cache, cache_path)
+                                       jobs=args.jobs)
     text = cb.catalog_to_json(classes, args.p, args.q, args.r, marking)
     if args.out:
         _write(args.out, text)
@@ -152,15 +131,7 @@ def cmd_enumerate(args):
 
 
 def cmd_complex(args):
-    text = _read(args.input)
-    try:
-        classes, p, q, r, marking = cb.catalog_from_json(text)
-    except mg.LMGJSONError as exc:
-        raise CliError(EXIT_IO, "corrupted catalog %s: %s" % (args.input, exc))
-    seeds = [g for g in classes if len(g.levels) == 1]
-    if len(seeds) != len(classes):
-        raise CliError(EXIT_PARAMS, "catalog must contain one-level seeds only")
-    K = cb.build_complex(seeds, marking)
+    K = cb.build_complex(*_catalog_seeds(args.input, _read(args.input)))
     out_text = cb.complex_to_json(K)
     if args.out:
         _write(args.out, out_text)
@@ -247,10 +218,7 @@ def cmd_export_dot(args):
     elif args.what == "graph":
         if args.input is None:
             raise CliError(EXIT_PARAMS, "--input is required for --what graph")
-        try:
-            classes, _, _, _, _ = cb.catalog_from_json(_read(args.input))
-        except mg.LMGJSONError as exc:
-            raise CliError(EXIT_IO, "corrupted catalog: %s" % exc)
+        classes, _ = _catalog_seeds(args.input, _read(args.input))
         if not (0 <= args.index < len(classes)):
             raise CliError(EXIT_PARAMS, "--index out of range (%d classes)"
                            % len(classes))

@@ -72,9 +72,6 @@ class MarkingSpec:
         fixed point per index."""
         return all(x <= 1 for x in self.fixed)
 
-    def key(self):
-        return (self.marked, self.fixed)
-
 
 def _cap_flags(marking, kind, label):
     ph, qh, rh = marking.marked
@@ -139,12 +136,10 @@ def _matchings(q):
 
 def _top_candidates_chunk(args):
     """Worker: canonical forms of the valid candidates in one matching chunk."""
-    p, q, r, marking_key, matchings, cache = args
-    marking = MarkingSpec(marked=marking_key[0], fixed=marking_key[1])
+    p, q, r, marking, matchings = args
     marked_s, fixed_s = _marked_saddle_sets(marking, q)
     saddles = list(range(1, q + 1))
     forms = set()
-    cache_new = {}
     for edges in matchings:
         atom = mg.Atom.of(saddles, list(edges))
         try:
@@ -156,42 +151,30 @@ def _top_candidates_chunk(args):
                 mg.validate(g)
             except mg.LMGError:
                 continue
-            fp = mg.to_json(g)
-            hit = cache.get(fp)
-            if hit is not None:
-                forms.add(bytes.fromhex(hit))
-                continue
-            cf = mg.canonical_form(g)
-            forms.add(cf)
-            cache_new[fp] = cf.hex()
-    return forms, cache_new
+            forms.add(mg.canonical_form(g))
+    return forms
 
 
-def enumerate_top_classes(p, q, r, marking=None, jobs=1, cache=None):
+def enumerate_top_classes(p, q, r, marking=None, jobs=1):
     """All one-level classes with the given parameters, canonical order.
 
     Entries are decoded canonical representatives, so the catalog is a pure
-    function of (p, q, r, marking).  `cache` is an optional mutable mapping
-    from candidate fingerprints to canonical-form hex (a pure memo).
+    function of (p, q, r, marking).
     """
     if marking is None:
         marking = MarkingSpec.all_marked(p, q, r)
     _check_top_params(p, q, r, marking)
-    cache = {} if cache is None else cache
     matchings = list(_matchings(q))
-    forms = set()
     if jobs > 1 and len(matchings) > 1:
         chunk = (len(matchings) + jobs - 1) // jobs
-        parts = [matchings[i:i + chunk] for i in range(0, len(matchings), chunk)]
-        argsets = [(p, q, r, marking.key(), part, dict(cache)) for part in parts]
+        argsets = [(p, q, r, marking, matchings[i:i + chunk])
+                   for i in range(0, len(matchings), chunk)]
+        forms = set()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for got, new in pool.map(_top_candidates_chunk, argsets):
+            for got in pool.map(_top_candidates_chunk, argsets):
                 forms |= got
-                cache.update(new)
     else:
-        got, new = _top_candidates_chunk((p, q, r, marking.key(), matchings, cache))
-        forms = got
-        cache.update(new)
+        forms = _top_candidates_chunk((p, q, r, marking, matchings))
     out = []
     for cf in sorted(forms):
         g = mg.decode_canonical(cf)
@@ -567,41 +550,85 @@ def _check_stored(where, stored, derived):
                 % (where, field, stored.get(field), value))
 
 
+def _params_from_json(doc):
+    """(p, q, r, marking) of a document's params, type-checked and valid."""
+    p, q, r, marked, fixed = (doc["params"][k]
+                              for k in ("p", "q", "r", "marked", "fixed"))
+    if not (type(marked) is type(fixed) is list and len(marked) == len(fixed) == 3
+            and all(type(x) is int for x in (p, q, r, *marked, *fixed))):
+        raise mg.LMGJSONError("params need int p, q, r and three-int marked "
+                              "and fixed lists")
+    marking = MarkingSpec(marked=tuple(marked), fixed=tuple(fixed))
+    try:
+        marking.check(p, q, r)
+    except ParameterError as exc:
+        raise mg.LMGJSONError("params: %s" % exc)
+    return p, q, r, marking
+
+
+def _graph_from_json(entry, p, q, r):
+    """One stored graph, validated, with the document's (p, q, r)."""
+    g = mg.from_json(json.dumps(entry))
+    if (g.p, g.q, g.r) != (p, q, r):
+        raise mg.LMGJSONError("graph (p, q, r) differs from the params")
+    mg.validate(g, require_marks=False)
+    return g
+
+
+def _incidence_entry(src, face, dst):
+    if not (type(src) is type(dst) is str and type(face) is list and all(
+            type(b) is list and all(type(x) is int for x in b) for b in face)):
+        raise mg.LMGJSONError("malformed incidence entry %r" % ([src, face, dst],))
+    return src, tuple(tuple(b) for b in face), dst
+
+
+def _check_incidence(records, incidence):
+    """Each class has one entry per proper face of its level partition, and
+    each entry leads to a stored class with one level per face block."""
+    s_of = {rec.class_id: rec.s for rec in records}
+    faces = {}
+    for src, face, dst in incidence:
+        if src not in s_of or s_of.get(dst) != len(face):
+            raise mg.LMGJSONError("class %s: face %r leads to no stored class "
+                                  "with s = %d" % (src, face, len(face)))
+        faces.setdefault(src, []).append(face)
+    for rec in records:
+        want = [_face_key(J1) for J1 in
+                refinements(rec.lmg.level_partition(), proper=True)]
+        if sorted(faces.get(rec.class_id, [])) != sorted(want):
+            raise mg.LMGJSONError("class %s: stored incidence entries do not "
+                                  "match its %d faces" % (rec.class_id, len(want)))
+
+
 def complex_from_json(text):
-    """Rebuild a complex from its JSON dump, revalidating every class,
-    recomputing all per-class records and the global invariants, and
-    refusing the dump when a stored value differs from its recomputation."""
+    """Rebuild a complex from its JSON dump, revalidating every class and
+    refusing it unless every stored record, global invariant and incidence
+    face list equals its recomputation."""
     try:
         doc = json.loads(text)
-        params = doc["params"]
-        marking = MarkingSpec(marked=tuple(params["marked"]),
-                              fixed=tuple(params["fixed"]))
+        p, q, r, marking = _params_from_json(doc)
         entries = doc["classes"]
-        incidence = tuple(sorted((src, tuple(tuple(b) for b in face), dst)
-                                 for src, face, dst in doc["incidence"]))
-    except (KeyError, ValueError, TypeError) as exc:
+        lmgs = [entry["lmg"] for entry in entries]
+        incidence = tuple(sorted(_incidence_entry(*entry)
+                                 for entry in doc["incidence"]))
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))
     if not entries:
         raise mg.LMGJSONError("complex document has no classes")
     records = []
-    for entry in entries:
-        g = mg.from_json(json.dumps(entry["lmg"]))
-        mg.validate(g, require_marks=False)
+    for entry, lmg in zip(entries, lmgs):
+        g = _graph_from_json(lmg, p, q, r)
         cf = mg.canonical_form(g)
-        if class_id(cf) != entry["id"]:
+        if class_id(cf) != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
-                                  % entry["id"])
+                                  % entry.get("id"))
         rec = handle_record(g, cf)
         _check_stored("class " + rec.class_id, entry, _record_fields(rec))
         records.append(rec)
     records.sort(key=lambda rec: rec.canonical)
-    known = {rec.class_id for rec in records}
-    for src, _, dst in incidence:
-        if src not in known or dst not in known:
-            raise mg.LMGJSONError("incidence references unknown class")
+    _check_incidence(records, incidence)
     top_count = sum(1 for rec in records if rec.s == 1)
-    K = ComplexK(p=params["p"], q=params["q"], r=params["r"],
-                 marking=marking, classes=tuple(records),
+    K = ComplexK(p=p, q=q, r=r, marking=marking, classes=tuple(records),
                  incidence=incidence, top_count=top_count)
     _check_stored("complex document", doc, _report_fields(K))
     return K
@@ -620,15 +647,12 @@ def catalog_to_json(classes, p, q, r, marking):
 def catalog_from_json(text):
     try:
         doc = json.loads(text)
-        params = doc["params"]
-        marking = MarkingSpec(marked=tuple(params["marked"]),
-                              fixed=tuple(params["fixed"]))
-        classes = [mg.from_json(json.dumps(entry)) for entry in doc["classes"]]
-    except (KeyError, ValueError, TypeError) as exc:
+        p, q, r, marking = _params_from_json(doc)
+        entries = list(doc["classes"])
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
-    for g in classes:
-        mg.validate(g, require_marks=False)
-    return classes, params["p"], params["q"], params["r"], marking
+    classes = [_graph_from_json(entry, p, q, r) for entry in entries]
+    return classes, p, q, r, marking
 
 
 def class_poset_dot(K):

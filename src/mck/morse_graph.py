@@ -864,8 +864,15 @@ def from_json(text):
                      for cd in doc["caps"])
         cylinders = tuple(sorted((_circle_ref(lo), _circle_ref(hi))
                                  for lo, hi in doc["cylinders"]))
-        return LMG(q=doc["q"], p=doc["p"], r=doc["r"],
-                   levels=tuple(tuple(lev) for lev in doc["levels"]),
+        levels = tuple(tuple(lev) for lev in doc["levels"])
+        ints = (doc["q"], doc["p"], doc["r"], *(a for lev in levels for a in lev),
+                *(v for atom in atoms for v in atom.saddles),
+                *(c.label for c in caps))
+        if (any(type(x) is not int for x in ints)
+                or any(type(c.kind) is not str for c in caps)):
+            raise LMGJSONError("q, p, r, level entries, saddles and cap "
+                               "labels must be ints, cap kinds strings")
+        return LMG(q=doc["q"], p=doc["p"], r=doc["r"], levels=levels,
                    atoms=tuple(atoms), caps=caps, cylinders=cylinders,
                    marked_saddles=frozenset(doc["marked_saddles"]),
                    fixed_saddles=frozenset(doc["fixed_saddles"]))

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from mck import complex_builder as cb
+from mck import morse_graph as mg
 from mck.cli import main
 
 
@@ -98,14 +102,28 @@ def test_jobs_flag_same_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seen_cache_roundtrip(tmp_path, capsys, monkeypatch):
+def test_seen_cache_env_is_ignored(tmp_path, capsys, monkeypatch):
+    """`enumerate` reads no memo file: an MCK_SEEN_CACHE file that maps
+    every candidate to one class leaves the catalog unchanged."""
+    plain, poisoned = tmp_path / "plain.json", tmp_path / "poisoned.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+        "--out", str(plain))
+    classes, *_ = cb.catalog_from_json(plain.read_text())
+    one = mg.canonical_form(classes[0]).hex()
+    marking = cb.MarkingSpec.all_marked(2, 2, 2)
+    memo = {}
+    for edges in cb._matchings(2):
+        atom = mg.Atom.of([1, 2], list(edges))
+        for g in cb._cap_labelings(atom, 2, 2, marking, frozenset({1, 2}),
+                                   frozenset(), 2):
+            memo[mg.to_json(g)] = one
     cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps(memo))
     monkeypatch.setenv("MCK_SEEN_CACHE", str(cache))
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2", "--out", str(a))
-    assert cache.exists() and json.loads(cache.read_text())
-    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
+    code, out, _ = run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+                       "--out", str(poisoned))
+    assert code == 0 and "classes: 10" in out
+    assert poisoned.read_bytes() == plain.read_bytes()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -147,6 +165,41 @@ def test_malformed_circle_reference_refused(tmp_path, capsys):
                  ("export-dot", "--what", "graph", "--input", str(cat))):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "pair of ints" in err
+
+
+@pytest.fixture(scope="module")
+def q1_files(tmp_path_factory):
+    """A q = 1 catalog and its complex dump, written by the CLI."""
+    root = tmp_path_factory.mktemp("q1")
+    files = {"catalog": root / "cat.json", "complex": root / "K.json"}
+    assert main(["enumerate", "--p", "2", "--q", "1", "--r", "1",
+                 "--out", str(files["catalog"])]) == 0
+    assert main(["complex", "--input", str(files["catalog"]),
+                 "--out", str(files["complex"])]) == 0
+    return files
+
+
+@pytest.mark.parametrize("source, command, path, value", [
+    ("complex", "qpoly", ("classes", 0, "lmg", "q"), "x"),
+    ("catalog", "complex", ("classes", 0, "caps", 0, "label"), "a"),
+    ("catalog", "complex", ("params", "marked"), [9, 9, 9]),
+    ("complex", "qpoly", ("params", "marked"), [2, 2]),
+    ("catalog", "complex", ("params", "p"), 3),
+    ("complex", "qpoly", ("params", "p"), 2.0),
+    ("catalog", "complex", ("params", "fixed"), [3, 0, 0]),
+], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
+        "float-p", "fixed-exceeds-marked"])
+def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
+                                 path, value):
+    doc = json.loads(q1_files[source].read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--input", str(bad))
+    assert code == 3 and out == "" and err.startswith("error: ")
 
 
 def test_wrong_stored_handle_field_refused(tmp_path, capsys):

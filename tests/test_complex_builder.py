@@ -60,15 +60,6 @@ def test_enumeration_deterministic_and_parallel_agree():
     assert key(base) == key(again) == key(par)
 
 
-def test_enumeration_cache_is_a_pure_memo():
-    cache = {}
-    first = enumerate_top_classes(3, 2, 1, cache=cache)
-    assert cache
-    second = enumerate_top_classes(3, 2, 1, cache=cache)
-    assert ([mg.canonical_form(g) for g in first]
-            == [mg.canonical_form(g) for g in second])
-
-
 # ---------------------------------------------------------------------------
 # building the complex
 # ---------------------------------------------------------------------------
@@ -298,6 +289,34 @@ def test_stored_fields_are_cross_checked(complexes_q2):
     doc["classes"] = []
     with pytest.raises(mg.LMGJSONError, match="no classes"):
         complex_from_json(json.dumps(doc))
+
+
+def test_incomplete_incidence_is_rejected(complexes_q2):
+    K = complexes_q2[(2, 2)]
+    doc = json.loads(complex_to_json(K))
+    full = doc["incidence"]
+    assert len(full) == 20
+    doc["incidence"] = full[:1]
+    with pytest.raises(mg.LMGJSONError, match="incidence entries do not match"):
+        complex_from_json(json.dumps(doc))
+    doc["incidence"] = full + full[:1]
+    with pytest.raises(mg.LMGJSONError, match="class %s: stored incidence"
+                       % full[0][0]):
+        complex_from_json(json.dumps(doc))
+
+
+def test_incidence_target_is_checked(complexes_q2):
+    K = complexes_q2[(2, 2)]
+    doc = json.loads(complex_to_json(K))
+    src, face, _ = doc["incidence"][0]
+    assert len(face) == 2
+    top = next(rec.class_id for rec in K.classes if rec.s == 1)
+    for wrong in (top, "c0000000000000000"):
+        doc["incidence"][0][2] = wrong
+        with pytest.raises(mg.LMGJSONError,
+                           match="class %s: face .* leads to no stored class "
+                                 "with s = 2" % src):
+            complex_from_json(json.dumps(doc))
 
 
 def test_class_poset_dot(complexes_q2):
