@@ -81,7 +81,7 @@ def _cap_flags(marking, kind, label):
     return label <= rh, label <= rs
 
 
-def _marked_saddle_sets(marking, q):
+def _marked_saddle_sets(marking):
     _, qh, _ = marking.marked
     _, qs, _ = marking.fixed
     return frozenset(range(1, qh + 1)), frozenset(range(1, qs + 1))
@@ -137,7 +137,7 @@ def _matchings(q):
 def _top_candidates_chunk(args):
     """Worker: canonical forms of the valid candidates in one matching chunk."""
     p, q, r, marking, matchings = args
-    marked_s, fixed_s = _marked_saddle_sets(marking, q)
+    marked_s, fixed_s = _marked_saddle_sets(marking)
     saddles = list(range(1, q + 1))
     forms = set()
     for edges in matchings:
@@ -232,7 +232,7 @@ def class_id(canonical):
     return "c" + hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _poincare(g, classification, autos, checks):
+def _poincare(classification, autos):
     """Poincare polynomial of the closed handle: invariants of the exterior
     algebra on the d torus directions under the symmetry group's permutation
     action."""
@@ -242,11 +242,9 @@ def _poincare(g, classification, autos, checks):
     b_positions = sorted(classification.B)
     acc = [Fraction(0)] * (d + 1)
     for phi in autos:
-        cyl_map = phi.cylinder_map(g)
         perm = {}
         for bp in b_positions:
-            orig = order[bp - 1]
-            image = pos_of_orig[cyl_map[orig]]
+            image = pos_of_orig[phi.cylinders[order[bp - 1]]]
             if image not in classification.B:
                 raise ta.AlgebraInvariantViolation(
                     "automorphism does not preserve the torus directions")
@@ -291,7 +289,7 @@ def handle_record(g, canonical=None):
     autos = mg.automorphisms(g)
     stab = ta.check_stab_action(g, model, autos, classification)
     index = g.q - rep.s
-    pc = _poincare(g, classification, autos, stab.checks)
+    pc = _poincare(classification, autos)
     return HandleRecord(
         class_id=class_id(canonical), canonical=canonical, lmg=g,
         index=index, s=rep.s, t=rep.t, n=rep.n,
@@ -566,12 +564,19 @@ def _params_from_json(doc):
     return p, q, r, marking
 
 
-def _graph_from_json(entry, p, q, r):
-    """One stored graph, validated, with the document's (p, q, r)."""
+def _graph_from_json(entry, p, q, r, marking):
+    """One stored graph, validated, with the document's (p, q, r) and the
+    cap flags and marked and fixed saddles its marking gives."""
     g = mg.from_json(json.dumps(entry))
     if (g.p, g.q, g.r) != (p, q, r):
         raise mg.LMGJSONError("graph (p, q, r) differs from the params")
     mg.validate(g, require_marks=False)
+    if (any((cap.marked, cap.fixed) != _cap_flags(marking, cap.kind, cap.label)
+            for cap in g.caps)
+            or (g.marked_saddles, g.fixed_saddles) != _marked_saddle_sets(marking)):
+        raise mg.LMGJSONError("graph marking differs from the params' "
+                              "marked %s and fixed %s"
+                              % (list(marking.marked), list(marking.fixed)))
     return g
 
 
@@ -617,7 +622,7 @@ def complex_from_json(text):
         raise mg.LMGJSONError("complex document has no classes")
     records = []
     for entry, lmg in zip(entries, lmgs):
-        g = _graph_from_json(lmg, p, q, r)
+        g = _graph_from_json(lmg, p, q, r, marking)
         cf = mg.canonical_form(g)
         if class_id(cf) != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
@@ -651,7 +656,7 @@ def catalog_from_json(text):
         entries = list(doc["classes"])
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
-    classes = [_graph_from_json(entry, p, q, r) for entry in entries]
+    classes = [_graph_from_json(entry, p, q, r, marking) for entry in entries]
     return classes, p, q, r, marking
 
 

@@ -645,56 +645,23 @@ def decode_canonical(data):
 @dataclass(frozen=True)
 class Automorphism:
     """A structure automorphism: level-preserving, orientation-preserving,
-    fixing marked labels pointwise."""
+    fixing marked labels pointwise.  It carries the permutations it induces
+    on the graph it was computed from.
 
-    atom_map: tuple     # atom index -> atom index
-    dart_map: tuple     # sorted ((saddle, slot), (saddle, slot)) pairs
-    saddle_map: tuple   # saddle label -> image, as sorted pairs
+    `darts`, `saddles` and `circles` are dicts from each dart (saddle, slot),
+    saddle label and circle reference (atom, circle index) to its image.
+    `edges` and `cylinders` are tuples: entry i is the position in
+    `global_edges()` of the image of the edge at position i, and the index
+    of the image of cylinder i."""
 
-    def darts(self):
-        return dict(self.dart_map)
-
-    def saddles(self):
-        return dict(self.saddle_map)
-
-    def atom_of(self, a):
-        return dict(self.atom_map)[a]
+    darts: dict
+    saddles: dict
+    edges: tuple
+    circles: dict
+    cylinders: tuple
 
     def is_identity(self):
-        return all(a == b for a, b in self.dart_map)
-
-    def edge_map(self, g):
-        """Global edge permutation {(atom, edge): (atom, edge)}."""
-        dm = self.darts()
-        out = {}
-        for a, atom in enumerate(g.atoms):
-            ta = self.atom_of(a)
-            target = g.atoms[ta].edge_at_out()
-            for i, (o, _) in enumerate(atom.edges):
-                out[(a, i)] = (ta, target[dm[o]])
-        return out
-
-    def cylinder_map(self, g):
-        """Cylinder index permutation induced by the circle action."""
-        cm = self.circle_map(g)
-        ends = {tuple(lo): k for k, (lo, hi) in enumerate(g.cylinders)}
-        return {k: ends[cm[tuple(lo)]] for k, (lo, hi) in enumerate(g.cylinders)}
-
-    def circle_map(self, g):
-        """Circle reference permutation {(atom, ci): (atom, ci)}."""
-        em = self.edge_map(g)
-        tables = g.circle_table()
-        lookup = {}
-        for a, tab in enumerate(tables):
-            for ci, (side, cyc) in enumerate(tab):
-                for e in cyc:
-                    lookup[(a, e, side)] = ci
-        out = {}
-        for a, tab in enumerate(tables):
-            for ci, (side, cyc) in enumerate(tab):
-                ta, te = em[(a, cyc[0])]
-                out[(a, ci)] = (ta, lookup[(ta, te, side)])
-        return out
+        return all(d == e for d, e in self.darts.items())
 
 
 def automorphisms(g):
@@ -702,35 +669,43 @@ def automorphisms(g):
 
     The group is extracted from the canonical-form machinery: every framing
     realizing the minimal encoding differs from a reference one by exactly
-    one automorphism.
+    one automorphism, found by composing the two framings' dart relabelings
+    atom position by atom position.  One circle table serves every element.
     """
     _, winners = _min_framings(g)
     ref_arr, ref_maps = winners[0]
-    ref_global = {}
-    for ppos, a in enumerate(ref_arr):
-        for d, nid in ref_maps[a].items():
-            ref_global[(ppos, nid)] = d
+    offset = list(itertools.accumulate(
+        (len(atom.edges) for atom in g.atoms), initial=0))
+    by_out = [atom.edge_at_out() for atom in g.atoms]
+    tables = g.circle_table()
+    circle_at = {(a, e, side): ci for a, tab in enumerate(tables)
+                 for ci, (side, cyc) in enumerate(tab) for e in cyc}
+    cylinder_at = {tuple(lo): k for k, (lo, _) in enumerate(g.cylinders)}
 
-    seen = set()
     out = []
     for arr, maps in winners:
-        dartmap = {}
-        atommap = {}
-        for ppos, a in enumerate(arr):
-            atommap[ref_arr[ppos]] = a
-            inv = {nid: d for d, nid in maps[a].items()}
-            for (pp, nid), src in ref_global.items():
-                if pp == ppos:
-                    dartmap[src] = inv[nid]
-        key = tuple(sorted(dartmap.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        saddlemap = tuple(sorted({v: dartmap[(v, 0)][0]
-                                  for a in g.atoms for v in a.saddles}.items()))
-        out.append(Automorphism(atom_map=tuple(sorted(atommap.items())),
-                                dart_map=key, saddle_map=saddlemap))
-    out.sort(key=lambda phi: (not phi.is_identity(), phi.dart_map))
+        darts = {}
+        images = [None] * offset[-1]   # global edge -> (atom, local edge)
+        for ra, a in zip(ref_arr, arr):
+            dart_of = {nid: d for d, nid in maps[a].items()}
+            for d, nid in ref_maps[ra].items():
+                darts[d] = dart_of[nid]
+            for i, (o, _) in enumerate(g.atoms[ra].edges):
+                images[offset[ra] + i] = (a, by_out[a][darts[o]])
+        circles = {}
+        for a, tab in enumerate(tables):
+            for ci, (side, cyc) in enumerate(tab):
+                ta, te = images[offset[a] + cyc[0]]
+                circles[(a, ci)] = (ta, circle_at[(ta, te, side)])
+        out.append(Automorphism(
+            darts=darts,
+            saddles={v: darts[(v, 0)][0] for atom in g.atoms
+                     for v in atom.saddles},
+            edges=tuple(offset[a] + i for a, i in images),
+            circles=circles,
+            cylinders=tuple(cylinder_at[circles[tuple(lo)]]
+                            for lo, _ in g.cylinders)))
+    out.sort(key=lambda phi: (not phi.is_identity(), sorted(phi.darts.items())))
     return out
 
 
@@ -859,8 +834,8 @@ def from_json(text):
                      for o, i in ad["edges"]]
             atoms.append(Atom.of(saddles, edges))
         caps = tuple(Cap(circle=_circle_ref(cd["circle"]), kind=cd["kind"],
-                         label=cd["label"], marked=bool(cd["marked"]),
-                         fixed=bool(cd["fixed"]))
+                         label=cd["label"], marked=cd["marked"],
+                         fixed=cd["fixed"])
                      for cd in doc["caps"])
         cylinders = tuple(sorted((_circle_ref(lo), _circle_ref(hi))
                                  for lo, hi in doc["cylinders"]))
@@ -869,14 +844,19 @@ def from_json(text):
                 *(v for atom in atoms for v in atom.saddles),
                 *(c.label for c in caps))
         if (any(type(x) is not int for x in ints)
-                or any(type(c.kind) is not str for c in caps)):
+                or any(type(c.kind) is not str or type(c.marked) is not bool
+                       or type(c.fixed) is not bool for c in caps)):
             raise LMGJSONError("q, p, r, level entries, saddles and cap "
-                               "labels must be ints, cap kinds strings")
+                               "labels must be ints, cap kinds strings and "
+                               "cap marked/fixed flags booleans")
         return LMG(q=doc["q"], p=doc["p"], r=doc["r"], levels=levels,
                    atoms=tuple(atoms), caps=caps, cylinders=cylinders,
                    marked_saddles=frozenset(doc["marked_saddles"]),
                    fixed_saddles=frozenset(doc["fixed_saddles"]))
-    except (KeyError, IndexError, TypeError) as exc:
+    except LMGJSONError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # ValueError: an edge or cylinder entry that does not unpack as a pair
         raise LMGJSONError("malformed graph document: %r" % (exc,))
 
 

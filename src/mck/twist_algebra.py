@@ -591,9 +591,9 @@ def u_polytope(g, model):
 
 @dataclass(frozen=True)
 class AutomorphismCheck:
-    """Admissibility and freeness data for one structure automorphism."""
+    """Admissibility and freeness data for one non-identity structure
+    automorphism."""
 
-    identity: bool
     consistent: bool          # edge action descends to the quotient
     face_admissible: bool
     pi_trivial: bool          # loose/non-nu0 cores all fixed
@@ -614,103 +614,86 @@ class StabReport:
     all_free: bool
 
 
-def _quotient_matrix(model, edge_perm_pos):
+def _quotient_matrix(model, edge_perm):
     """Matrix of the edge action on the kept-coordinate quotient."""
-    m = len(model.basis)
-    return [list(model.expansion[edge_perm_pos[b]]) for b in model.basis]
+    return [list(model.expansion[edge_perm[b]]) for b in model.basis]
 
 
-def _edge_perm_positions(g, model, phi):
-    em = phi.edge_map(g)
-    pos = {e: i for i, e in enumerate(model.edges)}
-    return [pos[em[e]] for e in model.edges]
-
-
-def _circle_offset(g, psi_edge_pos, model, ref):
-    """Rotation offset of an edge-map power on one boundary circle."""
-    a, ci = ref
-    _, cyc = g.circle_table()[a][ci]
-    glob = [(a, e) for e in cyc]
-    pos = {e: i for i, e in enumerate(model.edges)}
-    idx = [pos[e] for e in glob]
-    image0 = psi_edge_pos[idx[0]]
-    if image0 not in idx:
+def _circle_offset(psi, cyc):
+    """Rotation offset, as a fraction of a turn, of an edge permutation on
+    one boundary circle given as its edges' positions in trace order."""
+    image0 = psi[cyc[0]]
+    if image0 not in cyc:
         raise AlgebraInvariantViolation("boundary circle not preserved")
-    o = idx.index(image0)
-    L = len(idx)
-    for i in range(L):
-        if psi_edge_pos[idx[i]] != idx[(i + o) % L]:
-            raise AlgebraInvariantViolation("circle image is not a rotation")
-    return o, L
+    o, L = cyc.index(image0), len(cyc)
+    if any(psi[cyc[i]] != cyc[(i + o) % L] for i in range(L)):
+        raise AlgebraInvariantViolation("circle image is not a rotation")
+    return Fraction(o, L)
 
 
 def check_stab_action(g, model, autos, classification=None):
     """Run the admissibility checklist and the fixed-point-freeness test on
-    every structure automorphism."""
+    every non-identity structure automorphism.
+
+    The identity is admissible and free by definition and is not checked, so
+    a trivial group gives no checks.  Consistency (the edge action commutes
+    with the expansion) is tested on the traded edges only: a kept edge
+    basis[k] expands to the unit row e_k, where it holds by construction."""
     if classification is None:
         classification = classify_circles(g)
     J = g.level_partition()
     n = model.n
-    checks = []
+    identity = linalg.identity(len(model.basis))
     nu0_orig = set(classification.order[:classification.nu0])
+    moved = [phi for phi in autos if not phi.is_identity()]
+    tables = g.circle_table() if moved else []
+    pos = {e: i for i, e in enumerate(model.edges)}
 
-    for phi in autos:
-        ident = phi.is_identity()
-        edge_pos = _edge_perm_positions(g, model, phi)
-        B = _quotient_matrix(model, edge_pos)
+    def circle_positions(ref):
+        a, ci = ref
+        return [pos[(a, e)] for e in tables[a][ci][1]]
+
+    checks = []
+    for phi in moved:
+        B = _quotient_matrix(model, phi.edges)
         Bt = list(map(list, zip(*B)))
         consistent = all(
-            list(model.expansion[edge_pos[i]]) ==
+            list(model.expansion[phi.edges[i]]) ==
             linalg.mat_vec(Bt, list(model.expansion[i]))
-            for i in range(len(model.edges)))
-        sperm = phi.saddles()
-        _, facerep = induced_face_automorphism(lambda x: sperm[x], J)
-        cyl_map = phi.cylinder_map(g)
-        pi_trivial = all(cyl_map[k] == k for k in range(n) if k not in nu0_orig)
-        a_trivial = linalg.mat_eq(B, linalg.identity(len(model.basis)))
-        b_trivial = all(v == w for v, w in phi.saddle_map)
-        rho_trivial = all(cyl_map[k] == k for k in range(n))
-        deg_ok = True
-        if a_trivial and not b_trivial:
-            deg_ok = False
+            for i in model.deleted)
+        _, facerep = induced_face_automorphism(lambda x: phi.saddles[x], J)
+        pi_trivial = all(phi.cylinders[k] == k
+                         for k in range(n) if k not in nu0_orig)
+        a_trivial = linalg.mat_eq(B, identity)
+        b_trivial = all(v == w for v, w in phi.saddles.items())
+        rho_trivial = all(phi.cylinders[k] == k for k in range(n))
         if b_trivial:
-            if not rho_trivial:
-                deg_ok = False
-            if not linalg.mat_eq(linalg.mat_mul(B, B),
-                                 linalg.identity(len(model.basis))):
-                deg_ok = False
+            deg_ok = rho_trivial and linalg.mat_eq(linalg.mat_mul(B, B),
+                                                   identity)
+        else:
+            deg_ok = not a_trivial
 
         obstructions = []
-        free = False
-        free_exact = True
-        if not ident:
-            for cyc in mg.trace_cycles(cyl_map, range(n)):
-                k = cyc[0]
-                mlen = len(cyc)
-                psi = list(range(len(model.edges)))
-                for _ in range(mlen):
-                    psi = [edge_pos[i] for i in psi]
-                lo, hi = g.cylinders[k]
-                o_low, L_low = _circle_offset(g, psi, model, lo)
-                o_up, L_up = _circle_offset(g, psi, model, hi)
-                off = (Fraction(o_up, L_up) - Fraction(o_low, L_low)) % 1
-                obstructions.append((tuple(cyc), off))
-                if off != 0:
-                    free = True
-            if classification.c > 0:
-                free_exact = False
+        for cyc in mg.trace_cycles(phi.cylinders, range(n)):
+            psi = list(range(len(model.edges)))
+            for _ in cyc:
+                psi = [phi.edges[i] for i in psi]
+            lo, hi = g.cylinders[cyc[0]]
+            off = (_circle_offset(psi, circle_positions(hi))
+                   - _circle_offset(psi, circle_positions(lo))) % 1
+            obstructions.append((tuple(cyc), off))
 
-        admissible = (consistent and facerep.admissible and pi_trivial
-                      and deg_ok)
         checks.append(AutomorphismCheck(
-            identity=ident, consistent=consistent,
+            consistent=consistent,
             face_admissible=facerep.admissible,
             pi_trivial=pi_trivial,
             a_trivial=a_trivial, b_trivial=b_trivial,
             rho_trivial=rho_trivial, degeneracies_ok=deg_ok,
-            free=free or ident, free_exact=free_exact,
+            free=any(off != 0 for _, off in obstructions),
+            free_exact=classification.c == 0,
             cycle_obstructions=tuple(obstructions),
-            admissible=admissible or ident))
+            admissible=(consistent and facerep.admissible and pi_trivial
+                        and deg_ok)))
 
     return StabReport(checks=tuple(checks),
                       all_admissible=all(c.admissible for c in checks),

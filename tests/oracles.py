@@ -47,7 +47,7 @@ def enumerate_classes_direct(p, q, r, marking=None, max_q=2):
     if p - q + r != 2 or p < 1 or r < 1:
         raise cb.ParameterError("not a sphere parameter set")
     marking.check(p, q, r)
-    marked_s, fixed_s = cb._marked_saddle_sets(marking, q)
+    marked_s, fixed_s = cb._marked_saddle_sets(marking)
     forms = {}
     for J in enumerate_partitions(q):
         level_sets = [sorted(b) for b in J.blocks]

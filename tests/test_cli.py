@@ -187,8 +187,18 @@ def q1_files(tmp_path_factory):
     ("catalog", "complex", ("params", "p"), 3),
     ("complex", "qpoly", ("params", "p"), 2.0),
     ("catalog", "complex", ("params", "fixed"), [3, 0, 0]),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "edges", 0), [0]),
+    ("complex", "euler", ("classes", 0, "lmg", "atoms", 0, "edges", 0), "x"),
+    ("catalog", "euler", ("classes", 0, "cylinders"), [[]]),
+    ("complex", "euler", ("classes", 0, "lmg", "cylinders"), [[]]),
+    ("catalog", "complex", ("classes", 0, "caps", 0, "marked"), "no"),
+    ("complex", "qpoly", ("classes", 0, "lmg", "caps", 0, "fixed"), 0),
+    ("complex", "euler", ("params", "marked"), [1, 1, 1]),
+    ("catalog", "euler", ("classes", 0, "marked_saddles"), []),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
-        "float-p", "fixed-exceeds-marked"])
+        "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
+        "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
+        "int-cap-flag", "params-marking-mismatch", "graph-marking-mismatch"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())
@@ -200,6 +210,56 @@ def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, "--input", str(bad))
     assert code == 3 and out == "" and err.startswith("error: ")
+
+
+def _json_paths(node, path=()):
+    """Every path into a decoded JSON document, the root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+DELETE, WRAP = object(), object()
+MUTATIONS = (DELETE, "x", 99, -1, 1.5, None, [], {}, WRAP)
+
+
+def test_mutation_sweep_exits_cleanly(q1_files, tmp_path, capsys):
+    # every single-point mutation of a valid catalog and dump is either
+    # read or refused with a documented exit code, never a traceback
+    bad = tmp_path / "bad.json"
+    escaped = []
+    calls = 0
+    for source in ("catalog", "complex"):
+        text = q1_files[source].read_text()
+        for path in list(_json_paths(json.loads(text))):
+            for change in MUTATIONS:
+                doc = json.loads(text)
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                if change is DELETE:
+                    del target[path[-1]]
+                elif change is WRAP:
+                    target[path[-1]] = [target[path[-1]]]
+                else:
+                    target[path[-1]] = change
+                bad.write_text(json.dumps(doc))
+                calls += 1
+                try:
+                    code = main(["euler", "--input", str(bad)])
+                except Exception as exc:   # an escape is a failure
+                    code = repr(exc)
+                capsys.readouterr()
+                if code not in (0, 2, 3):
+                    escaped.append((source, path, repr(change), code))
+    assert calls > 1000
+    assert not escaped, escaped[:10]
 
 
 def test_wrong_stored_handle_field_refused(tmp_path, capsys):

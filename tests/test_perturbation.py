@@ -165,8 +165,7 @@ def test_gamma_orbits_of_faces_share_targets():
         for J2 in refinements(h.level_partition(), proper=True):
             base = mg.canonical_form(delta(h, J2))
             for phi in auts:
-                sperm = phi.saddles()
-                J2s = J2.relabel(lambda x: sperm[x])
+                J2s = J2.relabel(lambda x: phi.saddles[x])
                 assert mg.canonical_form(delta(h, J2s)) == base
                 checked += 1
     assert checked > 0

@@ -402,9 +402,11 @@ def test_polytope_dims_q2_exhaustive():
 
 def test_identity_is_admissible(q2_two_level):
     m = homology_model(q2_two_level)
-    rep = check_stab_action(q2_two_level, m, mg.automorphisms(q2_two_level))
+    auts = mg.automorphisms(q2_two_level)
+    rep = check_stab_action(q2_two_level, m, auts)
     assert rep.all_admissible and rep.all_free
-    assert rep.checks[0].identity
+    # the group is trivial and the identity is never checked
+    assert len(auts) == 1 and auts[0].is_identity() and rep.checks == ()
 
 
 def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
@@ -415,7 +417,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
     rep = check_stab_action(g, m, auts)
     assert rep.all_admissible
     swap = next(a for a in auts if not a.is_identity())
-    cmap = swap.circle_map(g)
+    cmap = swap.circles
     # the swap acts freely on the two min-disk circles
     assert cmap[(0, 0)] != (0, 0) and cmap[(0, 1)] != (0, 1)
 
@@ -426,31 +428,55 @@ def test_stab_action_q2_exhaustive():
         assert rep.all_admissible and rep.all_free
 
 
+def symmetric_two_level_classes():
+    """(class, automorphisms) of the q = 3 (4, 1) faces, minima unmarked,
+    whose group is not trivial."""
+    from mck.complex_builder import MarkingSpec
+    from mck.perturbation import delta
+    from mck.permutohedron import refinements
+    marking = MarkingSpec(marked=(0, 3, 1), fixed=(0, 0, 0))
+    for g in enumerate_top_classes(4, 3, 1, marking):
+        for J1 in refinements(g.level_partition(), proper=True):
+            h = delta(g, J1)
+            auts = mg.automorphisms(h)
+            if len(auts) > 1:
+                yield h, auts
+
+
 def test_symmetric_two_level_class_is_admissible_and_free():
     # unmarked minima allow the loop swap on a two-level class; its action
     # rotates the cylinder boundary below by half a turn but not above,
     # leaving a half-integer twist obstruction: the action is free
-    from mck.complex_builder import MarkingSpec
-    from mck.perturbation import delta
-    from mck.permutohedron import OrderedPartition, refinements
-    marking = MarkingSpec(marked=(0, 3, 1), fixed=(0, 0, 0))
-    seeds = enumerate_top_classes(4, 3, 1, marking)
     hit = 0
-    for g in seeds:
-        for J1 in refinements(g.level_partition(), proper=True):
-            h = delta(g, J1)
-            auts = mg.automorphisms(h)
-            if len(auts) == 1:
-                continue
-            m = homology_model(h)
-            rep = check_stab_action(h, m, auts)
-            assert rep.all_admissible
-            assert rep.all_free
-            for chk in rep.checks:
-                if not chk.identity:
-                    assert any(off != 0 for _, off in chk.cycle_obstructions)
-            hit += 1
+    for h, auts in symmetric_two_level_classes():
+        m = homology_model(h)
+        rep = check_stab_action(h, m, auts)
+        assert rep.all_admissible
+        assert rep.all_free
+        assert len(rep.checks) == len(auts) - 1
+        for chk in rep.checks:
+            assert any(off != 0 for _, off in chk.cycle_obstructions)
+        hit += 1
     assert hit > 0
+
+
+def test_tampered_traded_row_is_inconsistent():
+    # the consistency test reads the traded-edge rows of the expansion; one
+    # wrong entry, in a coordinate the swap moves, makes the swap
+    # inconsistent and so inadmissible
+    import dataclasses
+    h, auts = next(c for c in symmetric_two_level_classes() if len(c[1]) == 2)
+    swap = auts[1]
+    m = homology_model(h)
+    j = next(j for j, b in enumerate(m.basis) if swap.edges[b] != b)
+    d = m.deleted[0]
+    rows = list(m.expansion)
+    rows[d] = tuple(x + (k == j) for k, x in enumerate(rows[d]))
+    bad = dataclasses.replace(m, expansion=tuple(rows))
+    (good_check,) = check_stab_action(h, m, auts).checks
+    assert good_check.consistent and good_check.admissible
+    (bad_check,) = check_stab_action(h, bad, auts).checks
+    assert not bad_check.consistent and not bad_check.admissible
 
 
 # ---------------------------------------------------------------------------
