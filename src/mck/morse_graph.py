@@ -34,6 +34,7 @@ at its smallest edge.
 import itertools
 import json
 from dataclasses import dataclass, replace as dc_replace
+from types import MappingProxyType
 
 from .permutohedron import OrderedPartition
 
@@ -648,17 +649,21 @@ class Automorphism:
     fixing marked labels pointwise.  It carries the permutations it induces
     on the graph it was computed from.
 
-    `darts`, `saddles` and `circles` are dicts from each dart (saddle, slot),
-    saddle label and circle reference (atom, circle index) to its image.
-    `edges` and `cylinders` are tuples: entry i is the position in
-    `global_edges()` of the image of the edge at position i, and the index
-    of the image of cylinder i."""
+    `darts`, `saddles` and `circles` are read-only mappings from each dart
+    (saddle, slot), saddle label and circle reference (atom, circle index)
+    to its image.  `edges` and `cylinders` are tuples: entry i is the
+    position in `global_edges()` of the image of the edge at position i,
+    and the index of the image of cylinder i.  The dart map determines the
+    rest, so it alone is hashed."""
 
-    darts: dict
-    saddles: dict
+    darts: MappingProxyType
+    saddles: MappingProxyType
     edges: tuple
-    circles: dict
+    circles: MappingProxyType
     cylinders: tuple
+
+    def __hash__(self):
+        return hash(frozenset(self.darts.items()))
 
     def is_identity(self):
         return all(d == e for d, e in self.darts.items())
@@ -698,11 +703,11 @@ def automorphisms(g):
                 ta, te = images[offset[a] + cyc[0]]
                 circles[(a, ci)] = (ta, circle_at[(ta, te, side)])
         out.append(Automorphism(
-            darts=darts,
-            saddles={v: darts[(v, 0)][0] for atom in g.atoms
-                     for v in atom.saddles},
+            darts=MappingProxyType(darts),
+            saddles=MappingProxyType({v: darts[(v, 0)][0] for atom in g.atoms
+                                      for v in atom.saddles}),
             edges=tuple(offset[a] + i for a, i in images),
-            circles=circles,
+            circles=MappingProxyType(circles),
             cylinders=tuple(cylinder_at[circles[tuple(lo)]]
                             for lo, _ in g.cylinders)))
     out.sort(key=lambda phi: (not phi.is_identity(), sorted(phi.darts.items())))

@@ -153,29 +153,22 @@ def _ordered_partitions_of_set(labels):
     """All ordered partitions of a plain set of labels (any ground set)."""
     labels = sorted(labels)
     n = len(labels)
-    uses = [0] * (n + 1)   # uses[v]: labels of the prefix in block v
     out = []
 
-    def extend(prefix, used_max, unused):
-        """`unused` counts the blocks 1..used_max that no label is in yet;
-        each must still get one of the n - len(prefix) labels left."""
+    def extend(prefix, used_max):
         pos = len(prefix)
         if pos == n:
+            s = max(prefix)
             out.append(tuple(frozenset(labels[i] for i, v in enumerate(prefix) if v == k)
-                             for k in range(1, used_max + 1)))
+                             for k in range(1, s + 1)))
             return
         for v in range(1, n + 1):
-            fresh = v > used_max
-            missing = (unused + v - used_max - 1 if fresh
-                       else unused - (uses[v] == 0))
+            new_max = max(used_max, v)
+            missing = len([w for w in range(1, new_max + 1) if w != v and w not in prefix])
             if missing <= n - pos - 1:
-                uses[v] += 1
-                extend(prefix + (v,), max(used_max, v), missing)
-                uses[v] -= 1
-            elif fresh:
-                break   # a larger v leaves even more blocks unused
+                extend(prefix + (v,), new_max)
 
-    extend((), 0, 0)
+    extend((), 0)
     return out
 
 

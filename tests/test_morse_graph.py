@@ -258,6 +258,15 @@ def test_group_closure_under_composition():
         assert {d: b.darts[e] for d, e in a.darts.items()} in maps
 
 
+def test_automorphisms_are_hashable_and_read_only():
+    g = fig8(marked_minima=False)
+    auts = automorphisms(g)
+    assert len(set(auts)) == len(auts) == 2
+    assert set(auts) == set(automorphisms(g))
+    with pytest.raises(TypeError):
+        auts[1].darts[(0, 0)] = (0, 0)
+
+
 def test_automorphisms_fix_cylinder_level_pairs(q2_two_level):
     g = q2_two_level
     levels = g.atom_levels()
