@@ -7,10 +7,10 @@ from .permutohedron import (
 )
 from .morse_graph import (
     Atom, Cap, LMG, validate, invariants, canonical_form, decode_canonical,
-    automorphisms, to_json, from_json, to_dot, mirror, dual,
+    canonicalize, to_json, from_json, to_dot, mirror, dual,
 )
 from .perturbation import (
-    Refinement, Resolution, resolution, split_level, delta, merge_all_levels,
+    Refinement, Resolution, resolution, split_level, delta,
 )
 from .twist_algebra import (
     HomologyModel, Transvection, CircleClassification, UPolytope,

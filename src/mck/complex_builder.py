@@ -103,7 +103,7 @@ def _check_top_params(p, q, r, marking):
 
 def _cap_labelings(g_atom, p, r, marking, marked_saddles, fixed_saddles, q):
     """All labeled cappings of a connected one-level atom."""
-    circles = g_atom.circles()
+    circles = g_atom.circles
     lows = [ci for ci, (side, _) in enumerate(circles) if side == "lower"]
     ups = [ci for ci, (side, _) in enumerate(circles) if side == "upper"]
     if len(lows) != p or len(ups) != r:
@@ -278,15 +278,13 @@ def _poly_mul(a, b):
     return out
 
 
-def handle_record(g, canonical=None):
+def handle_record(g):
     """Compute the full handle record of one validated class."""
-    if canonical is None:
-        canonical = mg.canonical_form(g)
+    canonical, autos = mg.canonicalize(g)
     rep = mg.validate(g, require_marks=False)
     model = ta.homology_model(g)
     classification = ta.classify_circles(g)
     poly = ta.u_polytope(g, model)
-    autos = mg.automorphisms(g)
     stab = ta.check_stab_action(g, model, autos, classification)
     index = g.q - rep.s
     pc = _poincare(classification, autos)
@@ -345,7 +343,7 @@ def build_complex(seeds, marking=None):
                 queue.append(cf1)
             incidence.append((src, _face_key(J1), class_id(cf1)))
 
-    records = tuple(handle_record(known[cf], cf) for cf in sorted(known))
+    records = tuple(handle_record(known[cf]) for cf in sorted(known))
     return ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                     incidence=tuple(sorted(set(incidence))),
                     top_count=len(top))
@@ -622,13 +620,13 @@ def complex_from_json(text):
         raise mg.LMGJSONError("complex document has no classes")
     records = []
     for entry, lmg in zip(entries, lmgs):
-        g = _graph_from_json(lmg, p, q, r, marking)
-        cf = mg.canonical_form(g)
-        if class_id(cf) != entry.get("id"):
+        rec = handle_record(_graph_from_json(lmg, p, q, r, marking))
+        if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry.get("id"))
-        rec = handle_record(g, cf)
-        _check_stored("class " + rec.class_id, entry, _record_fields(rec))
+        _check_stored("class " + rec.class_id, entry,
+                      dict(_record_fields(rec),
+                           canonical=rec.canonical.decode("ascii")))
         records.append(rec)
     records.sort(key=lambda rec: rec.canonical)
     _check_incidence(records, incidence)

@@ -28,12 +28,14 @@ construction.
 Circle references are pairs (atom index, circle index) where circles of an
 atom are numbered canonically: lower circles first, then upper circles, each
 group ordered by smallest contained edge index, each cycle rotated to start
-at its smallest edge.
+at its smallest edge.  An atom traces its circles once, on first access of
+its `circles` attribute.
 """
 
 import itertools
 import json
 from dataclasses import dataclass, replace as dc_replace
+from functools import cached_property
 from types import MappingProxyType
 
 from .permutohedron import OrderedPartition
@@ -205,11 +207,13 @@ class Atom:
         succ = [by_out[(v, (s + turn) % 4)] for _, (v, s) in self.edges]
         return [tuple(c) for c in trace_cycles(succ, range(len(succ)))]
 
+    @cached_property
     def circles(self):
-        """Canonical circle list: (side, edge cycle), lowers then uppers.
+        """Canonical circle tuple: (side, edge cycle), lowers then uppers.
 
         Lower circles (region below) turn by +1, upper circles (region
-        above) by -1; every cycle is traversed forward.
+        above) by -1; every cycle is traversed forward.  Traced on first
+        access and kept: atoms are immutable.
         """
         return tuple([("lower", c) for c in self._trace(+1)]
                      + [("upper", c) for c in self._trace(-1)])
@@ -260,10 +264,6 @@ class LMG:
                 blk |= set(self.atoms[a].saddles)
             blocks.append(frozenset(blk))
         return OrderedPartition.of(blocks, self.q)
-
-    def circle_table(self):
-        """Per atom, the canonical (side, cycle) circle list."""
-        return [a.circles() for a in self.atoms]
 
     def marking_counts(self):
         """((p_hat, q_hat, r_hat), (p_star, q_star, r_star))."""
@@ -320,7 +320,7 @@ def validate(g, require_marks=True):
     if set(labels) != set(range(1, g.q + 1)):
         raise StructureError("saddle labels must be {1..q}")
 
-    tables = g.circle_table()
+    tables = [atom.circles for atom in g.atoms]
     usage = {}
 
     def use(ref, what):
@@ -427,15 +427,17 @@ def invariants(g):
 # are embedded in the encoding, unmarked critical points encode as -1, so
 # equality of encodings is exactly orientation-preserving level-preserving
 # isomorphism fixing marked points.  Every framing achieving the minimum
-# yields one automorphism.
+# yields one automorphism, so `canonicalize` gets the form and the group
+# from one pass.  Each atom's circle maps are computed once per minimal
+# root dart and shared by every framing that picks it.
 
 def _atom_traversal(atom, root):
     """Relabel darts from an outgoing root dart.
 
-    Returns (code, dart_map) where dart_map maps (saddle, slot) to the new
-    dart id vertex_index*4 + rotated_slot and code is the hashable atom
-    encoding (vertex count, relabeled edge list); saddle order is the
-    discovery order.
+    Returns (code, dart_map, order): dart_map maps (saddle, slot) to the new
+    dart id vertex_index*4 + rotated_slot, code is the hashable atom
+    encoding (vertex count, relabeled edge list) and order is the saddle
+    discovery order, which numbers the vertices.
     """
     by_out = {e[0]: e for e in atom.edges}
     by_in = {e[1]: e for e in atom.edges}
@@ -458,14 +460,9 @@ def _atom_traversal(atom, root):
                 rot[w] = (t - (1 if t % 2 else 0)) % 4
                 order.append(w)
     vidx = {v: i for i, v in enumerate(order)}
-
-    def new_id(d):
-        v, s = d
-        return vidx[v] * 4 + ((s - rot[v]) % 4)
-
-    edges = tuple(sorted((new_id(o), new_id(i)) for o, i in atom.edges))
     dart_map = {(v, s): vidx[v] * 4 + ((s - rot[v]) % 4)
                 for v in atom.saddles for s in range(4)}
+    edges = tuple(sorted((dart_map[o], dart_map[i]) for o, i in atom.edges))
     return (len(atom.saddles), edges), dart_map, tuple(order)
 
 
@@ -473,10 +470,11 @@ def _atom_min_codes(atom, marked, fixed):
     """Minimal atom encoding over root darts, with all realizing framings.
 
     The encoding appends per-vertex saddle tags (label if marked else -1,
-    fixed flag) in discovery order.
+    fixed flag) in discovery order.  Each realization is a pair (dart map,
+    circle map) for one root dart achieving the minimum.
     """
     best = None
-    realizations = []
+    dart_maps = []
     for v in atom.saddles:
         for s in OUT_SLOTS:
             (nv, edges), dmap, order = _atom_traversal(atom, (v, s))
@@ -484,46 +482,35 @@ def _atom_min_codes(atom, marked, fixed):
             code = (nv, edges, tags)
             if best is None or code < best:
                 best = code
-                realizations = [(dmap, order)]
+                dart_maps = [dmap]
             elif code == best:
-                realizations.append((dmap, order))
-    return best, realizations
+                dart_maps.append(dmap)
+    return best, [(dmap, _relabeled_circles(atom, dmap)) for dmap in dart_maps]
 
 
 def _relabeled_circles(atom, dmap):
-    """Canonical circles of an atom under a dart relabeling.
-
-    Returns the circle list as (side, cycle of relabeled edge ids) plus the
-    map from original circle index to relabeled circle index.
-    """
+    """Circle-index map of an atom under a dart relabeling: each circle
+    index of `atom` maps to the index of its image among the canonical
+    circles of the relabeled atom."""
     # relabeled edges sorted by out-dart id define the relabeled edge order
-    relab = sorted((dmap[o], dmap[i], orig) for orig, (o, i) in enumerate(atom.edges))
-    new_of_orig = {orig: k for k, (_, _, orig) in enumerate(relab)}
-    out = []
-    for side, cyc in atom.circles():
-        newcyc = [new_of_orig[e] for e in cyc]
-        m = newcyc.index(min(newcyc))
-        out.append((side, tuple(newcyc[m:] + newcyc[:m])))
+    by_new = sorted(range(len(atom.edges)), key=lambda e: dmap[atom.edges[e][0]])
+    new_of_orig = {orig: k for k, orig in enumerate(by_new)}
     # canonical order: lowers then uppers, by smallest edge id
-    idx = sorted(range(len(out)), key=lambda k: (out[k][0] != "lower", out[k][1]))
-    canon = tuple(out[k] for k in idx)
-    orig_to_new = {orig: new for new, orig in enumerate(idx)}
-    return canon, orig_to_new
+    circles = atom.circles
+    idx = sorted(range(len(circles)),
+                 key=lambda c: (circles[c][0] != "lower",
+                                min(new_of_orig[e] for e in circles[c][1])))
+    return {orig: new for new, orig in enumerate(idx)}
 
 
-def _framing_encoding(g, arrangement, picks):
+def _framing_encoding(g, arrangement, codes, circle_maps):
     """Full encoding for one framing.
 
     arrangement: tuple of original atom indices in framing order (levels
-    concatenated); picks[a] = (atom code, dart map) chosen for atom a.
+    concatenated); codes: their atom codes in that order; circle_maps[a]:
+    the circle map of the root dart chosen for atom a.
     """
     pos = {a: i for i, a in enumerate(arrangement)}
-    circle_maps = {}
-    atom_codes = []
-    for a in arrangement:
-        code, dmap = picks[a]
-        atom_codes.append(code)
-        circle_maps[a] = _relabeled_circles(g.atoms[a], dmap)[1]
 
     def ref(circle):
         a, c = circle
@@ -536,18 +523,15 @@ def _framing_encoding(g, arrangement, picks):
     header = (g.q, g.p, g.r,
               tuple(sorted(g.marked_saddles)), tuple(sorted(g.fixed_saddles)))
     level_sizes = tuple(len(lev) for lev in g.levels)
-    return (header, level_sizes, tuple(atom_codes), caps, cyls)
+    return (header, level_sizes, codes, caps, cyls)
 
 
 def _min_framings(g):
     """All framings achieving the minimal encoding.
 
     Returns (encoding, list of (arrangement, {atom: dart_map}))."""
-    marked, fixed = g.marked_saddles, g.fixed_saddles
-    per_atom = {}
-    for a, atom in enumerate(g.atoms):
-        code, reals = _atom_min_codes(atom, marked, fixed)
-        per_atom[a] = (code, reals)
+    per_atom = [_atom_min_codes(atom, g.marked_saddles, g.fixed_saddles)
+                for atom in g.atoms]
 
     level_orders = []
     for lev in g.levels:
@@ -562,16 +546,16 @@ def _min_framings(g):
     winners = []
     for combo in itertools.product(*level_orders):
         arrangement = tuple(itertools.chain.from_iterable(combo))
-        root_choices = [per_atom[a][1] for a in arrangement]
-        for picked in itertools.product(*root_choices):
-            picks = {a: (per_atom[a][0], dmap)
-                     for a, (dmap, _) in zip(arrangement, picked)}
-            enc = _framing_encoding(g, arrangement, picks)
+        codes = tuple(per_atom[a][0] for a in arrangement)
+        for picked in itertools.product(*(per_atom[a][1] for a in arrangement)):
+            enc = _framing_encoding(
+                g, arrangement, codes,
+                {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
             if best is None or enc < best:
-                best = enc
-                winners = [(arrangement, {a: picks[a][1] for a in arrangement})]
-            elif enc == best:
-                winners.append((arrangement, {a: picks[a][1] for a in arrangement}))
+                best, winners = enc, []
+            if enc == best:
+                winners.append((arrangement, {a: dmap for a, (dmap, _)
+                                              in zip(arrangement, picked)}))
     return best, winners
 
 
@@ -584,6 +568,12 @@ def canonical_form(g):
     level-preserving isomorphism fixing marked labels pointwise."""
     enc, _ = _min_framings(g)
     return _encode_bytes(enc)
+
+
+def canonicalize(g):
+    """(canonical form, automorphism group) from one pass over framings."""
+    enc, winners = _min_framings(g)
+    return _encode_bytes(enc), automorphisms(g, winners)
 
 
 def decode_canonical(data):
@@ -633,7 +623,7 @@ def decode_canonical(data):
     for pair in cyls:
         (a1, c1), (a2, c2) = pair
         # orient: the upper-circle end is the lower end of the cylinder
-        side1 = atoms[a1].circles()[c1][0]
+        side1 = atoms[a1].circles[c1][0]
         lo, hi = ((a1, c1), (a2, c2)) if side1 == "upper" else ((a2, c2), (a1, c1))
         cyl_objs.append((tuple(lo), tuple(hi)))
 
@@ -669,22 +659,20 @@ class Automorphism:
         return all(d == e for d, e in self.darts.items())
 
 
-def automorphisms(g):
-    """All structure automorphisms, identity first.
+def automorphisms(g, winners):
+    """All structure automorphisms, identity first, from the framings
+    `winners` that realize the minimal encoding of `g` (see `canonicalize`).
 
-    The group is extracted from the canonical-form machinery: every framing
-    realizing the minimal encoding differs from a reference one by exactly
-    one automorphism, found by composing the two framings' dart relabelings
-    atom position by atom position.  One circle table serves every element.
+    Every winning framing differs from a reference one by exactly one
+    automorphism, found by composing the two framings' dart relabelings
+    atom position by atom position.
     """
-    _, winners = _min_framings(g)
     ref_arr, ref_maps = winners[0]
     offset = list(itertools.accumulate(
         (len(atom.edges) for atom in g.atoms), initial=0))
     by_out = [atom.edge_at_out() for atom in g.atoms]
-    tables = g.circle_table()
-    circle_at = {(a, e, side): ci for a, tab in enumerate(tables)
-                 for ci, (side, cyc) in enumerate(tab) for e in cyc}
+    circle_at = {(a, e, side): ci for a, atom in enumerate(g.atoms)
+                 for ci, (side, cyc) in enumerate(atom.circles) for e in cyc}
     cylinder_at = {tuple(lo): k for k, (lo, _) in enumerate(g.cylinders)}
 
     out = []
@@ -698,8 +686,8 @@ def automorphisms(g):
             for i, (o, _) in enumerate(g.atoms[ra].edges):
                 images[offset[ra] + i] = (a, by_out[a][darts[o]])
         circles = {}
-        for a, tab in enumerate(tables):
-            for ci, (side, cyc) in enumerate(tab):
+        for a, atom in enumerate(g.atoms):
+            for ci, (side, cyc) in enumerate(atom.circles):
                 ta, te = images[offset[a] + cyc[0]]
                 circles[(a, ci)] = (ta, circle_at[(ta, te, side)])
         out.append(Automorphism(
@@ -732,10 +720,10 @@ def _rebuilt(g, slot_map, swap_updown, reverse_levels):
         bij = {k: by_out[(iv, slot_map(is_))]
                for k, ((ov, os), (iv, is_)) in enumerate(atom.edges)}
         table = {}
-        for ci, (side, cyc) in enumerate(na.circles()):
+        for ci, (side, cyc) in enumerate(na.circles):
             table[(side, frozenset(cyc))] = ci
         cmap = {}
-        for ci, (side, cyc) in enumerate(atom.circles()):
+        for ci, (side, cyc) in enumerate(atom.circles):
             nside = ({"upper": "lower", "lower": "upper"}[side]
                      if swap_updown else side)
             cmap[ci] = table[(nside, frozenset(bij[e] for e in cyc))]
@@ -835,8 +823,16 @@ def from_json(text):
         atoms = []
         for ad in doc["atoms"]:
             saddles = list(ad["saddles"])
-            edges = [((saddles[o // 4], o % 4), (saddles[i // 4], i % 4))
-                     for o, i in ad["edges"]]
+            darts = ad["darts"]
+            if type(darts) is not int or darts != 4 * len(saddles):
+                raise LMGJSONError("atom darts %r is not 4 per saddle of %r"
+                                   % (darts, saddles))
+            edges = []
+            for o, i in ad["edges"]:
+                if not all(type(x) is int and 0 <= x < darts for x in (o, i)):
+                    raise LMGJSONError("edge %r is not a pair of dart numbers "
+                                       "in 0..%d" % ([o, i], darts - 1))
+                edges.append(((saddles[o // 4], o % 4), (saddles[i // 4], i % 4)))
             atoms.append(Atom.of(saddles, edges))
         caps = tuple(Cap(circle=_circle_ref(cd["circle"]), kind=cd["kind"],
                          label=cd["label"], marked=cd["marked"],

@@ -162,7 +162,7 @@ def _circle_shadows(new_atom, paths):
     Returns (lower_shadows, upper_shadows): lists aligned with the canonical
     circle order, each entry (circle_index, frozenset of old edges)."""
     lows, ups = [], []
-    for ci, (side, cyc) in enumerate(new_atom.circles()):
+    for ci, (side, cyc) in enumerate(new_atom.circles):
         shadow = frozenset(itertools.chain.from_iterable(paths[e] for e in cyc))
         (lows if side == "lower" else ups).append((ci, shadow))
     return lows, ups
@@ -192,7 +192,7 @@ def _atom_surgery(atom, blk, m):
             for ci, shadow in lows:
                 low_shadow[(k, shadow)] = ("new", k, j, ci)
 
-    circles = atom.circles()
+    circles = atom.circles
     oldlow = {}
     oldup = {}
     for ci, (side, cyc) in enumerate(circles):
@@ -401,53 +401,3 @@ def _split_toward(g, target, single):
         if len(groups[i]) > 1:
             cur = split_level(cur, i + 1, list(groups[i]))
     return cur
-
-
-# ---------------------------------------------------------------------------
-# Merging: seeds below a class
-# ---------------------------------------------------------------------------
-
-def merge_all_levels(g, seeds=None):
-    """An s = 1 graph whose perturbations reproduce `g`.
-
-    Searches the one-level catalog with the same parameters and marking for a
-    seed f and a face assignment shaped like g's level partition such that
-    delta(f, .) has g's canonical form.  Unmarked saddle relabelings of the
-    face are part of the search.  Pass `seeds` to reuse an already enumerated
-    catalog.
-    """
-    if len(g.levels) == 1:
-        return g
-    from .complex_builder import MarkingSpec, enumerate_top_classes
-
-    (ph, qh, rh), (ps, qs, rs) = g.marking_counts()
-    marked_mins = sorted(c.label for c in g.caps if c.kind == "min" and c.marked)
-    marked_maxs = sorted(c.label for c in g.caps if c.kind == "max" and c.marked)
-    if (marked_mins != list(range(1, ph + 1))
-            or marked_maxs != list(range(1, rh + 1))
-            or sorted(g.marked_saddles) != list(range(1, qh + 1))):
-        raise PerturbationError("merge requires marked labels in standard form "
-                                "(initial label segments)")
-    marking = MarkingSpec(marked=(ph, qh, rh), fixed=(ps, qs, rs))
-
-    target_key = mg.canonical_form(g)
-    J = g.level_partition()
-    unmarked = [x for x in range(1, g.q + 1) if x not in g.marked_saddles]
-    faces = []
-    seen = set()
-    for perm in itertools.permutations(unmarked):
-        sub = dict(zip(unmarked, perm))
-        sub.update({x: x for x in g.marked_saddles})
-        face = J.relabel(sub)
-        if face.key() not in seen:
-            seen.add(face.key())
-            faces.append(face)
-
-    if seeds is None:
-        seeds = enumerate_top_classes(g.p, g.q, g.r, marking)
-    for seed in seeds:
-        for face in faces:
-            if mg.canonical_form(delta(seed, face)) == target_key:
-                return seed
-    raise InvariantViolation("no one-level seed reproduces the class; "
-                             "downward-closure completeness violated")

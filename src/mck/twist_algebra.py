@@ -81,7 +81,6 @@ class HomologyModel:
 
 def _circle_attachments(g):
     """Maps edge-side -> region: ("cap", k) or ("cyl", k) per circle."""
-    tables = g.circle_table()
     owner = {}
     for k, cap in enumerate(g.caps):
         owner[tuple(cap.circle)] = ("cap", k)
@@ -89,8 +88,8 @@ def _circle_attachments(g):
         owner[tuple(lo)] = ("cyl", k)
         owner[tuple(hi)] = ("cyl", k)
     up_region, down_region = {}, {}
-    for a, tab in enumerate(tables):
-        for ci, (side, cyc) in enumerate(tab):
+    for a, atom in enumerate(g.atoms):
+        for ci, (side, cyc) in enumerate(atom.circles):
             reg = owner[(a, ci)]
             for e in cyc:
                 if side == "upper":
@@ -103,7 +102,7 @@ def _circle_attachments(g):
 def _circle_edges(g, ref):
     """Global edge ids on a circle, in trace order."""
     a, ci = ref
-    _, cyc = g.circle_table()[a][ci]
+    _, cyc = g.atoms[a].circles[ci]
     return [(a, e) for e in cyc]
 
 
@@ -646,12 +645,11 @@ def check_stab_action(g, model, autos, classification=None):
     identity = linalg.identity(len(model.basis))
     nu0_orig = set(classification.order[:classification.nu0])
     moved = [phi for phi in autos if not phi.is_identity()]
-    tables = g.circle_table() if moved else []
     pos = {e: i for i, e in enumerate(model.edges)}
 
     def circle_positions(ref):
         a, ci = ref
-        return [pos[(a, e)] for e in tables[a][ci][1]]
+        return [pos[(a, e)] for e in g.atoms[a].circles[ci][1]]
 
     checks = []
     for phi in moved:

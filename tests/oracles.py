@@ -1,8 +1,10 @@
-"""Direct enumeration of every class: a completeness oracle for the closure.
+"""Test oracles: searches that decide a result without the closure.
 
-Brute force over level partitions, per-level atom splittings, matchings,
+Direct enumeration of every class is a completeness oracle for the closure:
+brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
+`merge_all_levels` searches the one-level catalog for a seed above a class.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -11,6 +13,7 @@ import itertools
 from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck.permutohedron import enumerate_partitions
+from mck.perturbation import InvariantViolation, PerturbationError, delta
 
 
 def _set_partitions(items):
@@ -64,7 +67,7 @@ def enumerate_classes_direct(p, q, r, marking=None, max_q=2):
                                         if atom_level[i] == k + 1))
                 uppers, lowers = [], []
                 for ai, atom in enumerate(atoms):
-                    for ci, (side, _) in enumerate(atom.circles()):
+                    for ci, (side, _) in enumerate(atom.circles):
                         (uppers if side == "upper" else lowers).append(
                             (ai, ci, atom_level[ai]))
                 for g in _assemble(p, q, r, marking, marked_s, fixed_s,
@@ -114,3 +117,47 @@ def _assemble(p, q, r, marking, marked_s, fixed_s, atoms, levels, uppers, lowers
                 except mg.LMGError:
                     continue
                 yield g
+
+
+def merge_all_levels(g, seeds=None):
+    """An s = 1 graph whose perturbations reproduce `g`.
+
+    Searches the one-level catalog with the same parameters and marking for a
+    seed f and a face assignment shaped like g's level partition such that
+    delta(f, .) has g's canonical form.  Unmarked saddle relabelings of the
+    face are part of the search.  Pass `seeds` to reuse an already enumerated
+    catalog.
+    """
+    if len(g.levels) == 1:
+        return g
+    (ph, qh, rh), (ps, qs, rs) = g.marking_counts()
+    marked_mins = sorted(c.label for c in g.caps if c.kind == "min" and c.marked)
+    marked_maxs = sorted(c.label for c in g.caps if c.kind == "max" and c.marked)
+    if (marked_mins != list(range(1, ph + 1))
+            or marked_maxs != list(range(1, rh + 1))
+            or sorted(g.marked_saddles) != list(range(1, qh + 1))):
+        raise PerturbationError("merge requires marked labels in standard form "
+                                "(initial label segments)")
+    marking = cb.MarkingSpec(marked=(ph, qh, rh), fixed=(ps, qs, rs))
+
+    target_key = mg.canonical_form(g)
+    J = g.level_partition()
+    unmarked = [x for x in range(1, g.q + 1) if x not in g.marked_saddles]
+    faces = []
+    seen = set()
+    for perm in itertools.permutations(unmarked):
+        sub = dict(zip(unmarked, perm))
+        sub.update({x: x for x in g.marked_saddles})
+        face = J.relabel(sub)
+        if face.key() not in seen:
+            seen.add(face.key())
+            faces.append(face)
+
+    if seeds is None:
+        seeds = cb.enumerate_top_classes(g.p, g.q, g.r, marking)
+    for seed in seeds:
+        for face in faces:
+            if mg.canonical_form(delta(seed, face)) == target_key:
+                return seed
+    raise InvariantViolation("no one-level seed reproduces the class; "
+                             "downward-closure completeness violated")

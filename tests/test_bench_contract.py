@@ -1,11 +1,15 @@
 """The benchmark's per-layer tracer wraps library functions by module and
-attribute name; every one of those names must stay resolvable."""
+attribute name; every one of those names must stay resolvable, and the calls
+the library makes must still pass through the wrapped names."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import mck.cli  # noqa: F401  (imports every module the tracer wraps)
+from mck import complex_builder as cb
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -23,3 +27,27 @@ def test_every_traced_name_resolves_to_a_callable():
     for module, attr, metric in wrapped:
         assert module in sys.modules, metric
         assert callable(getattr(sys.modules[module], attr, None)), metric
+
+
+@pytest.mark.parametrize("marked", [(2, 2, 2), (0, 2, 1)],
+                         ids=["all-marked", "minima-unmarked"])
+def test_tracer_sees_one_group_per_handle_record(marked):
+    # build and reload a (2, 2, 2) complex under the tracer: each handle
+    # record computes its group once, through morse_graph.automorphisms;
+    # with the minima unmarked some groups are not trivial
+    tracing = _load_tracing()
+    seeds = cb.enumerate_top_classes(
+        2, 2, 2, cb.MarkingSpec(marked=marked, fixed=(0, 0, 0)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        K = cb.build_complex(seeds)
+        cb.complex_from_json(cb.complex_to_json(K))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    calls, _ = metrics["morse_graph.automorphisms.calls"]
+    group_sum, _ = metrics["morse_graph.automorphisms.group_order_sum"]
+    assert len(K.classes) > 1
+    assert calls == 2 * len(K.classes)
+    assert group_sum == 2 * sum(rec.gamma_order for rec in K.classes)

@@ -1,14 +1,15 @@
 """Canonical forms are a complete isomorphism invariant.
 
-The oracle below decides isomorphism independently of the canonical-form
+The oracle below finds isomorphisms independently of the canonical-form
 machinery: it propagates a dart bijection from a single root correspondence
 and verifies caps, cylinders, levels, and marked labels directly.
 """
 
+import itertools
 import random
 
 from mck import morse_graph as mg
-from mck.complex_builder import enumerate_top_classes
+from mck.complex_builder import MarkingSpec, build_complex, enumerate_top_classes
 
 
 def _propagate(g1, g2, atom_bij, roots):
@@ -62,15 +63,14 @@ def _check_decorations(g1, g2, atom_bij, dart_map):
         if dart_map[(v, 0)][0] != v:
             return False
     # circle correspondence
-    tables1, tables2 = g1.circle_table(), g2.circle_table()
     cmap = {}
     for a1, a2 in atom_bij.items():
         by_out2 = {e[0]: k for k, e in enumerate(g2.atoms[a2].edges)}
         lookup = {}
-        for ci, (side, cyc) in enumerate(tables2[a2]):
+        for ci, (side, cyc) in enumerate(g2.atoms[a2].circles):
             for e in cyc:
                 lookup[(e, side)] = ci
-        for ci, (side, cyc) in enumerate(tables1[a1]):
+        for ci, (side, cyc) in enumerate(g1.atoms[a1].circles):
             e0 = cyc[0]
             o1 = g1.atoms[a1].edges[e0][0]
             e2 = by_out2[dart_map[o1]]
@@ -91,23 +91,23 @@ def _check_decorations(g1, g2, atom_bij, dart_map):
     return True
 
 
-def brute_force_isomorphic(g1, g2):
-    """Exhaustive search for a level- and orientation-preserving isomorphism
-    fixing marked labels pointwise."""
+def brute_force_isomorphisms(g1, g2):
+    """Exhaustive search for the level- and orientation-preserving
+    isomorphisms fixing marked labels pointwise; yields each one's dart map
+    once."""
     if (g1.q, g1.p, g1.r) != (g2.q, g2.p, g2.r):
-        return False
+        return
     if [len(lev) for lev in g1.levels] != [len(lev) for lev in g2.levels]:
-        return False
+        return
     if g1.marked_saddles != g2.marked_saddles or g1.fixed_saddles != g2.fixed_saddles:
-        return False
-    import itertools
+        return
     per_level = []
     for lev1, lev2 in zip(g1.levels, g2.levels):
         options = [p for p in itertools.permutations(lev2)
                    if all(len(g1.atoms[a].saddles) == len(g2.atoms[b].saddles)
                           for a, b in zip(lev1, p))]
         if not options:
-            return False
+            return
         per_level.append((lev1, options))
     for combo in itertools.product(*[opts for _, opts in per_level]):
         atom_bij = {}
@@ -124,8 +124,11 @@ def brute_force_isomorphic(g1, g2):
             roots = dict(zip(order, picks))
             dart_map = _propagate(g1, g2, atom_bij, roots)
             if dart_map and _check_decorations(g1, g2, atom_bij, dart_map):
-                return True
-    return False
+                yield dart_map
+
+
+def brute_force_isomorphic(g1, g2):
+    return next(brute_force_isomorphisms(g1, g2), None) is not None
 
 
 def scrambled_copy(g, seed):
@@ -148,10 +151,10 @@ def scrambled_copy(g, seed):
         bij = {k: by_out[(o[0], (o[1] + rot[a]) % 4)]
                for k, (o, i) in enumerate(atom.edges)}
         table = {}
-        for ci, (side, cyc) in enumerate(na.circles()):
+        for ci, (side, cyc) in enumerate(na.circles):
             table[(side, frozenset(cyc))] = ci
         cmap = {}
-        for ci, (side, cyc) in enumerate(atom.circles()):
+        for ci, (side, cyc) in enumerate(atom.circles):
             cmap[ci] = table[(side, frozenset(bij[e] for e in cyc))]
         circle_maps[a] = cmap
         atoms.append(na)
@@ -224,3 +227,29 @@ def test_q3_deep_classes_sampled(complexes_q3):
     for _ in range(120):
         a, b = rng.sample(recs, 2)
         assert (a.canonical == b.canonical) == brute_force_isomorphic(a.lmg, b.lmg)
+
+
+def _check_canonicalize(g):
+    """canonicalize agrees with canonical_form, and its group is exactly the
+    set of self-isomorphisms the oracle finds, identity first."""
+    form, group = mg.canonicalize(g)
+    assert form == mg.canonical_form(g)
+    assert group[0].is_identity()
+    found = [frozenset(d.items()) for d in brute_force_isomorphisms(g, g)]
+    assert len(set(found)) == len(found) == len(group)
+    assert set(found) == {frozenset(phi.darts.items()) for phi in group}
+
+
+def test_canonicalize_matches_the_oracle_q_le_2(complex_q1, complexes_q2):
+    recs = [rec for K in (complex_q1, *complexes_q2.values()) for rec in K.classes]
+    for rec in recs:
+        _check_canonicalize(rec.lmg)
+
+
+def test_canonicalize_matches_the_oracle_on_q3_symmetric_classes():
+    marking = MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))
+    K = build_complex(enumerate_top_classes(3, 3, 2, marking))
+    symmetric = [rec for rec in K.classes if rec.gamma_order > 1]
+    assert symmetric
+    for rec in symmetric:
+        _check_canonicalize(rec.lmg)

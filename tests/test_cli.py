@@ -167,6 +167,9 @@ def test_malformed_circle_reference_refused(tmp_path, capsys):
         assert code == 3 and "pair of ints" in err
 
 
+DELETE, WRAP = object(), object()
+
+
 @pytest.fixture(scope="module")
 def q1_files(tmp_path_factory):
     """A q = 1 catalog and its complex dump, written by the CLI."""
@@ -195,17 +198,33 @@ def q1_files(tmp_path_factory):
     ("complex", "qpoly", ("classes", 0, "lmg", "caps", 0, "fixed"), 0),
     ("complex", "euler", ("params", "marked"), [1, 1, 1]),
     ("catalog", "euler", ("classes", 0, "marked_saddles"), []),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "edges", 0), [0, -1]),
+    ("complex", "euler", ("classes", 0, "lmg", "atoms", 0, "edges", 0), [0, -1]),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "edges", 1), [2, True]),
+    ("complex", "euler", ("classes", 0, "lmg", "atoms", 0, "edges", 1), [2, True]),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "darts"), 99),
+    ("complex", "euler", ("classes", 0, "lmg", "atoms", 0, "darts"), 99),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "darts"), DELETE),
+    ("complex", "euler", ("classes", 0, "canonical"), "x"),
+    ("complex", "euler", ("classes", 0, "canonical"), DELETE),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
-        "int-cap-flag", "params-marking-mismatch", "graph-marking-mismatch"])
+        "int-cap-flag", "params-marking-mismatch", "graph-marking-mismatch",
+        "catalog-negative-dart", "complex-negative-dart", "catalog-bool-dart",
+        "complex-bool-dart", "catalog-darts-count", "complex-darts-count",
+        "catalog-darts-missing", "complex-canonical-string",
+        "complex-canonical-missing"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, "--input", str(bad))
@@ -225,7 +244,6 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-DELETE, WRAP = object(), object()
 MUTATIONS = (DELETE, "x", 99, -1, 1.5, None, [], {}, WRAP)
 
 

@@ -10,7 +10,7 @@ from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError, MarkCountError,
     NonAlternatingError, StructureError, UnmatchedDartError,
-    automorphisms, canonical_form, components, decode_canonical, dual,
+    canonical_form, canonicalize, components, decode_canonical, dual,
     from_json, invariants, mirror, to_dot, to_json, trace_cycles, validate,
 )
 
@@ -75,7 +75,7 @@ def test_edge_and_dart_bookkeeping(q2_two_level):
     assert sum(4 * len(a.saddles) for a in g.atoms) == 4 * g.q
     # every edge-side on exactly one circle
     for atom in g.atoms:
-        sides = sum(len(cyc) for _, cyc in atom.circles())
+        sides = sum(len(cyc) for _, cyc in atom.circles)
         assert sides == 2 * len(atom.edges)
 
 
@@ -230,9 +230,9 @@ def test_canonical_decode_idempotent(fig8_lmg, q2_two_level):
 # ---------------------------------------------------------------------------
 
 def test_fig8_automorphisms_marked_vs_unmarked(fig8_lmg):
-    assert len(automorphisms(fig8_lmg)) == 1  # marked minima pin the loops
+    assert len(canonicalize(fig8_lmg)[1]) == 1  # marked minima pin the loops
     free_g = fig8(marked_minima=False)
-    auts = automorphisms(free_g)
+    auts = canonicalize(free_g)[1]
     assert len(auts) == 2
     swap = next(a for a in auts if not a.is_identity())
     # the loop swap permutes the two min caps without fixing either
@@ -241,18 +241,18 @@ def test_fig8_automorphisms_marked_vs_unmarked(fig8_lmg):
 
 
 def test_identity_always_present(q2_two_level):
-    auts = automorphisms(q2_two_level)
+    auts = canonicalize(q2_two_level)[1]
     assert auts[0].is_identity()
 
 
 def test_asymmetric_q3_has_trivial_group():
     g = from_json(CHIRAL_Q3)
-    assert len(automorphisms(g)) == 1
+    assert len(canonicalize(g)[1]) == 1
 
 
 def test_group_closure_under_composition():
     g = fig8(marked_minima=False)
-    auts = automorphisms(g)
+    auts = canonicalize(g)[1]
     maps = [a.darts for a in auts]
     for a, b in itertools.product(auts, repeat=2):
         assert {d: b.darts[e] for d, e in a.darts.items()} in maps
@@ -260,9 +260,9 @@ def test_group_closure_under_composition():
 
 def test_automorphisms_are_hashable_and_read_only():
     g = fig8(marked_minima=False)
-    auts = automorphisms(g)
+    auts = canonicalize(g)[1]
     assert len(set(auts)) == len(auts) == 2
-    assert set(auts) == set(automorphisms(g))
+    assert set(auts) == set(canonicalize(g)[1])
     with pytest.raises(TypeError):
         auts[1].darts[(0, 0)] = (0, 0)
 
@@ -270,7 +270,7 @@ def test_automorphisms_are_hashable_and_read_only():
 def test_automorphisms_fix_cylinder_level_pairs(q2_two_level):
     g = q2_two_level
     levels = g.atom_levels()
-    for phi in automorphisms(g):
+    for phi in canonicalize(g)[1]:
         for k, (lo, hi) in enumerate(g.cylinders):
             k2 = phi.cylinders[k]
             lo2, hi2 = g.cylinders[k2]

@@ -78,9 +78,9 @@ def test_two_level_expansion_is_integral(q2_two_level):
     # the relation says: upper-boundary edge sum equals lower-boundary sum
     lo, hi = q2_two_level.cylinders[0]
     pos = {e: i for i, e in enumerate(m.edges)}
-    table = q2_two_level.circle_table()
-    up_edges = [pos[(hi[0], e)] for e in table[hi[0]][hi[1]][1]]
-    low_edges = [pos[(lo[0], e)] for e in table[lo[0]][lo[1]][1]]
+    atoms = q2_two_level.atoms
+    up_edges = [pos[(hi[0], e)] for e in atoms[hi[0]].circles[hi[1]][1]]
+    low_edges = [pos[(lo[0], e)] for e in atoms[lo[0]].circles[lo[1]][1]]
     for j in range(len(m.basis)):
         lhs = sum(m.expansion[i][j] for i in up_edges)
         rhs = sum(m.expansion[i][j] for i in low_edges)
@@ -92,11 +92,10 @@ def test_relations_are_coherently_oriented():
     # lower-boundary edges (boundary circles are coherently oriented)
     for g, m in q2_catalog_with_models():
         pos = {e: i for i, e in enumerate(m.edges)}
-        table = g.circle_table()
         for k, (lo, hi) in enumerate(g.cylinders):
             row = m.relations[k]
-            ups = {pos[(hi[0], e)] for e in table[hi[0]][hi[1]][1]}
-            lows = {pos[(lo[0], e)] for e in table[lo[0]][lo[1]][1]}
+            ups = {pos[(hi[0], e)] for e in g.atoms[hi[0]].circles[hi[1]][1]}
+            lows = {pos[(lo[0], e)] for e in g.atoms[lo[0]].circles[lo[1]][1]}
             for i, x in enumerate(row):
                 assert x == (1 if i in ups else -1 if i in lows else 0)
 
@@ -402,7 +401,7 @@ def test_polytope_dims_q2_exhaustive():
 
 def test_identity_is_admissible(q2_two_level):
     m = homology_model(q2_two_level)
-    auts = mg.automorphisms(q2_two_level)
+    auts = mg.canonicalize(q2_two_level)[1]
     rep = check_stab_action(q2_two_level, m, auts)
     assert rep.all_admissible and rep.all_free
     # the group is trivial and the identity is never checked
@@ -412,7 +411,7 @@ def test_identity_is_admissible(q2_two_level):
 def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
     g = fig8(marked_minima=False)
     m = homology_model(g)
-    auts = mg.automorphisms(g)
+    auts = mg.canonicalize(g)[1]
     assert len(auts) == 2
     rep = check_stab_action(g, m, auts)
     assert rep.all_admissible
@@ -424,7 +423,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
 
 def test_stab_action_q2_exhaustive():
     for g, m in q2_catalog_with_models():
-        rep = check_stab_action(g, m, mg.automorphisms(g))
+        rep = check_stab_action(g, m, mg.canonicalize(g)[1])
         assert rep.all_admissible and rep.all_free
 
 
@@ -438,7 +437,7 @@ def symmetric_two_level_classes():
     for g in enumerate_top_classes(4, 3, 1, marking):
         for J1 in refinements(g.level_partition(), proper=True):
             h = delta(g, J1)
-            auts = mg.automorphisms(h)
+            auts = mg.canonicalize(h)[1]
             if len(auts) > 1:
                 yield h, auts
 
