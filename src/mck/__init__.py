@@ -13,9 +13,8 @@ from .perturbation import (
     Refinement, Resolution, resolution, split_level, delta,
 )
 from .twist_algebra import (
-    HomologyModel, Transvection, CircleClassification, UPolytope,
-    homology_model, transvections, classify_circles, u_polytope,
-    check_stab_action, algebra_json, double_factorial_bound,
+    HomologyModel, CircleClassification, UPolytope, homology_model,
+    classify_circles, u_polytope, check_stab_action, double_factorial_bound,
 )
 from .complex_builder import (
     MarkingSpec, HandleRecord, ComplexK, enumerate_top_classes,

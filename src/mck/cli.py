@@ -67,7 +67,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, "cannot read %s: %s" % (path, exc))
 
 
@@ -96,7 +96,7 @@ def _load_complex_or_catalog(path):
     text = _read(path)
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(EXIT_IO, "invalid JSON in %s: %s" % (path, exc))
     try:
         if not isinstance(doc, dict):

@@ -4,9 +4,12 @@ One-level classes are enumerated exhaustively: rotation systems on q labeled
 4-valent saddles are fixed by the slot convention, so candidates are the
 perfect matchings of outgoing to incoming darts, filtered for connectivity
 and the requested disk counts, capped in every labeling, and deduplicated by
-canonical form.  The catalog entry for each class is the decoded canonical
-representative, which makes output independent of enumeration order and of
-worker scheduling.
+canonical form.  Candidates are valid by construction (one connected atom,
+every circle capped on its own side, labels 1..p and 1..r, a checked
+marking), so they are not validated one by one; every emitted class is.
+The catalog entry for each class is the decoded canonical representative,
+which makes output independent of enumeration order and of worker
+scheduling.
 
 The complex is the downward closure of the one-level seeds under saddle
 resolution: every proper refinement of a class's level partition is resolved
@@ -147,10 +150,6 @@ def _top_candidates_chunk(args):
         except mg.LMGError:
             continue
         for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q):
-            try:
-                mg.validate(g)
-            except mg.LMGError:
-                continue
             forms.add(mg.canonical_form(g))
     return forms
 
@@ -280,20 +279,20 @@ def _poly_mul(a, b):
 
 def handle_record(g):
     """Compute the full handle record of one validated class."""
+    classification = ta.classify_circles(g)  # validates g
     canonical, autos = mg.canonicalize(g)
-    rep = mg.validate(g, require_marks=False)
     model = ta.homology_model(g)
-    classification = ta.classify_circles(g)
     poly = ta.u_polytope(g, model)
     stab = ta.check_stab_action(g, model, autos, classification)
-    index = g.q - rep.s
+    s, n = len(g.levels), len(g.cylinders)
+    index = g.q - s
     pc = _poincare(classification, autos)
     return HandleRecord(
         class_id=class_id(canonical), canonical=canonical, lmg=g,
-        index=index, s=rep.s, t=rep.t, n=rep.n,
+        index=index, s=s, t=len(g.atoms), n=n,
         c=classification.c, d=classification.d,
         nu0=classification.nu0, e=classification.e,
-        dim_upoly=poly.dim, handle_dim=index + rep.n + poly.dim,
+        dim_upoly=poly.dim, handle_dim=index + n + poly.dim,
         gamma_order=len(autos),
         mirror_self=(mg.canonical_form(mg.mirror(g)) == canonical),
         all_admissible=stab.all_admissible, all_free=stab.all_free,
@@ -614,7 +613,7 @@ def complex_from_json(text):
         lmgs = [entry["lmg"] for entry in entries]
         incidence = tuple(sorted(_incidence_entry(*entry)
                                  for entry in doc["incidence"]))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))
     if not entries:
         raise mg.LMGJSONError("complex document has no classes")
@@ -652,7 +651,7 @@ def catalog_from_json(text):
         doc = json.loads(text)
         p, q, r, marking = _params_from_json(doc)
         entries = list(doc["classes"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
     classes = [_graph_from_json(entry, p, q, r, marking) for entry in entries]
     return classes, p, q, r, marking

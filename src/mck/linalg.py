@@ -4,18 +4,13 @@ Matrices are lists of lists of Fraction (rows).  Everything here is
 fraction-free in spirit but lazy in practice: Fraction arithmetic keeps the
 code short and the matrices involved are tiny (at most ~20 x ~20).
 
-Routines: `rref` (reduced row echelon form of any matrix) with `rank` and
-`affine_rank` on top of it; `solve_square` (the unique solution of a square
-system, or None when it is singular); `mat_mul`, `mat_vec`, `identity`,
-`mat_eq` and `frac_rows`.
+`rref` (reduced row echelon form of any matrix) is the one elimination;
+`rank`, `affine_rank` and `solve_square` (the unique solution of a square
+system, or None when it is singular) are read off it.  `mat_mul`,
+`mat_vec`, `identity` and `mat_eq` complete the set.
 """
 
 from fractions import Fraction
-
-
-def frac_rows(rows):
-    """Copy `rows` into a fresh matrix of Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def rref(matrix):
@@ -24,7 +19,7 @@ def rref(matrix):
     Returns (R, pivots) where R is the reduced matrix and pivots the list of
     pivot column indices.  The input is not modified.
     """
-    R = frac_rows(matrix)
+    R = [[Fraction(x) for x in row] for row in matrix]
     if not R:
         return R, []
     ncols = len(R[0])
@@ -57,33 +52,13 @@ def rank(matrix):
 
 
 def solve_square(A, b):
-    """Solve a square system in one elimination pass.
-
-    Returns the unique solution, or None when A is singular (regardless of
-    consistency).  Input rows must already be Fractions or ints.
-    """
+    """The unique solution of the square system A x = b, or None when A is
+    singular (regardless of consistency)."""
     n = len(A)
-    if n == 0:
-        return []
-    M = [[Fraction(x) for x in row] + [Fraction(bv)]
-         for row, bv in zip(A, b)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if M[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        M[c], M[pivot] = M[pivot], M[c]
-        inv = M[c][c]
-        if inv != 1:
-            M[c] = [x / inv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * bb for a, bb in zip(M[i], M[c])]
-    return [M[i][n] for i in range(n)]
+    R, pivots = rref([list(row) + [bv] for row, bv in zip(A, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n] for row in R]
 
 
 def mat_mul(A, B):

@@ -807,11 +807,11 @@ def _circle_ref(ref):
 
 def from_json(text):
     """Parse a leveled graph; raises LMGJSONError naming the offending key."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise LMGJSONError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise LMGJSONError("graph document is not a JSON object")

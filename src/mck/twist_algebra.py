@@ -1,5 +1,5 @@
-"""Exact linear algebra of a leveled graph: relative homology, twist
-transvections, cylinder classification, and cohomology polytopes.
+"""Exact linear algebra of a leveled graph: relative homology, cylinder
+classification, cohomology polytopes, and the stabilizer check.
 
 The punctured surface (extrema removed) deformation-retracts onto the graph
 obtained from the level graph by trading one crossing edge per cylinder for
@@ -178,23 +178,22 @@ def homology_model(g):
 
     deleted_edges = _choose_deleted(g)
     deleted = tuple(pos[e] for e in deleted_edges)
-    deleted_set = set(deleted)
-    basis = tuple(i for i in range(nq2) if i not in deleted_set)
-
-    # solve the n relations for the deleted edges over the kept ones
-    A = [[relations[k][d] for d in deleted] for k in range(n)]
+    row_of = {d: k for k, d in enumerate(deleted)}
+    basis = tuple(i for i in range(nq2) if i not in row_of)
     m = len(basis)
-    rhs_cols = [[-relations[k][b] for k in range(n)] for b in basis]
-    sols = [linalg.solve_square(A, col) if n else [] for col in rhs_cols]
-    if None in sols:
+
+    # solve the n relations for the deleted edges over the kept ones in one
+    # elimination: [A | -R_kept] reduces to [I | X], row k of X expanding
+    # deleted edge k; the kept edges expand as unit rows
+    R, pivots = linalg.rref([[rel[d] for d in deleted]
+                             + [-rel[b] for b in basis] for rel in relations])
+    if pivots[:n] != list(range(n)):
         raise AlgebraInvariantViolation("cylinder relations are singular on "
                                         "the traded edges")
-
     expansion = []
     for i in range(nq2):
-        if i in deleted_set:
-            di = deleted.index(i)
-            expansion.append(tuple(sols[j][di] for j in range(m)))
+        if i in row_of:
+            expansion.append(tuple(R[row_of[i]][n:]))
         else:
             expansion.append(tuple(Fraction(1 if basis[j] == i else 0)
                                    for j in range(m)))
@@ -207,8 +206,6 @@ def homology_model(g):
             if acc != 0:
                 raise AlgebraInvariantViolation("expansion does not satisfy "
                                                 "cylinder relation %d" % k)
-    if linalg.rank([list(r) for r in expansion]) != m:
-        raise AlgebraInvariantViolation("expansion matrix is rank deficient")
 
     gamma = []
     for lo, hi in g.cylinders:
@@ -223,36 +220,6 @@ def homology_model(g):
     return HomologyModel(edges=tuple(edges), deleted=deleted, basis=basis,
                          expansion=tuple(expansion), gamma=tuple(gamma),
                          relations=tuple(relations))
-
-
-# ---------------------------------------------------------------------------
-# Transvections
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Transvection:
-    """Action of the Dehn twist about one cylinder core on dual coordinates:
-    u -> u + u(core) * (transverse-edge functional)."""
-
-    cylinder: int
-    core: tuple    # core-class row over kept-edge coordinates
-    matrix: tuple  # (n + m) x (n + m) rows of Fraction
-
-
-def transvections(g, model):
-    """One transvection per cylinder; their displacements span rank n."""
-    n, m = model.n, len(model.basis)
-    dim = n + m
-    out = []
-    for ell in range(n):
-        mat = linalg.identity(dim)
-        for j in range(m):
-            mat[ell][n + j] += model.gamma[ell][j]
-        out.append(Transvection(cylinder=ell, core=model.gamma[ell],
-                                matrix=tuple(tuple(r) for r in mat)))
-    if linalg.rank([list(t.core) for t in out]) != n:
-        raise AlgebraInvariantViolation("translation lattice rank below n")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -696,48 +663,3 @@ def check_stab_action(g, model, autos, classification=None):
     return StabReport(checks=tuple(checks),
                       all_admissible=all(c.admissible for c in checks),
                       all_free=all(c.free for c in checks))
-
-
-# ---------------------------------------------------------------------------
-# JSON dump
-# ---------------------------------------------------------------------------
-
-def _frac_pair(x):
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
-
-
-def algebra_json(g, model=None, classification=None, polytope=None):
-    """Per-class algebra dump with rationals as numerator/denominator pairs."""
-    import json as _json
-    if model is None:
-        model = homology_model(g)
-    if classification is None:
-        classification = classify_circles(g)
-    if polytope is None:
-        polytope = u_polytope(g, model)
-    tvs = transvections(g, model)
-    doc = {
-        "edges": [list(e) for e in model.edges],
-        "deleted": list(model.deleted),
-        "basis": list(model.basis),
-        "expansion": [[_frac_pair(x) for x in row] for row in model.expansion],
-        "transvections": [[[_frac_pair(x) for x in row] for row in t.matrix]
-                          for t in tvs],
-        "cores": [[_frac_pair(x) for x in t.core] for t in tvs],
-        "circles": {
-            "n": classification.n, "nu0": classification.nu0,
-            "e": classification.e, "d": classification.d,
-            "c": classification.c,
-            "families": [list(f) for f in classification.families],
-            "order": list(classification.order),
-            "A": sorted(classification.A), "B": sorted(classification.B),
-        },
-        "polytope": {
-            "rows": [[_frac_pair(x) for x in row] for row in polytope.rows],
-            "lo": 1, "hi": polytope.bound, "dim": polytope.dim,
-            "vertices": None if polytope.vertices is None else
-                [[_frac_pair(x) for x in v] for v in polytope.vertices],
-        },
-    }
-    return _json.dumps(doc, separators=(",", ":"), sort_keys=True)

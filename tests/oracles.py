@@ -5,13 +5,20 @@ brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
+`transvections` and `algebra_json` spell out the Dehn-twist action and a
+per-class algebra dump that only the tests read.
 Imported by the tests; pytest does not collect it.
 """
 
 import itertools
+import json
+from dataclasses import dataclass
+from fractions import Fraction
 
 from mck import complex_builder as cb
+from mck import linalg
 from mck import morse_graph as mg
+from mck import twist_algebra as ta
 from mck.permutohedron import enumerate_partitions
 from mck.perturbation import InvariantViolation, PerturbationError, delta
 
@@ -161,3 +168,69 @@ def merge_all_levels(g, seeds=None):
                 return seed
     raise InvariantViolation("no one-level seed reproduces the class; "
                              "downward-closure completeness violated")
+
+
+@dataclass(frozen=True)
+class Transvection:
+    """Action of the Dehn twist about one cylinder core on dual coordinates:
+    u -> u + u(core) * (transverse-edge functional)."""
+
+    cylinder: int
+    core: tuple    # core-class row over kept-edge coordinates
+    matrix: tuple  # (n + m) x (n + m) rows of Fraction
+
+
+def transvections(g, model):
+    """One transvection per cylinder; their displacements span rank n."""
+    n, m = model.n, len(model.basis)
+    dim = n + m
+    out = []
+    for ell in range(n):
+        mat = linalg.identity(dim)
+        for j in range(m):
+            mat[ell][n + j] += model.gamma[ell][j]
+        out.append(Transvection(cylinder=ell, core=model.gamma[ell],
+                                matrix=tuple(tuple(r) for r in mat)))
+    if linalg.rank([list(t.core) for t in out]) != n:
+        raise ta.AlgebraInvariantViolation("translation lattice rank below n")
+    return out
+
+
+def _frac_pair(x):
+    f = Fraction(x)
+    return [f.numerator, f.denominator]
+
+
+def algebra_json(g, model=None, classification=None, polytope=None):
+    """Per-class algebra dump with rationals as numerator/denominator pairs."""
+    if model is None:
+        model = ta.homology_model(g)
+    if classification is None:
+        classification = ta.classify_circles(g)
+    if polytope is None:
+        polytope = ta.u_polytope(g, model)
+    tvs = transvections(g, model)
+    doc = {
+        "edges": [list(e) for e in model.edges],
+        "deleted": list(model.deleted),
+        "basis": list(model.basis),
+        "expansion": [[_frac_pair(x) for x in row] for row in model.expansion],
+        "transvections": [[[_frac_pair(x) for x in row] for row in t.matrix]
+                          for t in tvs],
+        "cores": [[_frac_pair(x) for x in t.core] for t in tvs],
+        "circles": {
+            "n": classification.n, "nu0": classification.nu0,
+            "e": classification.e, "d": classification.d,
+            "c": classification.c,
+            "families": [list(f) for f in classification.families],
+            "order": list(classification.order),
+            "A": sorted(classification.A), "B": sorted(classification.B),
+        },
+        "polytope": {
+            "rows": [[_frac_pair(x) for x in row] for row in polytope.rows],
+            "lo": 1, "hi": polytope.bound, "dim": polytope.dim,
+            "vertices": None if polytope.vertices is None else
+                [[_frac_pair(x) for x in v] for v in polytope.vertices],
+        },
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)

@@ -23,7 +23,7 @@ from mck.permutohedron import (
 from mck.perturbation import delta
 
 from conftest import Q2_SPLITS, Q3_SPLITS
-from oracles import enumerate_classes_direct
+from oracles import enumerate_classes_direct, transvections
 from test_permutohedron import ordered_bell, realize_refinement
 
 
@@ -143,7 +143,7 @@ def test_criterion_5_twist_algebra(complex_q1, complexes_q2, complexes_q3):
     for rec in _all_catalog_classes(complex_q1, complexes_q2, complexes_q3):
         g = rec.lmg
         model = ta.homology_model(g)
-        tvs = ta.transvections(g, model)
+        tvs = transvections(g, model)
         mats = [[list(r) for r in t.matrix] for t in tvs]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):

@@ -29,15 +29,14 @@ def test_every_traced_name_resolves_to_a_callable():
         assert callable(getattr(sys.modules[module], attr, None)), metric
 
 
-@pytest.mark.parametrize("marked", [(2, 2, 2), (0, 2, 1)],
-                         ids=["all-marked", "minima-unmarked"])
-def test_tracer_sees_one_group_per_handle_record(marked):
-    # build and reload a (2, 2, 2) complex under the tracer: each handle
-    # record computes its group once, through morse_graph.automorphisms;
-    # with the minima unmarked some groups are not trivial
+@pytest.fixture(scope="module", params=[(2, 2, 2), (0, 2, 1)],
+                ids=["all-marked", "minima-unmarked"])
+def traced_build(request):
+    """Build and reload a (2, 2, 2) complex under the tracer; with the
+    minima unmarked some groups are not trivial."""
     tracing = _load_tracing()
     seeds = cb.enumerate_top_classes(
-        2, 2, 2, cb.MarkingSpec(marked=marked, fixed=(0, 0, 0)))
+        2, 2, 2, cb.MarkingSpec(marked=request.param, fixed=(0, 0, 0)))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -45,9 +44,21 @@ def test_tracer_sees_one_group_per_handle_record(marked):
         cb.complex_from_json(cb.complex_to_json(K))
     finally:
         tracer.uninstall()
-    metrics = tracer.metrics()
-    calls, _ = metrics["morse_graph.automorphisms.calls"]
-    group_sum, _ = metrics["morse_graph.automorphisms.group_order_sum"]
     assert len(K.classes) > 1
-    assert calls == 2 * len(K.classes)
-    assert group_sum == 2 * sum(rec.gamma_order for rec in K.classes)
+    return K, {name: value for name, (value, _) in tracer.metrics().items()}
+
+
+def test_tracer_sees_one_group_per_handle_record(traced_build):
+    # each handle record computes its group once, through
+    # morse_graph.automorphisms
+    K, metrics = traced_build
+    assert metrics["morse_graph.automorphisms.calls"] == 2 * len(K.classes)
+    assert (metrics["morse_graph.automorphisms.group_order_sum"]
+            == 2 * sum(rec.gamma_order for rec in K.classes))
+
+
+def test_tracer_sees_one_elimination_per_handle_record(traced_build):
+    # each handle record's homology model is one rref; no square solves
+    K, metrics = traced_build
+    assert metrics["linalg.rref.calls"] == 2 * len(K.classes)
+    assert metrics["linalg.solve_square.calls"] == 0

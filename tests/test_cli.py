@@ -154,6 +154,23 @@ def test_non_object_document_refused(tmp_path, capsys):
     assert code == 3 and "not a JSON object" in err
 
 
+@pytest.mark.parametrize("content, command, message", [
+    (b"\xff\xfe{\x00}\x00", ("euler",), "utf-8"),
+    (b"\xff\xfe{\x00}\x00", ("complex",), "utf-8"),
+    (b"\xff\xfe{\x00}\x00", ("export-dot", "--what", "graph"), "utf-8"),
+    (b"[" * 200000, ("euler",), "recursion"),
+    (b"[" * 200000, ("complex",), "recursion"),
+], ids=["utf16-euler", "utf16-complex", "utf16-export-dot-graph",
+        "deep-euler", "deep-complex"])
+def test_undecodable_input_refused(tmp_path, capsys, content, command, message):
+    # text that is not UTF-8, and JSON nested past the parser's recursion
+    # limit, are parse failures
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, *command, "--input", str(bad))
+    assert code == 3 and message in err
+
+
 def test_malformed_circle_reference_refused(tmp_path, capsys):
     cat = tmp_path / "cat.json"
     run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck.complex_builder import (
     MarkingSpec, ParameterError, ScopeError, betti0, build_complex,
@@ -50,6 +51,38 @@ def test_parameter_errors():
                               MarkingSpec(marked=(3, 2, 2), fixed=(0, 0, 0)))
     with pytest.raises(ParameterError):
         enumerate_top_classes(6, 5, 1)  # beyond the desk-scale guard
+
+
+def test_cap_labelings_are_valid_by_construction():
+    # enumeration canonicalizes every capped connected matching without
+    # validating it, so each one must already be a valid graph; the 1,1,1
+    # marking also fixes label 1 of each index
+    built = 0
+    for q in (1, 2, 3):
+        saddles = list(range(1, q + 1))
+        for p in range(1, q + 2):
+            r = q + 2 - p
+            for marked, fixed in (((p, q, r), (0, 0, 0)),
+                                  ((p, 0, r), (0, 0, 0)),
+                                  ((1, 1, 1), (1, 1, 1)),
+                                  ((0, q, 0), (0, 0, 0))):
+                marking = MarkingSpec(marked=marked, fixed=fixed)
+                try:
+                    marking.check(p, q, r)
+                except ParameterError:
+                    continue
+                marked_s, fixed_s = cb._marked_saddle_sets(marking)
+                for edges in cb._matchings(q):
+                    atom = mg.Atom.of(saddles, list(edges))
+                    try:
+                        atom.check()
+                    except mg.LMGError:
+                        continue
+                    for g in cb._cap_labelings(atom, p, r, marking, marked_s,
+                                               fixed_s, q):
+                        mg.validate(g)
+                        built += 1
+    assert built == 24852
 
 
 def test_enumeration_deterministic_and_parallel_agree():

@@ -300,6 +300,10 @@ def test_invalid_json_is_a_parse_error():
         from_json("{not json")
     with pytest.raises(LMGJSONError):
         from_json("5")
+    with pytest.raises(LMGJSONError):
+        from_json(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(LMGJSONError):
+        from_json("[" * 200000)
 
 
 @pytest.mark.parametrize("bad", [[0], [0, 1, 2], [0, "1"], [0, 1.0], 7, None])

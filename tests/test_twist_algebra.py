@@ -10,11 +10,10 @@ from mck import twist_algebra as ta
 from mck.complex_builder import enumerate_top_classes
 from mck.twist_algebra import (
     AlgebraInvariantViolation, _polytope_dim, _polytope_vertices,
-    algebra_json, check_stab_action,
-    classify_circles, double_factorial_bound, homology_model, transvections,
-    u_polytope,
+    check_stab_action, classify_circles, double_factorial_bound,
+    homology_model, u_polytope,
 )
-from oracles import enumerate_classes_direct
+from oracles import algebra_json, enumerate_classes_direct, transvections
 
 
 def family_tower():
