@@ -1,17 +1,14 @@
 """Leveled Morse graphs on the sphere and their handle complexes."""
 
 from .permutohedron import (
-    OrderedPartition, PermFace, ZeroCochain, enumerate_partitions, face_of,
-    refines, refines_eq, composition_signature, partition_of_values,
+    OrderedPartition, enumerate_partitions, refines_eq, sub_blocks,
     induced_face_automorphism,
 )
 from .morse_graph import (
     Atom, Cap, LMG, validate, invariants, canonical_form, decode_canonical,
     canonicalize, to_json, from_json, to_dot, mirror, dual,
 )
-from .perturbation import (
-    Refinement, Resolution, resolution, split_level, delta,
-)
+from .perturbation import split_level, delta
 from .twist_algebra import (
     HomologyModel, CircleClassification, UPolytope, homology_model,
     classify_circles, u_polytope, check_stab_action, double_factorial_bound,

@@ -255,7 +255,8 @@ def build_parser():
     pe.add_argument("--r", type=int, required=True)
     add_marking(pe)
     pe.add_argument("--out", help="catalog JSON path (stdout when omitted)")
-    pe.add_argument("--jobs", type=int, default=1, help="worker cap")
+    pe.add_argument("--jobs", type=int, default=1,
+                    help="worker cap, at most the CPU count (default 1)")
     pe.set_defaults(func=cmd_enumerate)
 
     pc = sub.add_parser("complex", help="downward closure of a seed catalog")

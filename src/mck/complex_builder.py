@@ -20,6 +20,7 @@ ranks, polytope dimension, symmetry group, handle Poincare polynomial).
 import hashlib
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,18 +159,22 @@ def enumerate_top_classes(p, q, r, marking=None, jobs=1):
     """All one-level classes with the given parameters, canonical order.
 
     Entries are decoded canonical representatives, so the catalog is a pure
-    function of (p, q, r, marking).
+    function of (p, q, r, marking).  The candidate scan runs in at most
+    min(jobs, CPU count, matchings) worker processes.
     """
     if marking is None:
         marking = MarkingSpec.all_marked(p, q, r)
     _check_top_params(p, q, r, marking)
+    if jobs < 1:
+        raise ParameterError("jobs must be at least 1, got %r" % (jobs,))
     matchings = list(_matchings(q))
-    if jobs > 1 and len(matchings) > 1:
-        chunk = (len(matchings) + jobs - 1) // jobs
+    workers = min(jobs, os.cpu_count() or 1, len(matchings))
+    if workers > 1:
+        chunk = (len(matchings) + workers - 1) // workers
         argsets = [(p, q, r, marking, matchings[i:i + chunk])
                    for i in range(0, len(matchings), chunk)]
         forms = set()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(argsets)) as pool:
             for got in pool.map(_top_candidates_chunk, argsets):
                 forms |= got
     else:
@@ -327,7 +332,7 @@ def build_complex(seeds, marking=None):
         if cf not in known:
             known[cf] = g
             queue.append(cf)
-    top = sorted(known)
+    top_count = len(known)
 
     while queue:
         cf = queue.pop()
@@ -344,8 +349,8 @@ def build_complex(seeds, marking=None):
 
     records = tuple(handle_record(known[cf]) for cf in sorted(known))
     return ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
-                    incidence=tuple(sorted(set(incidence))),
-                    top_count=len(top))
+                    incidence=tuple(sorted(incidence)),
+                    top_count=top_count)
 
 
 def _face_key(J):

@@ -841,19 +841,22 @@ def from_json(text):
         cylinders = tuple(sorted((_circle_ref(lo), _circle_ref(hi))
                                  for lo, hi in doc["cylinders"]))
         levels = tuple(tuple(lev) for lev in doc["levels"])
+        marked = tuple(doc["marked_saddles"])
+        fixed = tuple(doc["fixed_saddles"])
         ints = (doc["q"], doc["p"], doc["r"], *(a for lev in levels for a in lev),
                 *(v for atom in atoms for v in atom.saddles),
-                *(c.label for c in caps))
+                *(c.label for c in caps), *marked, *fixed)
         if (any(type(x) is not int for x in ints)
                 or any(type(c.kind) is not str or type(c.marked) is not bool
                        or type(c.fixed) is not bool for c in caps)):
-            raise LMGJSONError("q, p, r, level entries, saddles and cap "
-                               "labels must be ints, cap kinds strings and "
-                               "cap marked/fixed flags booleans")
+            raise LMGJSONError("q, p, r, level entries, saddles, marked and "
+                               "fixed saddles and cap labels must be ints, "
+                               "cap kinds strings and cap marked/fixed flags "
+                               "booleans")
         return LMG(q=doc["q"], p=doc["p"], r=doc["r"], levels=levels,
                    atoms=tuple(atoms), caps=caps, cylinders=cylinders,
-                   marked_saddles=frozenset(doc["marked_saddles"]),
-                   fixed_saddles=frozenset(doc["fixed_saddles"]))
+                   marked_saddles=frozenset(marked),
+                   fixed_saddles=frozenset(fixed))
     except LMGJSONError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -8,17 +8,17 @@ P_pi = sum_k (k - (q+1)/2) e_{pi_k} over permutations pi whose first |J_1|
 values form the set J_1, the next |J_2| values the set J_2, and so on.  In
 coordinates, axis j of P_pi holds pi^{-1}(j) - (q+1)/2.
 
-All vertex coordinates are stored doubled (2*pi^{-1}(j) - q - 1) so they stay
-integers; nothing in this module touches floating point.
+The library names vertices by their permutations; the test oracles hold the
+coordinates, doubled (2*pi^{-1}(j) - q - 1) so they stay integers.  Nothing
+in this module touches floating point.
 
 Refinement order: J' < J means J' splits blocks of J into ordered runs of
 consecutive sub-blocks, equivalently the face of J' is contained in the face
-of J.
+of J.  `sub_blocks` is the one walk that decides it and names the runs.
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 MAX_ORDER = 8  # desk-scale guard for enumeration
 
@@ -104,49 +104,29 @@ def enumerate_partitions(q):
             for blocks in _ordered_partitions_of_set(range(1, q + 1))]
 
 
-def composition_signature(J):
-    """Block sizes (|J_1|, ..., |J_s|) in block order."""
-    return tuple(len(b) for b in J.blocks)
-
-
-def refines(J1, J2):
-    """Strict refinement: J1 obtained from J2 by splitting blocks into
-    ordered runs of consecutive sub-blocks (J1 != J2)."""
-    return J1.key() != J2.key() and refines_eq(J1, J2)
+def sub_blocks(J1, J):
+    """Per block of J, the tuple of consecutive J1 blocks partitioning it;
+    None unless J1 refines J (J1 <= J)."""
+    if J1.q != J.q:
+        raise PartitionError("mismatched ground sets")
+    groups = []
+    i = 0
+    for b in J.blocks:
+        grp = []
+        size = 0
+        while size < len(b):
+            if i == len(J1.blocks) or not J1.blocks[i] <= b:
+                return None
+            grp.append(J1.blocks[i])
+            size += len(J1.blocks[i])
+            i += 1
+        groups.append(tuple(grp))
+    return tuple(groups)
 
 
 def refines_eq(J1, J2):
     """Reflexive refinement (J1 <= J2)."""
-    if J1.q != J2.q:
-        raise PartitionError("mismatched ground sets")
-    i = 0
-    for b in J2.blocks:
-        acc = set()
-        while acc != set(b):
-            if i >= len(J1.blocks) or not J1.blocks[i] <= b:
-                return False
-            acc |= J1.blocks[i]
-            i += 1
-    return i == len(J1.blocks)
-
-
-def coarsenings(J):
-    """All J' with J <= J' (merging runs of consecutive blocks), incl. J."""
-    s = J.s
-    out = []
-    # choose cut positions among the s-1 gaps
-    for cuts in itertools.product((False, True), repeat=s - 1):
-        blocks = []
-        cur = set(J.blocks[0])
-        for i, cut in enumerate(cuts):
-            if cut:
-                blocks.append(frozenset(cur))
-                cur = set(J.blocks[i + 1])
-            else:
-                cur |= J.blocks[i + 1]
-        blocks.append(frozenset(cur))
-        out.append(OrderedPartition.of(blocks, J.q))
-    return out
+    return sub_blocks(J1, J2) is not None
 
 
 def _ordered_partitions_of_set(labels):
@@ -209,32 +189,6 @@ def hyperface_refinements(J):
 # Faces and exact geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PermFace:
-    """A face of the permutohedron of order q.
-
-    `vertices` are the generating permutations pi (1-based value tuples);
-    `coords` the matching vertex coordinate vectors, doubled to stay integral:
-    coordinate j of vertex pi is 2*pi^{-1}(j) - q - 1.
-    """
-
-    partition: OrderedPartition
-    dim: int
-    vertices: tuple
-    coords: tuple
-
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
-
-def _doubled_coords(pi):
-    q = len(pi)
-    inv = [0] * (q + 1)
-    for pos, val in enumerate(pi, start=1):
-        inv[val] = pos
-    return tuple(2 * inv[j] - q - 1 for j in range(1, q + 1))
-
-
 def face_vertices(J):
     """Vertex permutations of the face of J, sorted."""
     pools = [itertools.permutations(sorted(b)) for b in J.blocks]
@@ -242,52 +196,6 @@ def face_vertices(J):
     for combo in itertools.product(*pools):
         verts.append(tuple(itertools.chain.from_iterable(combo)))
     return tuple(sorted(verts))
-
-
-def face_of(J):
-    """The permutohedron face indexed by the ordered partition J."""
-    verts = face_vertices(J)
-    return PermFace(partition=J, dim=J.q - J.s, vertices=verts,
-                    coords=tuple(_doubled_coords(pi) for pi in verts))
-
-
-# ---------------------------------------------------------------------------
-# Evaluating 0-cochains
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZeroCochain:
-    """Exact rational saddle values c_1..c_q, indexed by label."""
-
-    values: tuple  # tuple of Fraction, position i holds c_{i+1}
-
-    @classmethod
-    def of(cls, values):
-        if isinstance(values, dict):
-            q = len(values)
-            if set(values) != set(range(1, q + 1)):
-                raise PartitionError("values must be defined on exactly {1..q}")
-            return cls(tuple(Fraction(values[i]) for i in range(1, q + 1)))
-        return cls(tuple(Fraction(v) for v in values))
-
-    @property
-    def q(self):
-        return len(self.values)
-
-
-def partition_of_values(cochain):
-    """Group labels by equal value, blocks ordered by increasing value.
-
-    Returns (J, s) where s is the number of distinct values.
-    """
-    if isinstance(cochain, dict):
-        cochain = ZeroCochain.of(cochain)
-    by_value = {}
-    for label, v in enumerate(cochain.values, start=1):
-        by_value.setdefault(v, set()).add(label)
-    blocks = [frozenset(by_value[v]) for v in sorted(by_value)]
-    J = OrderedPartition.of(blocks, cochain.q)
-    return J, len(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +227,7 @@ def induced_face_automorphism(sigma, J):
     if image.key() != J.key():
         return image, FaceAutReport(image, False, False, False, False, False)
     verts = face_vertices(J)
-    vset = frozenset(verts)
     moved = {pi: tuple(f(x) for x in pi) for pi in verts}
-    assert frozenset(moved.values()) == vset
     trivial = all(moved[pi] == pi for pi in verts)
     fixed = any(moved[pi] == pi for pi in verts)
     subfaces_ok = True

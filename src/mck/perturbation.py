@@ -21,16 +21,18 @@ circles extend the caps and cylinders that were attached there, chains
 between two new-atom circles become new cylinders.
 
 `delta` reaches a deep refinement through a chain of hyperface splits (one
-level into two).  `delta(g, J, chain=())` instead splits every level of g
-into all of its target sub-blocks at once; the two must agree on canonical
-forms, which the tests use as a cross-check.
+level into two), always splitting off the first target sub-block of the
+lowest divisible level.  The class it reaches does not depend on the chain,
+and an explicit chain J -> J1 -> J2 is the composition
+`delta(delta(g, J1), J2)`.  `split_level` also takes m >= 2 sub-blocks at
+once; the tests compare that direct multi-way split with `delta` by
+canonical form.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from . import morse_graph as mg
-from .permutohedron import OrderedPartition, refines_eq
+from .permutohedron import sub_blocks
 
 
 class PerturbationError(ValueError):
@@ -39,59 +41,6 @@ class PerturbationError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """The resolution produced a structurally invalid graph (a bug)."""
-
-
-# ---------------------------------------------------------------------------
-# Local resolution data
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Resolution:
-    """Reconnection arcs replacing one saddle at a nearby regular level.
-
-    Each arc joins the incoming dart it is entered from to the outgoing dart
-    it leaves by; "up" arcs run through the two up-sectors, "down" arcs
-    through the two down-sectors.
-    """
-
-    vertex: int
-    direction: str  # "up" | "down"
-    arcs: tuple     # two (in_dart, out_dart) pairs
-
-
-def resolution(vertex, direction):
-    if direction == "up":
-        arcs = (((vertex, 1), (vertex, 0)), ((vertex, 3), (vertex, 2)))
-    elif direction == "down":
-        arcs = (((vertex, 1), (vertex, 2)), ((vertex, 3), (vertex, 0)))
-    else:
-        raise PerturbationError("direction must be 'up' or 'down'")
-    return Resolution(vertex=vertex, direction=direction, arcs=arcs)
-
-
-@dataclass(frozen=True)
-class Refinement:
-    """A refinement J' <= J together with the per-block sub-block lists."""
-
-    source: OrderedPartition
-    target: OrderedPartition
-    per_block: tuple  # per source block, the tuple of target blocks refining it
-
-    @classmethod
-    def of(cls, source, target):
-        if not refines_eq(target, source):
-            raise PerturbationError("%s does not refine %s" % (target, source))
-        groups = []
-        i = 0
-        for b in source.blocks:
-            grp = []
-            acc = set()
-            while acc != set(b):
-                grp.append(target.blocks[i])
-                acc |= target.blocks[i]
-                i += 1
-            groups.append(tuple(grp))
-        return cls(source=source, target=target, per_block=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +69,8 @@ def _sublevel_system(atom, blk, k):
     def resolved_next(cur):
         """The edge after `cur` when its head saddle is resolved."""
         w, s = atom.edges[cur][1]
-        assert blk[w] != k
+        if blk[w] == k:
+            raise InvariantViolation("strand resolves kept saddle %r" % (w,))
         return by_out[(w, (s + (-1 if blk[w] < k else +1)) % 4)]
 
     kept = [v for v in atom.saddles if blk[v] == k]
@@ -300,9 +250,6 @@ def split_level(g, level, subblocks):
               + [tuple(new_index[a] for a in lv) for lv in g.levels[level:]])
 
     def handle_ref(a, handle):
-        tag = handle[0]
-        if tag in ("oldlow", "oldup"):
-            return None
         _, k, j, ci = handle
         return (sub_atom_index[(a, k, j)], ci)
 
@@ -325,11 +272,9 @@ def split_level(g, level, subblocks):
                 hi = handle_ref(a, up)
                 new_cylinders.append((lo, hi))
 
-    reattach_atoms = set(old_level_atoms)
-
     def map_circle(ref):
         a, ci = ref
-        if a in reattach_atoms:
+        if a in surgery:
             return reattach[(a, ci)]
         return (new_index[a], ci)
 
@@ -350,54 +295,21 @@ def split_level(g, level, subblocks):
     return out
 
 
-def _grouped(current, target):
-    """Per level of `current`, the ordered target blocks refining it."""
-    return Refinement.of(current, target).per_block
-
-
-def delta(g, target, chain=None):
+def delta(g, target):
     """The perturbed class attached to a refinement of the level partition.
 
-    Iterates single hyperface splits (one level into two) along a maximal
-    chain from the level partition of `g` down to `target`; the result is
-    chain-independent.  With `chain`, an explicit list of successively finer
-    partitions is followed instead of the default chain (which always splits
-    off the first target sub-block of the first divisible level).
+    Repeats one hyperface split (one level into two) until the level
+    partition is `target`: each step splits off the first target sub-block
+    of the lowest divisible level.  The result is chain-independent.
     """
-    J = g.level_partition()
-    if not refines_eq(target, J):
-        raise PerturbationError("%s does not refine %s" % (target, J))
-    if chain is not None:
-        cur = g
-        prev = J
-        for step in list(chain) + [target]:
-            if not refines_eq(step, prev):
-                raise PerturbationError("chain step %s does not refine %s" % (step, prev))
-            cur = _split_toward(cur, step, single=False)
-            prev = step
-        return cur
     cur = g
-    while cur.level_partition().key() != target.key():
-        cur = _split_toward(cur, target, single=True)
-    return cur
-
-
-def _split_toward(g, target, single):
-    """One refinement step toward `target`.
-
-    With single=True performs one hyperface split; otherwise splits every
-    divisible level fully (top level first, so indices below stay valid).
-    """
-    J = g.level_partition()
-    groups = _grouped(J, target)
-    if single:
-        for i, grp in enumerate(groups):
-            if len(grp) > 1:
-                rest = frozenset().union(*grp[1:])
-                return split_level(g, i + 1, [grp[0], rest])
-        return g
-    cur = g
-    for i in range(len(groups) - 1, -1, -1):
-        if len(groups[i]) > 1:
-            cur = split_level(cur, i + 1, list(groups[i]))
-    return cur
+    while True:
+        J = cur.level_partition()
+        groups = sub_blocks(target, J)
+        if groups is None:
+            raise PerturbationError("%s does not refine %s" % (target, J))
+        level = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
+        if level is None:
+            return cur
+        grp = groups[level]
+        cur = split_level(cur, level + 1, [grp[0], frozenset().union(*grp[1:])])

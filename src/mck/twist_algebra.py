@@ -21,7 +21,6 @@ when the strict system is infeasible (implicit equalities, or an empty
 polytope) are the vertices enumerated and their affine rank taken.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -375,8 +374,7 @@ class UPolytope:
     """Exact H-representation of the kept-coordinate polytope:
     1 <= row . u' <= bound for every edge row of the expansion matrix.
 
-    `dim` is certified by `_polytope_dim`.  `vertices` is enumerated only
-    when first read: the sorted vertex tuple when ambient <= 6, else None.
+    `dim` is certified by `_polytope_dim`.
     """
 
     rows: tuple      # 2q rows over the kept-edge coordinates
@@ -384,12 +382,6 @@ class UPolytope:
     bound: int
     ambient: int
     dim: int
-
-    @functools.cached_property
-    def vertices(self):
-        if self.ambient > 6:
-            return None
-        return tuple(_polytope_vertices(self.slabs, self.bound, self.ambient))
 
     @property
     def is_point(self):

@@ -6,7 +6,11 @@ circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
-per-class algebra dump that only the tests read.
+per-class algebra dump that only the tests read, and `polytope_vertices`
+enumerates the vertices of a small handle polytope.  The permutohedron
+helpers at the end (coarsenings, strict refinement, composition signatures,
+face coordinates and the value partition of a 0-cochain) state the face
+geometry that the library relies on without computing.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -19,7 +23,9 @@ from mck import complex_builder as cb
 from mck import linalg
 from mck import morse_graph as mg
 from mck import twist_algebra as ta
-from mck.permutohedron import enumerate_partitions
+from mck.permutohedron import (
+    OrderedPartition, PartitionError, enumerate_partitions, face_vertices,
+    refines_eq)
 from mck.perturbation import InvariantViolation, PerturbationError, delta
 
 
@@ -196,6 +202,15 @@ def transvections(g, model):
     return out
 
 
+def polytope_vertices(polytope):
+    """The sorted vertex tuple of a handle polytope when ambient <= 6, else
+    None."""
+    if polytope.ambient > 6:
+        return None
+    return tuple(ta._polytope_vertices(polytope.slabs, polytope.bound,
+                                       polytope.ambient))
+
+
 def _frac_pair(x):
     f = Fraction(x)
     return [f.numerator, f.denominator]
@@ -210,6 +225,7 @@ def algebra_json(g, model=None, classification=None, polytope=None):
     if polytope is None:
         polytope = ta.u_polytope(g, model)
     tvs = transvections(g, model)
+    vertices = polytope_vertices(polytope)
     doc = {
         "edges": [list(e) for e in model.edges],
         "deleted": list(model.deleted),
@@ -229,8 +245,106 @@ def algebra_json(g, model=None, classification=None, polytope=None):
         "polytope": {
             "rows": [[_frac_pair(x) for x in row] for row in polytope.rows],
             "lo": 1, "hi": polytope.bound, "dim": polytope.dim,
-            "vertices": None if polytope.vertices is None else
-                [[_frac_pair(x) for x in v] for v in polytope.vertices],
+            "vertices": None if vertices is None else
+                [[_frac_pair(x) for x in v] for v in vertices],
         },
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def composition_signature(J):
+    """Block sizes (|J_1|, ..., |J_s|) in block order."""
+    return tuple(len(b) for b in J.blocks)
+
+
+def refines(J1, J2):
+    """Strict refinement: J1 obtained from J2 by splitting blocks into
+    ordered runs of consecutive sub-blocks (J1 != J2)."""
+    return J1.key() != J2.key() and refines_eq(J1, J2)
+
+
+def coarsenings(J):
+    """All J' with J <= J' (merging runs of consecutive blocks), incl. J."""
+    s = J.s
+    out = []
+    # choose cut positions among the s-1 gaps
+    for cuts in itertools.product((False, True), repeat=s - 1):
+        blocks = []
+        cur = set(J.blocks[0])
+        for i, cut in enumerate(cuts):
+            if cut:
+                blocks.append(frozenset(cur))
+                cur = set(J.blocks[i + 1])
+            else:
+                cur |= J.blocks[i + 1]
+        blocks.append(frozenset(cur))
+        out.append(OrderedPartition.of(blocks, J.q))
+    return out
+
+
+@dataclass(frozen=True)
+class PermFace:
+    """A face of the permutohedron of order q.
+
+    `vertices` are the generating permutations pi (1-based value tuples);
+    `coords` the matching vertex coordinate vectors, doubled to stay integral:
+    coordinate j of vertex pi is 2*pi^{-1}(j) - q - 1.
+    """
+
+    partition: OrderedPartition
+    dim: int
+    vertices: tuple
+    coords: tuple
+
+    def vertex_set(self):
+        return frozenset(self.vertices)
+
+
+def _doubled_coords(pi):
+    q = len(pi)
+    inv = [0] * (q + 1)
+    for pos, val in enumerate(pi, start=1):
+        inv[val] = pos
+    return tuple(2 * inv[j] - q - 1 for j in range(1, q + 1))
+
+
+def face_of(J):
+    """The permutohedron face indexed by the ordered partition J."""
+    verts = face_vertices(J)
+    return PermFace(partition=J, dim=J.q - J.s, vertices=verts,
+                    coords=tuple(_doubled_coords(pi) for pi in verts))
+
+
+@dataclass(frozen=True)
+class ZeroCochain:
+    """Exact rational saddle values c_1..c_q, indexed by label."""
+
+    values: tuple  # tuple of Fraction, position i holds c_{i+1}
+
+    @classmethod
+    def of(cls, values):
+        if isinstance(values, dict):
+            q = len(values)
+            if set(values) != set(range(1, q + 1)):
+                raise PartitionError("values must be defined on exactly {1..q}")
+            return cls(tuple(Fraction(values[i]) for i in range(1, q + 1)))
+        return cls(tuple(Fraction(v) for v in values))
+
+    @property
+    def q(self):
+        return len(self.values)
+
+
+def partition_of_values(cochain):
+    """Group labels by equal value, blocks ordered by increasing value.
+
+    Returns (J, s) where s is the number of distinct values.
+    """
+    if isinstance(cochain, dict):
+        cochain = ZeroCochain.of(cochain)
+    by_value = {}
+    for label, v in enumerate(cochain.values, start=1):
+        by_value.setdefault(v, set()).add(label)
+    blocks = [frozenset(by_value[v]) for v in sorted(by_value)]
+    J = OrderedPartition.of(blocks, cochain.q)
+    return J, len(blocks)

@@ -17,13 +17,14 @@ from mck.complex_builder import (
     enumerate_top_classes, euler_characteristic, morse_smale_report,
     q_polynomial)
 from mck.permutohedron import (
-    OrderedPartition, ZeroCochain, coarsenings, composition_signature,
-    enumerate_partitions, face_vertices, partition_of_values, refinements,
+    OrderedPartition, enumerate_partitions, face_vertices, refinements,
     refines_eq)
 from mck.perturbation import delta
 
 from conftest import Q2_SPLITS, Q3_SPLITS
-from oracles import enumerate_classes_direct, transvections
+from oracles import (
+    ZeroCochain, coarsenings, composition_signature, enumerate_classes_direct,
+    partition_of_values, transvections)
 from test_permutohedron import ordered_bell, realize_refinement
 
 

@@ -102,6 +102,13 @@ def test_jobs_flag_same_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_refused(capsys, jobs):
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",
+                         "--jobs", jobs)
+    assert code == 2 and out == "" and "jobs" in err
+
+
 def test_seen_cache_env_is_ignored(tmp_path, capsys, monkeypatch):
     """`enumerate` reads no memo file: an MCK_SEEN_CACHE file that maps
     every candidate to one class leaves the catalog unchanged."""
@@ -189,13 +196,16 @@ DELETE, WRAP = object(), object()
 
 @pytest.fixture(scope="module")
 def q1_files(tmp_path_factory):
-    """A q = 1 catalog and its complex dump, written by the CLI."""
+    """q = 1 catalogs and their complex dumps, written by the CLI: all
+    marked, and all marked with the saddle fixed."""
     root = tmp_path_factory.mktemp("q1")
-    files = {"catalog": root / "cat.json", "complex": root / "K.json"}
-    assert main(["enumerate", "--p", "2", "--q", "1", "--r", "1",
-                 "--out", str(files["catalog"])]) == 0
-    assert main(["complex", "--input", str(files["catalog"]),
-                 "--out", str(files["complex"])]) == 0
+    files = {}
+    for prefix, fixed in (("", "none"), ("fixed-", "0,1,0")):
+        cat, dump = root / (prefix + "cat.json"), root / (prefix + "K.json")
+        assert main(["enumerate", "--p", "2", "--q", "1", "--r", "1",
+                     "--fixed", fixed, "--out", str(cat)]) == 0
+        assert main(["complex", "--input", str(cat), "--out", str(dump)]) == 0
+        files[prefix + "catalog"], files[prefix + "complex"] = cat, dump
     return files
 
 
@@ -224,6 +234,10 @@ def q1_files(tmp_path_factory):
     ("catalog", "euler", ("classes", 0, "atoms", 0, "darts"), DELETE),
     ("complex", "euler", ("classes", 0, "canonical"), "x"),
     ("complex", "euler", ("classes", 0, "canonical"), DELETE),
+    ("catalog", "complex", ("classes", 0, "marked_saddles"), [True]),
+    ("complex", "euler", ("classes", 0, "lmg", "marked_saddles"), [1.0]),
+    ("fixed-catalog", "euler", ("classes", 0, "fixed_saddles"), [1.0]),
+    ("fixed-complex", "qpoly", ("classes", 0, "lmg", "fixed_saddles"), [True]),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
@@ -231,7 +245,9 @@ def q1_files(tmp_path_factory):
         "catalog-negative-dart", "complex-negative-dart", "catalog-bool-dart",
         "complex-bool-dart", "catalog-darts-count", "complex-darts-count",
         "catalog-darts-missing", "complex-canonical-string",
-        "complex-canonical-missing"])
+        "complex-canonical-missing", "catalog-bool-marked-saddle",
+        "complex-float-marked-saddle", "catalog-float-fixed-saddle",
+        "complex-bool-fixed-saddle"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())

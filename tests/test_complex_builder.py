@@ -93,6 +93,32 @@ def test_enumeration_deterministic_and_parallel_agree():
     assert key(base) == key(again) == key(par)
 
 
+def test_worker_pool_is_capped(monkeypatch):
+    # a fake pool records its size and maps in-process, so no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, argsets):
+            return map(fn, argsets)
+
+    monkeypatch.setattr(cb, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cb.os, "cpu_count", lambda: 3)
+    assert enumerate_top_classes(3, 2, 1, jobs=10**6) == enumerate_top_classes(3, 2, 1)
+    assert enumerate_top_classes(2, 1, 1, jobs=10**6) == enumerate_top_classes(2, 1, 1)
+    assert enumerate_top_classes(3, 2, 1, jobs=2) == enumerate_top_classes(3, 2, 1)
+    # min(jobs, CPUs, chunks): 24 and 2 matchings for q = 2 and q = 1
+    assert sizes == [3, 2, 2]
+
+
 # ---------------------------------------------------------------------------
 # building the complex
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from mck import linalg
 from mck.permutohedron import (
-    OrderedPartition, PartitionError, OrderBoundError, ZeroCochain,
-    composition_signature, coarsenings, enumerate_partitions, face_of,
+    OrderedPartition, PartitionError, OrderBoundError, enumerate_partitions,
     face_vertices, face_poset_dot, hyperface_refinements,
-    induced_face_automorphism, partition_of_values, refinements, refines,
-    refines_eq,
+    induced_face_automorphism, refinements, refines_eq, sub_blocks,
+)
+from oracles import (
+    ZeroCochain, coarsenings, composition_signature, face_of,
+    partition_of_values, refines,
 )
 
 
@@ -163,6 +165,26 @@ def test_refines_matches_geometric_containment_q5():
         assert refines_eq(J1, J2) == geometric
 
 
+def test_sub_blocks():
+    J = OrderedPartition.of([{1, 2, 3}])
+    J1 = OrderedPartition.of([{2}, {1, 3}])
+    assert sub_blocks(J1, J) == ((frozenset({2}), frozenset({1, 3})),)
+    assert sub_blocks(J, J1) is None
+    assert sub_blocks(J, J) == ((frozenset({1, 2, 3}),),)
+    with pytest.raises(PartitionError):
+        sub_blocks(J, OrderedPartition.of([{1}, {2}]))
+    # the groups concatenate to J1 and each unites to its block of J
+    for Jt in enumerate_partitions(4):
+        for Jr in enumerate_partitions(4):
+            groups = sub_blocks(Jr, Jt)
+            assert (groups is not None) == (frozenset(face_vertices(Jr))
+                                            <= frozenset(face_vertices(Jt)))
+            if groups is not None:
+                assert sum(groups, ()) == Jr.blocks
+                assert all(frozenset().union(*grp) == b
+                           for grp, b in zip(groups, Jt.blocks))
+
+
 def test_refinements_and_coarsenings_are_inverse_relations():
     for J in enumerate_partitions(3):
         for J1 in refinements(J):
@@ -240,17 +262,8 @@ def realize_refinement(c, J, Jhat, eps=None):
     gap = min((b - a for a, b in zip(distinct, distinct[1:])), default=Fraction(1))
     if eps is None:
         eps = gap / 2
-    sub_rank = {}
-    i = 0
-    for b in J.blocks:
-        rank = 0
-        acc = set()
-        while acc != set(b):
-            for x in Jhat.blocks[i]:
-                sub_rank[x] = rank
-            acc |= Jhat.blocks[i]
-            rank += 1
-            i += 1
+    sub_rank = {x: rank for grp in sub_blocks(Jhat, J)
+                for rank, b in enumerate(grp) for x in b}
     q = c.q
     return ZeroCochain.of([c.values[x - 1] + eps * Fraction(sub_rank[x], q + 1)
                            for x in range(1, q + 1)])

@@ -1,39 +1,21 @@
+import hashlib
+import itertools
+
 import pytest
 
+from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck.complex_builder import MarkingSpec, enumerate_top_classes
 from mck.permutohedron import (
     OrderedPartition, enumerate_partitions, refinements, refines_eq)
-from mck.perturbation import (
-    PerturbationError, Refinement, delta, resolution, split_level)
+from mck.perturbation import PerturbationError, delta, split_level
 
+from conftest import Q3_SPLITS
 from oracles import enumerate_classes_direct, merge_all_levels
 
 
 def catalog_q2(p, r):
     return enumerate_top_classes(p, 2, r)
-
-
-# ---------------------------------------------------------------------------
-# local resolution data
-# ---------------------------------------------------------------------------
-
-def test_resolution_arcs():
-    up = resolution(5, "up")
-    assert up.arcs == (((5, 1), (5, 0)), ((5, 3), (5, 2)))
-    down = resolution(5, "down")
-    assert down.arcs == (((5, 1), (5, 2)), ((5, 3), (5, 0)))
-    with pytest.raises(PerturbationError):
-        resolution(5, "sideways")
-
-
-def test_refinement_record():
-    J = OrderedPartition.of([{1, 2, 3}])
-    J1 = OrderedPartition.of([{2}, {1, 3}])
-    ref = Refinement.of(J, J1)
-    assert ref.per_block == ((frozenset({2}), frozenset({1, 3})),)
-    with pytest.raises(PerturbationError):
-        Refinement.of(J1, J)
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +91,72 @@ def test_delta_transitivity_q2_exhaustive():
 
 
 def test_delta_agrees_with_direct_multiway_split():
-    seeds = enumerate_top_classes(4, 3, 1)[:6]
-    for g in seeds:
-        for J1 in enumerate_partitions(3):
-            assert (mg.canonical_form(delta(g, J1))
-                    == mg.canonical_form(delta(g, J1, chain=())))
+    # the hyperface chain and one direct three-way split reach the same
+    # class, on every one-level seed of every q = 3 split, marked all and
+    # 0,3,0 (with fewer than three blocks both are the same split_level call)
+    vertices = [J for J in enumerate_partitions(3) if J.s == 3]
+    for p, r in Q3_SPLITS:
+        for marking in (MarkingSpec.all_marked(p, 3, r),
+                        MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))):
+            for g in enumerate_top_classes(p, 3, r, marking):
+                for J1 in vertices:
+                    assert (mg.canonical_form(delta(g, J1)) == mg.canonical_form(
+                        split_level(g, 1, J1.blocks)))
 
 
 def test_delta_chain_independence_explicit_chains():
+    # an explicit chain J -> mid -> target is a composition of deltas
     g = enumerate_top_classes(3, 3, 2)[0]
     target = OrderedPartition.of([{2}, {1}, {3}])
     results = set()
     for mid in enumerate_partitions(3):
         if mid.s == 2 and refines_eq(target, mid):
-            results.add(mg.canonical_form(delta(g, target, chain=[mid])))
+            results.add(mg.canonical_form(delta(delta(g, mid), target)))
     assert len(results) == 1
     assert results.pop() == mg.canonical_form(delta(g, target))
+
+
+def _first_q4_seeds(p, r, marking, count):
+    """One-level graphs built from the first valid q = 4 matchings, with up
+    to two cap labelings each."""
+    marked_s, fixed_s = cb._marked_saddle_sets(marking)
+    seeds = []
+    for edges in cb._matchings(4):
+        atom = mg.Atom.of([1, 2, 3, 4], list(edges))
+        try:
+            atom.check()
+        except mg.LMGError:
+            continue
+        seeds.extend(itertools.islice(
+            cb._cap_labelings(atom, p, r, marking, marked_s, fixed_s, 4), 2))
+        if len(seeds) >= count:
+            return seeds[:count]
+
+
+# sha256 of the 1,308 delta results of each case below, in test order
+Q4_PIN = {
+    (5, 1, "all"):
+        "3520944b45f958139d690762d87bf3fa6b9b154cac49fc8264fddbbfd68266fd",
+    (3, 3, "0,4,0"):
+        "671001d48001f2cbfae52c881c315ff328d0979b0897048853db6731b3821f7d",
+}
+
+
+@pytest.mark.parametrize("p, r, marked", sorted(Q4_PIN))
+def test_delta_bytes_pinned_q4(p, r, marked):
+    # the exact graphs delta returns, not only their classes: every face of
+    # a few q = 4 seeds and every face of each two-level result
+    marking = (MarkingSpec.all_marked(p, 4, r) if marked == "all"
+               else MarkingSpec(marked=(0, 4, 0), fixed=(0, 0, 0)))
+    digest = hashlib.sha256()
+    for g in _first_q4_seeds(p, r, marking, 6):
+        for J1 in refinements(g.level_partition(), proper=True):
+            h = delta(g, J1)
+            digest.update(mg.to_json(h).encode())
+            if J1.s == 2:
+                for J2 in refinements(J1, proper=True):
+                    digest.update(mg.to_json(delta(h, J2)).encode())
+    assert digest.hexdigest() == Q4_PIN[(p, r, marked)]
 
 
 def test_every_deep_class_is_a_delta_image_q2():
