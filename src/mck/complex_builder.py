@@ -3,10 +3,12 @@
 One-level classes are enumerated exhaustively: rotation systems on q labeled
 4-valent saddles are fixed by the slot convention, so candidates are the
 perfect matchings of outgoing to incoming darts, filtered for connectivity
-and the requested disk counts, capped in every labeling, and deduplicated by
-canonical form.  Candidates are valid by construction (one connected atom,
-every circle capped on its own side, labels 1..p and 1..r, a checked
-marking), so they are not validated one by one; every emitted class is.
+and the requested disk counts, deduplicated by tagged atom code (isomorphic
+atoms that fix the marked saddles are capped once), capped in every
+labeling, and deduplicated by canonical form.  Candidates are valid by
+construction (one connected atom, every circle capped on its own side,
+labels 1..p and 1..r, a checked marking), so they are not validated one by
+one; every emitted class is.
 The catalog entry for each class is the decoded canonical representative,
 which makes output independent of enumeration order and of worker
 scheduling.
@@ -106,12 +108,11 @@ def _check_top_params(p, q, r, marking):
 
 
 def _cap_labelings(g_atom, p, r, marking, marked_saddles, fixed_saddles, q):
-    """All labeled cappings of a connected one-level atom."""
+    """All labeled cappings of a connected one-level atom with p lower and
+    r upper circles."""
     circles = g_atom.circles
     lows = [ci for ci, (side, _) in enumerate(circles) if side == "lower"]
     ups = [ci for ci, (side, _) in enumerate(circles) if side == "upper"]
-    if len(lows) != p or len(ups) != r:
-        return
     for min_labels in itertools.permutations(range(1, p + 1)):
         for max_labels in itertools.permutations(range(1, r + 1)):
             caps = []
@@ -138,18 +139,42 @@ def _matchings(q):
         yield tuple(zip(outs, perm))
 
 
-def _top_candidates_chunk(args):
-    """Worker: canonical forms of the valid candidates in one matching chunk."""
-    p, q, r, marking, matchings = args
-    marked_s, fixed_s = _marked_saddle_sets(marking)
+def _one_level_atoms(p, q, r, matchings):
+    """The connected atoms of the matchings with p lower and r upper circles."""
     saddles = list(range(1, q + 1))
-    forms = set()
     for edges in matchings:
         atom = mg.Atom.of(saddles, list(edges))
         try:
             atom.check()
         except mg.LMGError:
             continue
+        sides = [side for side, _ in atom.circles]
+        if sides.count("lower") == p and sides.count("upper") == r:
+            yield atom
+
+
+def _top_candidates_chunk(args):
+    """Worker: canonical forms of the valid candidates in one matching chunk.
+
+    Only the first atom with each tagged atom code (the first element of
+    `_atom_min_codes`: vertex count, relabeled edges and per-vertex marked
+    label and fixed flag) is capped.  This loses no class.  Two atoms with
+    one tagged code are isomorphic by a rotation-preserving map that fixes
+    every marked saddle and sends lower circles to lower circles and upper
+    to upper.  Cap flags depend only on (kind, label), and every labeling is
+    enumerated, so both atoms give the same set of canonical forms.  Each
+    chunk deduplicates on its own and the union of forms is the same, so
+    the result does not depend on worker scheduling.
+    """
+    p, q, r, marking, matchings = args
+    marked_s, fixed_s = _marked_saddle_sets(marking)
+    forms = set()
+    seen = set()
+    for atom in _one_level_atoms(p, q, r, matchings):
+        code = mg._atom_min_codes(atom, marked_s, fixed_s)[0]
+        if code in seen:
+            continue
+        seen.add(code)
         for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q):
             forms.add(mg.canonical_form(g))
     return forms
@@ -569,7 +594,7 @@ def _params_from_json(doc):
 def _graph_from_json(entry, p, q, r, marking):
     """One stored graph, validated, with the document's (p, q, r) and the
     cap flags and marked and fixed saddles its marking gives."""
-    g = mg.from_json(json.dumps(entry))
+    g = mg.from_json(entry)
     if (g.p, g.q, g.r) != (p, q, r):
         raise mg.LMGJSONError("graph (p, q, r) differs from the params")
     mg.validate(g, require_marks=False)

@@ -805,14 +805,16 @@ def _circle_ref(ref):
     return tuple(ref)
 
 
-def from_json(text):
-    """Parse a leveled graph; raises LMGJSONError naming the offending key."""
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise LMGJSONError("invalid JSON: %s" % exc)
+def from_json(doc):
+    """Read a leveled graph from JSON text (str or UTF-8 bytes) or from an
+    already decoded document; raises LMGJSONError naming the offending key."""
+    if isinstance(doc, (str, bytes)):
+        try:
+            if isinstance(doc, bytes):
+                doc = doc.decode("utf-8")
+            doc = json.loads(doc)
+        except (ValueError, RecursionError) as exc:
+            raise LMGJSONError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise LMGJSONError("graph document is not a JSON object")
     for key in ("q", "p", "r", "levels", "atoms", "caps", "cylinders",

@@ -62,3 +62,17 @@ def test_tracer_sees_one_elimination_per_handle_record(traced_build):
     K, metrics = traced_build
     assert metrics["linalg.rref.calls"] == 2 * len(K.classes)
     assert metrics["linalg.solve_square.calls"] == 0
+
+
+def test_tracer_sees_one_capping_per_tagged_atom():
+    # (3, 3, 2) all marked has 22 tagged atom codes with 3 lower and 2 upper
+    # circles; each is capped in 3! * 2! labelings, one canonical form each
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cb.enumerate_top_classes(3, 3, 2)
+    finally:
+        tracer.uninstall()
+    calls = {name: value for name, (value, _) in tracer.metrics().items()}
+    assert calls["morse_graph.canonical_form.calls"] == 22 * 6 * 2 == 264

@@ -119,8 +119,7 @@ def test_seen_cache_env_is_ignored(tmp_path, capsys, monkeypatch):
     one = mg.canonical_form(classes[0]).hex()
     marking = cb.MarkingSpec.all_marked(2, 2, 2)
     memo = {}
-    for edges in cb._matchings(2):
-        atom = mg.Atom.of([1, 2], list(edges))
+    for atom in cb._one_level_atoms(2, 2, 2, cb._matchings(2)):
         for g in cb._cap_labelings(atom, 2, 2, marking, frozenset({1, 2}),
                                    frozenset(), 2):
             memo[mg.to_json(g)] = one

@@ -54,12 +54,13 @@ def test_parameter_errors():
 
 
 def test_cap_labelings_are_valid_by_construction():
-    # enumeration canonicalizes every capped connected matching without
-    # validating it, so each one must already be a valid graph; the 1,1,1
-    # marking also fixes label 1 of each index
+    # enumeration canonicalizes capped connected matchings without
+    # validating them, so each one must already be a valid graph; the 1,1,1
+    # marking also fixes label 1 of each index.  Enumeration caps only one
+    # atom per tagged atom code, and must still give the canonical forms of
+    # every capped matching.
     built = 0
     for q in (1, 2, 3):
-        saddles = list(range(1, q + 1))
         for p in range(1, q + 2):
             r = q + 2 - p
             for marked, fixed in (((p, q, r), (0, 0, 0)),
@@ -72,16 +73,15 @@ def test_cap_labelings_are_valid_by_construction():
                 except ParameterError:
                     continue
                 marked_s, fixed_s = cb._marked_saddle_sets(marking)
-                for edges in cb._matchings(q):
-                    atom = mg.Atom.of(saddles, list(edges))
-                    try:
-                        atom.check()
-                    except mg.LMGError:
-                        continue
+                forms = set()
+                for atom in cb._one_level_atoms(p, q, r, cb._matchings(q)):
                     for g in cb._cap_labelings(atom, p, r, marking, marked_s,
                                                fixed_s, q):
                         mg.validate(g)
+                        forms.add(mg.canonical_form(g))
                         built += 1
+                assert cb._top_candidates_chunk(
+                    (p, q, r, marking, list(cb._matchings(q)))) == forms
     assert built == 24852
 
 
@@ -94,6 +94,12 @@ def test_enumeration_deterministic_and_parallel_agree():
 
 
 def test_worker_pool_is_capped(monkeypatch):
+    monkeypatch.setattr(cb.os, "cpu_count", lambda: 3)
+    # a real 2-worker pool: each chunk deduplicates atoms on its own, and
+    # the union of forms is the same as in one process
+    marking = MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))
+    assert (enumerate_top_classes(3, 3, 2, marking, jobs=2)
+            == enumerate_top_classes(3, 3, 2, marking, jobs=1))
     # a fake pool records its size and maps in-process, so no worker starts
     sizes = []
 
@@ -111,7 +117,6 @@ def test_worker_pool_is_capped(monkeypatch):
             return map(fn, argsets)
 
     monkeypatch.setattr(cb, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cb.os, "cpu_count", lambda: 3)
     assert enumerate_top_classes(3, 2, 1, jobs=10**6) == enumerate_top_classes(3, 2, 1)
     assert enumerate_top_classes(2, 1, 1, jobs=10**6) == enumerate_top_classes(2, 1, 1)
     assert enumerate_top_classes(3, 2, 1, jobs=2) == enumerate_top_classes(3, 2, 1)

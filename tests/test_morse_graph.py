@@ -285,6 +285,7 @@ def test_automorphisms_fix_cylinder_level_pairs(q2_two_level):
 def test_json_roundtrip(fig8_lmg, q2_two_level):
     for g in (fig8_lmg, q2_two_level):
         assert canonical_form(from_json(to_json(g))) == canonical_form(g)
+        assert from_json(json.loads(to_json(g))) == from_json(to_json(g))
 
 
 def test_missing_key_is_a_parse_error(q2_two_level):
@@ -304,6 +305,11 @@ def test_invalid_json_is_a_parse_error():
         from_json(b"\xff\xfe{\x00}\x00")
     with pytest.raises(LMGJSONError):
         from_json("[" * 200000)
+    # an already decoded document must be an object too
+    with pytest.raises(LMGJSONError):
+        from_json([1])
+    with pytest.raises(LMGJSONError):
+        from_json(5)
 
 
 @pytest.mark.parametrize("bad", [[0], [0, 1, 2], [0, "1"], [0, 1.0], 7, None])

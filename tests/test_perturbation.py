@@ -121,12 +121,7 @@ def _first_q4_seeds(p, r, marking, count):
     to two cap labelings each."""
     marked_s, fixed_s = cb._marked_saddle_sets(marking)
     seeds = []
-    for edges in cb._matchings(4):
-        atom = mg.Atom.of([1, 2, 3, 4], list(edges))
-        try:
-            atom.check()
-        except mg.LMGError:
-            continue
+    for atom in cb._one_level_atoms(p, 4, r, cb._matchings(4)):
         seeds.extend(itertools.islice(
             cb._cap_labelings(atom, p, r, marking, marked_s, fixed_s, 4), 2))
         if len(seeds) >= count:
