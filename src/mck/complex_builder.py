@@ -140,14 +140,15 @@ def _matchings(q):
 
 
 def _one_level_atoms(p, q, r, matchings):
-    """The connected atoms of the matchings with p lower and r upper circles."""
+    """The connected atoms of the matchings with p lower and r upper circles.
+
+    `_matchings` joins each outgoing dart to one incoming dart, so every
+    atom alternates and matches each dart once; only connectivity can fail."""
     saddles = list(range(1, q + 1))
     for edges in matchings:
-        atom = mg.Atom.of(saddles, list(edges))
-        try:
-            atom.check()
-        except mg.LMGError:
+        if len(mg.components(saddles, [(o[0], i[0]) for o, i in edges])) != 1:
             continue
+        atom = mg.Atom.of(saddles, list(edges))
         sides = [side for side, _ in atom.circles]
         if sides.count("lower") == p and sides.count("upper") == r:
             yield atom
@@ -269,7 +270,7 @@ def _poincare(classification, autos):
     order = classification.order
     pos_of_orig = {orig: i + 1 for i, orig in enumerate(order)}
     b_positions = sorted(classification.B)
-    acc = [Fraction(0)] * (d + 1)
+    acc = [0] * (d + 1)
     for phi in autos:
         perm = {}
         for bp in b_positions:
@@ -279,26 +280,26 @@ def _poincare(classification, autos):
                     "automorphism does not preserve the torus directions")
             perm[bp] = image
         # det(I + t P) over cycles: a length-m cycle contributes 1 - (-t)^m
-        poly = [Fraction(1)]
+        poly = [1]
         for cyc in mg.trace_cycles(perm, b_positions):
             m = len(cyc)
-            factor = [Fraction(0)] * (m + 1)
-            factor[0] = Fraction(1)
-            factor[m] = -Fraction(-1) ** m
+            factor = [0] * (m + 1)
+            factor[0] = 1
+            factor[m] = -(-1) ** m
             poly = _poly_mul(poly, factor)
-        poly += [Fraction(0)] * (d + 1 - len(poly))
+        poly += [0] * (d + 1 - len(poly))
         acc = [a + b for a, b in zip(acc, poly[:d + 1])]
     out = []
     for x in acc:
-        v = x / len(autos)
-        if v.denominator != 1 or v < 0:
+        v, rem = divmod(x, len(autos))
+        if rem != 0 or v < 0:
             raise ta.AlgebraInvariantViolation("non-integral invariant dimension")
-        out.append(int(v))
+        out.append(v)
     return tuple(out)
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -308,8 +309,12 @@ def _poly_mul(a, b):
 
 
 def handle_record(g):
-    """Compute the full handle record of one validated class."""
-    classification = ta.classify_circles(g)  # validates g
+    """Compute the full handle record of one validated class.
+
+    Both callers hand in validated graphs (`build_complex` validates its
+    seeds and `split_level` every resolved class; `_graph_from_json` every
+    stored one), so the classification does not validate again."""
+    classification = ta.classify_circles(g, validated=True)
     canonical, autos = mg.canonicalize(g)
     model = ta.homology_model(g)
     poly = ta.u_polytope(g, model)
@@ -331,7 +336,10 @@ def handle_record(g):
 
 
 def build_complex(seeds, marking=None):
-    """Downward closure of one-level seeds under saddle resolution."""
+    """Downward closure of one-level seeds under saddle resolution.
+
+    The seeds are validated here; every class resolved from them is
+    validated by `split_level`, so `handle_record` gets valid graphs only."""
     if not seeds:
         raise ParameterError("no seed classes")
     g0 = seeds[0]
@@ -348,6 +356,7 @@ def build_complex(seeds, marking=None):
             raise ParameterError("seeds must be one-level classes")
         if (g.p, g.q, g.r) != (p, q, r):
             raise ParameterError("seeds mix parameter sets")
+        mg.validate(g, require_marks=False)
 
     known = {}
     incidence = []

@@ -1,15 +1,19 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the integers and the rationals.
 
-Matrices are lists of lists of Fraction (rows).  Everything here is
-fraction-free in spirit but lazy in practice: Fraction arithmetic keeps the
-code short and the matrices involved are tiny (at most ~20 x ~20).
+Matrices are lists of rows of ints or Fractions.  The handle algebra's
+matrices are integral, so elimination runs over int: `rref` scales each
+rational row to an integer row, eliminates fraction-free (Bareiss, Math.
+Comp. 22, 1968) and divides once at the end, and only entries that are true
+quotients come back as Fraction.
 
 `rref` (reduced row echelon form of any matrix) is the one elimination;
 `rank`, `affine_rank` and `solve_square` (the unique solution of a square
-system, or None when it is singular) are read off it.  `mat_mul`,
-`mat_vec`, `identity` and `mat_eq` complete the set.
+system, or None when it is singular) are read off it.  `integer_row`
+clears a row's denominators; `mat_mul`, `mat_vec`, `identity` and
+`mat_eq` complete the set.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -17,34 +21,66 @@ def rref(matrix):
     """Reduced row echelon form.
 
     Returns (R, pivots) where R is the reduced matrix and pivots the list of
-    pivot column indices.  The input is not modified.
+    pivot column indices.  Entries of R are ints where the quotient is exact
+    and Fractions elsewhere.  The input is not modified.
+
+    Fraction-free Gauss-Jordan: a step on pivot p, with p_prev the previous
+    pivot, replaces every other row by (p * row - row[c] * pivot_row) /
+    p_prev.  Every entry stays a minor of the scaled input, so each division
+    is exact, and at the end every pivot row holds the same pivot value.
     """
-    R = [[Fraction(x) for x in row] for row in matrix]
-    if not R:
-        return R, []
-    ncols = len(R[0])
+    M = [integer_row(row)[0] for row in matrix]
+    if not M:
+        return M, []
+    ncols = len(M[0])
     pivots = []
     r = 0
+    prev = 1
     for c in range(ncols):
         pivot = None
-        for i in range(r, len(R)):
-            if R[i][c] != 0:
+        for i in range(r, len(M)):
+            if M[i][c] != 0:
                 pivot = i
                 break
         if pivot is None:
             continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        M[r], M[pivot] = M[pivot], M[r]
+        top = M[r]
+        p = top[c]
+        for i in range(len(M)):
+            if i == r:
+                continue
+            f = M[i][c]
+            if f == 0:
+                if p != prev:
+                    M[i] = [p * a // prev for a in M[i]]
+            else:
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
-        if r == len(R):
+        if r == len(M):
             break
-    return R, pivots
+    for i in range(r):
+        d = M[i][pivots[i]]
+        if d != 1:
+            M[i] = [_quotient(x, d) for x in M[i]]
+    return M, pivots
+
+
+def integer_row(row):
+    """(ints, scale): the row of ints and Fractions times the common
+    denominator `scale` of its entries; an int row comes back as it is."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _quotient(x, d):
+    """x / d as an int when exact, else as a Fraction."""
+    q, rem = divmod(x, d)
+    return q if rem == 0 else Fraction(x, d)
 
 
 def rank(matrix):
@@ -52,19 +88,19 @@ def rank(matrix):
 
 
 def solve_square(A, b):
-    """The unique solution of the square system A x = b, or None when A is
-    singular (regardless of consistency)."""
+    """The unique solution of the square system A x = b as Fractions, or None
+    when A is singular (regardless of consistency)."""
     n = len(A)
     R, pivots = rref([list(row) + [bv] for row, bv in zip(A, b)])
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n] for row in R]
+    return [Fraction(row[n]) for row in R]
 
 
 def mat_mul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]
         for t in range(k):
@@ -79,11 +115,11 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A]
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_eq(A, B):
@@ -95,5 +131,4 @@ def affine_rank(points):
     if not points:
         return -1
     base = points[0]
-    diffs = [[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in points[1:]]
-    return rank(diffs)
+    return rank([[x - y for x, y in zip(p, base)] for p in points[1:]])

@@ -9,16 +9,21 @@ over the remaining ones through one relation per cylinder: the two boundary
 circles of a cylinder are homologous cross-sections, so the sum of the edges
 on its upper boundary equals the sum on its lower boundary.
 
-Everything is over Q; matrices are Fraction rows.  Coordinates on the dual
-space are (u~_1..u~_n, u'_{n+1}..u'_{2q}): values on the transverse edges
-followed by values on the kept graph edges.
+The relations, the expansions and the core classes are integral, and all
+of it runs over int: an expansion entry that is not an integer raises.
+Fractions appear only where a value is a true quotient: the bounds of one
+back-substitution step, the rotation offsets of the stabilizer check and
+the vertex fallback.  Coordinates on the dual space are (u~_1..u~_n,
+u'_{n+1}..u'_{2q}): values on the transverse edges followed by values on
+the kept graph edges.
 
 The dimension of the edge-value polytope is certified, not enumerated: a
 polytope is full-dimensional exactly when its strict system is feasible, and
-Fourier-Motzkin elimination over the integers decides that and yields a
-rational interior point, which is checked against every inequality.  Only
-when the strict system is infeasible (implicit equalities, or an empty
-polytope) are the vertices enumerated and their affine rank taken.
+Fourier-Motzkin elimination over the integers decides that and yields an
+interior point (integer numerators over one common denominator), which is
+checked against every inequality in integers.  Only when the strict system
+is infeasible (implicit equalities, or an empty polytope) are the vertices
+enumerated and their affine rank taken.
 """
 
 import itertools
@@ -69,8 +74,8 @@ class HomologyModel:
     edges: tuple
     deleted: tuple
     basis: tuple
-    expansion: tuple   # tuple of tuples of Fraction
-    gamma: tuple       # tuple of tuples of Fraction
+    expansion: tuple   # tuple of tuples of int
+    gamma: tuple       # tuple of tuples of int
     relations: tuple   # per cylinder, the +-1 relation row over all 2q edges
 
     @property
@@ -160,7 +165,8 @@ def _choose_deleted(g):
 
 
 def homology_model(g):
-    """Build the cylinder-adapted basis and the exact expansion matrix."""
+    """Build the cylinder-adapted basis and the exact integer expansion
+    matrix."""
     edges = g.global_edges()
     pos = {e: i for i, e in enumerate(edges)}
     nq2 = len(edges)
@@ -168,7 +174,7 @@ def homology_model(g):
 
     relations = []
     for lo, hi in g.cylinders:
-        row = [Fraction(0)] * nq2
+        row = [0] * nq2
         for e in _circle_edges(g, hi):
             row[pos[e]] += 1
         for e in _circle_edges(g, lo):
@@ -189,30 +195,35 @@ def homology_model(g):
     if pivots[:n] != list(range(n)):
         raise AlgebraInvariantViolation("cylinder relations are singular on "
                                         "the traded edges")
+    unit = {b: tuple(1 if j == k else 0 for j in range(m))
+            for k, b in enumerate(basis)}
     expansion = []
     for i in range(nq2):
         if i in row_of:
-            expansion.append(tuple(R[row_of[i]][n:]))
+            row = tuple(R[row_of[i]][n:])
+            if any(type(x) is not int for x in row):
+                raise AlgebraInvariantViolation("non-integral expansion of "
+                                                "traded edge %d" % i)
+            expansion.append(row)
         else:
-            expansion.append(tuple(Fraction(1 if basis[j] == i else 0)
-                                   for j in range(m)))
+            expansion.append(unit[i])
 
     # exactness certificate: every relation vanishes on the expansions
-    for k in range(n):
-        for j in range(m):
-            acc = sum((relations[k][i] * expansion[i][j] for i in range(nq2)),
-                      Fraction(0))
-            if acc != 0:
-                raise AlgebraInvariantViolation("expansion does not satisfy "
-                                                "cylinder relation %d" % k)
+    for k, rel in enumerate(relations):
+        acc = [0] * m
+        for coef, erow in zip(rel, expansion):
+            if coef:
+                acc = [a + coef * x for a, x in zip(acc, erow)]
+        if any(acc):
+            raise AlgebraInvariantViolation("expansion does not satisfy "
+                                            "cylinder relation %d" % k)
 
     gamma = []
     for lo, hi in g.cylinders:
-        row = [Fraction(0)] * m
+        row = [0] * m
         for e in _circle_edges(g, lo):
-            erow = expansion[pos[e]]
-            row = [a + b for a, b in zip(row, erow)]
-        if all(x == 0 for x in row):
+            row = [a + b for a, b in zip(row, expansion[pos[e]])]
+        if not any(row):
             raise AlgebraInvariantViolation("vanishing core class")
         gamma.append(tuple(row))
 
@@ -281,14 +292,18 @@ def _between(sides, cylinders, a, b):
     return sa & sb
 
 
-def classify_circles(g):
-    """Classification of the cylinder cores; sphere scope only."""
-    try:
-        rep = mg.validate(g, require_marks=False)
-    except mg.EulerCountError as exc:
-        raise UnsupportedScopeError("only the sphere is supported: %s" % exc)
-    n = rep.n
-    if n != rep.t - 1:
+def classify_circles(g, validated=False):
+    """Classification of the cylinder cores; sphere scope only.
+
+    `g` is validated first unless the caller has already done so
+    (`validated=True`)."""
+    if not validated:
+        try:
+            mg.validate(g, require_marks=False)
+        except mg.EulerCountError as exc:
+            raise UnsupportedScopeError("only the sphere is supported: %s" % exc)
+    n = len(g.cylinders)
+    if n != len(g.atoms) - 1:
         raise AlgebraInvariantViolation("sphere assembly graph is not a tree")
 
     atom_fixed, cap_fixed, cap_atom = _fixed_point_places(g)
@@ -431,18 +446,17 @@ def _polytope_vertices(slab_rows, bound, ambient):
 
 def _strict_system(slab_rows, bound, ambient):
     """Integer rows (a, b) of the strict system a . u < b of the polytope:
-    1 < u_j < bound, then 1 < row . u < bound with each row scaled by the
-    common denominator of its entries."""
+    1 < u_j < bound, then 1 < row . u < bound, where a rational row is first
+    scaled by the common denominator of its entries."""
     system = []
     for j in range(ambient):
         unit = tuple(1 if i == j else 0 for i in range(ambient))
         system.append((tuple(-x for x in unit), -1))
         system.append((unit, bound))
     for row in slab_rows:
-        scale = math.lcm(*(Fraction(x).denominator for x in row))
-        ints = tuple(int(x * scale) for x in row)
+        ints, scale = linalg.integer_row(row)
         system.append((tuple(-x for x in ints), -scale))
-        system.append((ints, bound * scale))
+        system.append((tuple(ints), bound * scale))
     return system
 
 
@@ -464,7 +478,8 @@ def _reduced(system):
 
 
 def _strict_witness(system, ambient):
-    """A rational point with a . u < b for every row, or None when there is
+    """A point with a . u < b for every row, as (numerators, D): integer
+    numerators over one positive common denominator D; None when there is
     none.  Every variable must be bounded on both sides by rows of its own
     (the box rows do that).
 
@@ -490,16 +505,23 @@ def _strict_witness(system, ambient):
         rows = _reduced(nxt)
     if rows is None:
         return None
-    point = [Fraction(0)] * ambient
+    nums, D = [0] * ambient, 1
     for k in reversed(range(ambient)):
-        # u_k is still 0 here, so a . point sums the later coordinates only
+        # u_k is still 0 here, so a . nums sums the later coordinates only:
+        # a[k] u_k < (b D - a . nums) / D
         lows, highs = [], []
         for a, b in steps[k].items():
             if a[k]:
-                edge = Fraction(b - sum(x * v for x, v in zip(a, point)), a[k])
+                edge = Fraction(b * D - sum(x * v for x, v in zip(a, nums)),
+                                a[k] * D)
                 (highs if a[k] > 0 else lows).append(edge)
-        point[k] = (max(lows) + min(highs)) / 2
-    return point
+        mid = (max(lows) + min(highs)) / 2
+        scale = mid.denominator // math.gcd(D, mid.denominator)
+        if scale != 1:
+            nums = [v * scale for v in nums]
+            D *= scale
+        nums[k] = mid.numerator * (D // mid.denominator)
+    return nums, D
 
 
 def _polytope_dim(slab_rows, bound, ambient):
@@ -508,22 +530,25 @@ def _polytope_dim(slab_rows, bound, ambient):
 
     bound 1: the box is the all-ones point.  Otherwise an interior point of
     the strict system, checked exactly against every inequality, certifies
-    full dimension.  When the strict system is infeasible the polytope has
+    full dimension: with the point as numerators x over D > 0, every value
+    a . x, box coordinates included, must lie strictly between D and
+    bound * D.  When the strict system is infeasible the polytope has
     implicit equalities (or is empty): the vertices are enumerated and their
     affine rank taken.  An empty polytope raises."""
     if bound == 1:
         if all(sum(row) == 1 for row in slab_rows):
             return 0
         raise AlgebraInvariantViolation("empty edge-value polytope")
-    point = _strict_witness(_strict_system(slab_rows, bound, ambient), ambient)
-    if point is None:
+    witness = _strict_witness(_strict_system(slab_rows, bound, ambient),
+                              ambient)
+    if witness is None:
         verts = _polytope_vertices(slab_rows, bound, ambient)
         if not verts:
             raise AlgebraInvariantViolation("empty edge-value polytope")
         return linalg.affine_rank(verts)
-    values = point + [sum((x * v for x, v in zip(row, point)), Fraction(0))
-                      for row in slab_rows]
-    if not all(1 < v < bound for v in values):
+    nums, D = witness
+    values = nums + [sum(x * v for x, v in zip(row, nums)) for row in slab_rows]
+    if not (D > 0 and all(D < v < bound * D for v in values)):
         raise AlgebraInvariantViolation("interior-point certificate of the "
                                         "edge-value polytope fails")
     return ambient

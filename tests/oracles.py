@@ -5,6 +5,8 @@ brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
+`fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
+the library's fraction-free `rref` is checked against.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
 per-class algebra dump that only the tests read, and `polytope_vertices`
 enumerates the vertices of a small handle polytope.  The permutohedron
@@ -27,6 +29,33 @@ from mck.permutohedron import (
     OrderedPartition, PartitionError, enumerate_partitions, face_vertices,
     refines_eq)
 from mck.perturbation import InvariantViolation, PerturbationError, delta
+
+
+def fraction_rref(matrix):
+    """Reduced row echelon form over Fraction, as (R, pivots): divide each
+    pivot row by its pivot, then clear the pivot column in every other
+    row."""
+    R = [[Fraction(x) for x in row] for row in matrix]
+    if not R:
+        return R, []
+    pivots = []
+    r = 0
+    for c in range(len(R[0])):
+        pivot = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        inv = R[r][c]
+        R[r] = [x / inv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return R, pivots
 
 
 def _set_partitions(items):

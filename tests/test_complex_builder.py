@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -190,6 +191,16 @@ def test_seeds_must_be_one_level(complexes_q2):
     deep = [rec.lmg for rec in K.classes if rec.s > 1]
     with pytest.raises(ParameterError):
         build_complex(deep[:1])
+
+
+def test_invalid_seed_refused():
+    # a q = 1 seed has no proper refinement, so nothing but the seed check
+    # stands between it and its handle record
+    g = enumerate_top_classes(2, 1, 1)[0]
+    cap = dataclasses.replace(g.caps[0], marked=False, fixed=True)
+    bad = dataclasses.replace(g, caps=(cap,) + g.caps[1:])
+    with pytest.raises(mg.StructureError, match="fixed cap must be marked"):
+        build_complex([bad])
 
 
 # ---------------------------------------------------------------------------

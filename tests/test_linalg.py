@@ -1,12 +1,17 @@
 """`rref` is the one elimination; `solve_square` and `rank` are read off it.
 Both are checked against determinant oracles on seeded random integer
-matrices, singular ones included."""
+matrices, singular ones included, and the fraction-free `rref` against the
+plain Fraction elimination of `oracles.fraction_rref` on integer and
+rational matrices."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from mck import linalg
+from oracles import fraction_rref
 
 
 def det(M):
@@ -85,3 +90,38 @@ def test_rref_is_idempotent_and_counts_the_rank():
         for r, c in enumerate(pivots):
             assert [row[c] for row in R] == [int(i == r) for i in range(rows)]
         assert all(x == 0 for row in R[len(pivots):] for x in row)
+
+
+def random_rational_matrix(rng, rows, cols):
+    M = random_matrix(rng, rows, cols)
+    return [[Fraction(x, rng.randint(1, 6)) if rng.random() < 0.5 else x
+             for x in row] for row in M]
+
+
+@pytest.mark.parametrize("make", [random_matrix, random_rational_matrix],
+                         ids=["integer", "rational"])
+def test_rref_matches_fraction_elimination(make):
+    rng = random.Random(13)
+    singular = fractional = 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+        M = make(rng, rows, cols)
+        R, pivots = linalg.rref(M)
+        assert (R, pivots) == fraction_rref(M), M
+        singular += len(pivots) < rows
+        # an exact quotient comes back as int, a true quotient as Fraction
+        for x in (x for row in R for x in row):
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+            fractional += type(x) is Fraction
+    assert singular > 50 and fractional > 50
+
+
+def test_rref_keeps_large_integers_exact():
+    # entries well beyond the handle algebra's -1..1: every Bareiss division
+    # must still be exact
+    rng = random.Random(14)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        M = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n + 1)]
+             for _ in range(n)]
+        assert linalg.rref(M) == fraction_rref(M)

@@ -110,6 +110,30 @@ def test_single_cylinder_expansion_signs(q2_two_level):
     assert all(x.denominator == 1 for x in row)
 
 
+def test_expansion_and_gamma_are_ints(complex_q1, complexes_q2, complexes_q3):
+    # every q <= 3 all-marked class: the handle algebra stays over int
+    for K in [complex_q1, *complexes_q2.values(), *complexes_q3.values()]:
+        for rec in K.classes:
+            m = homology_model(rec.lmg)
+            assert all(type(x) is int for row in m.expansion for x in row)
+            assert all(type(x) is int for row in m.gamma for x in row)
+
+
+def test_non_integral_expansion_raises(monkeypatch, q2_two_level):
+    # halve the elimination's answer: the traded edge's expansion stops
+    # being integral, which must raise rather than be rounded or carried on
+    rref = linalg.rref
+
+    def halved(matrix):
+        R, pivots = rref(matrix)
+        return [[Fraction(x, 2) if j >= len(pivots) else x
+                 for j, x in enumerate(row)] for row in R], pivots
+
+    monkeypatch.setattr(linalg, "rref", halved)
+    with pytest.raises(AlgebraInvariantViolation, match="non-integral"):
+        homology_model(q2_two_level)
+
+
 def test_expansion_rank_full():
     for g, m in q2_catalog_with_models():
         assert linalg.rank([list(r) for r in m.expansion]) == len(m.basis)
@@ -374,8 +398,10 @@ def test_empty_polytope_raises(row, bound):
 
 
 def test_failed_certificate_raises(monkeypatch):
+    # the witness is (numerators, common denominator); the all-ones point
+    # sits on the boundary u_j = 1, so the certificate rejects it
     monkeypatch.setattr(ta, "_strict_witness",
-                        lambda system, ambient: [Fraction(1)] * ambient)
+                        lambda system, ambient: ([1] * ambient, 1))
     with pytest.raises(AlgebraInvariantViolation, match="certificate"):
         _polytope_dim([(Fraction(1), Fraction(1))], 5, 2)
 
