@@ -79,11 +79,23 @@ def _write(path, text):
         raise CliError(EXIT_IO, "cannot write %s: %s" % (path, exc))
 
 
+def _is_complex_dump(text):
+    """Whether `text` is a JSON object with incidence entries."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(doc, dict) and "incidence" in doc
+
+
 def _catalog_seeds(path, text):
     """The one-level seeds and the marking of catalog `text` read from `path`."""
     try:
         classes, _, _, _, marking = cb.catalog_from_json(text)
     except mg.LMGJSONError as exc:
+        if _is_complex_dump(text):
+            raise CliError(EXIT_PARAMS, "%s: expected a catalog, got a "
+                           "complex dump" % path)
         raise CliError(EXIT_IO, "corrupted catalog %s: %s" % (path, exc))
     if any(len(g.levels) != 1 for g in classes):
         raise CliError(EXIT_PARAMS, "catalog must contain one-level seeds "

@@ -14,9 +14,12 @@ which makes output independent of enumeration order and of worker
 scheduling.
 
 The complex is the downward closure of the one-level seeds under saddle
-resolution: every proper refinement of a class's level partition is resolved
-and registered, and each class carries its handle data (index, cylinder
-ranks, polytope dimension, symmetry group, handle Poincare polynomial).
+resolution, and each class carries its handle data (index, cylinder ranks,
+polytope dimension, symmetry group, handle Poincare polynomial).  Every
+proper refinement of a class's level partition gets an incidence entry, but
+only the covers (hyperfaces) are split, each once per class: a deeper face
+is the cover of the face that `delta`'s chain passes just before it, read
+through a saddle relabeling into that face's stored representative.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ from fractions import Fraction
 from . import morse_graph as mg
 from . import twist_algebra as ta
 from .permutohedron import refinements
-from .perturbation import delta
+from .perturbation import chain_predecessor, delta
 
 MAX_TOP_Q = 4  # desk-scale guard for exhaustive one-level search
 
@@ -338,6 +341,21 @@ def handle_record(g):
 def build_complex(seeds, marking=None):
     """Downward closure of one-level seeds under saddle resolution.
 
+    Each class stores the first graph met, `delta(g, J1)` for the first
+    entry (g, J1) that reaches it, so the output is that of resolving every
+    entry with its own `delta`.  Only the (class, cover) pairs are split:
+    `covers` maps a class and a cover face of its representative to the
+    target class and a saddle relabeling of the split graph into the
+    target's representative, matched by `canonical_positions`.  A deeper
+    entry (g, J1) takes the entry of `chain_predecessor(J, J1)`, which
+    `refinements` lists earlier, relabels J1 into that class's
+    representative and looks the cover up; `delta` is transitive, so this
+    is the class `delta(g, J1)` lies in.  When the target is met for the
+    first time, the split is `delta(g, J1)` itself if the predecessor's
+    representative is `delta(g, J0)`; otherwise `delta(g, J1)` is computed.
+    Faces, relabelings and class ids are shared objects, so the memo and
+    the incidence entries hold references, not copies.
+
     The seeds are validated here; every class resolved from them is
     validated by `split_level`, so `handle_record` gets valid graphs only."""
     if not seeds:
@@ -358,37 +376,72 @@ def build_complex(seeds, marking=None):
             raise ParameterError("seeds mix parameter sets")
         mg.validate(g, require_marks=False)
 
-    known = {}
-    incidence = []
+    known = {}      # canonical form -> representative, the first graph met
+    ids = {}        # canonical form -> class id
+    saddle_at = {}  # canonical form -> position -> saddle of representative
     queue = []
+    pool = {}       # one shared object per distinct face and relabeling
+
+    def shared(x):
+        return pool.setdefault(x, x)
+
+    def register(cf, g, pos):
+        known[cf], ids[cf] = g, class_id(cf)
+        saddle_at[cf] = {at: v for v, at in pos.items()}
+        queue.append(cf)
+
     for g in seeds:
-        cf = mg.canonical_form(g)
+        cf, pos = mg.canonical_positions(g)
         if cf not in known:
-            known[cf] = g
-            queue.append(cf)
+            register(cf, g, pos)
     top_count = len(known)
 
+    # (class, cover face of its representative) -> (target class, saddle
+    # relabeling of that split into the target's representative, as the
+    # tuple of images of saddles 1..q)
+    covers = {}
+    incidence = []
     while queue:
         cf = queue.pop()
         g = known[cf]
-        src = class_id(cf)
         J = g.level_partition()
+        # face -> (class of delta(g, face), saddle relabeling of delta(g,
+        # face) into the class's representative, or None when delta(g, face)
+        # is that representative)
+        reached = {J.key(): (cf, None)}
         for J1 in refinements(J, proper=True):
-            h = delta(g, J1)
-            cf1 = mg.canonical_form(h)
-            if cf1 not in known:
-                known[cf1] = h
-                queue.append(cf1)
-            incidence.append((src, _face_key(J1), class_id(cf1)))
+            c0, rho0 = reached[chain_predecessor(J, J1).key()]
+            K = J1 if rho0 is None else J1.relabel(lambda v: rho0[v - 1])
+            key = (c0, shared(K.key()))
+            met = False
+            if key not in covers:
+                h = delta(known[c0], K)
+                cf1, pos = mg.canonical_positions(h)
+                met = cf1 not in known
+                if met:
+                    # the first graph met is delta(g, J1), which is h when
+                    # delta(g, J0) is the representative of c0
+                    if rho0 is None:
+                        register(cf1, h, pos)
+                    else:
+                        first = delta(g, J1)
+                        register(cf1, first, mg.canonical_positions(first)[1])
+                at = saddle_at[cf1]
+                covers[key] = (cf1, shared(tuple(at[pos[v]]
+                                                 for v in range(1, q + 1))))
+            cf1, rho1 = covers[key]
+            if met:
+                rho1 = None
+            elif rho0 is not None:
+                rho1 = shared(tuple(rho1[w - 1] for w in rho0))
+            face = shared(J1.key())
+            reached[face] = (cf1, rho1)
+            incidence.append((ids[cf], face, ids[cf1]))
 
     records = tuple(handle_record(known[cf]) for cf in sorted(known))
     return ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                     incidence=tuple(sorted(incidence)),
                     top_count=top_count)
-
-
-def _face_key(J):
-    return tuple(tuple(sorted(b)) for b in J.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +687,7 @@ def _check_incidence(records, incidence):
                                   "with s = %d" % (src, face, len(face)))
         faces.setdefault(src, []).append(face)
     for rec in records:
-        want = [_face_key(J1) for J1 in
+        want = [J1.key() for J1 in
                 refinements(rec.lmg.level_partition(), proper=True)]
         if sorted(faces.get(rec.class_id, [])) != sorted(want):
             raise mg.LMGJSONError("class %s: stored incidence entries do not "

@@ -428,8 +428,9 @@ def invariants(g):
 # equality of encodings is exactly orientation-preserving level-preserving
 # isomorphism fixing marked points.  Every framing achieving the minimum
 # yields one automorphism, so `canonicalize` gets the form and the group
-# from one pass.  Each atom's circle maps are computed once per minimal
-# root dart and shared by every framing that picks it.
+# from one pass, and `canonical_positions` the form and the place of every
+# saddle in one winning framing.  Each atom's circle maps are computed once
+# per minimal root dart and shared by every framing that picks it.
 
 def _atom_traversal(atom, root):
     """Relabel darts from an outgoing root dart.
@@ -574,6 +575,19 @@ def canonicalize(g):
     """(canonical form, automorphism group) from one pass over framings."""
     enc, winners = _min_framings(g)
     return _encode_bytes(enc), automorphisms(g, winners)
+
+
+def canonical_positions(g):
+    """(canonical form, saddle -> (atom position, vertex index)) from one
+    pass over framings.  Positions are read off the first winning framing,
+    so for two graphs with one form, matching saddles at equal positions is
+    an isomorphism between them."""
+    enc, winners = _min_framings(g)
+    arrangement, dart_maps = winners[0]
+    positions = {v: (i, dart_maps[a][(v, 0)] // 4)
+                 for i, a in enumerate(arrangement)
+                 for v in g.atoms[a].saddles}
+    return _encode_bytes(enc), positions
 
 
 def decode_canonical(data):

@@ -27,12 +27,18 @@ and an explicit chain J -> J1 -> J2 is the composition
 `delta(delta(g, J1), J2)`.  `split_level` also takes m >= 2 sub-blocks at
 once; the tests compare that direct multi-way split with `delta` by
 canonical form.
+
+The complex builder calls `delta` on covers, once per class and cover, and
+reaches every deeper face as a cover of `chain_predecessor`, the partition
+that `delta`'s own chain passes last.  It calls `delta` on a deep face only
+when that face meets a new class and the predecessor's stored
+representative is not the graph on `delta`'s chain.
 """
 
 import itertools
 
 from . import morse_graph as mg
-from .permutohedron import sub_blocks
+from .permutohedron import OrderedPartition, sub_blocks
 
 
 class PerturbationError(ValueError):
@@ -313,3 +319,20 @@ def delta(g, target):
             return cur
         grp = groups[level]
         cur = split_level(cur, level + 1, [grp[0], frozenset().union(*grp[1:])])
+
+
+def chain_predecessor(J, target):
+    """The partition that `delta`'s chain from J passes just before the
+    proper refinement `target`.
+
+    The chain splits the divisible blocks of J from the lowest up, peeling
+    off one target sub-block at a time, so its last step splits the last
+    divided block of J into its last two target sub-blocks."""
+    groups = sub_blocks(target, J)
+    if groups is None or len(groups) == target.s:
+        raise PerturbationError("%s is not a proper refinement of %s"
+                                % (target, J))
+    k = max(i for i, grp in enumerate(groups) if len(grp) > 1)
+    merged = groups[k][:-2] + (groups[k][-2] | groups[k][-1],)
+    return OrderedPartition.of(
+        itertools.chain(*groups[:k], merged, *groups[k + 1:]), J.q)

@@ -5,6 +5,9 @@ brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
+`closure_by_delta` is the closure that resolves every proper refinement of
+every class with its own `delta` chain from the top, which the library's
+closure over covers must reproduce byte for byte.
 `fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
 the library's fraction-free `rref` is checked against.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
@@ -27,7 +30,7 @@ from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.permutohedron import (
     OrderedPartition, PartitionError, enumerate_partitions, face_vertices,
-    refines_eq)
+    refinements, refines_eq)
 from mck.perturbation import InvariantViolation, PerturbationError, delta
 
 
@@ -203,6 +206,55 @@ def merge_all_levels(g, seeds=None):
                 return seed
     raise InvariantViolation("no one-level seed reproduces the class; "
                              "downward-closure completeness violated")
+
+
+def closure_by_delta(seeds, marking=None):
+    """The complex of `seeds` with every incidence entry resolved by its own
+    `delta`: each class keeps the first graph met, in the library's queue
+    and refinement order."""
+    if not seeds:
+        raise cb.ParameterError("no seed classes")
+    g0 = seeds[0]
+    p, q, r = g0.p, g0.q, g0.r
+    if marking is None:
+        (ph, qh, rh), (ps, qs, rs) = g0.marking_counts()
+        marking = cb.MarkingSpec(marked=(ph, qh, rh), fixed=(ps, qs, rs))
+    if not marking.builder_scope_ok():
+        raise cb.ScopeError("more than one fixed point of some index")
+    for g in seeds:
+        if len(g.levels) != 1:
+            raise cb.ParameterError("seeds must be one-level classes")
+        if (g.p, g.q, g.r) != (p, q, r):
+            raise cb.ParameterError("seeds mix parameter sets")
+        mg.validate(g, require_marks=False)
+
+    known = {}
+    incidence = []
+    queue = []
+    for g in seeds:
+        cf = mg.canonical_form(g)
+        if cf not in known:
+            known[cf] = g
+            queue.append(cf)
+    top_count = len(known)
+
+    while queue:
+        cf = queue.pop()
+        g = known[cf]
+        src = cb.class_id(cf)
+        J = g.level_partition()
+        for J1 in refinements(J, proper=True):
+            h = delta(g, J1)
+            cf1 = mg.canonical_form(h)
+            if cf1 not in known:
+                known[cf1] = h
+                queue.append(cf1)
+            incidence.append((src, J1.key(), cb.class_id(cf1)))
+
+    records = tuple(cb.handle_record(known[cf]) for cf in sorted(known))
+    return cb.ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
+                       incidence=tuple(sorted(incidence)),
+                       top_count=top_count)
 
 
 @dataclass(frozen=True)

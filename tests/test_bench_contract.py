@@ -2,6 +2,7 @@
 attribute name; every one of those names must stay resolvable, and the calls
 the library makes must still pass through the wrapped names."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import mck.cli  # noqa: F401  (imports every module the tracer wraps)
 from mck import complex_builder as cb
+from mck.permutohedron import hyperface_refinements
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -76,3 +78,43 @@ def test_tracer_sees_one_capping_per_tagged_atom():
         tracer.uninstall()
     calls = {name: value for name, (value, _) in tracer.metrics().items()}
     assert calls["morse_graph.canonical_form.calls"] == 22 * 6 * 2 == 264
+
+
+def test_tracer_sees_one_split_per_class_and_cover():
+    # closure over covers: with the saddles unmarked, the build splits each
+    # class once along each of its hyperfaces and composes the deeper faces;
+    # the class and incidence counts are those of resolving every face
+    tracing = _load_tracing()
+    seeds = cb.enumerate_top_classes(
+        4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        K = cb.build_complex(seeds)
+    finally:
+        tracer.uninstall()
+    calls = {name: value for name, (value, _) in tracer.metrics().items()}
+    covers = sum(len(hyperface_refinements(rec.lmg.level_partition()))
+                 for rec in K.classes)
+    assert calls["perturbation.split_level.calls"] == covers == 186
+    assert (len(K.classes), len(K.incidence), K.top_count) == (71, 306, 20)
+
+
+def test_library_calls_traced_functions_through_traced_names():
+    # `from .m import f` binds a second name for f; when the tracer wraps f,
+    # it must wrap that name too, or calls through it go unseen
+    wrapped = {(module, attr) for module, attr, _ in _load_tracing().WRAPPED}
+    traced = {attr for _, attr in wrapped}
+    source = Path(cb.__file__).resolve().parent
+    unwrapped = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if (alias.name in traced
+                            and ("mck." + path.stem, name) not in wrapped):
+                        unwrapped.append("%s: %s" % (path.name, name))
+    assert unwrapped == []

@@ -177,6 +177,16 @@ def test_undecodable_input_refused(tmp_path, capsys, content, command, message):
     assert code == 3 and message in err
 
 
+@pytest.mark.parametrize(
+    "command", [("complex",), ("export-dot", "--what", "graph")],
+    ids=["complex", "export-dot-graph"])
+def test_complex_dump_where_catalog_expected(q1_files, capsys, command):
+    # a complex dump is a parameter mistake, not a corrupted catalog
+    code, out, err = run(capsys, *command, "--input", str(q1_files["complex"]))
+    assert code == 2 and out == ""
+    assert "expected a catalog, got a complex dump" in err
+
+
 def test_malformed_circle_reference_refused(tmp_path, capsys):
     cat = tmp_path / "cat.json"
     run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,9 @@ from mck.complex_builder import (
     euler_characteristic, morse_smale_report, q_polynomial)
 from mck.permutohedron import face_vertices
 
-from oracles import enumerate_classes_direct
+from conftest import Q3_SPLITS
+from oracles import closure_by_delta, enumerate_classes_direct
+from test_perturbation import _first_q4_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,37 @@ def test_q2_closure_equals_direct_enumeration(complexes_q2):
         direct = enumerate_classes_direct(p, 2, r)
         assert ({rec.canonical for rec in K.classes}
                 == {mg.canonical_form(g) for g in direct})
+
+
+def _closure_jobs(complexes_q2, complexes_q3):
+    """(name, seeds, complex built from them) for the oracle comparison:
+    every q <= 2 split and (4, 3, 1) all marked; every q = 3 split with
+    extrema only, one point of each index and saddles only marked, seeds
+    shuffled; closures of a few q = 4 seeds."""
+    for (p, r), K in complexes_q2.items():
+        yield "%d-2-%d-all" % (p, r), enumerate_top_classes(p, 2, r), K
+    yield "4-3-1-all", enumerate_top_classes(4, 3, 1), complexes_q3[(4, 1)]
+    rng = random.Random(11)
+    for p, r in Q3_SPLITS:
+        for marked in ((p, 0, r), (1, 1, 1), (0, 3, 0)):
+            seeds = enumerate_top_classes(
+                p, 3, r, MarkingSpec(marked=marked, fixed=(0, 0, 0)))
+            rng.shuffle(seeds)
+            yield "%d-3-%d-%s" % (p, r, marked), seeds, build_complex(seeds)
+    for p, r, marking in ((5, 1, MarkingSpec.all_marked(5, 4, 1)),
+                          (3, 3, MarkingSpec((1, 1, 1), (0, 0, 0))),
+                          (4, 2, MarkingSpec((0, 4, 0), (0, 0, 0)))):
+        seeds = _first_q4_seeds(p, r, marking, 6)
+        yield ("%d-4-%d-%s" % (p, r, marking.marked), seeds,
+               build_complex(seeds))
+
+
+def test_closure_over_covers_matches_delta_oracle(complexes_q2, complexes_q3):
+    # composing cover entries through saddle relabelings gives the dump
+    # that resolving every refinement by its own delta gives, byte for byte
+    for name, seeds, K in _closure_jobs(complexes_q2, complexes_q3):
+        same = complex_to_json(K) == complex_to_json(closure_by_delta(seeds))
+        assert same, name
 
 
 def test_index_stratification(complexes_q2):

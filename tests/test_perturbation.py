@@ -5,10 +5,12 @@ import pytest
 
 from mck import complex_builder as cb
 from mck import morse_graph as mg
+from mck import perturbation as pt
 from mck.complex_builder import MarkingSpec, enumerate_top_classes
 from mck.permutohedron import (
     OrderedPartition, enumerate_partitions, refinements, refines_eq)
-from mck.perturbation import PerturbationError, delta, split_level
+from mck.perturbation import (
+    PerturbationError, chain_predecessor, delta, split_level)
 
 from conftest import Q3_SPLITS
 from oracles import enumerate_classes_direct, merge_all_levels
@@ -114,6 +116,32 @@ def test_delta_chain_independence_explicit_chains():
             results.add(mg.canonical_form(delta(delta(g, mid), target)))
     assert len(results) == 1
     assert results.pop() == mg.canonical_form(delta(g, target))
+
+
+def test_chain_predecessor_is_where_delta_splits_last(monkeypatch):
+    # the closure composes each deep face from the partition that delta
+    # splits last, which `refinements` lists before the face
+    split_from = []
+
+    def recording(h, level, subblocks):
+        split_from.append(h.level_partition().key())
+        return split_level(h, level, subblocks)
+
+    monkeypatch.setattr(pt, "split_level", recording)
+    g = _first_q4_seeds(5, 1, MarkingSpec.all_marked(5, 4, 1), 1)[0]
+    J = g.level_partition()
+    faces = refinements(J, proper=True)
+    listed = {J.key(): -1, **{J1.key(): i for i, J1 in enumerate(faces)}}
+    for i, J1 in enumerate(faces):
+        split_from.clear()
+        delta(g, J1)
+        J0 = chain_predecessor(J, J1).key()
+        assert J0 == split_from[-1] and listed[J0] < i
+    assert len(faces) == 74
+    with pytest.raises(PerturbationError):
+        chain_predecessor(J, J)
+    with pytest.raises(PerturbationError):
+        chain_predecessor(faces[0], J)
 
 
 def _first_q4_seeds(p, r, marking, count):
