@@ -5,8 +5,8 @@ from .permutohedron import (
     induced_face_automorphism,
 )
 from .morse_graph import (
-    Atom, Cap, LMG, validate, invariants, canonical_form, decode_canonical,
-    canonicalize, to_json, from_json, to_dot, mirror, dual,
+    Atom, Cap, LMG, validate, canonical_form, decode_canonical,
+    canonicalize, to_doc, to_json, from_json, to_dot, mirror, dual,
 )
 from .perturbation import split_level, delta
 from .twist_algebra import (

@@ -606,7 +606,7 @@ def complex_to_json(K):
         "classes": [{
             "id": rec.class_id,
             "canonical": rec.canonical.decode("ascii"),
-            "lmg": json.loads(mg.to_json(rec.lmg)),
+            "lmg": mg.to_doc(rec.lmg),
             **_record_fields(rec),
         } for rec in K.classes],
         "incidence": [[src, [list(b) for b in face], dst]
@@ -733,7 +733,7 @@ def catalog_to_json(classes, p, q, r, marking):
         "params": {"p": p, "q": q, "r": r,
                    "marked": list(marking.marked),
                    "fixed": list(marking.fixed)},
-        "classes": [json.loads(mg.to_json(g)) for g in classes],
+        "classes": [mg.to_doc(g) for g in classes],
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 

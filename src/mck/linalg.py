@@ -11,6 +11,13 @@ quotients come back as Fraction.
 system, or None when it is singular) are read off it.  `integer_row`
 clears a row's denominators; `mat_mul`, `mat_vec`, `identity` and
 `mat_eq` complete the set.
+
+The library itself calls only `rref`, `integer_row` and the matrix
+helpers.  `rank`, `affine_rank` and `solve_square` have no library caller
+since the polytope dimension is certified by an interior point; they stay
+because the tests' vertex oracle uses them and `bench/tracing.py` wraps
+`solve_square` and `affine_rank` by name, which the bench contract test
+requires to resolve.
 """
 
 import math

@@ -399,23 +399,6 @@ def validate(g, require_marks=True):
         cylinders=tuple(cyl_levels))
 
 
-@dataclass(frozen=True)
-class Invariants:
-    s: int
-    t: int
-    n: int
-    q: int
-    p: int
-    r: int
-    J: OrderedPartition
-
-
-def invariants(g):
-    """Headline invariants of a validated graph."""
-    return Invariants(s=len(g.levels), t=len(g.atoms), n=len(g.cylinders),
-                      q=g.q, p=g.p, r=g.r, J=g.level_partition())
-
-
 # ---------------------------------------------------------------------------
 # Canonical form and automorphisms
 # ---------------------------------------------------------------------------
@@ -788,8 +771,9 @@ def dual(g):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def to_json(g):
-    """Stable JSON text for a leveled graph."""
+def to_doc(g):
+    """The JSON document of a leveled graph, as plain dicts, lists and
+    scalars; catalogs and complex dumps embed it as it is."""
     atoms = []
     for atom in g.atoms:
         spos = {v: i for i, v in enumerate(atom.saddles)}
@@ -799,7 +783,7 @@ def to_json(g):
             "edges": [[spos[o[0]] * 4 + o[1], spos[i[0]] * 4 + i[1]]
                       for o, i in atom.edges],
         })
-    doc = {
+    return {
         "q": g.q, "p": g.p, "r": g.r,
         "levels": [list(lev) for lev in g.levels],
         "atoms": atoms,
@@ -809,7 +793,11 @@ def to_json(g):
         "marked_saddles": sorted(g.marked_saddles),
         "fixed_saddles": sorted(g.fixed_saddles),
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def to_json(g):
+    """Stable JSON text for a leveled graph."""
+    return json.dumps(to_doc(g), separators=(",", ":"), sort_keys=True)
 
 
 def _circle_ref(ref):

@@ -17,6 +17,7 @@ consecutive sub-blocks, equivalently the face of J' is contained in the face
 of J.  `sub_blocks` is the one walk that decides it and names the runs.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -152,12 +153,19 @@ def _ordered_partitions_of_set(labels):
     return out
 
 
+@functools.cache
+def _block_orderings(block):
+    """The ordered partitions of one frozen block, computed once per block
+    (at most 2^q - 1 distinct blocks)."""
+    return tuple(_ordered_partitions_of_set(block))
+
+
 def refinements(J, proper=False):
     """All J' <= J (splitting each block into an ordered partition of itself).
 
     With proper=True, J itself is excluded.  Deterministic order.
     """
-    per_block = [_ordered_partitions_of_set(b) for b in J.blocks]
+    per_block = [_block_orderings(b) for b in J.blocks]
     out = []
     for combo in itertools.product(*per_block):
         blocks = tuple(itertools.chain.from_iterable(combo))

@@ -12,18 +12,18 @@ on its upper boundary equals the sum on its lower boundary.
 The relations, the expansions and the core classes are integral, and all
 of it runs over int: an expansion entry that is not an integer raises.
 Fractions appear only where a value is a true quotient: the bounds of one
-back-substitution step, the rotation offsets of the stabilizer check and
-the vertex fallback.  Coordinates on the dual space are (u~_1..u~_n,
-u'_{n+1}..u'_{2q}): values on the transverse edges followed by values on
-the kept graph edges.
+back-substitution step and the rotation offsets of the stabilizer check.
+Coordinates on the dual space are (u~_1..u~_n, u'_{n+1}..u'_{2q}): values
+on the transverse edges followed by values on the kept graph edges.
 
 The dimension of the edge-value polytope is certified, not enumerated: a
 polytope is full-dimensional exactly when its strict system is feasible, and
 Fourier-Motzkin elimination over the integers decides that and yields an
 interior point (integer numerators over one common denominator), which is
-checked against every inequality in integers.  Only when the strict system
-is infeasible (implicit equalities, or an empty polytope) are the vertices
-enumerated and their affine rank taken.
+checked against every inequality in integers.  Every multi-level class of
+every q <= 3 complex, and of q = 4 (5, 4, 1), has such a point, so a strict
+system without one (an empty polytope, or one with implicit equalities) is
+an invariant violation, not a dimension to derive some other way.
 """
 
 import itertools
@@ -389,7 +389,8 @@ class UPolytope:
     """Exact H-representation of the kept-coordinate polytope:
     1 <= row . u' <= bound for every edge row of the expansion matrix.
 
-    `dim` is certified by `_polytope_dim`.
+    `dim` is certified by `_polytope_dim`: 0 for a one-level class (bound
+    1), else `ambient`.
     """
 
     rows: tuple      # 2q rows over the kept-edge coordinates
@@ -401,47 +402,6 @@ class UPolytope:
     @property
     def is_point(self):
         return self.dim == 0
-
-
-def _polytope_vertices(slab_rows, bound, ambient):
-    """Vertices of the box [1, bound]^ambient cut by the slab constraints
-    1 <= row.u <= bound.
-
-    A vertex has ambient tight constraints: some box coordinates pinned to a
-    bound plus k tight slabs; pinned coordinates are substituted so only a
-    k x k system remains, with k at most the (small) slab count."""
-    lo, hi = Fraction(1), Fraction(bound)
-    nslab = len(slab_rows)
-    verts = set()
-    for k in range(0, min(nslab, ambient) + 1):
-        for free in itertools.combinations(range(ambient), k):
-            pinned = [j for j in range(ambient) if j not in free]
-            for slabs in itertools.combinations(range(nslab), k):
-                A = [[slab_rows[si][j] for j in free] for si in slabs]
-                for pins in itertools.product((lo, hi), repeat=len(pinned)):
-                    offs = [sum(slab_rows[si][j] * v
-                                for j, v in zip(pinned, pins))
-                            for si in slabs]
-                    for sides in itertools.product((lo, hi), repeat=k):
-                        x = linalg.solve_square(
-                            A, [sv - off for sv, off in zip(sides, offs)])
-                        if x is None or not all(lo <= xj <= hi for xj in x):
-                            continue
-                        point = [None] * ambient
-                        for j, v in zip(pinned, pins):
-                            point[j] = v
-                        for j, v in zip(free, x):
-                            point[j] = v
-                        ok = True
-                        for row in slab_rows:
-                            val = sum((rv * pv for rv, pv in zip(row, point)),
-                                      Fraction(0))
-                            if not (lo <= val <= hi):
-                                ok = False
-                                break
-                        if ok:
-                            verts.add(tuple(point))
-    return sorted(verts)
 
 
 def _strict_system(slab_rows, bound, ambient):
@@ -532,9 +492,8 @@ def _polytope_dim(slab_rows, bound, ambient):
     the strict system, checked exactly against every inequality, certifies
     full dimension: with the point as numerators x over D > 0, every value
     a . x, box coordinates included, must lie strictly between D and
-    bound * D.  When the strict system is infeasible the polytope has
-    implicit equalities (or is empty): the vertices are enumerated and their
-    affine rank taken.  An empty polytope raises."""
+    bound * D.  A strict system without a solution raises: the polytope is
+    empty or lies in a proper affine subspace, which no class has."""
     if bound == 1:
         if all(sum(row) == 1 for row in slab_rows):
             return 0
@@ -542,10 +501,8 @@ def _polytope_dim(slab_rows, bound, ambient):
     witness = _strict_witness(_strict_system(slab_rows, bound, ambient),
                               ambient)
     if witness is None:
-        verts = _polytope_vertices(slab_rows, bound, ambient)
-        if not verts:
-            raise AlgebraInvariantViolation("empty edge-value polytope")
-        return linalg.affine_rank(verts)
+        raise AlgebraInvariantViolation("edge-value polytope is empty or not "
+                                        "full-dimensional")
     nums, D = witness
     values = nums + [sum(x * v for x, v in zip(row, nums)) for row in slab_rows]
     if not (D > 0 and all(D < v < bound * D for v in values)):
@@ -556,8 +513,9 @@ def _polytope_dim(slab_rows, bound, ambient):
 
 def u_polytope(g, model):
     """The polytope of positive edge values within the double-factorial
-    bound, in kept-edge coordinates; its dimension is certified by
-    `_polytope_dim` without enumerating vertices."""
+    bound, in kept-edge coordinates; `_polytope_dim` certifies that it is
+    the all-ones point (one level) or full-dimensional, and raises
+    otherwise."""
     q = g.q
     s = len(g.levels)
     bound = double_factorial_bound(q, s)

@@ -11,11 +11,13 @@ closure over covers must reproduce byte for byte.
 `fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
 the library's fraction-free `rref` is checked against.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
-per-class algebra dump that only the tests read, and `polytope_vertices`
-enumerates the vertices of a small handle polytope.  The permutohedron
-helpers at the end (coarsenings, strict refinement, composition signatures,
-face coordinates and the value partition of a 0-cochain) state the face
-geometry that the library relies on without computing.
+per-class algebra dump that only the tests read.  `box_vertices`
+enumerates the vertices of a box cut by slabs, the reference for the
+library's certified polytope dimension, and `polytope_vertices` applies it
+to a small handle polytope.  The permutohedron helpers at the end
+(coarsenings, strict refinement, composition signatures, face coordinates
+and the value partition of a 0-cochain) state the face geometry that the
+library relies on without computing.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -283,13 +285,54 @@ def transvections(g, model):
     return out
 
 
+def box_vertices(slab_rows, bound, ambient):
+    """Vertices of the box [1, bound]^ambient cut by the slab constraints
+    1 <= row.u <= bound, sorted; empty when the polytope is.
+
+    A vertex has ambient tight constraints: some box coordinates pinned to a
+    bound plus k tight slabs; pinned coordinates are substituted so only a
+    k x k system remains, with k at most the (small) slab count."""
+    lo, hi = Fraction(1), Fraction(bound)
+    nslab = len(slab_rows)
+    verts = set()
+    for k in range(0, min(nslab, ambient) + 1):
+        for free in itertools.combinations(range(ambient), k):
+            pinned = [j for j in range(ambient) if j not in free]
+            for slabs in itertools.combinations(range(nslab), k):
+                A = [[slab_rows[si][j] for j in free] for si in slabs]
+                for pins in itertools.product((lo, hi), repeat=len(pinned)):
+                    offs = [sum(slab_rows[si][j] * v
+                                for j, v in zip(pinned, pins))
+                            for si in slabs]
+                    for sides in itertools.product((lo, hi), repeat=k):
+                        x = linalg.solve_square(
+                            A, [sv - off for sv, off in zip(sides, offs)])
+                        if x is None or not all(lo <= xj <= hi for xj in x):
+                            continue
+                        point = [None] * ambient
+                        for j, v in zip(pinned, pins):
+                            point[j] = v
+                        for j, v in zip(free, x):
+                            point[j] = v
+                        ok = True
+                        for row in slab_rows:
+                            val = sum((rv * pv for rv, pv in zip(row, point)),
+                                      Fraction(0))
+                            if not (lo <= val <= hi):
+                                ok = False
+                                break
+                        if ok:
+                            verts.add(tuple(point))
+    return sorted(verts)
+
+
 def polytope_vertices(polytope):
     """The sorted vertex tuple of a handle polytope when ambient <= 6, else
     None."""
     if polytope.ambient > 6:
         return None
-    return tuple(ta._polytope_vertices(polytope.slabs, polytope.bound,
-                                       polytope.ambient))
+    return tuple(box_vertices(polytope.slabs, polytope.bound,
+                              polytope.ambient))
 
 
 def _frac_pair(x):

@@ -351,6 +351,21 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 4 and "synthetic failure" in err
 
 
+def test_missing_polytope_witness_exits_4(tmp_path, capsys, monkeypatch):
+    # without an interior point the dimension is not derived another way:
+    # the build stops with exit 4 and names the polytope
+    cat = tmp_path / "cat.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+        "--out", str(cat))
+    from mck import twist_algebra as ta
+    monkeypatch.setattr(ta, "_strict_witness", lambda system, ambient: None)
+    code, out, err = run(capsys, "complex", "--input", str(cat),
+                         "--out", str(tmp_path / "K.json"))
+    assert code == 4 and out == ""
+    assert "edge-value polytope is empty or not full-dimensional" in err
+    assert not (tmp_path / "K.json").exists()
+
+
 def test_export_dot_faces(capsys):
     code, out, _ = run(capsys, "export-dot", "--what", "faces", "--q", "2")
     assert code == 0 and out.startswith("digraph face_poset")

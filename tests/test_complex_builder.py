@@ -13,7 +13,7 @@ from mck.complex_builder import (
     euler_characteristic, morse_smale_report, q_polynomial)
 from mck.permutohedron import face_vertices
 
-from conftest import Q3_SPLITS
+from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import closure_by_delta, enumerate_classes_direct
 from test_perturbation import _first_q4_seeds
 
@@ -147,11 +147,21 @@ def test_q2_closure_equals_direct_enumeration(complexes_q2):
 
 def _closure_jobs(complexes_q2, complexes_q3):
     """(name, seeds, complex built from them) for the oracle comparison:
-    every q <= 2 split and (4, 3, 1) all marked; every q = 3 split with
-    extrema only, one point of each index and saddles only marked, seeds
-    shuffled; closures of a few q = 4 seeds."""
+    every q <= 2 split and (4, 3, 1) all marked; every q <= 2 split with
+    extrema only and one point of each index marked; every q = 3 split with
+    those and with saddles only marked, seeds shuffled; closures of a few
+    q = 4 seeds.  (Saddles only leave too few marked points at q <= 2.)"""
     for (p, r), K in complexes_q2.items():
         yield "%d-2-%d-all" % (p, r), enumerate_top_classes(p, 2, r), K
+    for q, splits in ((1, ((2, 1), (1, 2))), (2, Q2_SPLITS)):
+        for p, r in splits:
+            for marked in ((p, q, r), (p, 0, r), (1, 1, 1)):
+                if q == 2 and marked == (p, q, r):
+                    continue  # complexes_q2
+                seeds = enumerate_top_classes(
+                    p, q, r, MarkingSpec(marked=marked, fixed=(0, 0, 0)))
+                yield ("%d-%d-%d-%s" % (p, q, r, marked), seeds,
+                       build_complex(seeds))
     yield "4-3-1-all", enumerate_top_classes(4, 3, 1), complexes_q3[(4, 1)]
     rng = random.Random(11)
     for p, r in Q3_SPLITS:
@@ -168,12 +178,25 @@ def _closure_jobs(complexes_q2, complexes_q3):
                build_complex(seeds))
 
 
+def _assert_polytope_dims(name, K):
+    # the edge-value polytope is the all-ones point on one level and
+    # full-dimensional below, in 2q - n kept-edge coordinates
+    for rec in K.classes:
+        want = 0 if rec.s == 1 else 2 * K.q - rec.n
+        assert rec.dim_upoly == want, (name, rec.class_id)
+
+
 def test_closure_over_covers_matches_delta_oracle(complexes_q2, complexes_q3):
     # composing cover entries through saddle relabelings gives the dump
-    # that resolving every refinement by its own delta gives, byte for byte
+    # that resolving every refinement by its own delta gives, byte for byte;
+    # with complexes_q3, the jobs cover every q <= 3 split under all four
+    # markings, and every class there has a certified polytope dimension
     for name, seeds, K in _closure_jobs(complexes_q2, complexes_q3):
         same = complex_to_json(K) == complex_to_json(closure_by_delta(seeds))
         assert same, name
+        _assert_polytope_dims(name, K)
+    for (p, r), K in complexes_q3.items():
+        _assert_polytope_dims("%d-3-%d-all" % (p, r), K)
 
 
 def test_index_stratification(complexes_q2):

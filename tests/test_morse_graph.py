@@ -11,7 +11,7 @@ from mck.morse_graph import (
     EulerCountError, LabelCollisionError, LMGJSONError, MarkCountError,
     NonAlternatingError, StructureError, UnmatchedDartError,
     canonical_form, canonicalize, components, decode_canonical, dual,
-    from_json, invariants, mirror, to_dot, to_json, trace_cycles, validate,
+    from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
 )
 
 # a one-level q=3 class that is neither mirror-symmetric nor has any
@@ -162,21 +162,6 @@ def test_mark_count_error():
 
 
 # ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
-
-def test_invariants_fig8(fig8_lmg):
-    inv = invariants(fig8_lmg)
-    assert (inv.s, inv.t, inv.n) == (1, 1, 0)
-    assert inv.J.key() == ((1,),)
-
-
-def test_invariants_two_level(q2_two_level):
-    inv = invariants(q2_two_level)
-    assert inv.J.key() == ((1,), (2,))  # lower saddle first
-
-
-# ---------------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------------
 
@@ -286,6 +271,8 @@ def test_json_roundtrip(fig8_lmg, q2_two_level):
     for g in (fig8_lmg, q2_two_level):
         assert canonical_form(from_json(to_json(g))) == canonical_form(g)
         assert from_json(json.loads(to_json(g))) == from_json(to_json(g))
+        # the document that catalogs and dumps embed is the one to_json writes
+        assert to_doc(g) == json.loads(to_json(g))
 
 
 def test_missing_key_is_a_parse_error(q2_two_level):

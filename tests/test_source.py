@@ -8,9 +8,9 @@ import mck
 SOURCE = Path(mck.__file__).resolve().parent
 
 # The functions that may name Fraction, because their values are true
-# quotients: the Euler sum, rotation offsets, polytope vertices, the
-# normalization of an elimination's answer, the bounds of one
-# back-substitution step and the CLI's printing of a rational.  Module
+# quotients: the Euler sum, rotation offsets, the normalization of an
+# elimination's answer, the bounds of one back-substitution step and the
+# CLI's printing of a rational.  Module
 # level covers the import.  The handle algebra proper (homology_model,
 # _poincare, check_stab_action, the polytope certificate) runs over int.
 FRACTION_ALLOWED = {
@@ -19,7 +19,6 @@ FRACTION_ALLOWED = {
     ("complex_builder.py", "euler_characteristic"),
     ("twist_algebra.py", "<module>"),
     ("twist_algebra.py", "_circle_offset"),
-    ("twist_algebra.py", "_polytope_vertices"),
     ("twist_algebra.py", "_strict_witness"),
     ("linalg.py", "<module>"),
     ("linalg.py", "_quotient"),

@@ -9,12 +9,12 @@ from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.complex_builder import enumerate_top_classes
 from mck.twist_algebra import (
-    AlgebraInvariantViolation, _polytope_dim, _polytope_vertices,
-    check_stab_action, classify_circles, double_factorial_bound,
-    homology_model, u_polytope,
+    AlgebraInvariantViolation, _polytope_dim, check_stab_action,
+    classify_circles, double_factorial_bound, homology_model, u_polytope,
 )
 from oracles import (
-    algebra_json, enumerate_classes_direct, polytope_vertices, transvections)
+    algebra_json, box_vertices, enumerate_classes_direct, polytope_vertices,
+    transvections)
 
 
 def family_tower():
@@ -309,7 +309,6 @@ def test_q3_two_level_polytope_bound():
 def test_vertex_enumeration_matches_brute_force():
     # independent oracle: intersect all ambient-sized hyperplane subsets
     import random
-    from mck.twist_algebra import _polytope_vertices
 
     def brute(slab_rows, bound, ambient):
         lo, hi = Fraction(1), Fraction(bound)
@@ -340,34 +339,42 @@ def test_vertex_enumeration_matches_brute_force():
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(ambient)]
                 for _ in range(nslab)]
         bound = rng.choice([1, 3, 5])
-        assert _polytope_vertices(rows, bound, ambient) == brute(rows, bound, ambient)
+        assert box_vertices(rows, bound, ambient) == brute(rows, bound, ambient)
 
 
 def dim_oracle(slab_rows, bound, ambient):
-    return linalg.affine_rank(_polytope_vertices(slab_rows, bound, ambient))
+    return linalg.affine_rank(box_vertices(slab_rows, bound, ambient))
 
 
 def test_certified_dim_matches_vertex_oracle():
+    # the certificate gives the vertex oracle's dimension on every point
+    # (bound 1) and full-dimensional draw, and raises on every empty or
+    # degenerate one
     import random
     rng = random.Random(13)
-    empty = 0
+    empty = degenerate = 0
     for _ in range(120):
         ambient = rng.randint(1, 5)
         nslab = rng.randint(0, 3)
         rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(ambient))
                 for _ in range(nslab)]
         bound = rng.choice([1, 3, 5, 15])
-        if _polytope_vertices(rows, bound, ambient):
+        if not box_vertices(rows, bound, ambient):
+            empty += 1
+        elif bound > 1 and dim_oracle(rows, bound, ambient) < ambient:
+            degenerate += 1
+        else:
             assert (_polytope_dim(rows, bound, ambient)
                     == dim_oracle(rows, bound, ambient))
-        else:
-            empty += 1
-            with pytest.raises(AlgebraInvariantViolation, match="empty"):
-                _polytope_dim(rows, bound, ambient)
-    assert 0 < empty < 120
+            continue
+        with pytest.raises(AlgebraInvariantViolation, match="empty"):
+            _polytope_dim(rows, bound, ambient)
+    assert 0 < empty and 0 < degenerate and empty + degenerate < 120
 
 
-@pytest.mark.parametrize("rows, bound, ambient, dim, fallback", [
+# `degenerate`: the polytope is not empty but lies in a proper affine
+# subspace, so it has no strict interior point and the certificate raises
+@pytest.mark.parametrize("rows, bound, ambient, dim, degenerate", [
     ([(1, 1)], 2, 2, 0, True),             # forces u = (1, 1)
     ([(1, -1)], 2, 2, 0, True),            # forces u = (2, 1)
     ([(1, 1, 0)], 2, 3, 1, True),          # u_3 alone stays free
@@ -376,19 +383,16 @@ def test_certified_dim_matches_vertex_oracle():
     ([(1, 0, 0), (-1, 1, 1)], 1, 3, 0, False),   # bound 1, rows sum to 1
     ([], 5, 4, 4, False),
 ])
-def test_certified_dim_degenerate_cases(monkeypatch, rows, bound, ambient,
-                                        dim, fallback):
+def test_certified_dim_degenerate_cases(rows, bound, ambient, dim,
+                                        degenerate):
     rows = [tuple(Fraction(x) for x in row) for row in rows]
     assert dim == dim_oracle(rows, bound, ambient)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _polytope_vertices(*args)
-
-    monkeypatch.setattr(ta, "_polytope_vertices", counted)
-    assert _polytope_dim(rows, bound, ambient) == dim
-    assert bool(calls) == fallback
+    if degenerate:
+        with pytest.raises(AlgebraInvariantViolation,
+                           match="empty or not full-dimensional"):
+            _polytope_dim(rows, bound, ambient)
+    else:
+        assert _polytope_dim(rows, bound, ambient) == dim
 
 
 @pytest.mark.parametrize("row, bound", [((1, 1), 1), ((-1, -1), 5)])
