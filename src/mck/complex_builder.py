@@ -157,6 +157,7 @@ def _one_level_atoms(p, q, r, matchings):
             yield atom
 
 
+@mg.atom_memo()
 def _top_candidates_chunk(args):
     """Worker: canonical forms of the valid candidates in one matching chunk.
 
@@ -169,6 +170,11 @@ def _top_candidates_chunk(args):
     enumerated, so both atoms give the same set of canonical forms.  Each
     chunk deduplicates on its own and the union of forms is the same, so
     the result does not depend on worker scheduling.
+
+    The chunk opens its own atom memo (`mg.atom_memo`): each atom's minimal
+    codes are computed once, for the tagged-code check, and reused by the
+    canonical forms of its p! r! labelings.  Every worker under `--jobs`
+    starts with an empty memo and drops it when the chunk returns.
     """
     p, q, r, marking, matchings = args
     marked_s, fixed_s = _marked_saddle_sets(marking)
@@ -184,6 +190,7 @@ def _top_candidates_chunk(args):
     return forms
 
 
+@mg.atom_memo()
 def enumerate_top_classes(p, q, r, marking=None, jobs=1):
     """All one-level classes with the given parameters, canonical order.
 
@@ -338,6 +345,7 @@ def handle_record(g):
         poincare=pc)
 
 
+@mg.atom_memo()
 def build_complex(seeds, marking=None):
     """Downward closure of one-level seeds under saddle resolution.
 
@@ -694,6 +702,7 @@ def _check_incidence(records, incidence):
                                   "match its %d faces" % (rec.class_id, len(want)))
 
 
+@mg.atom_memo()
 def complex_from_json(text):
     """Rebuild a complex from its JSON dump, revalidating every class and
     refusing it unless every stored record, global invariant and incidence

@@ -11,6 +11,7 @@ import pytest
 
 import mck.cli  # noqa: F401  (imports every module the tracer wraps)
 from mck import complex_builder as cb
+from mck import morse_graph as mg
 from mck.permutohedron import hyperface_refinements
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -98,6 +99,25 @@ def test_tracer_sees_one_split_per_class_and_cover():
                  for rec in K.classes)
     assert calls["perturbation.split_level.calls"] == covers == 186
     assert (len(K.classes), len(K.incidence), K.top_count) == (71, 306, 20)
+
+
+def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
+    # the build's atom memo computes each (atom, marked and fixed saddles of
+    # the atom) once, however many split graphs, representatives and
+    # mirrors contain that atom
+    seeds = cb.enumerate_top_classes(
+        4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
+    keys = []
+    raw = mg._atom_codes
+
+    def counted(atom, marked, fixed):
+        keys.append((atom, marked, fixed))
+        return raw(atom, marked, fixed)
+
+    monkeypatch.setattr(mg, "_atom_codes", counted)
+    K = cb.build_complex(seeds)
+    assert len(K.classes) == 71
+    assert len(keys) == len(set(keys)) == 14
 
 
 def test_library_calls_traced_functions_through_traced_names():
