@@ -318,14 +318,15 @@ def _poly_mul(a, b):
     return out
 
 
-def handle_record(g):
-    """Compute the full handle record of one validated class.
+def handle_record(g, canonical, framings):
+    """Compute the full handle record of one validated class from its
+    framing pass `canonical, framings = mg.canonicalize(g)`.
 
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and `split_level` every resolved class; `_graph_from_json` every
     stored one), so the classification does not validate again."""
     classification = ta.classify_circles(g, validated=True)
-    canonical, autos = mg.canonicalize(g)
+    autos = mg.automorphisms(g, framings)
     model = ta.homology_model(g)
     poly = ta.u_polytope(g, model)
     stab = ta.check_stab_action(g, model, autos, classification)
@@ -354,7 +355,7 @@ def build_complex(seeds, marking=None):
     entry with its own `delta`.  Only the (class, cover) pairs are split:
     `covers` maps a class and a cover face of its representative to the
     target class and a saddle relabeling of the split graph into the
-    target's representative, matched by `canonical_positions`.  A deeper
+    target's representative, matched by `saddle_positions`.  A deeper
     entry (g, J1) takes the entry of `chain_predecessor(J, J1)`, which
     `refinements` lists earlier, relabels J1 into that class's
     representative and looks the cover up; `delta` is transitive, so this
@@ -364,6 +365,9 @@ def build_complex(seeds, marking=None):
     Faces, relabelings and class ids are shared objects, so the memo and
     the incidence entries hold references, not copies.
 
+    Each graph that becomes a representative (a seed, a cover split, or
+    `delta(g, J1)` itself) is framed once by `canonicalize`, and its handle
+    record is computed when the class is registered, from that same pass.
     The seeds are validated here; every class resolved from them is
     validated by `split_level`, so `handle_record` gets valid graphs only."""
     if not seeds:
@@ -384,8 +388,7 @@ def build_complex(seeds, marking=None):
             raise ParameterError("seeds mix parameter sets")
         mg.validate(g, require_marks=False)
 
-    known = {}      # canonical form -> representative, the first graph met
-    ids = {}        # canonical form -> class id
+    known = {}      # canonical form -> handle record of the first graph met
     saddle_at = {}  # canonical form -> position -> saddle of representative
     queue = []
     pool = {}       # one shared object per distinct face and relabeling
@@ -393,15 +396,16 @@ def build_complex(seeds, marking=None):
     def shared(x):
         return pool.setdefault(x, x)
 
-    def register(cf, g, pos):
-        known[cf], ids[cf] = g, class_id(cf)
-        saddle_at[cf] = {at: v for v, at in pos.items()}
+    def register(cf, g, framings):
+        known[cf] = handle_record(g, cf, framings)
+        saddle_at[cf] = {at: v for v, at
+                         in mg.saddle_positions(g, framings).items()}
         queue.append(cf)
 
     for g in seeds:
-        cf, pos = mg.canonical_positions(g)
+        cf, framings = mg.canonicalize(g)
         if cf not in known:
-            register(cf, g, pos)
+            register(cf, g, framings)
     top_count = len(known)
 
     # (class, cover face of its representative) -> (target class, saddle
@@ -411,7 +415,7 @@ def build_complex(seeds, marking=None):
     incidence = []
     while queue:
         cf = queue.pop()
-        g = known[cf]
+        g = known[cf].lmg
         J = g.level_partition()
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
         # face) into the class's representative, or None when delta(g, face)
@@ -423,18 +427,19 @@ def build_complex(seeds, marking=None):
             key = (c0, shared(K.key()))
             met = False
             if key not in covers:
-                h = delta(known[c0], K)
-                cf1, pos = mg.canonical_positions(h)
+                h = delta(known[c0].lmg, K)
+                cf1, framings = mg.canonicalize(h)
                 met = cf1 not in known
                 if met:
                     # the first graph met is delta(g, J1), which is h when
                     # delta(g, J0) is the representative of c0
                     if rho0 is None:
-                        register(cf1, h, pos)
+                        register(cf1, h, framings)
                     else:
                         first = delta(g, J1)
-                        register(cf1, first, mg.canonical_positions(first)[1])
+                        register(cf1, first, mg.canonicalize(first)[1])
                 at = saddle_at[cf1]
+                pos = mg.saddle_positions(h, framings)
                 covers[key] = (cf1, shared(tuple(at[pos[v]]
                                                  for v in range(1, q + 1))))
             cf1, rho1 = covers[key]
@@ -444,10 +449,10 @@ def build_complex(seeds, marking=None):
                 rho1 = shared(tuple(rho1[w - 1] for w in rho0))
             face = shared(J1.key())
             reached[face] = (cf1, rho1)
-            incidence.append((ids[cf], face, ids[cf1]))
+            incidence.append((known[cf].class_id, face, known[cf1].class_id))
 
-    records = tuple(handle_record(known[cf]) for cf in sorted(known))
-    return ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
+    return ComplexK(p=p, q=q, r=r, marking=marking,
+                    classes=tuple(known[cf] for cf in sorted(known)),
                     incidence=tuple(sorted(incidence)),
                     top_count=top_count)
 
@@ -720,7 +725,8 @@ def complex_from_json(text):
         raise mg.LMGJSONError("complex document has no classes")
     records = []
     for entry, lmg in zip(entries, lmgs):
-        rec = handle_record(_graph_from_json(lmg, p, q, r, marking))
+        g = _graph_from_json(lmg, p, q, r, marking)
+        rec = handle_record(g, *mg.canonicalize(g))
         if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry.get("id"))

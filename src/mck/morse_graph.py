@@ -410,11 +410,12 @@ def validate(g, require_marks=True):
 # canonical form is the lexicographic minimum over framings.  Marked labels
 # are embedded in the encoding, unmarked critical points encode as -1, so
 # equality of encodings is exactly orientation-preserving level-preserving
-# isomorphism fixing marked points.  Every framing achieving the minimum
-# yields one automorphism, so `canonicalize` gets the form and the group
-# from one pass, and `canonical_positions` the form and the place of every
-# saddle in one winning framing.  Each atom's circle maps are computed once
-# per minimal root dart and shared by every framing that picks it.
+# isomorphism fixing marked points.  `canonicalize` is the one pass: it
+# returns the form and every framing achieving the minimum.  Each of those
+# yields one automorphism (`automorphisms`), and the first places every
+# saddle (`saddle_positions`); neither frames the graph again.  Each atom's
+# circle maps are computed once per minimal root dart and shared by every
+# framing that picks it.
 #
 # An atom's minimal codes and realizing framings depend only on the atom and
 # on which of its saddles are marked or fixed, and one operation meets the
@@ -595,30 +596,28 @@ def _encode_bytes(enc):
     return json.dumps(enc, separators=(",", ":")).encode("ascii")
 
 
+def canonicalize(g):
+    """(canonical form, framings) from one pass over framings: all framings
+    realizing the minimal encoding, as pairs (arrangement of atom indices,
+    {atom: dart map})."""
+    enc, framings = _min_framings(g)
+    return _encode_bytes(enc), framings
+
+
 def canonical_form(g):
     """Canonical byte string: equal iff isomorphic by an orientation- and
     level-preserving isomorphism fixing marked labels pointwise."""
-    enc, _ = _min_framings(g)
-    return _encode_bytes(enc)
+    return canonicalize(g)[0]
 
 
-def canonicalize(g):
-    """(canonical form, automorphism group) from one pass over framings."""
-    enc, winners = _min_framings(g)
-    return _encode_bytes(enc), automorphisms(g, winners)
-
-
-def canonical_positions(g):
-    """(canonical form, saddle -> (atom position, vertex index)) from one
-    pass over framings.  Positions are read off the first winning framing,
-    so for two graphs with one form, matching saddles at equal positions is
-    an isomorphism between them."""
-    enc, winners = _min_framings(g)
-    arrangement, dart_maps = winners[0]
-    positions = {v: (i, dart_maps[a][(v, 0)] // 4)
-                 for i, a in enumerate(arrangement)
-                 for v in g.atoms[a].saddles}
-    return _encode_bytes(enc), positions
+def saddle_positions(g, framings):
+    """saddle -> (atom position, vertex index) in the first of the minimal
+    `framings` of `g` (see `canonicalize`).  For two graphs with one form,
+    matching saddles at equal positions is an isomorphism between them."""
+    arrangement, dart_maps = framings[0]
+    return {v: (i, dart_maps[a][(v, 0)] // 4)
+            for i, a in enumerate(arrangement)
+            for v in g.atoms[a].saddles}
 
 
 def decode_canonical(data):
@@ -710,15 +709,15 @@ class Automorphism:
         return all(d == e for d, e in self.darts.items())
 
 
-def automorphisms(g, winners):
-    """All structure automorphisms, identity first, from the framings
-    `winners` that realize the minimal encoding of `g` (see `canonicalize`).
+def automorphisms(g, framings):
+    """All structure automorphisms, identity first, from the framings that
+    realize the minimal encoding of `g` (see `canonicalize`).
 
     Every winning framing differs from a reference one by exactly one
     automorphism, found by composing the two framings' dart relabelings
     atom position by atom position.
     """
-    ref_arr, ref_maps = winners[0]
+    ref_arr, ref_maps = framings[0]
     offset = list(itertools.accumulate(
         (len(atom.edges) for atom in g.atoms), initial=0))
     by_out = [atom.edge_at_out() for atom in g.atoms]
@@ -727,7 +726,7 @@ def automorphisms(g, winners):
     cylinder_at = {tuple(lo): k for k, (lo, _) in enumerate(g.cylinders)}
 
     out = []
-    for arr, maps in winners:
+    for arr, maps in framings:
         darts = {}
         images = [None] * offset[-1]   # global edge -> (atom, local edge)
         for ra, a in zip(ref_arr, arr):

@@ -2,12 +2,14 @@
 classification, cohomology polytopes, and the stabilizer check.
 
 The punctured surface (extrema removed) deformation-retracts onto the graph
-obtained from the level graph by trading one crossing edge per cylinder for
-a transverse edge through it.  Relative 1-homology (mod the saddle set) is
-then free on the 2q edges of that graph; the traded edges e_1..e_n expand
-over the remaining ones through one relation per cylinder: the two boundary
-circles of a cylinder are homologous cross-sections, so the sum of the edges
-on its upper boundary equals the sum on its lower boundary.
+obtained from the level graph by trading one crossing edge per cylinder, the
+smallest edge of the cylinder's upper-end circle, for a transverse edge
+through it.  Relative 1-homology (mod the saddle set) is then free on the 2q
+edges of that graph; the traded edges e_1..e_n expand over the remaining
+ones through one relation per cylinder: the two boundary circles of a
+cylinder are homologous cross-sections, so the sum of the edges on its upper
+boundary equals the sum on its lower boundary.  The expansions built on the
+traded edges are checked, so no choice of them is trusted unverified.
 
 The relations, the expansions and the core classes are integral, and all
 of it runs over int: an expansion entry that is not an integer raises.
@@ -83,26 +85,6 @@ class HomologyModel:
         return len(self.deleted)
 
 
-def _circle_attachments(g):
-    """Maps edge-side -> region: ("cap", k) or ("cyl", k) per circle."""
-    owner = {}
-    for k, cap in enumerate(g.caps):
-        owner[tuple(cap.circle)] = ("cap", k)
-    for k, (lo, hi) in enumerate(g.cylinders):
-        owner[tuple(lo)] = ("cyl", k)
-        owner[tuple(hi)] = ("cyl", k)
-    up_region, down_region = {}, {}
-    for a, atom in enumerate(g.atoms):
-        for ci, (side, cyc) in enumerate(atom.circles):
-            reg = owner[(a, ci)]
-            for e in cyc:
-                if side == "upper":
-                    up_region[(a, e)] = reg
-                else:
-                    down_region[(a, e)] = reg
-    return up_region, down_region
-
-
 def _circle_edges(g, ref):
     """Global edge ids on a circle, in trace order."""
     a, ci = ref
@@ -110,58 +92,22 @@ def _circle_edges(g, ref):
     return [(a, e) for e in cyc]
 
 
-def _choose_deleted(g):
-    """One traded edge per cylinder, greedily smallest on its upper boundary.
+def _traded_edges(g):
+    """The traded edge of each cylinder: the smallest edge of its upper-end
+    circle, which bounds the atom above the cylinder from below.
 
-    Each deletion must merge the cylinder's region with a different region so
-    that the count of cap-free regions drops by one; backtracks if the greedy
-    order gets stuck (a valid sequence always exists on the sphere, where the
-    region-merge graph is forced to stay a forest).
-    """
-    up_region, down_region = _circle_attachments(g)
-    n = len(g.cylinders)
-    candidates = []
-    for k, (lo, hi) in enumerate(g.cylinders):
-        cand = sorted(_circle_edges(g, hi))
-        candidates.append(cand)
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def search(k, parent, capped, picked):
-        if k == n:
-            return picked
-        for e in candidates[k]:
-            r1 = find(parent, down_region[e])
-            r2 = find(parent, up_region[e])
-            if r1 == r2:
-                continue
-            if capped[r1] and capped[r2]:
-                continue
-            p2 = dict(parent)
-            c2 = dict(capped)
-            p2[r1] = r2
-            c2[r2] = c2[r1] or c2[r2]
-            out = search(k + 1, p2, c2, picked + [e])
-            if out is not None:
-                return out
-        return None
-
-    parent = {}
-    capped = {}
-    for k in range(len(g.caps)):
-        parent[("cap", k)] = ("cap", k)
-        capped[("cap", k)] = True
-    for k in range(n):
-        parent[("cyl", k)] = ("cyl", k)
-        capped[("cyl", k)] = False
-    picked = search(0, parent, capped, [])
-    if picked is None:
-        raise AlgebraInvariantViolation("no valid edge-deletion sequence exists")
-    return picked
+    Trading edge e merges the cylinder with the region (cap or cylinder) on
+    the upper side of e, and a valid choice never merges two regions that
+    are already joined, nor two capped ones.  A union-find search that
+    tries each cylinder's edges smallest first, in cylinder order, accepts
+    its first candidate on every valid graph: each earlier pick points a
+    cylinder at a region on its upper atom's upper side, so the pick
+    pointers rise strictly in level.  The cylinder being traded is thus the
+    only sink of its component, which holds no cap and nothing attached
+    above its upper atom, so neither refusal can occur.  `homology_model`
+    still certifies the choice: the relations must be nonsingular and
+    integral on the traded edges and vanish on the expansions."""
+    return [min(_circle_edges(g, hi)) for _, hi in g.cylinders]
 
 
 def homology_model(g):
@@ -181,8 +127,7 @@ def homology_model(g):
             row[pos[e]] -= 1
         relations.append(tuple(row))
 
-    deleted_edges = _choose_deleted(g)
-    deleted = tuple(pos[e] for e in deleted_edges)
+    deleted = tuple(pos[e] for e in _traded_edges(g))
     row_of = {d: k for k, d in enumerate(deleted)}
     basis = tuple(i for i in range(nq2) if i not in row_of)
     m = len(basis)
@@ -572,7 +517,7 @@ def _circle_offset(psi, cyc):
     return Fraction(o, L)
 
 
-def check_stab_action(g, model, autos, classification=None):
+def check_stab_action(g, model, autos, classification):
     """Run the admissibility checklist and the fixed-point-freeness test on
     every non-identity structure automorphism.
 
@@ -580,8 +525,6 @@ def check_stab_action(g, model, autos, classification=None):
     a trivial group gives no checks.  Consistency (the edge action commutes
     with the expansion) is tested on the traded edges only: a kept edge
     basis[k] expands to the unit row e_k, where it holds by construction."""
-    if classification is None:
-        classification = classify_circles(g)
     J = g.level_partition()
     n = model.n
     identity = linalg.identity(len(model.basis))

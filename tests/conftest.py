@@ -37,6 +37,11 @@ def two_level_q2():
                   marked_saddles=frozenset({1, 2}), fixed_saddles=frozenset())
 
 
+def group_of(g):
+    """The automorphism group of `g`, read off its one framing pass."""
+    return mg.automorphisms(g, mg.canonicalize(g)[1])
+
+
 @pytest.fixture(scope="session")
 def fig8_lmg():
     return fig8()

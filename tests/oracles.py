@@ -253,7 +253,8 @@ def closure_by_delta(seeds, marking=None):
                 queue.append(cf1)
             incidence.append((src, J1.key(), cb.class_id(cf1)))
 
-    records = tuple(cb.handle_record(known[cf]) for cf in sorted(known))
+    records = tuple(cb.handle_record(known[cf], *mg.canonicalize(known[cf]))
+                    for cf in sorted(known))
     return cb.ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                        incidence=tuple(sorted(incidence)),
                        top_count=top_count)

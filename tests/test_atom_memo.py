@@ -9,8 +9,12 @@ from mck import morse_graph as mg
 
 
 def _canonical_data(g):
-    form, group = mg.canonicalize(g)
-    return mg.canonical_form(g), form, group, mg.canonical_positions(g)
+    form, framings = mg.canonicalize(g)
+    group = mg.automorphisms(g, framings)
+    # a second, separate pass for the saddle positions
+    form_pos, framings_pos = mg.canonicalize(g)
+    return (mg.canonical_form(g), form, group,
+            (form_pos, mg.saddle_positions(g, framings_pos)))
 
 
 def test_cached_maps_are_read_only(fig8_lmg):

@@ -120,6 +120,27 @@ def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
     assert len(keys) == len(set(keys)) == 14
 
 
+def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
+    # the build frames each seed, each cover split and each class's mirror
+    # once; a handle record reads its group off the pass that registered
+    # its class instead of framing the representative again
+    seeds = cb.enumerate_top_classes(
+        4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
+    passes = []
+    raw = mg._min_framings
+
+    def counted(g):
+        passes.append(g)
+        return raw(g)
+
+    monkeypatch.setattr(mg, "_min_framings", counted)
+    K = cb.build_complex(seeds)
+    covers = sum(len(hyperface_refinements(rec.lmg.level_partition()))
+                 for rec in K.classes)
+    assert (len(seeds), covers, len(K.classes)) == (20, 186, 71)
+    assert len(passes) == len(seeds) + covers + len(K.classes) == 277
+
+
 def test_library_calls_traced_functions_through_traced_names():
     # `from .m import f` binds a second name for f; when the tracer wraps f,
     # it must wrap that name too, or calls through it go unseen

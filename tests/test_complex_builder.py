@@ -349,7 +349,8 @@ def test_euler_skips_non_compact_handles():
     # compact case: the independent sum must be skipped, not faked
     from test_twist_algebra import family_tower
     from mck.complex_builder import ComplexK, handle_record
-    rec = handle_record(family_tower())
+    g = family_tower()
+    rec = handle_record(g, *mg.canonicalize(g))
     assert rec.c == 1
     K = ComplexK(p=3, q=3, r=2,
                  marking=MarkingSpec(marked=(3, 3, 2), fixed=(3, 0, 1)),

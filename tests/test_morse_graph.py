@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fig8
+from conftest import fig8, group_of
 from mck.complex_builder import MarkingSpec, _matchings, _top_candidates_chunk
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError, MarkCountError,
     NonAlternatingError, StructureError, UnmatchedDartError,
-    canonical_form, canonicalize, components, decode_canonical, dual,
+    canonical_form, components, decode_canonical, dual,
     from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
 )
 
@@ -229,9 +229,9 @@ def test_decode_round_trip_partially_marked():
 # ---------------------------------------------------------------------------
 
 def test_fig8_automorphisms_marked_vs_unmarked(fig8_lmg):
-    assert len(canonicalize(fig8_lmg)[1]) == 1  # marked minima pin the loops
+    assert len(group_of(fig8_lmg)) == 1  # marked minima pin the loops
     free_g = fig8(marked_minima=False)
-    auts = canonicalize(free_g)[1]
+    auts = group_of(free_g)
     assert len(auts) == 2
     swap = next(a for a in auts if not a.is_identity())
     # the loop swap permutes the two min caps without fixing either
@@ -240,18 +240,18 @@ def test_fig8_automorphisms_marked_vs_unmarked(fig8_lmg):
 
 
 def test_identity_always_present(q2_two_level):
-    auts = canonicalize(q2_two_level)[1]
+    auts = group_of(q2_two_level)
     assert auts[0].is_identity()
 
 
 def test_asymmetric_q3_has_trivial_group():
     g = from_json(CHIRAL_Q3)
-    assert len(canonicalize(g)[1]) == 1
+    assert len(group_of(g)) == 1
 
 
 def test_group_closure_under_composition():
     g = fig8(marked_minima=False)
-    auts = canonicalize(g)[1]
+    auts = group_of(g)
     maps = [a.darts for a in auts]
     for a, b in itertools.product(auts, repeat=2):
         assert {d: b.darts[e] for d, e in a.darts.items()} in maps
@@ -259,9 +259,9 @@ def test_group_closure_under_composition():
 
 def test_automorphisms_are_hashable_and_read_only():
     g = fig8(marked_minima=False)
-    auts = canonicalize(g)[1]
+    auts = group_of(g)
     assert len(set(auts)) == len(auts) == 2
-    assert set(auts) == set(canonicalize(g)[1])
+    assert set(auts) == set(group_of(g))
     with pytest.raises(TypeError):
         auts[1].darts[(0, 0)] = (0, 0)
 
@@ -269,7 +269,7 @@ def test_automorphisms_are_hashable_and_read_only():
 def test_automorphisms_fix_cylinder_level_pairs(q2_two_level):
     g = q2_two_level
     levels = g.atom_levels()
-    for phi in canonicalize(g)[1]:
+    for phi in group_of(g):
         for k, (lo, hi) in enumerate(g.cylinders):
             k2 = phi.cylinders[k]
             lo2, hi2 = g.cylinders[k2]

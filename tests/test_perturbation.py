@@ -12,7 +12,7 @@ from mck.permutohedron import (
 from mck.perturbation import (
     PerturbationError, chain_predecessor, delta, split_level)
 
-from conftest import Q3_SPLITS
+from conftest import Q3_SPLITS, group_of
 from oracles import enumerate_classes_direct, merge_all_levels
 
 
@@ -209,12 +209,12 @@ def test_gamma_orbits_of_faces_share_targets():
             if cf in seen:
                 continue
             seen.add(cf)
-            if len(mg.canonicalize(h)[1]) > 1:
+            if len(group_of(h)) > 1:
                 symmetric.append(h)
     assert symmetric
     checked = 0
     for h in symmetric:
-        auts = mg.canonicalize(h)[1]
+        auts = group_of(h)
         for J2 in refinements(h.level_partition(), proper=True):
             base = mg.canonical_form(delta(h, J2))
             for phi in auts:

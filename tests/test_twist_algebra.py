@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fig8
+from conftest import fig8, group_of
 from mck import linalg
 from mck import morse_graph as mg
 from mck import twist_algebra as ta
@@ -132,6 +132,16 @@ def test_non_integral_expansion_raises(monkeypatch, q2_two_level):
     monkeypatch.setattr(linalg, "rref", halved)
     with pytest.raises(AlgebraInvariantViolation, match="non-integral"):
         homology_model(q2_two_level)
+
+
+def test_repeated_traded_edge_raises(monkeypatch, complexes_q3):
+    # trading one edge for both cylinders of a class makes the cylinder
+    # relations singular on the traded edges, which must raise
+    g = next(rec.lmg for rec in complexes_q3[(4, 1)].classes if rec.n == 2)
+    e = ta._traded_edges(g)[0]
+    monkeypatch.setattr(ta, "_traded_edges", lambda g: [e, e])
+    with pytest.raises(AlgebraInvariantViolation, match="singular"):
+        homology_model(g)
 
 
 def test_expansion_rank_full():
@@ -431,8 +441,9 @@ def test_polytope_dims_q2_exhaustive():
 
 def test_identity_is_admissible(q2_two_level):
     m = homology_model(q2_two_level)
-    auts = mg.canonicalize(q2_two_level)[1]
-    rep = check_stab_action(q2_two_level, m, auts)
+    auts = group_of(q2_two_level)
+    rep = check_stab_action(q2_two_level, m, auts,
+                            classify_circles(q2_two_level))
     assert rep.all_admissible and rep.all_free
     # the group is trivial and the identity is never checked
     assert len(auts) == 1 and auts[0].is_identity() and rep.checks == ()
@@ -441,9 +452,9 @@ def test_identity_is_admissible(q2_two_level):
 def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
     g = fig8(marked_minima=False)
     m = homology_model(g)
-    auts = mg.canonicalize(g)[1]
+    auts = group_of(g)
     assert len(auts) == 2
-    rep = check_stab_action(g, m, auts)
+    rep = check_stab_action(g, m, auts, classify_circles(g))
     assert rep.all_admissible
     swap = next(a for a in auts if not a.is_identity())
     cmap = swap.circles
@@ -453,7 +464,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
 
 def test_stab_action_q2_exhaustive():
     for g, m in q2_catalog_with_models():
-        rep = check_stab_action(g, m, mg.canonicalize(g)[1])
+        rep = check_stab_action(g, m, group_of(g), classify_circles(g))
         assert rep.all_admissible and rep.all_free
 
 
@@ -467,7 +478,7 @@ def symmetric_two_level_classes():
     for g in enumerate_top_classes(4, 3, 1, marking):
         for J1 in refinements(g.level_partition(), proper=True):
             h = delta(g, J1)
-            auts = mg.canonicalize(h)[1]
+            auts = group_of(h)
             if len(auts) > 1:
                 yield h, auts
 
@@ -479,7 +490,7 @@ def test_symmetric_two_level_class_is_admissible_and_free():
     hit = 0
     for h, auts in symmetric_two_level_classes():
         m = homology_model(h)
-        rep = check_stab_action(h, m, auts)
+        rep = check_stab_action(h, m, auts, classify_circles(h))
         assert rep.all_admissible
         assert rep.all_free
         assert len(rep.checks) == len(auts) - 1
@@ -502,9 +513,10 @@ def test_tampered_traded_row_is_inconsistent():
     rows = list(m.expansion)
     rows[d] = tuple(x + (k == j) for k, x in enumerate(rows[d]))
     bad = dataclasses.replace(m, expansion=tuple(rows))
-    (good_check,) = check_stab_action(h, m, auts).checks
+    cls = classify_circles(h)
+    (good_check,) = check_stab_action(h, m, auts, cls).checks
     assert good_check.consistent and good_check.admissible
-    (bad_check,) = check_stab_action(h, bad, auts).checks
+    (bad_check,) = check_stab_action(h, bad, auts, cls).checks
     assert not bad_check.consistent and not bad_check.admissible
 
 
