@@ -2,7 +2,6 @@
 
 from .permutohedron import (
     OrderedPartition, enumerate_partitions, refines_eq, sub_blocks,
-    induced_face_automorphism,
 )
 from .morse_graph import (
     Atom, Cap, LMG, validate, canonical_form, decode_canonical,

@@ -14,6 +14,7 @@ global invariants and per-class faces, or the command exits with 3.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -204,11 +205,9 @@ def cmd_dim(args):
 def cmd_facelattice(args):
     try:
         parts = ph.enumerate_partitions(args.q)
-        top = ph.OrderedPartition.of([set(range(1, args.q + 1))])
-        nverts = len(ph.face_vertices(top))
     except ph.OrderBoundError as exc:
         raise CliError(EXIT_PARAMS, str(exc))
-    print("vertices: %d, faces: %d" % (nverts, len(parts)))
+    print("vertices: %d, faces: %d" % (math.factorial(args.q), len(parts)))
     if args.dot:
         _write(args.dot, ph.face_poset_dot(args.q))
     return 0
@@ -315,8 +314,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
     except (cb.ParameterError, cb.ScopeError, ph.OrderBoundError,
-            ph.PartitionError, pt.PerturbationError,
-            ta.TwistAlgebraError) as exc:
+            ph.PartitionError, pt.PerturbationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARAMS
     except mg.LMGJSONError as exc:

@@ -46,6 +46,11 @@ class ScopeError(ValueError):
     """Parameter regime where class identity would need group action data."""
 
 
+SCOPE_REFUSAL = ("more than one fixed point of some index: class identity "
+                 "under equivalence vs isotopy is not resolved at this scope; "
+                 "refusing")
+
+
 # ---------------------------------------------------------------------------
 # Marking specifications
 # ---------------------------------------------------------------------------
@@ -325,7 +330,7 @@ def handle_record(g, canonical, framings):
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and `split_level` every resolved class; `_graph_from_json` every
     stored one), so the classification does not validate again."""
-    classification = ta.classify_circles(g, validated=True)
+    classification = ta.classify_circles(g)
     autos = mg.automorphisms(g, framings)
     model = ta.homology_model(g)
     poly = ta.u_polytope(g, model)
@@ -378,9 +383,7 @@ def build_complex(seeds, marking=None):
         (ph, qh, rh), (ps, qs, rs) = g0.marking_counts()
         marking = MarkingSpec(marked=(ph, qh, rh), fixed=(ps, qs, rs))
     if not marking.builder_scope_ok():
-        raise ScopeError("more than one fixed point of some index: class "
-                         "identity under equivalence vs isotopy is not "
-                         "resolved at this scope; refusing")
+        raise ScopeError(SCOPE_REFUSAL)
     for g in seeds:
         if len(g.levels) != 1:
             raise ParameterError("seeds must be one-level classes")
@@ -421,7 +424,7 @@ def build_complex(seeds, marking=None):
         # face) into the class's representative, or None when delta(g, face)
         # is that representative)
         reached = {J.key(): (cf, None)}
-        for J1 in refinements(J, proper=True):
+        for J1 in refinements(J):
             c0, rho0 = reached[chain_predecessor(J, J1).key()]
             K = J1 if rho0 is None else J1.relabel(lambda v: rho0[v - 1])
             key = (c0, shared(K.key()))
@@ -668,7 +671,10 @@ def _params_from_json(doc):
 
 def _graph_from_json(entry, p, q, r, marking):
     """One stored graph, validated, with the document's (p, q, r) and the
-    cap flags and marked and fixed saddles its marking gives."""
+    cap flags and marked and fixed saddles its marking gives.  The entry
+    must be a JSON object, not text holding one."""
+    if not isinstance(entry, dict):
+        raise mg.LMGJSONError("graph entry is not a JSON object")
     g = mg.from_json(entry)
     if (g.p, g.q, g.r) != (p, q, r):
         raise mg.LMGJSONError("graph (p, q, r) differs from the params")
@@ -701,7 +707,7 @@ def _check_incidence(records, incidence):
         faces.setdefault(src, []).append(face)
     for rec in records:
         want = [J1.key() for J1 in
-                refinements(rec.lmg.level_partition(), proper=True)]
+                refinements(rec.lmg.level_partition())]
         if sorted(faces.get(rec.class_id, [])) != sorted(want):
             raise mg.LMGJSONError("class %s: stored incidence entries do not "
                                   "match its %d faces" % (rec.class_id, len(want)))
@@ -711,7 +717,8 @@ def _check_incidence(records, incidence):
 def complex_from_json(text):
     """Rebuild a complex from its JSON dump, revalidating every class and
     refusing it unless every stored record, global invariant and incidence
-    face list equals its recomputation."""
+    face list equals its recomputation.  A marking that `build_complex`
+    refuses is refused here too, with the same `ScopeError`."""
     try:
         doc = json.loads(text)
         p, q, r, marking = _params_from_json(doc)
@@ -723,6 +730,8 @@ def complex_from_json(text):
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))
     if not entries:
         raise mg.LMGJSONError("complex document has no classes")
+    if not marking.builder_scope_ok():
+        raise ScopeError(SCOPE_REFUSAL)
     records = []
     for entry, lmg in zip(entries, lmgs):
         g = _graph_from_json(lmg, p, q, r, marking)

@@ -1,16 +1,8 @@
-"""Ordered set partitions and exact permutohedron face geometry.
+"""Ordered set partitions and the face poset of the permutohedron.
 
-Conventions
------------
 The ground set is {1..q}.  An ordered partition J = (J_1, ..., J_s) indexes a
-face of the order-q permutohedron: the face's vertices are the points
-P_pi = sum_k (k - (q+1)/2) e_{pi_k} over permutations pi whose first |J_1|
-values form the set J_1, the next |J_2| values the set J_2, and so on.  In
-coordinates, axis j of P_pi holds pi^{-1}(j) - (q+1)/2.
-
-The library names vertices by their permutations; the test oracles hold the
-coordinates, doubled (2*pi^{-1}(j) - q - 1) so they stay integers.  Nothing
-in this module touches floating point.
+face of the order-q permutohedron, of dimension q - s; the test oracles spell
+out its vertices.  Nothing in this module touches floating point.
 
 Refinement order: J' < J means J' splits blocks of J into ordered runs of
 consecutive sub-blocks, equivalently the face of J' is contained in the face
@@ -160,19 +152,16 @@ def _block_orderings(block):
     return tuple(_ordered_partitions_of_set(block))
 
 
-def refinements(J, proper=False):
-    """All J' <= J (splitting each block into an ordered partition of itself).
-
-    With proper=True, J itself is excluded.  Deterministic order.
-    """
+def refinements(J):
+    """All proper refinements J' < J (each block split into an ordered
+    partition of itself).  Deterministic order."""
     per_block = [_block_orderings(b) for b in J.blocks]
     out = []
     for combo in itertools.product(*per_block):
         blocks = tuple(itertools.chain.from_iterable(combo))
         J1 = OrderedPartition.of(blocks, J.q)
-        if proper and J1.key() == J.key():
-            continue
-        out.append(J1)
+        if J1.key() != J.key():
+            out.append(J1)
     return out
 
 
@@ -191,66 +180,6 @@ def hyperface_refinements(J):
                           + J.blocks[k + 1:])
                 out.append(OrderedPartition.of(blocks, J.q))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Faces and exact geometry
-# ---------------------------------------------------------------------------
-
-def face_vertices(J):
-    """Vertex permutations of the face of J, sorted."""
-    pools = [itertools.permutations(sorted(b)) for b in J.blocks]
-    verts = []
-    for combo in itertools.product(*pools):
-        verts.append(tuple(itertools.chain.from_iterable(combo)))
-    return tuple(sorted(verts))
-
-
-# ---------------------------------------------------------------------------
-# Induced automorphisms and admissibility
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaceAutReport:
-    """Admissibility of the face map induced by a label permutation."""
-
-    image: OrderedPartition
-    stabilizes: bool       # sigma maps the face to itself
-    trivial: bool          # fixes the face pointwise
-    has_fixed_vertex: bool
-    subfaces_ok: bool      # each subface maps to itself or to a disjoint face
-    admissible: bool
-
-
-def induced_face_automorphism(sigma, J):
-    """Image of the face of J under the axis permutation sigma, plus an
-    admissibility report for the induced self-map when sigma stabilizes it.
-
-    sigma maps the vertex pi to sigma o pi.  Admissible means: trivial, or
-    fixed-vertex-free with every subface mapping onto itself or onto a face
-    disjoint from it.
-    """
-    f = sigma if callable(sigma) else sigma.__getitem__
-    image = J.relabel(f)
-    if image.key() != J.key():
-        return image, FaceAutReport(image, False, False, False, False, False)
-    verts = face_vertices(J)
-    moved = {pi: tuple(f(x) for x in pi) for pi in verts}
-    trivial = all(moved[pi] == pi for pi in verts)
-    fixed = any(moved[pi] == pi for pi in verts)
-    subfaces_ok = True
-    if not trivial:
-        for sub in refinements(J):
-            sub_img = sub.relabel(f)
-            if sub_img.key() == sub.key():
-                continue
-            a = frozenset(face_vertices(sub))
-            b = frozenset(face_vertices(sub_img))
-            if a & b:
-                subfaces_ok = False
-                break
-    admissible = trivial or (not fixed and subfaces_ok)
-    return image, FaceAutReport(image, True, trivial, fixed, subfaces_ok, admissible)
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,6 @@ from fractions import Fraction
 
 from . import linalg
 from . import morse_graph as mg
-from .permutohedron import induced_face_automorphism
-
-
-class TwistAlgebraError(ValueError):
-    """Invalid input for the algebra layer."""
-
-
-class UnsupportedScopeError(TwistAlgebraError):
-    """Input outside the sphere scope."""
 
 
 class AlgebraInvariantViolation(RuntimeError):
@@ -237,16 +228,9 @@ def _between(sides, cylinders, a, b):
     return sa & sb
 
 
-def classify_circles(g, validated=False):
-    """Classification of the cylinder cores; sphere scope only.
-
-    `g` is validated first unless the caller has already done so
-    (`validated=True`)."""
-    if not validated:
-        try:
-            mg.validate(g, require_marks=False)
-        except mg.EulerCountError as exc:
-            raise UnsupportedScopeError("only the sphere is supported: %s" % exc)
+def classify_circles(g):
+    """Classification of the cylinder cores of a validated graph; sphere
+    scope only."""
     n = len(g.cylinders)
     if n != len(g.atoms) - 1:
         raise AlgebraInvariantViolation("sphere assembly graph is not a tree")
@@ -517,6 +501,12 @@ def _circle_offset(psi, cyc):
     return Fraction(o, L)
 
 
+def _face_admissible(sigma, J):
+    """The face check of `check_stab_action`: whether the saddle
+    permutation sigma (a mapping) stabilizes the ordered partition J."""
+    return J.relabel(sigma).key() == J.key()
+
+
 def check_stab_action(g, model, autos, classification):
     """Run the admissibility checklist and the fixed-point-freeness test on
     every non-identity structure automorphism.
@@ -524,7 +514,13 @@ def check_stab_action(g, model, autos, classification):
     The identity is admissible and free by definition and is not checked, so
     a trivial group gives no checks.  Consistency (the edge action commutes
     with the expansion) is tested on the traded edges only: a kept edge
-    basis[k] expands to the unit row e_k, where it holds by construction."""
+    basis[k] expands to the unit row e_k, where it holds by construction.
+
+    The face map a saddle permutation sigma induces on the face of J is
+    admissible exactly when sigma stabilizes J: sigma o pi = pi for no vertex
+    pi unless sigma is the identity, and a refinement J' with
+    sigma(J') != J' shares no vertex with sigma(J'), whose blocks have the
+    same sizes in the same order."""
     J = g.level_partition()
     n = model.n
     identity = linalg.identity(len(model.basis))
@@ -544,7 +540,7 @@ def check_stab_action(g, model, autos, classification):
             list(model.expansion[phi.edges[i]]) ==
             linalg.mat_vec(Bt, list(model.expansion[i]))
             for i in model.deleted)
-        _, facerep = induced_face_automorphism(lambda x: phi.saddles[x], J)
+        face_ok = _face_admissible(phi.saddles, J)
         pi_trivial = all(phi.cylinders[k] == k
                          for k in range(n) if k not in nu0_orig)
         a_trivial = linalg.mat_eq(B, identity)
@@ -568,14 +564,14 @@ def check_stab_action(g, model, autos, classification):
 
         checks.append(AutomorphismCheck(
             consistent=consistent,
-            face_admissible=facerep.admissible,
+            face_admissible=face_ok,
             pi_trivial=pi_trivial,
             a_trivial=a_trivial, b_trivial=b_trivial,
             rho_trivial=rho_trivial, degeneracies_ok=deg_ok,
             free=any(off != 0 for _, off in obstructions),
             free_exact=classification.c == 0,
             cycle_obstructions=tuple(obstructions),
-            admissible=(consistent and facerep.admissible and pi_trivial
+            admissible=(consistent and face_ok and pi_trivial
                         and deg_ok)))
 
     return StabReport(checks=tuple(checks),

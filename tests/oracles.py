@@ -15,7 +15,8 @@ per-class algebra dump that only the tests read.  `box_vertices`
 enumerates the vertices of a box cut by slabs, the reference for the
 library's certified polytope dimension, and `polytope_vertices` applies it
 to a small handle polytope.  The permutohedron helpers at the end
-(coarsenings, strict refinement, composition signatures, face coordinates
+(coarsenings, strict refinement, composition signatures, face vertices and
+coordinates, the induced face map's admissibility read off the vertices,
 and the value partition of a 0-cochain) state the face geometry that the
 library relies on without computing.
 Imported by the tests; pytest does not collect it.
@@ -31,8 +32,8 @@ from mck import linalg
 from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.permutohedron import (
-    OrderedPartition, PartitionError, enumerate_partitions, face_vertices,
-    refinements, refines_eq)
+    OrderedPartition, PartitionError, enumerate_partitions, refinements,
+    refines_eq)
 from mck.perturbation import InvariantViolation, PerturbationError, delta
 
 
@@ -245,7 +246,7 @@ def closure_by_delta(seeds, marking=None):
         g = known[cf]
         src = cb.class_id(cf)
         J = g.level_partition()
-        for J1 in refinements(J, proper=True):
+        for J1 in refinements(J):
             h = delta(g, J1)
             cf1 = mg.canonical_form(h)
             if cf1 not in known:
@@ -405,6 +406,40 @@ def coarsenings(J):
         blocks.append(frozenset(cur))
         out.append(OrderedPartition.of(blocks, J.q))
     return out
+
+
+def face_vertices(J):
+    """Vertex permutations of the face of J, sorted.
+
+    The face of J = (J_1, ..., J_s) in the order-q permutohedron has the
+    vertices P_pi = sum_k (k - (q+1)/2) e_{pi_k} over the permutations pi
+    whose first |J_1| values form the set J_1, the next |J_2| values the set
+    J_2, and so on.  In coordinates, axis j of P_pi holds
+    pi^{-1}(j) - (q+1)/2."""
+    pools = [itertools.permutations(sorted(b)) for b in J.blocks]
+    return tuple(sorted(tuple(itertools.chain.from_iterable(combo))
+                        for combo in itertools.product(*pools)))
+
+
+def induced_face_admissible(sigma, J):
+    """Admissibility of the face map that the label permutation sigma (a
+    dict) induces on the face of J, decided on the vertices: sigma maps the
+    vertex pi to sigma o pi.  Admissible means that sigma stabilizes the face
+    and the map is trivial, or fixed-vertex-free with every subface mapping
+    onto itself or onto a face disjoint from it."""
+    if J.relabel(sigma).key() != J.key():
+        return False
+    moved = {pi: tuple(sigma[x] for x in pi) for pi in face_vertices(J)}
+    if all(image == pi for pi, image in moved.items()):
+        return True
+    if any(image == pi for pi, image in moved.items()):
+        return False
+    for sub in refinements(J):
+        image = sub.relabel(sigma)
+        if (image.key() != sub.key() and
+                set(face_vertices(sub)) & set(face_vertices(image))):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def test_malformed_circle_reference_refused(tmp_path, capsys):
         assert code == 3 and "pair of ints" in err
 
 
-DELETE, WRAP = object(), object()
+DELETE, WRAP, TEXT = object(), object(), object()
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +247,8 @@ def q1_files(tmp_path_factory):
     ("complex", "euler", ("classes", 0, "lmg", "marked_saddles"), [1.0]),
     ("fixed-catalog", "euler", ("classes", 0, "fixed_saddles"), [1.0]),
     ("fixed-complex", "qpoly", ("classes", 0, "lmg", "fixed_saddles"), [True]),
+    ("catalog", "euler", ("classes", 0), TEXT),
+    ("complex", "euler", ("classes", 0, "lmg"), TEXT),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
@@ -256,7 +258,8 @@ def q1_files(tmp_path_factory):
         "catalog-darts-missing", "complex-canonical-string",
         "complex-canonical-missing", "catalog-bool-marked-saddle",
         "complex-float-marked-saddle", "catalog-float-fixed-saddle",
-        "complex-bool-fixed-saddle"])
+        "complex-bool-fixed-saddle", "catalog-graph-as-text",
+        "complex-graph-as-text"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())
@@ -265,12 +268,30 @@ def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
         target = target[key]
     if value is DELETE:
         del target[path[-1]]
+    elif value is TEXT:  # the graph as a string holding its JSON
+        target[path[-1]] = json.dumps(target[path[-1]])
     else:
         target[path[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, "--input", str(bad))
     assert code == 3 and out == "" and err.startswith("error: ")
+
+
+def test_dump_outside_the_builder_scope_refused(tmp_path, capsys):
+    # the builder refuses two fixed minima, so a dump with them is refused
+    # on reload with the same exit code as the catalog
+    marking = cb.MarkingSpec(marked=(2, 1, 1), fixed=(2, 0, 0))
+    seeds = cb.enumerate_top_classes(2, 1, 1, marking)
+    records = tuple(cb.handle_record(g, *mg.canonicalize(g)) for g in seeds)
+    K = cb.ComplexK(p=2, q=1, r=1, marking=marking, classes=records,
+                    incidence=(), top_count=len(records))
+    dump, cat = tmp_path / "K.json", tmp_path / "cat.json"
+    dump.write_text(cb.complex_to_json(K))
+    cat.write_text(cb.catalog_to_json(seeds, 2, 1, 1, marking))
+    for path in (dump, cat):
+        code, out, err = run(capsys, "euler", "--input", str(path))
+        assert code == 2 and out == "" and "fixed point" in err
 
 
 def _json_paths(node, path=()):

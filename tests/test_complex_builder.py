@@ -11,10 +11,9 @@ from mck.complex_builder import (
     catalog_from_json, catalog_to_json, class_poset_dot, complex_dimension,
     complex_from_json, complex_rank, complex_to_json, enumerate_top_classes,
     euler_characteristic, morse_smale_report, q_polynomial)
-from mck.permutohedron import face_vertices
 
 from conftest import Q2_SPLITS, Q3_SPLITS
-from oracles import closure_by_delta, enumerate_classes_direct
+from oracles import closure_by_delta, enumerate_classes_direct, face_vertices
 from test_perturbation import _first_q4_seeds
 
 

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from mck import linalg
 from mck.permutohedron import (
     OrderedPartition, PartitionError, OrderBoundError, enumerate_partitions,
-    face_vertices, face_poset_dot, hyperface_refinements,
-    induced_face_automorphism, refinements, refines_eq, sub_blocks,
+    face_poset_dot, hyperface_refinements, refinements, refines_eq,
+    sub_blocks,
 )
+from mck.twist_algebra import _face_admissible
 from oracles import (
-    ZeroCochain, coarsenings, composition_signature, face_of,
-    partition_of_values, refines,
+    ZeroCochain, coarsenings, composition_signature, face_of, face_vertices,
+    induced_face_admissible, partition_of_values, refines,
 )
 
 
@@ -187,7 +188,7 @@ def test_sub_blocks():
 
 def test_refinements_and_coarsenings_are_inverse_relations():
     for J in enumerate_partitions(3):
-        for J1 in refinements(J):
+        for J1 in [J, *refinements(J)]:
             assert refines_eq(J1, J)
         for J2 in coarsenings(J):
             assert refines_eq(J, J2)
@@ -250,7 +251,7 @@ def test_small_perturbations_only_refine(values, rng):
 def test_every_refinement_is_realized():
     c = ZeroCochain.of({1: Fraction(0), 2: Fraction(0), 3: Fraction(1)})
     J, _ = partition_of_values(c)
-    for Jhat in refinements(J):
+    for Jhat in [J, *refinements(J)]:
         realized = realize_refinement(c, J, Jhat)
         J2, _ = partition_of_values(realized)
         assert J2.key() == Jhat.key()
@@ -273,32 +274,27 @@ def realize_refinement(c, J, Jhat, eps=None):
 # induced automorphisms
 # ---------------------------------------------------------------------------
 
-def test_identity_is_trivially_admissible():
-    J = OrderedPartition.of([{1, 2}, {3}])
-    image, rep = induced_face_automorphism({1: 1, 2: 2, 3: 3}, J)
-    assert image.key() == J.key()
-    assert rep.trivial and rep.admissible
-
-
-def test_swap_on_segment_is_admissible():
-    J = OrderedPartition.of([{1, 2}])
-    image, rep = induced_face_automorphism({1: 2, 2: 1}, J)
-    assert image.key() == J.key()
-    assert rep.admissible and not rep.trivial and not rep.has_fixed_vertex
-    # the two vertices of the segment are swapped
-    verts = face_vertices(J)
-    assert {tuple({1: 2, 2: 1}[x] for x in pi) for pi in verts} == set(verts)
-
-
-def test_non_stabilizing_permutation_reports_image():
-    J = OrderedPartition.of([{1}, {2}])
-    image, rep = induced_face_automorphism({1: 2, 2: 1}, J)
-    assert image.key() == ((2,), (1,))
-    assert not rep.stabilizes and not rep.admissible
+def test_face_check_matches_vertex_oracle():
+    # every (sigma, J) with q <= 4: the stabilizer check's face predicate
+    # against the admissibility read off the face's vertices
+    pairs = stabilizing = 0
+    for q in range(1, 5):
+        parts = enumerate_partitions(q)
+        for perm in itertools.permutations(range(1, q + 1)):
+            sigma = dict(zip(range(1, q + 1), perm))
+            for J in parts:
+                ok = induced_face_admissible(sigma, J)
+                assert _face_admissible(sigma, J) == ok, (sigma, J)
+                pairs += 1
+                stabilizing += ok
+    assert pairs == 1885
+    assert 0 < stabilizing < pairs
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_stabilizing_permutations_always_admissible(q):
+    # random blockwise permutations, reaching q = 5 beyond the exhaustive
+    # comparison above
     rng = random.Random(q * 101)
     parts = enumerate_partitions(q)
     checked = 0
@@ -310,8 +306,8 @@ def test_stabilizing_permutations_always_admissible(q):
                 shuffled = items[:]
                 rng.shuffle(shuffled)
                 perm.update(dict(zip(items, shuffled)))
-            _, rep = induced_face_automorphism(perm, J)
-            assert rep.stabilizes and rep.admissible
+            assert induced_face_admissible(perm, J)
+            assert _face_admissible(perm, J)
             checked += 1
     assert checked > 0
 

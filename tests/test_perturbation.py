@@ -53,7 +53,7 @@ def test_split_preserves_conserved_quantities():
     for p, r in [(3, 1), (2, 2), (1, 3)]:
         for g in catalog_q2(p, r):
             J = g.level_partition()
-            for J1 in refinements(J, proper=True):
+            for J1 in refinements(J):
                 h = delta(g, J1)
                 assert (h.p, h.q, h.r) == (g.p, g.q, g.r)
                 assert h.marked_saddles == g.marked_saddles
@@ -83,9 +83,9 @@ def test_delta_transitivity_q2_exhaustive():
     for p, r in [(3, 1), (2, 2), (1, 3)]:
         for g in catalog_q2(p, r):
             J = g.level_partition()
-            for J1 in refinements(J, proper=True):
+            for J1 in refinements(J):
                 h = delta(g, J1)
-                for J2 in refinements(J1, proper=True):
+                for J2 in refinements(J1):
                     lhs = mg.canonical_form(delta(g, J2))
                     rhs = mg.canonical_form(delta(h, J2))
                     assert lhs == rhs
@@ -129,7 +129,7 @@ def test_chain_predecessor_is_where_delta_splits_last(monkeypatch):
     monkeypatch.setattr(pt, "split_level", recording)
     g = _first_q4_seeds(5, 1, MarkingSpec.all_marked(5, 4, 1), 1)[0]
     J = g.level_partition()
-    faces = refinements(J, proper=True)
+    faces = refinements(J)
     listed = {J.key(): -1, **{J1.key(): i for i, J1 in enumerate(faces)}}
     for i, J1 in enumerate(faces):
         split_from.clear()
@@ -172,11 +172,11 @@ def test_delta_bytes_pinned_q4(p, r, marked):
                else MarkingSpec(marked=(0, 4, 0), fixed=(0, 0, 0)))
     digest = hashlib.sha256()
     for g in _first_q4_seeds(p, r, marking, 6):
-        for J1 in refinements(g.level_partition(), proper=True):
+        for J1 in refinements(g.level_partition()):
             h = delta(g, J1)
             digest.update(mg.to_json(h).encode())
             if J1.s == 2:
-                for J2 in refinements(J1, proper=True):
+                for J2 in refinements(J1):
                     digest.update(mg.to_json(delta(h, J2)).encode())
     assert digest.hexdigest() == Q4_PIN[(p, r, marked)]
 
@@ -187,7 +187,7 @@ def test_every_deep_class_is_a_delta_image_q2():
         seeds = {mg.canonical_form(g): g for g in catalog_q2(p, r)}
         reachable = set(seeds)
         for g in seeds.values():
-            for J1 in refinements(g.level_partition(), proper=True):
+            for J1 in refinements(g.level_partition()):
                 reachable.add(mg.canonical_form(delta(g, J1)))
         direct = enumerate_classes_direct(p, 2, r)
         assert {mg.canonical_form(g) for g in direct} == reachable
@@ -201,7 +201,7 @@ def test_gamma_orbits_of_faces_share_targets():
     symmetric = []
     seen = set()
     for g in seeds:
-        for J1 in refinements(g.level_partition(), proper=True):
+        for J1 in refinements(g.level_partition()):
             if J1.s != 2:
                 continue
             h = delta(g, J1)
@@ -215,7 +215,7 @@ def test_gamma_orbits_of_faces_share_targets():
     checked = 0
     for h in symmetric:
         auts = group_of(h)
-        for J2 in refinements(h.level_partition(), proper=True):
+        for J2 in refinements(h.level_partition()):
             base = mg.canonical_form(delta(h, J2))
             for phi in auts:
                 J2s = J2.relabel(lambda x: phi.saddles[x])
@@ -250,6 +250,7 @@ def test_merge_roundtrip_q2_exhaustive():
         for g in enumerate_classes_direct(p, 2, r):
             f = merge_all_levels(g, seeds=seeds)
             assert len(f.levels) == 1
+            J = f.level_partition()
             targets = {mg.canonical_form(delta(f, J1))
-                       for J1 in refinements(f.level_partition())}
+                       for J1 in [J, *refinements(J)]}
             assert mg.canonical_form(g) in targets

@@ -244,7 +244,6 @@ def test_family_tower_classification():
 
 
 def test_non_sphere_is_unsupported_scope():
-    from mck.twist_algebra import UnsupportedScopeError
     atom0 = mg.Atom.of([1], [((1, 0), (1, 1)), ((1, 2), (1, 3))])
     atom1 = mg.Atom.of([2], [((2, 0), (2, 3)), ((2, 2), (2, 1))])
     caps = (mg.Cap(circle=(0, 0), kind="min", label=1, marked=True, fixed=False),
@@ -252,7 +251,9 @@ def test_non_sphere_is_unsupported_scope():
     torus = mg.LMG(q=2, p=1, r=1, levels=((0,), (1,)), atoms=(atom0, atom1),
                    caps=caps, cylinders=(((0, 1), (1, 0)), ((0, 2), (1, 1))),
                    marked_saddles=frozenset({1, 2}), fixed_saddles=frozenset())
-    with pytest.raises(UnsupportedScopeError):
+    with pytest.raises(mg.EulerCountError):
+        mg.validate(torus)
+    with pytest.raises(AlgebraInvariantViolation, match="not a tree"):
         classify_circles(torus)
 
 
@@ -468,6 +469,28 @@ def test_stab_action_q2_exhaustive():
         assert rep.all_admissible and rep.all_free
 
 
+def test_automorphisms_stabilize_the_level_partition(complexes_q3):
+    # the face check of check_stab_action is stabilization of J, which every
+    # structure automorphism satisfies: it maps each level to itself.  The
+    # all-marked q = 3 groups are trivial, so two partially marked (4, 3, 1)
+    # complexes supply the non-identity automorphisms.
+    from mck.complex_builder import MarkingSpec, build_complex
+    partial = [build_complex(enumerate_top_classes(
+        4, 3, 1, MarkingSpec(marked=marked, fixed=(0, 0, 0))))
+        for marked in [(0, 3, 0), (1, 1, 1)]]
+    moved = 0
+    for K in [*complexes_q3.values(), *partial]:
+        for rec in K.classes:
+            if rec.gamma_order == 1:
+                continue
+            J = rec.lmg.level_partition()
+            for phi in group_of(rec.lmg):
+                if not phi.is_identity():
+                    assert J.relabel(phi.saddles).key() == J.key()
+                    moved += 1
+    assert moved == 42 + 26
+
+
 def symmetric_two_level_classes():
     """(class, automorphisms) of the q = 3 (4, 1) faces, minima unmarked,
     whose group is not trivial."""
@@ -476,7 +499,7 @@ def symmetric_two_level_classes():
     from mck.permutohedron import refinements
     marking = MarkingSpec(marked=(0, 3, 1), fixed=(0, 0, 0))
     for g in enumerate_top_classes(4, 3, 1, marking):
-        for J1 in refinements(g.level_partition(), proper=True):
+        for J1 in refinements(g.level_partition()):
             h = delta(g, J1)
             auts = group_of(h)
             if len(auts) > 1:
