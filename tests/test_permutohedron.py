@@ -274,6 +274,36 @@ def realize_refinement(c, J, Jhat, eps=None):
 # induced automorphisms
 # ---------------------------------------------------------------------------
 
+def test_identity_is_trivially_admissible():
+    J = OrderedPartition.of([{1, 2}, {3}])
+    sigma = {1: 1, 2: 2, 3: 3}
+    assert J.relabel(sigma).key() == J.key()
+    assert _face_admissible(sigma, J) and induced_face_admissible(sigma, J)
+    # the identity fixes every vertex of the face
+    verts = face_vertices(J)
+    assert all(tuple(sigma[x] for x in pi) == pi for pi in verts)
+
+
+def test_swap_on_segment_is_admissible():
+    J = OrderedPartition.of([{1, 2}])
+    sigma = {1: 2, 2: 1}
+    assert J.relabel(sigma).key() == J.key()
+    assert _face_admissible(sigma, J) and induced_face_admissible(sigma, J)
+    # the two vertices of the segment are swapped: no vertex is fixed
+    verts = face_vertices(J)
+    images = [tuple(sigma[x] for x in pi) for pi in verts]
+    assert set(images) == set(verts)
+    assert all(image != pi for pi, image in zip(verts, images))
+
+
+def test_non_stabilizing_permutation_reports_image():
+    J = OrderedPartition.of([{1}, {2}])
+    sigma = {1: 2, 2: 1}
+    assert J.relabel(sigma).key() == ((2,), (1,))
+    assert not _face_admissible(sigma, J)
+    assert not induced_face_admissible(sigma, J)
+
+
 def test_face_check_matches_vertex_oracle():
     # every (sigma, J) with q <= 4: the stabilizer check's face predicate
     # against the admissibility read off the face's vertices
