@@ -5,8 +5,8 @@ from .permutohedron import (
 )
 from .morse_graph import (
     Atom, Cap, LMG, validate, canonical_form, decode_canonical,
-    canonicalize, automorphisms, to_doc, to_json, from_json, to_dot, mirror,
-    dual,
+    canonicalize, form_bytes, automorphisms, to_doc, to_json, from_json,
+    to_dot, mirror, dual,
 )
 from .perturbation import split_level, delta
 from .twist_algebra import (

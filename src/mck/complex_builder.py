@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import morse_graph as mg
 from . import twist_algebra as ta
 from .permutohedron import refinements
-from .perturbation import chain_predecessor, delta
+from .perturbation import InvariantViolation, chain_predecessor, delta
 
 MAX_TOP_Q = 4  # desk-scale guard for exhaustive one-level search
 
@@ -323,13 +323,16 @@ def _poly_mul(a, b):
     return out
 
 
-def handle_record(g, canonical, framings):
+def handle_record(g, enc, framings):
     """Compute the full handle record of one validated class from its
-    framing pass `canonical, framings = mg.canonicalize(g)`.
+    framing pass `enc, framings = mg.canonicalize(g)`.  The canonical bytes
+    are encoded here, once per class, and the mirror's encoding is compared
+    with `enc` as a tuple.
 
     Both callers hand in validated graphs (`build_complex` validates its
-    seeds and `split_level` every resolved class; `_graph_from_json` every
+    seeds and every split it registers as a class; `_graph_from_json` every
     stored one), so the classification does not validate again."""
+    canonical = mg.form_bytes(enc)
     classification = ta.classify_circles(g)
     autos = mg.automorphisms(g, framings)
     model = ta.homology_model(g)
@@ -345,7 +348,7 @@ def handle_record(g, canonical, framings):
         nu0=classification.nu0, e=classification.e,
         dim_upoly=poly.dim, handle_dim=index + n + poly.dim,
         gamma_order=len(autos),
-        mirror_self=(mg.canonical_form(mg.mirror(g)) == canonical),
+        mirror_self=(mg.canonicalize(mg.mirror(g))[0] == enc),
         all_admissible=stab.all_admissible, all_free=stab.all_free,
         free_exact=all(c.free_exact for c in stab.checks),
         poincare=pc)
@@ -367,14 +370,37 @@ def build_complex(seeds, marking=None):
     is the class `delta(g, J1)` lies in.  When the target is met for the
     first time, the split is `delta(g, J1)` itself if the predecessor's
     representative is `delta(g, J0)`; otherwise `delta(g, J1)` is computed.
-    Faces, relabelings and class ids are shared objects, so the memo and
-    the incidence entries hold references, not copies.
+    The faces of J, their predecessors and their keys depend on J only, so
+    they are listed once per distinct level partition.  Faces, relabelings
+    and class ids are shared objects, so the memo and the incidence entries
+    hold references, not copies.
 
     Each graph that becomes a representative (a seed, a cover split, or
     `delta(g, J1)` itself) is framed once by `canonicalize`, and its handle
     record is computed when the class is registered, from that same pass.
-    The seeds are validated here; every class resolved from them is
-    validated by `split_level`, so `handle_record` gets valid graphs only."""
+    Classes are looked up by the minimal encoding of that pass, a tuple;
+    only a registered class has it turned into canonical bytes, and the
+    classes are output in the order of those bytes.
+
+    The seeds are validated here, and every split is validated when it is
+    registered as a new class: an invalid one raises InvariantViolation.
+    A split whose encoding is already known is not validated, and need not
+    be.  The encoding records every atom placed in a level (its edges and
+    the labels of its marked saddles), the level sizes, and every cap and
+    cylinder by circle, so equal encodings make the split isomorphic to a
+    validated representative, and every check of `mg.validate` that an
+    isomorphism preserves holds for it too.  Two checks read what the
+    encoding cannot see: atoms missing from `levels` (a framing visits only
+    placed atoms), and the labels of unmarked saddles and unmarked caps,
+    which all encode as -1, so a repeated or out-of-range unmarked label
+    would not show.  `split_level`'s construction rules out both.  It keeps
+    every untouched atom in its level and puts each new atom in exactly one
+    new sub-level; each saddle of the split level lies in exactly one new
+    atom, a component of its sub-block's curve system; and caps are copied
+    with their kind, label and flags, only their circles moved.  A split
+    thus carries its input's saddle and cap labels, and its input is a seed
+    or a registered class (or, inside `delta`'s chain, a split of one),
+    validated already."""
     if not seeds:
         raise ParameterError("no seed classes")
     g0 = seeds[0]
@@ -391,24 +417,27 @@ def build_complex(seeds, marking=None):
             raise ParameterError("seeds mix parameter sets")
         mg.validate(g, require_marks=False)
 
-    known = {}      # canonical form -> handle record of the first graph met
-    saddle_at = {}  # canonical form -> position -> saddle of representative
+    known = {}      # minimal encoding -> class index, in order met
+    records = []    # class index -> handle record of the first graph met
+    saddle_at = []  # class index -> position -> saddle of representative
     queue = []
     pool = {}       # one shared object per distinct face and relabeling
+    plans = {}      # level partition key -> [(face, predecessor key, face key)]
 
     def shared(x):
         return pool.setdefault(x, x)
 
-    def register(cf, g, framings):
-        known[cf] = handle_record(g, cf, framings)
-        saddle_at[cf] = {at: v for v, at
-                         in mg.saddle_positions(g, framings).items()}
-        queue.append(cf)
+    def register(enc, g, framings):
+        known[enc] = len(records)
+        records.append(handle_record(g, enc, framings))
+        saddle_at.append({at: v for v, at
+                          in mg.saddle_positions(g, framings).items()})
+        queue.append(known[enc])
 
     for g in seeds:
-        cf, framings = mg.canonicalize(g)
-        if cf not in known:
-            register(cf, g, framings)
+        enc, framings = mg.canonicalize(g)
+        if enc not in known:
+            register(enc, g, framings)
     top_count = len(known)
 
     # (class, cover face of its representative) -> (target class, saddle
@@ -417,45 +446,54 @@ def build_complex(seeds, marking=None):
     covers = {}
     incidence = []
     while queue:
-        cf = queue.pop()
-        g = known[cf].lmg
+        c = queue.pop()
+        g = records[c].lmg
         J = g.level_partition()
+        here = J.key()
+        plan = plans.get(here)
+        if plan is None:
+            plan = plans[here] = [
+                (J1, chain_predecessor(J, J1).key(), shared(J1.key()))
+                for J1 in refinements(J)]
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
         # face) into the class's representative, or None when delta(g, face)
         # is that representative)
-        reached = {J.key(): (cf, None)}
-        for J1 in refinements(J):
-            c0, rho0 = reached[chain_predecessor(J, J1).key()]
+        reached = {here: (c, None)}
+        for J1, before, face in plan:
+            c0, rho0 = reached[before]
             K = J1 if rho0 is None else J1.relabel(lambda v: rho0[v - 1])
             key = (c0, shared(K.key()))
             met = False
             if key not in covers:
-                h = delta(known[c0].lmg, K)
-                cf1, framings = mg.canonicalize(h)
-                met = cf1 not in known
+                h = delta(records[c0].lmg, K)
+                enc, framings = mg.canonicalize(h)
+                met = enc not in known
                 if met:
                     # the first graph met is delta(g, J1), which is h when
                     # delta(g, J0) is the representative of c0
-                    if rho0 is None:
-                        register(cf1, h, framings)
-                    else:
-                        first = delta(g, J1)
-                        register(cf1, first, mg.canonicalize(first)[1])
-                at = saddle_at[cf1]
+                    first = h if rho0 is None else delta(g, J1)
+                    try:
+                        mg.validate(first, require_marks=False)
+                    except mg.LMGError as exc:
+                        raise InvariantViolation(
+                            "resolution produced an invalid graph: %s" % exc)
+                    register(enc, first, framings if first is h
+                             else mg.canonicalize(first)[1])
+                c1 = known[enc]
+                at = saddle_at[c1]
                 pos = mg.saddle_positions(h, framings)
-                covers[key] = (cf1, shared(tuple(at[pos[v]]
-                                                 for v in range(1, q + 1))))
-            cf1, rho1 = covers[key]
+                covers[key] = (c1, shared(tuple(at[pos[v]]
+                                                for v in range(1, q + 1))))
+            c1, rho1 = covers[key]
             if met:
                 rho1 = None
             elif rho0 is not None:
                 rho1 = shared(tuple(rho1[w - 1] for w in rho0))
-            face = shared(J1.key())
-            reached[face] = (cf1, rho1)
-            incidence.append((known[cf].class_id, face, known[cf1].class_id))
+            reached[face] = (c1, rho1)
+            incidence.append((records[c].class_id, face, records[c1].class_id))
 
     return ComplexK(p=p, q=q, r=r, marking=marking,
-                    classes=tuple(known[cf] for cf in sorted(known)),
+                    classes=tuple(sorted(records, key=lambda rec: rec.canonical)),
                     incidence=tuple(sorted(incidence)),
                     top_count=top_count)
 

@@ -411,7 +411,8 @@ def validate(g, require_marks=True):
 # are embedded in the encoding, unmarked critical points encode as -1, so
 # equality of encodings is exactly orientation-preserving level-preserving
 # isomorphism fixing marked points.  `canonicalize` is the one pass: it
-# returns the form and every framing achieving the minimum.  Each of those
+# returns the minimal encoding and every framing achieving it; the canonical
+# form is that encoding as JSON bytes (`form_bytes`).  Each of those
 # yields one automorphism (`automorphisms`), and the first places every
 # saddle (`saddle_positions`); neither frames the graph again.  Each atom's
 # circle maps are computed once per minimal root dart and shared by every
@@ -559,10 +560,12 @@ def _framing_encoding(g, arrangement, codes, circle_maps):
     return (header, level_sizes, codes, caps, cyls)
 
 
-def _min_framings(g):
-    """All framings achieving the minimal encoding.
-
-    Returns (encoding, list of (arrangement, {atom: dart_map}))."""
+def canonicalize(g):
+    """(minimal encoding, framings) from one pass over framings: the
+    encoding as a nested tuple, and all framings realizing it, as pairs
+    (arrangement of atom indices, {atom: dart map}).  Two graphs are
+    isomorphic iff their encodings are equal; `form_bytes` turns an
+    encoding into the canonical form."""
     per_atom = [_atom_min_codes(atom, g.marked_saddles, g.fixed_saddles)
                 for atom in g.atoms]
 
@@ -592,22 +595,16 @@ def _min_framings(g):
     return best, winners
 
 
-def _encode_bytes(enc):
+def form_bytes(enc):
+    """The canonical byte string of a minimal encoding from `canonicalize`.
+    Equal encodings give equal bytes, but tuple order is not byte order."""
     return json.dumps(enc, separators=(",", ":")).encode("ascii")
-
-
-def canonicalize(g):
-    """(canonical form, framings) from one pass over framings: all framings
-    realizing the minimal encoding, as pairs (arrangement of atom indices,
-    {atom: dart map})."""
-    enc, framings = _min_framings(g)
-    return _encode_bytes(enc), framings
 
 
 def canonical_form(g):
     """Canonical byte string: equal iff isomorphic by an orientation- and
     level-preserving isomorphism fixing marked labels pointwise."""
-    return canonicalize(g)[0]
+    return form_bytes(canonicalize(g)[0])
 
 
 def saddle_positions(g, framings):

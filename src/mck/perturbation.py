@@ -33,6 +33,12 @@ reaches every deeper face as a cover of `chain_predecessor`, the partition
 that `delta`'s own chain passes last.  It calls `delta` on a deep face only
 when that face meets a new class and the predecessor's stored
 representative is not the graph on `delta`'s chain.
+
+Neither `split_level` nor `delta` validates its result.  The surgery raises
+InvariantViolation when an interface curve or an annulus chain does not
+match up; the full `morse_graph.validate` runs where a split becomes a
+class, in `build_complex` (see its docstring for why that suffices).  Other
+callers that keep a split validate it themselves.
 """
 
 import itertools
@@ -202,8 +208,9 @@ def split_level(g, level, subblocks):
 
     `level` is 1-based; `subblocks` an ordered list of disjoint nonempty
     saddle sets partitioning that level's saddles (values increase along the
-    list).  m = 1 is the identity.  The result is validated; a validation
-    failure after resolution is a bug and raises InvariantViolation.
+    list).  m = 1 is the identity.  The result is not validated (see the
+    module docstring); the surgery raises InvariantViolation when its curves
+    do not match up.
     """
     if not (1 <= level <= len(g.levels)):
         raise PerturbationError("no level %r" % (level,))
@@ -291,14 +298,9 @@ def split_level(g, level, subblocks):
         [(map_circle(tuple(lo)), map_circle(tuple(hi))) for lo, hi in g.cylinders]
         + new_cylinders))
 
-    out = mg.LMG(q=g.q, p=g.p, r=g.r, levels=tuple(levels), atoms=tuple(atoms),
-                 caps=caps, cylinders=cylinders,
-                 marked_saddles=g.marked_saddles, fixed_saddles=g.fixed_saddles)
-    try:
-        mg.validate(out, require_marks=False)
-    except mg.LMGError as exc:
-        raise InvariantViolation("resolution produced an invalid graph: %s" % exc)
-    return out
+    return mg.LMG(q=g.q, p=g.p, r=g.r, levels=tuple(levels), atoms=tuple(atoms),
+                  caps=caps, cylinders=cylinders,
+                  marked_saddles=g.marked_saddles, fixed_saddles=g.fixed_saddles)
 
 
 def delta(g, target):
@@ -306,7 +308,8 @@ def delta(g, target):
 
     Repeats one hyperface split (one level into two) until the level
     partition is `target`: each step splits off the first target sub-block
-    of the lowest divisible level.  The result is chain-independent.
+    of the lowest divisible level.  The result is chain-independent, and,
+    like `split_level`'s, not validated.
     """
     cur = g
     while True:

@@ -214,7 +214,8 @@ def merge_all_levels(g, seeds=None):
 def closure_by_delta(seeds, marking=None):
     """The complex of `seeds` with every incidence entry resolved by its own
     `delta`: each class keeps the first graph met, in the library's queue
-    and refinement order."""
+    and refinement order, and is validated when it is met, independently
+    of the library's own validation."""
     if not seeds:
         raise cb.ParameterError("no seed classes")
     g0 = seeds[0]
@@ -250,6 +251,7 @@ def closure_by_delta(seeds, marking=None):
             h = delta(g, J1)
             cf1 = mg.canonical_form(h)
             if cf1 not in known:
+                mg.validate(h, require_marks=False)
                 known[cf1] = h
                 queue.append(cf1)
             incidence.append((src, J1.key(), cb.class_id(cf1)))

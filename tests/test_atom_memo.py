@@ -9,12 +9,12 @@ from mck import morse_graph as mg
 
 
 def _canonical_data(g):
-    form, framings = mg.canonicalize(g)
+    enc, framings = mg.canonicalize(g)
     group = mg.automorphisms(g, framings)
     # a second, separate pass for the saddle positions
-    form_pos, framings_pos = mg.canonicalize(g)
-    return (mg.canonical_form(g), form, group,
-            (form_pos, mg.saddle_positions(g, framings_pos)))
+    enc_pos, framings_pos = mg.canonicalize(g)
+    return (mg.canonical_form(g), mg.form_bytes(enc), group,
+            (mg.form_bytes(enc_pos), mg.saddle_positions(g, framings_pos)))
 
 
 def test_cached_maps_are_read_only(fig8_lmg):

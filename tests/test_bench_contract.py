@@ -81,10 +81,10 @@ def test_tracer_sees_one_capping_per_tagged_atom():
     assert calls["morse_graph.canonical_form.calls"] == 22 * 6 * 2 == 264
 
 
-def test_tracer_sees_one_split_per_class_and_cover():
-    # closure over covers: with the saddles unmarked, the build splits each
-    # class once along each of its hyperfaces and composes the deeper faces;
-    # the class and incidence counts are those of resolving every face
+@pytest.fixture(scope="module")
+def traced_cover_build():
+    """Build the (4, 3, 1) complex with the saddles unmarked under the
+    tracer."""
     tracing = _load_tracing()
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
@@ -94,11 +94,33 @@ def test_tracer_sees_one_split_per_class_and_cover():
         K = cb.build_complex(seeds)
     finally:
         tracer.uninstall()
-    calls = {name: value for name, (value, _) in tracer.metrics().items()}
+    return K, {name: value for name, (value, _) in tracer.metrics().items()}
+
+
+def test_tracer_sees_one_split_per_class_and_cover(traced_cover_build):
+    # closure over covers: with the saddles unmarked, the build splits each
+    # class once along each of its hyperfaces and composes the deeper faces;
+    # the class and incidence counts are those of resolving every face
+    K, calls = traced_cover_build
     covers = sum(len(hyperface_refinements(rec.lmg.level_partition()))
                  for rec in K.classes)
     assert calls["perturbation.split_level.calls"] == covers == 186
     assert (len(K.classes), len(K.incidence), K.top_count) == (71, 306, 20)
+
+
+def test_tracer_sees_one_validation_per_class(traced_cover_build):
+    # the build validates its 20 seeds and the 51 splits it registers as
+    # new classes, not the other 135 of its 186 cover splits
+    K, calls = traced_cover_build
+    assert calls["morse_graph.validate.calls"] == len(K.classes) == 71
+
+
+def test_tracer_sees_one_plan_per_level_partition(traced_cover_build):
+    # the faces of a level partition, their chain predecessors and keys are
+    # listed once per distinct partition, not once per class
+    K, calls = traced_cover_build
+    partitions = {rec.lmg.level_partition().key() for rec in K.classes}
+    assert calls["permutohedron.refinements.calls"] == len(partitions) == 13
 
 
 def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
@@ -127,13 +149,13 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     passes = []
-    raw = mg._min_framings
+    raw = mg.canonicalize
 
     def counted(g):
         passes.append(g)
         return raw(g)
 
-    monkeypatch.setattr(mg, "_min_framings", counted)
+    monkeypatch.setattr(mg, "canonicalize", counted)
     K = cb.build_complex(seeds)
     covers = sum(len(hyperface_refinements(rec.lmg.level_partition()))
                  for rec in K.classes)

@@ -6,11 +6,14 @@ import pytest
 
 from mck import complex_builder as cb
 from mck import morse_graph as mg
+from mck import perturbation as pt
+from mck.cli import main
 from mck.complex_builder import (
     MarkingSpec, ParameterError, ScopeError, betti0, build_complex,
     catalog_from_json, catalog_to_json, class_poset_dot, complex_dimension,
     complex_from_json, complex_rank, complex_to_json, enumerate_top_classes,
     euler_characteristic, morse_smale_report, q_polynomial)
+from mck.permutohedron import hyperface_refinements
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import closure_by_delta, enumerate_classes_direct, face_vertices
@@ -196,6 +199,50 @@ def test_closure_over_covers_matches_delta_oracle(complexes_q2, complexes_q3):
         _assert_polytope_dims(name, K)
     for (p, r), K in complexes_q3.items():
         _assert_polytope_dims("%d-3-%d-all" % (p, r), K)
+
+
+def test_every_cover_split_is_valid(complexes_q3):
+    # `split_level` does not validate its result and the build validates
+    # only the splits it registers as classes, so the identity "every
+    # resolution is valid" is checked here, on each (class, cover) split of
+    # the q = 3 all-marked complexes and of (3, 3, 2) marked 0,3,0
+    marking = MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))
+    complexes = [*complexes_q3.values(),
+                 build_complex(enumerate_top_classes(3, 3, 2, marking))]
+    splits = 0
+    for K in complexes:
+        for rec in K.classes:
+            for J1 in hyperface_refinements(rec.lmg.level_partition()):
+                mg.validate(pt.delta(rec.lmg, J1), require_marks=False)
+                splits += 1
+    assert splits == 7506
+
+
+@pytest.mark.parametrize("field", ["caps", "cylinders"])
+def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
+                                                   monkeypatch):
+    # a split_level that loses its last cap or cylinder yields graphs whose
+    # encodings no valid class has, so the build registers one and its
+    # validation stops the run with exit 4
+    seeds = enumerate_top_classes(4, 3, 1)
+    cat = tmp_path / "cat.json"
+    cat.write_text(catalog_to_json(seeds, 4, 3, 1,
+                                   MarkingSpec.all_marked(4, 3, 1)))
+    raw = pt.split_level
+
+    def lossy(g, level, subblocks):
+        h = raw(g, level, subblocks)
+        return h.replace(**{field: getattr(h, field)[:-1]})
+
+    monkeypatch.setattr(pt, "split_level", lossy)
+    with pytest.raises(pt.InvariantViolation,
+                       match="resolution produced an invalid graph"):
+        build_complex(seeds)
+    code = main(["complex", "--input", str(cat),
+                 "--out", str(tmp_path / "K.json")])
+    _, err = capsys.readouterr()
+    assert code == 4 and "resolution produced an invalid graph" in err
+    assert not (tmp_path / "K.json").exists()
 
 
 def test_index_stratification(complexes_q2):
