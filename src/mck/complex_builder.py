@@ -735,7 +735,8 @@ def _incidence_entry(src, face, dst):
 
 def _check_incidence(records, incidence):
     """Each class has one entry per proper face of its level partition, and
-    each entry leads to a stored class with one level per face block."""
+    each entry leads to a stored class with one level per face block.  The
+    faces are listed once per distinct level partition."""
     s_of = {rec.class_id: rec.s for rec in records}
     faces = {}
     for src, face, dst in incidence:
@@ -743,10 +744,13 @@ def _check_incidence(records, incidence):
             raise mg.LMGJSONError("class %s: face %r leads to no stored class "
                                   "with s = %d" % (src, face, len(face)))
         faces.setdefault(src, []).append(face)
+    wanted = {}     # level partition key -> sorted keys of its proper faces
     for rec in records:
-        want = [J1.key() for J1 in
-                refinements(rec.lmg.level_partition())]
-        if sorted(faces.get(rec.class_id, [])) != sorted(want):
+        J = rec.lmg.level_partition()
+        want = wanted.get(J.key())
+        if want is None:
+            want = wanted[J.key()] = sorted(J1.key() for J1 in refinements(J))
+        if sorted(faces.get(rec.class_id, [])) != want:
             raise mg.LMGJSONError("class %s: stored incidence entries do not "
                                   "match its %d faces" % (rec.class_id, len(want)))
 

@@ -9,16 +9,20 @@ up-sectors), saddles of higher sub-blocks downward.  With slots numbered as
 in `morse_graph`, arriving at the incoming slot-s dart the upward resolution
 continues from slot s-1, the downward one from slot s+1.
 
-Between consecutive sub-levels the regular interface curves I_k (all blocks
-<= k resolved up, the rest down) cut the ribbon into annuli.  Each interface
-curve traverses every old edge exactly once, so its edge set matches it both
-to the circle below (an upper circle of system C_k, or an old lower circle
-of the atom for k = 0) and to the circle above (a lower circle of C_{k+1},
-or an old upper circle for k = m).  Saddle-free components of a C_k are kept
-transiently: they bound annuli on both sides and merge them.  The maximal
-annulus chains are the new complementary regions: chains ending on old
-circles extend the caps and cylinders that were attached there, chains
-between two new-atom circles become new cylinders.
+Between consecutive sub-levels lie the regular interface curves I_k (all
+blocks <= k resolved up, the rest down): I_0 is the old lower circles, I_m
+the old upper circles.  Each interface curve traverses every old edge
+exactly once, so its edge set matches it both to the circle below (an upper
+circle of system C_k, or an old lower circle for k = 0) and to the circle
+above (a lower circle of C_{k+1}, or an old upper circle for k = m).  The
+interface curves are therefore named by their edge sets, never traced.
+Saddle-free components of a C_k are kept transiently, as edge sets: the
+interface curves on both sides of one share its edge set.  Each new
+complementary region climbs from an old lower circle or a new upper circle,
+through the transients with that circle's edge set, to the new lower circle
+or old upper circle with it.  Regions ending on old circles extend the caps
+and cylinders that were attached there; regions between two new-atom
+circles become new cylinders.
 
 `delta` reaches a deep refinement through a chain of hyperface splits (one
 level into two), always splitting off the first target sub-block of the
@@ -35,10 +39,11 @@ when that face meets a new class and the predecessor's stored
 representative is not the graph on `delta`'s chain.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
-InvariantViolation when an interface curve or an annulus chain does not
-match up; the full `morse_graph.validate` runs where a split becomes a
-class, in `build_complex` (see its docstring for why that suffices).  Other
-callers that keep a split validate it themselves.
+InvariantViolation when a circle's edge set reaches no circle above it, or
+when a circle above is reached twice or never; the full
+`morse_graph.validate` runs where a split becomes a class, in
+`build_complex` (see its docstring for why that suffices).  Other callers
+that keep a split validate it themselves.
 """
 
 import itertools
@@ -59,21 +64,13 @@ class InvariantViolation(RuntimeError):
 # One-atom surgery
 # ---------------------------------------------------------------------------
 
-def _interface_cycles(atom, blk, k):
-    """Interface curves I_k as edge-index cycles (each edge used once)."""
-    by_out = atom.edge_at_out()
-    succ = [by_out[(v, (s + (-1 if blk[v] <= k else +1)) % 4)]
-            for _, (v, s) in atom.edges]
-    return [frozenset(c) for c in mg.trace_cycles(succ, range(len(succ)))]
-
-
 def _sublevel_system(atom, blk, k):
     """Curve system C_k of one old atom.
 
     Returns (new_atoms, transients) where new_atoms is a list of
     (Atom, paths) with paths mapping the new atom's local edge index to the
     frozenset of old edge indices its strand path covers, ordered by smallest
-    saddle label; transients is the list of old-edge frozensets of the
+    saddle label; transients is the set of old-edge frozensets of the
     saddle-free closed curves.
     """
     by_out = atom.edge_at_out()
@@ -105,7 +102,7 @@ def _sublevel_system(atom, blk, k):
     # saddle-free closed curves on the remaining edges, whose heads are all
     # resolved: every edge into a kept saddle ends a strand path
     succ = {e: resolved_next(e) for e in range(len(atom.edges)) if e not in used}
-    transients = [frozenset(c) for c in mg.trace_cycles(succ, succ)]
+    transients = {frozenset(c) for c in mg.trace_cycles(succ, succ)}
 
     new_atoms = []
     pairs = [(o[0], i[0]) for (o, i), _ in comp_edges.values()]
@@ -118,85 +115,60 @@ def _sublevel_system(atom, blk, k):
     return new_atoms, transients
 
 
-def _circle_shadows(new_atom, paths):
-    """Old-edge shadows of the new atom's circles.
-
-    Returns (lower_shadows, upper_shadows): lists aligned with the canonical
-    circle order, each entry (circle_index, frozenset of old edges)."""
-    lows, ups = [], []
-    for ci, (side, cyc) in enumerate(new_atom.circles):
-        shadow = frozenset(itertools.chain.from_iterable(paths[e] for e in cyc))
-        (lows if side == "lower" else ups).append((ci, shadow))
-    return lows, ups
-
-
 def _atom_surgery(atom, blk, m):
-    """All per-atom data: sub-level systems, interfaces, and annulus chains.
+    """Sub-level systems of one old atom and the regions between them.
 
-    Returns (systems, chains) where systems[k-1] is the new-atom list of
-    sub-level k and chains maps each old circle / new circle handle at the
-    bottom of a maximal annulus chain to the handle at its top.  Handles:
-      ("oldlow", ci) / ("oldup", ci): original canonical circle index,
-      ("new", k, j, ci): circle ci of the j-th new atom of sub-level k.
+    Returns (systems, reattach, cylinders).  systems[k-1] is the new-atom
+    list of sub-level k; a new circle is named (k, j, ci), circle ci of the
+    j-th new atom of sub-level k, and an old circle by its index ci.
+    reattach maps each old circle to the new circle that takes its place,
+    and cylinders lists the new (lower, upper) circle pairs.
+
+    The region above an old lower circle or a new upper circle climbs
+    through the transients with the same edge set to the new lower circle
+    or old upper circle with that edge set.  Each start must reach such a
+    circle, and each circle above must be reached exactly once.
     """
-    systems = []
-    transients = {}
-    up_shadow = {}
-    low_shadow = {}
-    for k in range(1, m + 1):
-        new_atoms, trans = _sublevel_system(atom, blk, k)
-        systems.append(new_atoms)
-        transients[k] = set(trans)
-        for j, (na, paths) in enumerate(new_atoms):
-            lows, ups = _circle_shadows(na, paths)
-            for ci, shadow in ups:
-                up_shadow[(k, shadow)] = ("new", k, j, ci)
-            for ci, shadow in lows:
-                low_shadow[(k, shadow)] = ("new", k, j, ci)
-
-    circles = atom.circles
-    oldlow = {}
-    oldup = {}
-    for ci, (side, cyc) in enumerate(circles):
+    systems = [_sublevel_system(atom, blk, k) for k in range(1, m + 1)]
+    starts = []  # (layer, edge set, circle) of every region's lower circle
+    ends = {}    # (layer, edge set) -> circle, of every region's upper circle
+    for ci, (side, cyc) in enumerate(atom.circles):
         if side == "lower":
-            oldlow[frozenset(cyc)] = ("oldlow", ci)
+            starts.append((0, frozenset(cyc), ci))
         else:
-            oldup[frozenset(cyc)] = ("oldup", ci)
+            ends[(m + 1, frozenset(cyc))] = ci
+    for k, (new_atoms, _) in enumerate(systems, start=1):
+        for j, (na, paths) in enumerate(new_atoms):
+            for ci, (side, cyc) in enumerate(na.circles):
+                es = frozenset(itertools.chain.from_iterable(paths[e] for e in cyc))
+                if side == "lower":
+                    ends[(k, es)] = (k, j, ci)
+                else:
+                    starts.append((k, es, (k, j, ci)))
 
-    annuli = {}
-    for k in range(0, m + 1):
-        for es in _interface_cycles(atom, blk, k):
-            if k == 0:
-                down = oldlow.get(es)
-            elif (k, es) in up_shadow:
-                down = up_shadow[(k, es)]
-            elif es in transients[k]:
-                down = ("transient", k, es)
-            else:
-                down = None
-            if k == m:
-                up = oldup.get(es)
-            elif (k + 1, es) in low_shadow:
-                up = low_shadow[(k + 1, es)]
-            elif es in transients[k + 1]:
-                up = ("transient", k + 1, es)
-            else:
-                up = None
-            if down is None or up is None:
-                raise InvariantViolation("interface curve %s unmatched at layer %d"
-                                         % (sorted(es), k))
-            annuli[(k, es)] = (down, up)
-
-    chains = {}
-    for (k, es), (down, up) in annuli.items():
-        if down[0] == "transient":
-            continue
-        top = up
-        while top[0] == "transient":
-            _, kk, ess = top
-            top = annuli[(kk, ess)][1]
-        chains[down] = top
-    return systems, chains
+    reattach, cylinders, reached = {}, [], set()
+    for k, es, lo in starts:
+        top = k + 1
+        while (top, es) not in ends:
+            if top > m or es not in systems[top - 1][1]:
+                raise InvariantViolation("circle %s at layer %d meets nothing "
+                                         "at layer %d" % (sorted(es), k, top))
+            top += 1
+        reached.add((top, es))
+        hi = ends[(top, es)]
+        if isinstance(lo, int):
+            if isinstance(hi, int):
+                raise InvariantViolation("old circles %d and %d bound one "
+                                         "region" % (lo, hi))
+            reattach[lo] = hi
+        elif isinstance(hi, int):
+            reattach[hi] = lo
+        else:
+            cylinders.append((lo, hi))
+    if not len(reached) == len(starts) == len(ends):
+        raise InvariantViolation("%d regions for %d lower and %d upper circles"
+                                 % (len(reached), len(starts), len(ends)))
+    return [new_atoms for new_atoms, _ in systems], reattach, cylinders
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +181,7 @@ def split_level(g, level, subblocks):
     `level` is 1-based; `subblocks` an ordered list of disjoint nonempty
     saddle sets partitioning that level's saddles (values increase along the
     list).  m = 1 is the identity.  The result is not validated (see the
-    module docstring); the surgery raises InvariantViolation when its curves
+    module docstring); the surgery raises InvariantViolation when its circles
     do not match up.
     """
     if not (1 <= level <= len(g.levels)):
@@ -228,15 +200,10 @@ def split_level(g, level, subblocks):
     if m == 1:
         return g
 
-    blk = {}
-    for k, b in enumerate(blocks, start=1):
-        for v in b:
-            blk[v] = k
+    blk = {v: k for k, b in enumerate(blocks, start=1) for v in b}
 
     old_level_atoms = list(g.levels[level - 1])
-    surgery = {}
-    for a in old_level_atoms:
-        surgery[a] = _atom_surgery(g.atoms[a], blk, m)
+    surgery = {a: _atom_surgery(g.atoms[a], blk, m) for a in old_level_atoms}
 
     # keep every non-split atom, in original index order
     kept = [a for a in range(len(g.atoms)) if a not in old_level_atoms]
@@ -249,8 +216,7 @@ def split_level(g, level, subblocks):
     for k in range(1, m + 1):
         lev = []
         for a in old_level_atoms:
-            systems, _ = surgery[a]
-            for j, (na, _) in enumerate(systems[k - 1]):
+            for j, (na, _) in enumerate(surgery[a][0][k - 1]):
                 sub_atom_index[(a, k, j)] = len(atoms)
                 lev.append(len(atoms))
                 atoms.append(na)
@@ -262,28 +228,18 @@ def split_level(g, level, subblocks):
               + new_levels
               + [tuple(new_index[a] for a in lv) for lv in g.levels[level:]])
 
-    def handle_ref(a, handle):
-        _, k, j, ci = handle
+    def atom_circle(a, k, j, ci):
         return (sub_atom_index[(a, k, j)], ci)
 
     # where each old circle of a split atom reattaches
     reattach = {}
     new_cylinders = []
     for a in old_level_atoms:
-        _, chains = surgery[a]
-        for down, up in chains.items():
-            if down[0] == "oldlow":
-                if up[0] != "new":
-                    raise InvariantViolation("chain from old lower circle ends at %r" % (up,))
-                reattach[(a, down[1])] = handle_ref(a, up)
-            elif up[0] == "oldup":
-                if down[0] != "new":
-                    raise InvariantViolation("chain to old upper circle starts at %r" % (down,))
-                reattach[(a, up[1])] = handle_ref(a, down)
-            else:
-                lo = handle_ref(a, down)
-                hi = handle_ref(a, up)
-                new_cylinders.append((lo, hi))
+        _, moved, cylinders = surgery[a]
+        for ci, circle in moved.items():
+            reattach[(a, ci)] = atom_circle(a, *circle)
+        new_cylinders += [(atom_circle(a, *lo), atom_circle(a, *hi))
+                          for lo, hi in cylinders]
 
     def map_circle(ref):
         a, ci = ref

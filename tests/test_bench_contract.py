@@ -3,6 +3,7 @@ attribute name; every one of those names must stay resolvable, and the calls
 the library makes must still pass through the wrapped names."""
 
 import ast
+import gzip
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck.permutohedron import hyperface_refinements
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -121,6 +123,24 @@ def test_tracer_sees_one_plan_per_level_partition(traced_cover_build):
     K, calls = traced_cover_build
     partitions = {rec.lmg.level_partition().key() for rec in K.classes}
     assert calls["permutohedron.refinements.calls"] == len(partitions) == 13
+
+
+def test_reload_lists_faces_once_per_level_partition(monkeypatch):
+    # the face-list check of a reload asks `refinements` once per distinct
+    # level partition of the stored classes, not once per class
+    text = gzip.decompress(
+        (BENCH / "dumps" / "4-3-1-all.json.gz").read_bytes()).decode()
+    asked = []
+    raw = cb.refinements
+
+    def counted(J):
+        asked.append(J.key())
+        return raw(J)
+
+    monkeypatch.setattr(cb, "refinements", counted)
+    K = cb.complex_from_json(text)
+    partitions = {rec.lmg.level_partition().key() for rec in K.classes}
+    assert (len(K.classes), len(asked), len(partitions)) == (426, 13, 13)
 
 
 def test_one_atom_code_computation_per_distinct_atom(monkeypatch):

@@ -8,9 +8,11 @@ from mck import morse_graph as mg
 from mck import perturbation as pt
 from mck.complex_builder import MarkingSpec, enumerate_top_classes
 from mck.permutohedron import (
-    OrderedPartition, enumerate_partitions, refinements, refines_eq)
+    OrderedPartition, enumerate_partitions, hyperface_refinements, refinements,
+    refines_eq)
 from mck.perturbation import (
-    PerturbationError, chain_predecessor, delta, split_level)
+    InvariantViolation, PerturbationError, chain_predecessor, delta,
+    split_level)
 
 from conftest import Q3_SPLITS, group_of
 from oracles import enumerate_classes_direct, merge_all_levels
@@ -68,6 +70,49 @@ def test_cylinders_never_decrease_under_split():
         n0 = len(g.cylinders)
         h = delta(g, OrderedPartition.of([{2}, {1}]))
         assert len(h.cylinders) >= n0
+
+
+def _drop_transient(new_atoms, transients):
+    return (new_atoms, set(list(transients)[1:])) if transients else None
+
+
+def _drop_last_atom(new_atoms, transients):
+    return new_atoms[:-1], transients
+
+
+def _duplicate_last_atom(new_atoms, transients):
+    return new_atoms + new_atoms[-1:], transients
+
+
+@pytest.mark.parametrize("mutation", [
+    _drop_transient, _drop_last_atom, _duplicate_last_atom])
+def test_surgery_refuses_a_broken_curve_system(mutation, monkeypatch):
+    # a sub-level system that loses a transient or a new atom, or repeats
+    # one, leaves a circle unmatched or matched twice; the surgery raises on
+    # exactly the cover splits whose system was broken
+    raw = pt._sublevel_system
+    broken = []
+
+    def mutated(atom, blk, k):
+        system = raw(atom, blk, k)
+        changed = mutation(*system)
+        broken.append(changed is not None)
+        return system if changed is None else changed
+
+    monkeypatch.setattr(pt, "_sublevel_system", mutated)
+    splits = raised = 0
+    for g in enumerate_top_classes(4, 3, 1)[:10]:
+        for J1 in hyperface_refinements(g.level_partition()):
+            broken.clear()
+            try:
+                delta(g, J1)
+            except InvariantViolation:
+                raised += 1
+                assert any(broken)
+            else:
+                assert not any(broken)
+            splits += 1
+    assert splits == 60 and raised > 0
 
 
 # ---------------------------------------------------------------------------
