@@ -8,8 +8,12 @@ Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure,
 4 internal invariant violation (diagnostic dump on stderr).
 
 Every input file is re-derived when it is read: catalogs are revalidated
-graph by graph, and a complex dump must match its recomputed handle records,
-global invariants and per-class faces, or the command exits with 3.
+graph by graph, and a complex dump must list each class once and match its
+recomputed handle records, global invariants and per-class faces, or the
+command exits with 3.
+
+`euler` always prints both values of chi: every handle is compact at this
+scope (at most one fixed point per index, so c = 0 on every class).
 """
 
 import argparse
@@ -158,9 +162,6 @@ def cmd_complex(args):
 def cmd_euler(args):
     K = _load_complex_or_catalog(args.input)
     chi = cb.euler_characteristic(K)
-    if chi.skipped:
-        print("formula: %d, independent: skipped (%s)" % (chi.formula, chi.note))
-        return 0
     print("formula: %d, independent: %s, %s"
           % (chi.formula, _frac_str(chi.independent),
              "AGREE" if chi.agree else "DISAGREE"))

@@ -269,34 +269,21 @@ class ComplexK:
     incidence: tuple   # (class_id, face key, target class_id)
     top_count: int
 
-    def by_id(self):
-        return {rec.class_id: rec for rec in self.classes}
-
 
 def class_id(canonical):
     return "c" + hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _poincare(classification, autos):
+def _poincare(d, autos):
     """Poincare polynomial of the closed handle: invariants of the exterior
     algebra on the d torus directions under the symmetry group's permutation
-    action."""
-    d = classification.d
-    order = classification.order
-    pos_of_orig = {orig: i + 1 for i, orig in enumerate(order)}
-    b_positions = sorted(classification.B)
+    action.  Every cylinder core is a torus direction (`CircleClassification`),
+    so the group permutes them as it permutes the cylinders."""
     acc = [0] * (d + 1)
     for phi in autos:
-        perm = {}
-        for bp in b_positions:
-            image = pos_of_orig[phi.cylinders[order[bp - 1]]]
-            if image not in classification.B:
-                raise ta.AlgebraInvariantViolation(
-                    "automorphism does not preserve the torus directions")
-            perm[bp] = image
         # det(I + t P) over cycles: a length-m cycle contributes 1 - (-t)^m
         poly = [1]
-        for cyc in mg.trace_cycles(perm, b_positions):
+        for cyc in mg.trace_cycles(phi.cylinders, range(d)):
             m = len(cyc)
             factor = [0] * (m + 1)
             factor[0] = 1
@@ -337,10 +324,10 @@ def handle_record(g, enc, framings):
     autos = mg.automorphisms(g, framings)
     model = ta.homology_model(g)
     poly = ta.u_polytope(g, model)
-    stab = ta.check_stab_action(g, model, autos, classification)
+    stab = ta.check_stab_action(g, model, autos)
     s, n = len(g.levels), len(g.cylinders)
     index = g.q - s
-    pc = _poincare(classification, autos)
+    pc = _poincare(classification.d, autos)
     return HandleRecord(
         class_id=class_id(canonical), canonical=canonical, lmg=g,
         index=index, s=s, t=len(g.atoms), n=n,
@@ -350,7 +337,7 @@ def handle_record(g, enc, framings):
         gamma_order=len(autos),
         mirror_self=(mg.canonicalize(mg.mirror(g))[0] == enc),
         all_admissible=stab.all_admissible, all_free=stab.all_free,
-        free_exact=all(c.free_exact for c in stab.checks),
+        free_exact=classification.c == 0,
         poincare=pc)
 
 
@@ -507,7 +494,6 @@ class EulerReport:
     formula: int
     independent: Fraction
     agree: bool
-    skipped: bool
     note: str
 
 
@@ -517,15 +503,10 @@ def euler_characteristic(K):
     Formula value: (-1)^(q-1) times the number of one-level classes.
     Independent value: over classes, (-1)^(q-s) [d = 0] / |Gamma| (each
     compact handle factor contributes its compactly supported Euler
-    characteristic; the polytope factor contributes 1).  Only evaluated in
-    the compact case c = 0 for every handle.
+    characteristic; the polytope factor contributes 1).  Every handle is
+    compact: c = 0 on every class (`CircleClassification`).
     """
     formula = (-1) ** (K.q - 1) * K.top_count
-    if any(rec.c > 0 for rec in K.classes):
-        return EulerReport(formula=formula, independent=Fraction(0),
-                           agree=False, skipped=True,
-                           note="non-compact scope: some handle has c > 0; "
-                                "independent sum skipped")
     indep = Fraction(0)
     for rec in K.classes:
         if rec.d == 0:
@@ -535,7 +516,7 @@ def euler_characteristic(K):
         "formula and handle sum disagree; nontrivial symmetry groups on "
         "d = 0 classes contribute 1/|Gamma|: reported verbatim")
     return EulerReport(formula=formula, independent=indep, agree=agree,
-                       skipped=False, note=note)
+                       note=note)
 
 
 def q_polynomial(K):
@@ -644,7 +625,7 @@ def _report_fields(K):
         "chi": {"formula": chi.formula,
                 "independent": [chi.independent.numerator,
                                 chi.independent.denominator],
-                "agree": chi.agree, "skipped": chi.skipped},
+                "agree": chi.agree, "skipped": False},
         "Q": q_polynomial(K),
         "dim": complex_dimension(K),
         "rank": complex_rank(K),
@@ -758,9 +739,10 @@ def _check_incidence(records, incidence):
 @mg.atom_memo()
 def complex_from_json(text):
     """Rebuild a complex from its JSON dump, revalidating every class and
-    refusing it unless every stored record, global invariant and incidence
-    face list equals its recomputation.  A marking that `build_complex`
-    refuses is refused here too, with the same `ScopeError`."""
+    refusing it unless every class is listed once and every stored record,
+    global invariant and incidence face list equals its recomputation.  A
+    marking that `build_complex` refuses is refused here too, with the same
+    `ScopeError`."""
     try:
         doc = json.loads(text)
         p, q, r, marking = _params_from_json(doc)
@@ -775,12 +757,16 @@ def complex_from_json(text):
     if not marking.builder_scope_ok():
         raise ScopeError(SCOPE_REFUSAL)
     records = []
+    seen = set()
     for entry, lmg in zip(entries, lmgs):
         g = _graph_from_json(lmg, p, q, r, marking)
         rec = handle_record(g, *mg.canonicalize(g))
         if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry.get("id"))
+        if rec.class_id in seen:
+            raise mg.LMGJSONError("class %s is listed twice" % rec.class_id)
+        seen.add(rec.class_id)
         _check_stored("class " + rec.class_id, entry,
                       dict(_record_fields(rec),
                            canonical=rec.canonical.decode("ascii")))

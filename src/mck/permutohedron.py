@@ -57,13 +57,6 @@ class OrderedPartition:
     def s(self):
         return len(self.blocks)
 
-    def level_of(self, label):
-        """1-based block index of a label."""
-        for k, b in enumerate(self.blocks):
-            if label in b:
-                return k + 1
-        raise PartitionError("label %r not in ground set" % (label,))
-
     def assignment(self):
         """The level-assignment tuple (J(1), ..., J(q)), 1-based."""
         lev = {}

@@ -18,6 +18,12 @@ back-substitution step and the rotation offsets of the stabilizer check.
 Coordinates on the dual space are (u~_1..u~_n, u'_{n+1}..u'_{2q}): values
 on the transverse edges followed by values on the kept graph edges.
 
+The cylinder classification is the scope fact of `CircleClassification`:
+a class has at most chi(S^2) + 1 = 3 fixed points, so every core has a side
+with at most one of them.  Every core is then a torus direction of the
+twist subgroup (d = n, c = 0), and the stabilizer's freeness test on the
+rotation offsets of the cores is exact.
+
 The dimension of the edge-value polytope is certified, not enumerated: a
 polytope is full-dimensional exactly when its strict system is feasible, and
 Fourier-Motzkin elimination over the integers decides that and yields an
@@ -28,7 +34,6 @@ system without one (an empty polytope, or one with implicit equalities) is
 an invariant violation, not a dimension to derive some other way.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,137 +181,40 @@ def homology_model(g):
 class CircleClassification:
     """Cylinder cores sorted by how they sit around the fixed points.
 
-    nu0 counts cores with a side holding at most one fixed point; the
-    remaining cores group into parallel families (consecutive cores bounding
-    fixed-point-free annuli with no other such core between).  `order` lists
-    original cylinder indices in the renumbering nu0-first, families next
-    (chain order), loose cores last; A and B are 1-based index sets in that
-    renumbering.  d = rank of the identity-isotopic twist subgroup, c its
-    complement: c + d = n.
+    A core counts in nu0 when one of its sides holds at most one fixed
+    point; the other cores would group into parallel families, e of them,
+    and d = nu0 + (cores in families) - e is the rank of the
+    identity-isotopic twist subgroup, c = n - d its complement.
+
+    At the builder's scope every core counts in nu0.  The builder allows at
+    most one fixed point per index, so a class has at most
+    chi(S^2) + 1 = 3 fixed points (fixed saddles and fixed caps).  Cutting
+    a core splits the sphere in two sides that share those points, so one
+    side holds at most one of them.  No family forms: e = c = 0, d = n.
     """
 
     n: int
     nu0: int
-    families: tuple   # tuples of original cylinder indices, chain order
-    order: tuple      # new position (0-based) -> original cylinder index
     e: int
     d: int
     c: int
-    A: frozenset      # 1-based positions in the new numbering
-    B: frozenset
 
 
-def _fixed_point_places(g):
-    """Fixed points per atom and per cap."""
-    atom_fixed = [sum(1 for v in atom.saddles if v in g.fixed_saddles)
-                  for atom in g.atoms]
-    cap_fixed = [1 if cap.fixed else 0 for cap in g.caps]
-    cap_atom = [cap.circle[0] for cap in g.caps]
-    return atom_fixed, cap_fixed, cap_atom
-
-
-def _tree_sides(g):
-    """For each cylinder, (atoms on its lower-end side, atoms on the other);
-    removing a cylinder disconnects the sphere's assembly tree."""
-    atoms = range(len(g.atoms))
-    pairs = [(lo[0], hi[0]) for lo, hi in g.cylinders]
-    out = []
-    for k, (lo, _) in enumerate(g.cylinders):
-        comps = mg.components(atoms, pairs[:k] + pairs[k + 1:])
-        comp = frozenset(next(c for c in comps if lo[0] in c))
-        out.append((comp, frozenset(atoms) - comp))
-    return out
-
-
-def _between(sides, cylinders, a, b):
-    """Atoms strictly between the cores of cylinders a and b: intersect the
-    b-facing side of a with the a-facing side of b."""
-    ends_a = {cylinders[a][0][0], cylinders[a][1][0]}
-    ends_b = {cylinders[b][0][0], cylinders[b][1][0]}
-    sa = next(s for s in sides[a] if ends_b <= s)
-    sb = next(s for s in sides[b] if ends_a <= s)
-    return sa & sb
+MAX_FIXED_POINTS = 3  # chi(S^2) + 1
 
 
 def classify_circles(g):
     """Classification of the cylinder cores of a validated graph; sphere
-    scope only."""
+    scope with at most chi(S^2) + 1 fixed points only."""
     n = len(g.cylinders)
     if n != len(g.atoms) - 1:
         raise AlgebraInvariantViolation("sphere assembly graph is not a tree")
-
-    atom_fixed, cap_fixed, cap_atom = _fixed_point_places(g)
-
-    def fixed_in(atom_set):
-        total = sum(atom_fixed[a] for a in atom_set)
-        total += sum(cap_fixed[k] for k in range(len(g.caps))
-                     if cap_atom[k] in atom_set)
-        return total
-
-    sides = _tree_sides(g)
-    side_fixed = [(fixed_in(s1), fixed_in(s2)) for s1, s2 in sides]
-    nu0_set = sorted(k for k in range(n) if min(side_fixed[k]) <= 1)
-    nu0_members = set(nu0_set)
-    rest = [k for k in range(n) if k not in nu0_members]
-
-    # parallel adjacency among the remaining cores
-    adj = {k: set() for k in rest}
-    pairs = []
-    for a, b in itertools.combinations(rest, 2):
-        middle = _between(sides, g.cylinders, a, b)
-        if fixed_in(middle) != 0:
-            continue
-        blocked = False
-        for c0 in rest:
-            if c0 in (a, b):
-                continue
-            lo, hi = g.cylinders[c0]
-            if lo[0] in middle and hi[0] in middle:
-                blocked = True
-                break
-        if not blocked:
-            adj[a].add(b)
-            adj[b].add(a)
-            pairs.append((a, b))
-
-    families = []
-    loose = []
-    for comp in mg.components(rest, pairs):
-        if len(comp) == 1:
-            loose.extend(comp)
-            continue
-        comp = set(comp)
-        ends = sorted(x for x in comp if len(adj[x] & comp) <= 1)
-        if not ends:
-            raise AlgebraInvariantViolation("parallel family is not a chain")
-        chain = [min(ends)]
-        in_chain = {chain[0]}
-        while len(chain) < len(comp):
-            nxt = [w for w in adj[chain[-1]] & comp if w not in in_chain]
-            if len(nxt) != 1:
-                raise AlgebraInvariantViolation("parallel family is not a chain")
-            chain.append(nxt[0])
-            in_chain.add(nxt[0])
-        families.append(tuple(chain))
-
-    order = list(nu0_set)
-    fam_bounds = [len(order)]
-    for fam in families:
-        order.extend(fam)
-        fam_bounds.append(len(order))
-    order.extend(loose)
-
-    e = len(families)
-    nu_e = fam_bounds[-1]
-    d = nu_e - e
-    c = n - d
-    A = set(fam_bounds[1:]) | set(range(nu_e + 1, n + 1))
-    B = set(range(1, n + 1)) - A
-    if len(B) != d or len(A) != c:
-        raise AlgebraInvariantViolation("A/B split does not match d = nu_e - e")
-    return CircleClassification(n=n, nu0=len(nu0_set), families=tuple(families),
-                                order=tuple(order), e=e, d=d, c=c,
-                                A=frozenset(A), B=frozenset(B))
+    fixed = len(g.fixed_saddles) + sum(1 for cap in g.caps if cap.fixed)
+    if fixed > MAX_FIXED_POINTS:
+        raise AlgebraInvariantViolation(
+            "%d fixed points, more than chi(S^2) + 1 = %d"
+            % (fixed, MAX_FIXED_POINTS))
+    return CircleClassification(n=n, nu0=n, e=0, d=n, c=0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +235,6 @@ class UPolytope:
     bound: int
     ambient: int
     dim: int
-
-    @property
-    def is_point(self):
-        return self.dim == 0
 
 
 def _strict_system(slab_rows, bound, ambient):
@@ -466,13 +370,11 @@ class AutomorphismCheck:
 
     consistent: bool          # edge action descends to the quotient
     face_admissible: bool
-    pi_trivial: bool          # loose/non-nu0 cores all fixed
     a_trivial: bool
     b_trivial: bool
     rho_trivial: bool
     degeneracies_ok: bool
     free: bool
-    free_exact: bool          # False when only the mod-1 test applied (c > 0)
     cycle_obstructions: tuple  # ((cycle tuple), Fraction offset mod 1)
     admissible: bool
 
@@ -507,7 +409,7 @@ def _face_admissible(sigma, J):
     return J.relabel(sigma).key() == J.key()
 
 
-def check_stab_action(g, model, autos, classification):
+def check_stab_action(g, model, autos):
     """Run the admissibility checklist and the fixed-point-freeness test on
     every non-identity structure automorphism.
 
@@ -524,7 +426,6 @@ def check_stab_action(g, model, autos, classification):
     J = g.level_partition()
     n = model.n
     identity = linalg.identity(len(model.basis))
-    nu0_orig = set(classification.order[:classification.nu0])
     moved = [phi for phi in autos if not phi.is_identity()]
     pos = {e: i for i, e in enumerate(model.edges)}
 
@@ -541,8 +442,6 @@ def check_stab_action(g, model, autos, classification):
             linalg.mat_vec(Bt, list(model.expansion[i]))
             for i in model.deleted)
         face_ok = _face_admissible(phi.saddles, J)
-        pi_trivial = all(phi.cylinders[k] == k
-                         for k in range(n) if k not in nu0_orig)
         a_trivial = linalg.mat_eq(B, identity)
         b_trivial = all(v == w for v, w in phi.saddles.items())
         rho_trivial = all(phi.cylinders[k] == k for k in range(n))
@@ -565,14 +464,11 @@ def check_stab_action(g, model, autos, classification):
         checks.append(AutomorphismCheck(
             consistent=consistent,
             face_admissible=face_ok,
-            pi_trivial=pi_trivial,
             a_trivial=a_trivial, b_trivial=b_trivial,
             rho_trivial=rho_trivial, degeneracies_ok=deg_ok,
             free=any(off != 0 for _, off in obstructions),
-            free_exact=classification.c == 0,
             cycle_obstructions=tuple(obstructions),
-            admissible=(consistent and face_ok and pi_trivial
-                        and deg_ok)))
+            admissible=consistent and face_ok and deg_ok))
 
     return StabReport(checks=tuple(checks),
                       all_admissible=all(c.admissible for c in checks),

