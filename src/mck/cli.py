@@ -13,7 +13,7 @@ recomputed handle records, global invariants and per-class faces, or the
 command exits with 3.
 
 `euler` always prints both values of chi: every handle is compact at this
-scope (at most one fixed point per index, so c = 0 on every class).
+scope (every cylinder core is a torus direction, `classify_circles`).
 """
 
 import argparse
@@ -94,9 +94,9 @@ def _is_complex_dump(text):
 
 
 def _catalog_seeds(path, text):
-    """The one-level seeds and the marking of catalog `text` read from `path`."""
+    """The one-level seeds of catalog `text` read from `path`."""
     try:
-        classes, _, _, _, marking = cb.catalog_from_json(text)
+        classes = cb.catalog_from_json(text)[0]
     except mg.LMGJSONError as exc:
         if _is_complex_dump(text):
             raise CliError(EXIT_PARAMS, "%s: expected a catalog, got a "
@@ -105,7 +105,7 @@ def _catalog_seeds(path, text):
     if any(len(g.levels) != 1 for g in classes):
         raise CliError(EXIT_PARAMS, "catalog must contain one-level seeds "
                        "only; provide a complex dump instead")
-    return classes, marking
+    return classes
 
 
 def _load_complex_or_catalog(path):
@@ -122,7 +122,7 @@ def _load_complex_or_catalog(path):
             return cb.complex_from_json(text)
     except mg.LMGJSONError as exc:
         raise CliError(EXIT_IO, "corrupted input %s: %s" % (path, exc))
-    return cb.build_complex(*_catalog_seeds(path, text))
+    return cb.build_complex(_catalog_seeds(path, text))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def cmd_enumerate(args):
 
 
 def cmd_complex(args):
-    K = cb.build_complex(*_catalog_seeds(args.input, _read(args.input)))
+    K = cb.build_complex(_catalog_seeds(args.input, _read(args.input)))
     out_text = cb.complex_to_json(K)
     if args.out:
         _write(args.out, out_text)
@@ -230,7 +230,7 @@ def cmd_export_dot(args):
     elif args.what == "graph":
         if args.input is None:
             raise CliError(EXIT_PARAMS, "--input is required for --what graph")
-        classes, _ = _catalog_seeds(args.input, _read(args.input))
+        classes = _catalog_seeds(args.input, _read(args.input))
         if not (0 <= args.index < len(classes)):
             raise CliError(EXIT_PARAMS, "--index out of range (%d classes)"
                            % len(classes))

@@ -101,6 +101,13 @@ def _marked_saddle_sets(marking):
     return frozenset(range(1, qh + 1)), frozenset(range(1, qs + 1))
 
 
+def _marking_differs(g, marking):
+    """Whether g's cap flags or marked or fixed saddles are not `marking`'s."""
+    return (any((cap.marked, cap.fixed) != _cap_flags(marking, cap.kind, cap.label)
+                for cap in g.caps)
+            or (g.marked_saddles, g.fixed_saddles) != _marked_saddle_sets(marking))
+
+
 # ---------------------------------------------------------------------------
 # One-level enumeration
 # ---------------------------------------------------------------------------
@@ -241,19 +248,13 @@ class HandleRecord:
     lmg: object
     index: int        # q - s
     s: int
-    t: int
-    n: int
-    c: int
-    d: int
-    nu0: int
-    e: int
+    n: int            # torus directions: every core (`ta.classify_circles`)
     dim_upoly: int
     handle_dim: int   # index + n + dim_upoly
     gamma_order: int
     mirror_self: bool
     all_admissible: bool
     all_free: bool
-    free_exact: bool
     poincare: tuple   # handle Poincare polynomial coefficients
 
 
@@ -274,23 +275,23 @@ def class_id(canonical):
     return "c" + hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _poincare(d, autos):
+def _poincare(n, autos):
     """Poincare polynomial of the closed handle: invariants of the exterior
-    algebra on the d torus directions under the symmetry group's permutation
-    action.  Every cylinder core is a torus direction (`CircleClassification`),
+    algebra on the n torus directions under the symmetry group's permutation
+    action.  Every cylinder core is a torus direction (`ta.classify_circles`),
     so the group permutes them as it permutes the cylinders."""
-    acc = [0] * (d + 1)
+    acc = [0] * (n + 1)
     for phi in autos:
         # det(I + t P) over cycles: a length-m cycle contributes 1 - (-t)^m
         poly = [1]
-        for cyc in mg.trace_cycles(phi.cylinders, range(d)):
+        for cyc in mg.trace_cycles(phi.cylinders, range(n)):
             m = len(cyc)
             factor = [0] * (m + 1)
             factor[0] = 1
             factor[m] = -(-1) ** m
             poly = _poly_mul(poly, factor)
-        poly += [0] * (d + 1 - len(poly))
-        acc = [a + b for a, b in zip(acc, poly[:d + 1])]
+        poly += [0] * (n + 1 - len(poly))
+        acc = [a + b for a, b in zip(acc, poly[:n + 1])]
     out = []
     for x in acc:
         v, rem = divmod(x, len(autos))
@@ -320,29 +321,25 @@ def handle_record(g, enc, framings):
     seeds and every split it registers as a class; `_graph_from_json` every
     stored one), so the classification does not validate again."""
     canonical = mg.form_bytes(enc)
-    classification = ta.classify_circles(g)
+    n = ta.classify_circles(g)
     autos = mg.automorphisms(g, framings)
     model = ta.homology_model(g)
     poly = ta.u_polytope(g, model)
     stab = ta.check_stab_action(g, model, autos)
-    s, n = len(g.levels), len(g.cylinders)
+    s = len(g.levels)
     index = g.q - s
-    pc = _poincare(classification.d, autos)
     return HandleRecord(
         class_id=class_id(canonical), canonical=canonical, lmg=g,
-        index=index, s=s, t=len(g.atoms), n=n,
-        c=classification.c, d=classification.d,
-        nu0=classification.nu0, e=classification.e,
+        index=index, s=s, n=n,
         dim_upoly=poly.dim, handle_dim=index + n + poly.dim,
         gamma_order=len(autos),
         mirror_self=(mg.canonicalize(mg.mirror(g))[0] == enc),
         all_admissible=stab.all_admissible, all_free=stab.all_free,
-        free_exact=classification.c == 0,
-        poincare=pc)
+        poincare=_poincare(n, autos))
 
 
 @mg.atom_memo()
-def build_complex(seeds, marking=None):
+def build_complex(seeds):
     """Downward closure of one-level seeds under saddle resolution.
 
     Each class stores the first graph met, `delta(g, J1)` for the first
@@ -369,8 +366,10 @@ def build_complex(seeds, marking=None):
     only a registered class has it turned into canonical bytes, and the
     classes are output in the order of those bytes.
 
-    The seeds are validated here, and every split is validated when it is
-    registered as a new class: an invalid one raises InvariantViolation.
+    Every seed is validated and must carry the first seed's marking, one
+    that `MarkingSpec.check` accepts (ParameterError otherwise); every split
+    is validated when it is registered as a new class: an invalid one
+    raises InvariantViolation.
     A split whose encoding is already known is not validated, and need not
     be.  The encoding records every atom placed in a level (its edges and
     the labels of its marked saddles), the level sizes, and every cap and
@@ -392,9 +391,8 @@ def build_complex(seeds, marking=None):
         raise ParameterError("no seed classes")
     g0 = seeds[0]
     p, q, r = g0.p, g0.q, g0.r
-    if marking is None:
-        (ph, qh, rh), (ps, qs, rs) = g0.marking_counts()
-        marking = MarkingSpec(marked=(ph, qh, rh), fixed=(ps, qs, rs))
+    marking = MarkingSpec(*g0.marking_counts())
+    marking.check(p, q, r)
     if not marking.builder_scope_ok():
         raise ScopeError(SCOPE_REFUSAL)
     for g in seeds:
@@ -403,6 +401,9 @@ def build_complex(seeds, marking=None):
         if (g.p, g.q, g.r) != (p, q, r):
             raise ParameterError("seeds mix parameter sets")
         mg.validate(g, require_marks=False)
+        if _marking_differs(g, marking):
+            raise ParameterError("seed marking differs from the first "
+                                 "seed's %r" % (marking,))
 
     known = {}      # minimal encoding -> class index, in order met
     records = []    # class index -> handle record of the first graph met
@@ -501,15 +502,15 @@ def euler_characteristic(K):
     """The top-class count formula against the additive handle sum.
 
     Formula value: (-1)^(q-1) times the number of one-level classes.
-    Independent value: over classes, (-1)^(q-s) [d = 0] / |Gamma| (each
+    Independent value: over classes, (-1)^(q-s) [n = 0] / |Gamma| (each
     compact handle factor contributes its compactly supported Euler
     characteristic; the polytope factor contributes 1).  Every handle is
-    compact: c = 0 on every class (`CircleClassification`).
+    compact: every core is a torus direction (`ta.classify_circles`).
     """
     formula = (-1) ** (K.q - 1) * K.top_count
     indep = Fraction(0)
     for rec in K.classes:
-        if rec.d == 0:
+        if rec.n == 0:
             indep += Fraction((-1) ** (K.q - rec.s), rec.gamma_order)
     agree = (indep == formula)
     note = "" if agree else (
@@ -606,14 +607,15 @@ def morse_smale_report(K, betti=None):
 # ---------------------------------------------------------------------------
 
 def _record_fields(rec):
-    """The per-class fields of a dump entry that are derived from its lmg."""
+    """The per-class fields of a dump entry that are derived from its lmg;
+    c, d, nu0, e and free_exact are constant (`ta.classify_circles`)."""
     return {
-        "index": rec.index, "s": rec.s, "t": rec.t, "n": rec.n,
-        "c": rec.c, "d": rec.d, "nu0": rec.nu0, "e": rec.e,
+        "index": rec.index, "s": rec.s, "t": len(rec.lmg.atoms), "n": rec.n,
+        "c": 0, "d": rec.n, "nu0": rec.n, "e": 0,
         "dim_upoly": rec.dim_upoly, "handle_dim": rec.handle_dim,
         "gamma_order": rec.gamma_order, "mirror_self": rec.mirror_self,
         "admissible": rec.all_admissible, "free": rec.all_free,
-        "free_exact": rec.free_exact,
+        "free_exact": True,
         "poincare": list(rec.poincare),
     }
 
@@ -698,9 +700,7 @@ def _graph_from_json(entry, p, q, r, marking):
     if (g.p, g.q, g.r) != (p, q, r):
         raise mg.LMGJSONError("graph (p, q, r) differs from the params")
     mg.validate(g, require_marks=False)
-    if (any((cap.marked, cap.fixed) != _cap_flags(marking, cap.kind, cap.label)
-            for cap in g.caps)
-            or (g.marked_saddles, g.fixed_saddles) != _marked_saddle_sets(marking)):
+    if _marking_differs(g, marking):
         raise mg.LMGJSONError("graph marking differs from the params' "
                               "marked %s and fixed %s"
                               % (list(marking.marked), list(marking.fixed)))

@@ -284,21 +284,8 @@ class LMG:
         return dc_replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    p: int
-    q: int
-    r: int
-    s: int
-    t: int
-    n: int
-    min_disks: tuple   # sorted min labels
-    max_disks: tuple   # sorted max labels
-    cylinders: tuple   # (lower level, upper level) per cylinder, 1-based
-
-
 def validate(g, require_marks=True):
-    """Full validation; returns a RegionReport on success.
+    """Full validation; returns None on success.
 
     Raises a distinct LMGError subclass per diagnostic.  `require_marks`
     controls the marked-count condition (more than chi(S^2) = 2 marked
@@ -346,7 +333,6 @@ def validate(g, require_marks=True):
             raise StructureError("fixed cap must be marked: %r" % (cap,))
 
     levels_of = g.atom_levels()
-    cyl_levels = []
     for lo, hi in g.cylinders:
         use(tuple(lo), "cylinder")
         use(tuple(hi), "cylinder")
@@ -357,7 +343,6 @@ def validate(g, require_marks=True):
         li, lj = levels_of[lo[0]], levels_of[hi[0]]
         if li >= lj:
             raise CylinderLevelError("cylinder pairs level %d with level %d" % (li, lj))
-        cyl_levels.append((li, lj))
 
     for a in range(len(g.atoms)):
         for c in range(len(tables[a])):
@@ -393,11 +378,6 @@ def validate(g, require_marks=True):
     if require_marks and ph + qh + rh <= 2:
         raise MarkCountError("need more than 2 marked critical points, have %d"
                              % (ph + qh + rh))
-
-    return RegionReport(
-        p=p_actual, q=g.q, r=r_actual, s=len(g.levels), t=len(g.atoms),
-        n=len(g.cylinders), min_disks=tuple(mins), max_disks=tuple(maxs),
-        cylinders=tuple(cyl_levels))
 
 
 # ---------------------------------------------------------------------------

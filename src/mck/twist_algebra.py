@@ -18,11 +18,11 @@ back-substitution step and the rotation offsets of the stabilizer check.
 Coordinates on the dual space are (u~_1..u~_n, u'_{n+1}..u'_{2q}): values
 on the transverse edges followed by values on the kept graph edges.
 
-The cylinder classification is the scope fact of `CircleClassification`:
-a class has at most chi(S^2) + 1 = 3 fixed points, so every core has a side
+The cylinder classification is the scope fact of `classify_circles`: a
+class has at most chi(S^2) + 1 = 3 fixed points, so every core has a side
 with at most one of them.  Every core is then a torus direction of the
-twist subgroup (d = n, c = 0), and the stabilizer's freeness test on the
-rotation offsets of the cores is exact.
+twist subgroup (d = nu0 = n, c = e = 0), and the stabilizer's freeness test
+on the rotation offsets of the cores is exact.
 
 The dimension of the edge-value polytope is certified, not enumerated: a
 polytope is full-dimensional exactly when its strict system is feasible, and
@@ -177,35 +177,20 @@ def homology_model(g):
 # Circle classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CircleClassification:
-    """Cylinder cores sorted by how they sit around the fixed points.
-
-    A core counts in nu0 when one of its sides holds at most one fixed
-    point; the other cores would group into parallel families, e of them,
-    and d = nu0 + (cores in families) - e is the rank of the
-    identity-isotopic twist subgroup, c = n - d its complement.
-
-    At the builder's scope every core counts in nu0.  The builder allows at
-    most one fixed point per index, so a class has at most
-    chi(S^2) + 1 = 3 fixed points (fixed saddles and fixed caps).  Cutting
-    a core splits the sphere in two sides that share those points, so one
-    side holds at most one of them.  No family forms: e = c = 0, d = n.
-    """
-
-    n: int
-    nu0: int
-    e: int
-    d: int
-    c: int
-
-
 MAX_FIXED_POINTS = 3  # chi(S^2) + 1
 
 
 def classify_circles(g):
-    """Classification of the cylinder cores of a validated graph; sphere
-    scope with at most chi(S^2) + 1 fixed points only."""
+    """The number of torus directions of a validated graph, n: every
+    cylinder core is one at the builder's scope.
+
+    A core counts in nu0 when one of its sides holds at most one fixed
+    point; the others would form e parallel families, and d = nu0 +
+    (cores in families) - e would be the rank of the identity-isotopic
+    twist subgroup, c = n - d its complement.  The builder allows at most
+    one fixed point per index, so a class has at most chi(S^2) + 1 = 3
+    (fixed saddles and fixed caps), and the two sides of a core share them:
+    one side holds at most one.  So e = c = 0 and d = nu0 = n."""
     n = len(g.cylinders)
     if n != len(g.atoms) - 1:
         raise AlgebraInvariantViolation("sphere assembly graph is not a tree")
@@ -214,7 +199,7 @@ def classify_circles(g):
         raise AlgebraInvariantViolation(
             "%d fixed points, more than chi(S^2) + 1 = %d"
             % (fixed, MAX_FIXED_POINTS))
-    return CircleClassification(n=n, nu0=n, e=0, d=n, c=0)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +215,6 @@ class UPolytope:
     1), else `ambient`.
     """
 
-    rows: tuple      # 2q rows over the kept-edge coordinates
     slabs: tuple     # the rows of the traded edges; the others are unit rows
     bound: int
     ambient: int
@@ -354,8 +338,7 @@ def u_polytope(g, model):
     bound = double_factorial_bound(q, s)
     ambient = len(model.basis)
     slabs = tuple(model.expansion[d] for d in model.deleted)
-    return UPolytope(rows=tuple(model.expansion), slabs=slabs, bound=bound,
-                     ambient=ambient,
+    return UPolytope(slabs=slabs, bound=bound, ambient=ambient,
                      dim=_polytope_dim(slabs, bound, ambient))
 
 
@@ -369,14 +352,9 @@ class AutomorphismCheck:
     automorphism."""
 
     consistent: bool          # edge action descends to the quotient
-    face_admissible: bool
-    a_trivial: bool
-    b_trivial: bool
-    rho_trivial: bool
-    degeneracies_ok: bool
     free: bool
     cycle_obstructions: tuple  # ((cycle tuple), Fraction offset mod 1)
-    admissible: bool
+    admissible: bool          # consistent, face check and degeneracies
 
 
 @dataclass(frozen=True)
@@ -463,9 +441,6 @@ def check_stab_action(g, model, autos):
 
         checks.append(AutomorphismCheck(
             consistent=consistent,
-            face_admissible=face_ok,
-            a_trivial=a_trivial, b_trivial=b_trivial,
-            rho_trivial=rho_trivial, degeneracies_ok=deg_ok,
             free=any(off != 0 for _, off in obstructions),
             cycle_obstructions=tuple(obstructions),
             admissible=consistent and face_ok and deg_ok))

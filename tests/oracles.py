@@ -344,12 +344,13 @@ def _frac_pair(x):
     return [f.numerator, f.denominator]
 
 
-def algebra_json(g, model=None, classification=None, polytope=None):
-    """Per-class algebra dump with rationals as numerator/denominator pairs."""
+def algebra_json(g, model=None, polytope=None):
+    """Per-class algebra dump with rationals as numerator/denominator pairs.
+    Every core is a torus direction (`classify_circles`), so the circle
+    block is n = nu0 = d with e = c = 0."""
     if model is None:
         model = ta.homology_model(g)
-    if classification is None:
-        classification = ta.classify_circles(g)
+    n = ta.classify_circles(g)
     if polytope is None:
         polytope = ta.u_polytope(g, model)
     tvs = transvections(g, model)
@@ -362,13 +363,9 @@ def algebra_json(g, model=None, classification=None, polytope=None):
         "transvections": [[[_frac_pair(x) for x in row] for row in t.matrix]
                           for t in tvs],
         "cores": [[_frac_pair(x) for x in t.core] for t in tvs],
-        "circles": {
-            "n": classification.n, "nu0": classification.nu0,
-            "e": classification.e, "d": classification.d,
-            "c": classification.c,
-        },
+        "circles": {"n": n, "nu0": n, "e": 0, "d": n, "c": 0},
         "polytope": {
-            "rows": [[_frac_pair(x) for x in row] for row in polytope.rows],
+            "rows": [[_frac_pair(x) for x in row] for row in model.expansion],
             "lo": 1, "hi": polytope.bound, "dim": polytope.dim,
             "vertices": None if vertices is None else
                 [[_frac_pair(x) for x in v] for v in vertices],

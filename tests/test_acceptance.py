@@ -166,12 +166,10 @@ def test_criterion_5_twist_algebra(complex_q1, complexes_q2, complexes_q3):
                 acc = sum((row[i] * model.expansion[i][j]
                            for i in range(len(model.edges))), Fraction(0))
                 assert acc == 0
-        cls = ta.classify_circles(g)
-        assert cls.c + cls.d == rec.n
-        assert cls.d == cls.nu0 - cls.e
-        assert cls.d == rec.t - 1          # no fixed points in these catalogs
+        d = ta.classify_circles(g)         # every core is a torus direction
+        assert d == rec.n == len(g.cylinders) == len(g.atoms) - 1
         floating = g.p + g.r               # p' + p'' + r' + r'' with no fixed
-        assert cls.d <= min(floating, rec.t - 1)
+        assert d <= min(floating, len(g.atoms) - 1)
         if rec.s == 1:
             P = ta.u_polytope(g, model)
             assert P.dim == 0
@@ -208,7 +206,9 @@ def test_criterion_7_stabilizer_admissibility(complex_q1, complexes_q2,
     count = 0
     failures = []
     for rec in _all_catalog_classes(complex_q1, complexes_q2, complexes_q3):
-        if not (rec.all_admissible and rec.all_free and rec.free_exact):
+        # the freeness test is exact: every core is a torus direction
+        if not (rec.all_admissible and rec.all_free
+                and ta.classify_circles(rec.lmg) == len(rec.lmg.cylinders)):
             failures.append(rec.class_id)
         count += 1
     assert not failures, "admissibility/freeness failures: %s" % failures

@@ -345,17 +345,24 @@ def test_mutation_sweep_exits_cleanly(q1_files, tmp_path, capsys):
 
 
 def test_wrong_stored_handle_field_refused(tmp_path, capsys):
+    # c, d, nu0, e, free_exact and chi.skipped are constant at the builder's
+    # scope, but a dump that alters one is refused all the same
     cat = tmp_path / "cat.json"
     comp = tmp_path / "K.json"
+    bad = tmp_path / "bad.json"
     run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
         "--out", str(cat))
     run(capsys, "complex", "--input", str(cat), "--out", str(comp))
-    doc = json.loads(comp.read_text())
-    entry = doc["classes"][0]
-    entry["dim_upoly"] += 1
-    comp.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "euler", "--input", str(comp))
-    assert code == 3 and entry["id"] in err and "dim_upoly" in err
+    for field, value in [("dim_upoly", None), ("c", 1), ("d", None),
+                         ("nu0", None), ("e", 1), ("free_exact", False),
+                         ("skipped", True)]:
+        doc = json.loads(comp.read_text())
+        entry = doc["chi"] if field == "skipped" else doc["classes"][0]
+        entry[field] = entry[field] + 1 if value is None else value
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "euler", "--input", str(bad))
+        where = "complex document" if field == "skipped" else entry["id"]
+        assert code == 3 and where in err and field in err, field
 
 
 def test_repeated_class_refused(tmp_path, capsys):

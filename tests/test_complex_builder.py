@@ -15,6 +15,7 @@ from mck.complex_builder import (
     complex_from_json, complex_rank, complex_to_json, enumerate_top_classes,
     euler_characteristic, morse_smale_report, q_polynomial)
 from mck.permutohedron import hyperface_refinements
+from mck.twist_algebra import classify_circles
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import closure_by_delta, enumerate_classes_direct, face_vertices
@@ -28,8 +29,9 @@ from test_perturbation import _first_q4_seeds
 def test_q1_exactly_one_class():
     classes = enumerate_top_classes(2, 1, 1)
     assert len(classes) == 1
-    rep = mg.validate(classes[0])
-    assert (rep.p, rep.q, rep.r, rep.s) == (2, 1, 1, 1)
+    g = classes[0]
+    assert mg.validate(g) is None
+    assert (g.p, g.q, g.r, len(g.levels)) == (2, 1, 1, 1)
 
 
 def test_q1_duality():
@@ -287,7 +289,7 @@ def test_scope_refusal_on_multiple_fixed_points():
     marking = MarkingSpec(marked=(2, 2, 2), fixed=(2, 0, 0))
     seeds = enumerate_top_classes(2, 2, 2, marking)
     with pytest.raises(ScopeError):
-        build_complex(seeds, marking)
+        build_complex(seeds)
 
 
 # (p, q, r), marked, fixed -> class count, sha256 of complex_to_json
@@ -313,12 +315,44 @@ def test_fixed_point_complexes_pinned(pqr, marked, fixed):
     # most the builder allows, and every core still counts in nu0
     marking = MarkingSpec(marked=pqr if marked == "all" else marked,
                           fixed=fixed)
-    K = build_complex(enumerate_top_classes(*pqr, marking), marking)
+    K = build_complex(enumerate_top_classes(*pqr, marking))
     count, digest = FIXED_POINT_PIN[(pqr, marked, fixed)]
     assert len(K.classes) == count
-    assert all(rec.nu0 == rec.d == rec.n and rec.c == rec.e == 0
-               for rec in K.classes)
-    assert hashlib.sha256(complex_to_json(K).encode()).hexdigest() == digest
+    assert K.marking == marking
+    for rec in K.classes:
+        g = rec.lmg
+        assert classify_circles(g) == rec.n == len(g.cylinders) == len(g.atoms) - 1
+    text = complex_to_json(K)
+    assert all((e["c"], e["e"], e["nu0"], e["d"], e["free_exact"])
+               == (0, 0, e["n"], e["n"], True)
+               for e in json.loads(text)["classes"])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_seeds_mixing_markings_refused():
+    # the marking is the first seed's: all-marked (2, 2, 2) seeds with the
+    # 0,2,2 ones used to build 31 classes and report chi = -15 as agreeing
+    partial = MarkingSpec(marked=(0, 2, 2), fixed=(0, 0, 0))
+    seeds = enumerate_top_classes(2, 2, 2)
+    with pytest.raises(ParameterError, match="seed marking differs"):
+        build_complex(seeds + enumerate_top_classes(2, 2, 2, partial))
+    # equal counts, but minimum 2 marked where the marking marks minimum 1
+    g = enumerate_top_classes(2, 2, 2, MarkingSpec(marked=(1, 2, 2),
+                                                   fixed=(0, 0, 0)))[0]
+    caps = tuple(dataclasses.replace(c, marked=(c.label == 2))
+                 if c.kind == "min" else c for c in g.caps)
+    with pytest.raises(ParameterError, match="seed marking differs"):
+        build_complex([dataclasses.replace(g, caps=caps)])
+
+
+def test_seeds_with_two_marked_points_refused():
+    # a reloaded dump needs more than 2 marked critical points, so the
+    # builder refuses seeds with fewer rather than write such a dump
+    g = enumerate_top_classes(3, 2, 1)[0]
+    caps = tuple(dataclasses.replace(c, marked=False) for c in g.caps)
+    bare = dataclasses.replace(g, caps=caps, marked_saddles=frozenset())
+    with pytest.raises(ParameterError, match="more than 2 marked"):
+        build_complex([bare])
 
 
 def test_seeds_must_be_one_level(complexes_q2):
@@ -360,10 +394,10 @@ def test_q_polynomial_q1(complex_q1):
 
 def test_q_polynomial_torus_contribution(complexes_q2):
     K = complexes_q2[(2, 2)]
-    # every s = 2 class has d = 1 and trivial symmetry: contributes 1 + t
+    # every s = 2 class has n = 1 and trivial symmetry: contributes 1 + t
     for rec in K.classes:
         if rec.s == 2:
-            assert rec.d == 1 and rec.gamma_order == 1
+            assert rec.n == 1 and rec.gamma_order == 1
             assert rec.poincare == (1, 1)
         else:
             assert rec.poincare == (1,)
@@ -411,7 +445,7 @@ def test_gamma_on_point_handles_is_trivial(complexes_q2):
     # freeness forces a trivial group whenever the torus rank is zero
     for K in complexes_q2.values():
         for rec in K.classes:
-            if rec.d == 0:
+            if rec.n == 0:
                 assert rec.gamma_order == 1
 
 
@@ -419,7 +453,7 @@ def test_one_level_classes_have_no_cylinders(complexes_q2):
     for K in complexes_q2.values():
         for rec in K.classes:
             if rec.s == 1:
-                assert rec.n == 0 and rec.t == 1
+                assert rec.n == 0 and len(rec.lmg.atoms) == 1
 
 
 # ---------------------------------------------------------------------------

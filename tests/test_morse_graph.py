@@ -58,16 +58,24 @@ GOLDEN_DOT_Q2 = """digraph lmg {
 # validation
 # ---------------------------------------------------------------------------
 
+def _shape(g):
+    """(s, t, n, p, r, min labels, max labels) of a graph."""
+    return (len(g.levels), len(g.atoms), len(g.cylinders), g.p, g.r,
+            sorted(c.label for c in g.caps if c.kind == "min"),
+            sorted(c.label for c in g.caps if c.kind == "max"))
+
+
 def test_fig8_validates(fig8_lmg):
-    rep = validate(fig8_lmg)
-    assert (rep.s, rep.t, rep.n, rep.p, rep.r) == (1, 1, 0, 2, 1)
-    assert rep.min_disks == (1, 2) and rep.max_disks == (1,)
+    assert validate(fig8_lmg) is None
+    assert _shape(fig8_lmg) == (1, 1, 0, 2, 1, [1, 2], [1])
 
 
 def test_two_level_example_validates(q2_two_level):
-    rep = validate(q2_two_level)
-    assert (rep.s, rep.t, rep.n, rep.p, rep.r) == (2, 2, 1, 2, 2)
-    assert rep.cylinders == ((1, 2),)
+    g = q2_two_level
+    assert validate(g) is None
+    assert _shape(g) == (2, 2, 1, 2, 2, [1, 2], [1, 2])
+    levels = g.atom_levels()
+    assert [(levels[lo[0]], levels[hi[0]]) for lo, hi in g.cylinders] == [(1, 2)]
 
 
 def test_edge_and_dart_bookkeeping(q2_two_level):
@@ -200,8 +208,8 @@ def test_mirror_fixes_achiral_class(fig8_lmg):
 def test_dual_is_an_involution(q2_two_level):
     g = q2_two_level
     d = dual(g)
-    rep = validate(d)
-    assert (rep.p, rep.r) == (g.r, g.p)
+    assert validate(d) is None
+    assert (d.p, d.r) == (g.r, g.p)
     assert canonical_form(dual(d)) == canonical_form(g)
 
 

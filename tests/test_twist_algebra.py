@@ -209,26 +209,23 @@ def test_transvections_fix_all_edge_values():
 # ---------------------------------------------------------------------------
 
 def test_one_level_classification(fig8_lmg):
-    cls = classify_circles(fig8_lmg)
-    assert (cls.n, cls.nu0, cls.e, cls.d, cls.c) == (0, 0, 0, 0, 0)
+    assert classify_circles(fig8_lmg) == len(fig8_lmg.cylinders) == 0
 
 
 def test_two_level_classification(q2_two_level):
     # no fixed points at all: every core has a fixed-point-free side
-    cls = classify_circles(q2_two_level)
-    assert (cls.n, cls.nu0, cls.d, cls.c) == (1, 1, 1, 0)
-    assert cls.d == len(q2_two_level.atoms) - 1
+    g = q2_two_level
+    assert classify_circles(g) == len(g.cylinders) == len(g.atoms) - 1 == 1
 
 
 def test_classification_identities_q2_exhaustive():
     for g, _ in q2_catalog_with_models():
-        rep = mg.validate(g, require_marks=False)
-        cls = classify_circles(g)
-        assert cls.c + cls.d == rep.n
-        assert cls.d == rep.t - 1  # no fixed points
+        mg.validate(g, require_marks=False)
+        d = classify_circles(g)
+        assert d == len(g.cylinders) == len(g.atoms) - 1
         floating = (g.p - sum(1 for c in g.caps if c.kind == "min" and c.fixed)
                     + g.r - sum(1 for c in g.caps if c.kind == "max" and c.fixed))
-        assert cls.d <= min(floating, rep.t - 1)
+        assert d <= min(floating, len(g.atoms) - 1)
 
 
 def test_more_than_three_fixed_points_raise():
@@ -266,10 +263,9 @@ def test_saturated_fixed_counts_give_floating_rank(q2_two_level):
                  for c in g.caps)
     g2 = g.replace(caps=caps)
     mg.validate(g2)
-    cls = classify_circles(g2)
     floating = sum(1 for c in g2.caps if not c.fixed)
     assert len(g2.atoms) == g2.q
-    assert cls.d == len(g2.atoms) - 1 == floating == 1
+    assert classify_circles(g2) == len(g2.atoms) - 1 == floating == 1
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +532,8 @@ def test_algebra_json_shape(q2_two_level):
     doc = json.loads(algebra_json(q2_two_level))
     assert set(doc) == {"edges", "deleted", "basis", "expansion",
                         "transvections", "cores", "circles", "polytope"}
-    assert doc["circles"]["n"] == 1
+    assert doc["circles"] == {"n": 1, "nu0": 1, "e": 0, "d": 1, "c": 0}
+    assert doc["polytope"]["rows"] == doc["expansion"]
     assert doc["polytope"]["hi"] == 3
     # rationals as numerator/denominator pairs
     assert all(len(pair) == 2 for row in doc["expansion"] for pair in row)
