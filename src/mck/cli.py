@@ -69,11 +69,18 @@ def _frac_str(x):
 
 
 def _read(path):
+    """The JSON object in file `path`, decoded once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, "cannot read %s: %s" % (path, exc))
+    except (ValueError, RecursionError) as exc:
+        raise CliError(EXIT_IO, "invalid JSON in %s: %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise CliError(EXIT_IO, "corrupted input %s: document is not a JSON "
+                       "object" % path)
+    return doc
 
 
 def _write(path, text):
@@ -84,23 +91,14 @@ def _write(path, text):
         raise CliError(EXIT_IO, "cannot write %s: %s" % (path, exc))
 
 
-def _is_complex_dump(text):
-    """Whether `text` is a JSON object with incidence entries."""
+def _catalog_seeds(path, doc):
+    """The one-level seeds of the catalog `doc` read from `path`."""
+    if "incidence" in doc:
+        raise CliError(EXIT_PARAMS, "%s: expected a catalog, got a "
+                       "complex dump" % path)
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):
-        return False
-    return isinstance(doc, dict) and "incidence" in doc
-
-
-def _catalog_seeds(path, text):
-    """The one-level seeds of catalog `text` read from `path`."""
-    try:
-        classes = cb.catalog_from_json(text)[0]
+        classes = cb.catalog_from_json(doc)[0]
     except mg.LMGJSONError as exc:
-        if _is_complex_dump(text):
-            raise CliError(EXIT_PARAMS, "%s: expected a catalog, got a "
-                           "complex dump" % path)
         raise CliError(EXIT_IO, "corrupted catalog %s: %s" % (path, exc))
     if any(len(g.levels) != 1 for g in classes):
         raise CliError(EXIT_PARAMS, "catalog must contain one-level seeds "
@@ -110,19 +108,13 @@ def _catalog_seeds(path, text):
 
 def _load_complex_or_catalog(path):
     """Complex from either a complex dump or a catalog of seeds."""
-    text = _read(path)
+    doc = _read(path)
+    if "incidence" not in doc:
+        return cb.build_complex(_catalog_seeds(path, doc))
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise CliError(EXIT_IO, "invalid JSON in %s: %s" % (path, exc))
-    try:
-        if not isinstance(doc, dict):
-            raise mg.LMGJSONError("document is not a JSON object")
-        if "incidence" in doc:
-            return cb.complex_from_json(text)
+        return cb.complex_from_json(doc)
     except mg.LMGJSONError as exc:
         raise CliError(EXIT_IO, "corrupted input %s: %s" % (path, exc))
-    return cb.build_complex(_catalog_seeds(path, text))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +170,6 @@ def cmd_qpoly(args):
             betti = [int(x) for x in args.betti.split(",")]
         except ValueError:
             raise CliError(EXIT_PARAMS, "--betti must be comma-separated integers")
-        if any(b < 0 for b in betti):
-            raise CliError(EXIT_PARAMS, "--betti entries must be nonnegative")
     report = cb.morse_smale_report(K, betti)
     print("Q: %s" % " ".join(str(c) for c in report.q_coeffs))
     print("alternating sums: %s" % " ".join(str(c) for c in report.q_alternating))

@@ -342,26 +342,23 @@ def handle_record(g, enc, framings):
 def build_complex(seeds):
     """Downward closure of one-level seeds under saddle resolution.
 
-    Each class stores the first graph met, `delta(g, J1)` for the first
-    entry (g, J1) that reaches it, so the output is that of resolving every
-    entry with its own `delta`.  Only the (class, cover) pairs are split:
-    `covers` maps a class and a cover face of its representative to the
-    target class and a saddle relabeling of the split graph into the
-    target's representative, matched by `saddle_positions`.  A deeper
-    entry (g, J1) takes the entry of `chain_predecessor(J, J1)`, which
-    `refinements` lists earlier, relabels J1 into that class's
-    representative and looks the cover up; `delta` is transitive, so this
-    is the class `delta(g, J1)` lies in.  When the target is met for the
-    first time, the split is `delta(g, J1)` itself if the predecessor's
-    representative is `delta(g, J0)`; otherwise `delta(g, J1)` is computed.
+    Each class other than a seed's stores the cover split that first
+    reaches it.  Only the (class, cover) pairs are split: `covers` maps a
+    class and a cover face of its representative to the target class and a
+    saddle relabeling of the split graph into the target's representative,
+    matched by `saddle_positions` (the identity when the split is that
+    representative).  A deeper entry (g, J1) takes the entry of
+    `chain_predecessor(J, J1)`, which `refinements` lists earlier, relabels
+    J1 into that class's representative and looks the cover up; `delta` is
+    transitive, so this is the class `delta(g, J1)` lies in.
     The faces of J, their predecessors and their keys depend on J only, so
     they are listed once per distinct level partition.  Faces, relabelings
     and class ids are shared objects, so the memo and the incidence entries
     hold references, not copies.
 
-    Each graph that becomes a representative (a seed, a cover split, or
-    `delta(g, J1)` itself) is framed once by `canonicalize`, and its handle
-    record is computed when the class is registered, from that same pass.
+    Each graph that becomes a representative (a seed or a cover split) is
+    framed once by `canonicalize`, and its handle record is computed when
+    the class is registered, from that same pass.
     Classes are looked up by the minimal encoding of that pass, a tuple;
     only a registered class has it turned into canonical bytes, and the
     classes are output in the order of those bytes.
@@ -385,8 +382,7 @@ def build_complex(seeds):
     atom, a component of its sub-block's curve system; and caps are copied
     with their kind, label and flags, only their circles moved.  A split
     thus carries its input's saddle and cap labels, and its input is a seed
-    or a registered class (or, inside `delta`'s chain, a split of one),
-    validated already."""
+    or a registered class, validated already."""
     if not seeds:
         raise ParameterError("no seed classes")
     g0 = seeds[0]
@@ -400,7 +396,7 @@ def build_complex(seeds):
             raise ParameterError("seeds must be one-level classes")
         if (g.p, g.q, g.r) != (p, q, r):
             raise ParameterError("seeds mix parameter sets")
-        mg.validate(g, require_marks=False)
+        mg.validate(g)
         if _marking_differs(g, marking):
             raise ParameterError("seed marking differs from the first "
                                  "seed's %r" % (marking,))
@@ -444,38 +440,29 @@ def build_complex(seeds):
                 (J1, chain_predecessor(J, J1).key(), shared(J1.key()))
                 for J1 in refinements(J)]
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
-        # face) into the class's representative, or None when delta(g, face)
-        # is that representative)
+        # face) into the class's representative, or None for g itself)
         reached = {here: (c, None)}
         for J1, before, face in plan:
             c0, rho0 = reached[before]
             K = J1 if rho0 is None else J1.relabel(lambda v: rho0[v - 1])
             key = (c0, shared(K.key()))
-            met = False
             if key not in covers:
                 h = delta(records[c0].lmg, K)
                 enc, framings = mg.canonicalize(h)
-                met = enc not in known
-                if met:
-                    # the first graph met is delta(g, J1), which is h when
-                    # delta(g, J0) is the representative of c0
-                    first = h if rho0 is None else delta(g, J1)
+                if enc not in known:
                     try:
-                        mg.validate(first, require_marks=False)
+                        mg.validate(h)
                     except mg.LMGError as exc:
                         raise InvariantViolation(
                             "resolution produced an invalid graph: %s" % exc)
-                    register(enc, first, framings if first is h
-                             else mg.canonicalize(first)[1])
+                    register(enc, h, framings)
                 c1 = known[enc]
                 at = saddle_at[c1]
                 pos = mg.saddle_positions(h, framings)
                 covers[key] = (c1, shared(tuple(at[pos[v]]
                                                 for v in range(1, q + 1))))
             c1, rho1 = covers[key]
-            if met:
-                rho1 = None
-            elif rho0 is not None:
+            if rho0 is not None:
                 rho1 = shared(tuple(rho1[w - 1] for w in rho0))
             reached[face] = (c1, rho1)
             incidence.append((records[c].class_id, face, records[c1].class_id))
@@ -699,7 +686,7 @@ def _graph_from_json(entry, p, q, r, marking):
     g = mg.from_json(entry)
     if (g.p, g.q, g.r) != (p, q, r):
         raise mg.LMGJSONError("graph (p, q, r) differs from the params")
-    mg.validate(g, require_marks=False)
+    mg.validate(g)
     if _marking_differs(g, marking):
         raise mg.LMGJSONError("graph marking differs from the params' "
                               "marked %s and fixed %s"
@@ -737,14 +724,14 @@ def _check_incidence(records, incidence):
 
 
 @mg.atom_memo()
-def complex_from_json(text):
-    """Rebuild a complex from its JSON dump, revalidating every class and
-    refusing it unless every class is listed once and every stored record,
-    global invariant and incidence face list equals its recomputation.  A
-    marking that `build_complex` refuses is refused here too, with the same
-    `ScopeError`."""
+def complex_from_json(doc):
+    """Rebuild a complex from its JSON dump (text or the decoded object),
+    revalidating every class and refusing it unless every class is listed
+    once and every stored record, global invariant and incidence face list
+    equals its recomputation.  A marking that `build_complex` refuses is
+    refused here too, with the same `ScopeError`."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
         entries = doc["classes"]
         lmgs = [entry["lmg"] for entry in entries]
@@ -790,9 +777,11 @@ def catalog_to_json(classes, p, q, r, marking):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
-def catalog_from_json(text):
+def catalog_from_json(doc):
+    """The classes and (p, q, r, marking) of a catalog, given as JSON text or
+    the decoded object; every class is revalidated."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
         entries = list(doc["classes"])
     except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:

@@ -85,10 +85,6 @@ class LabelCollisionError(LMGError):
     """Duplicate or out-of-range critical point labels."""
 
 
-class MarkCountError(LMGError):
-    """Fewer than three marked critical points."""
-
-
 class LMGJSONError(LMGError):
     """Malformed serialized graph."""
 
@@ -284,12 +280,11 @@ class LMG:
         return dc_replace(self, **kw)
 
 
-def validate(g, require_marks=True):
-    """Full validation; returns None on success.
+def validate(g):
+    """Full structural validation; returns None on success.
 
-    Raises a distinct LMGError subclass per diagnostic.  `require_marks`
-    controls the marked-count condition (more than chi(S^2) = 2 marked
-    critical points); structural checks always run.
+    Raises a distinct LMGError subclass per diagnostic.  How many points are
+    marked is the marking's rule (`MarkingSpec.check`), not the graph's.
     """
     if not g.atoms:
         raise StructureError("no atoms")
@@ -373,11 +368,6 @@ def validate(g, require_marks=True):
     pairs = [(lo[0], hi[0]) for lo, hi in g.cylinders]
     if len(components(range(len(g.atoms)), pairs)) != 1:
         raise DisconnectedError("assembled surface is not connected")
-
-    (ph, qh, rh), _ = g.marking_counts()
-    if require_marks and ph + qh + rh <= 2:
-        raise MarkCountError("need more than 2 marked critical points, have %d"
-                             % (ph + qh + rh))
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +723,10 @@ def automorphisms(g, framings):
 # Mirror and duality
 # ---------------------------------------------------------------------------
 
-def _rebuilt(g, slot_map, swap_updown, reverse_levels):
-    """Shared machinery for mirror (reverse rotations) and dual (flip f)."""
+def _rebuilt(g, flip):
+    """Shared machinery for mirror (reverse rotations) and dual (`flip`:
+    turn f upside down, so sides, cap kinds and levels swap too)."""
+    slot_map = (lambda s: (s - 1) % 4) if flip else (lambda s: (1 - s) % 4)
     new_atoms = []
     circle_maps = []
     for atom in g.atoms:
@@ -751,16 +743,12 @@ def _rebuilt(g, slot_map, swap_updown, reverse_levels):
             table[(side, frozenset(cyc))] = ci
         cmap = {}
         for ci, (side, cyc) in enumerate(atom.circles):
-            nside = ({"upper": "lower", "lower": "upper"}[side]
-                     if swap_updown else side)
+            nside = {"upper": "lower", "lower": "upper"}[side] if flip else side
             cmap[ci] = table[(nside, frozenset(bij[e] for e in cyc))]
         new_atoms.append(na)
         circle_maps.append(cmap)
 
-    if reverse_levels:
-        levels = tuple(tuple(lev) for lev in reversed(g.levels))
-    else:
-        levels = g.levels
+    levels = tuple(tuple(lev) for lev in reversed(g.levels)) if flip else g.levels
 
     def ref(c):
         a, ci = c
@@ -768,16 +756,16 @@ def _rebuilt(g, slot_map, swap_updown, reverse_levels):
 
     caps = []
     for c in g.caps:
-        kind = ({"min": "max", "max": "min"}[c.kind] if swap_updown else c.kind)
+        kind = {"min": "max", "max": "min"}[c.kind] if flip else c.kind
         caps.append(Cap(circle=ref(tuple(c.circle)), kind=kind, label=c.label,
                         marked=c.marked, fixed=c.fixed))
     cyls = []
     for lo, hi in g.cylinders:
-        if swap_updown:
+        if flip:
             cyls.append((ref(tuple(hi)), ref(tuple(lo))))
         else:
             cyls.append((ref(tuple(lo)), ref(tuple(hi))))
-    p, r = (g.r, g.p) if swap_updown else (g.p, g.r)
+    p, r = (g.r, g.p) if flip else (g.p, g.r)
     return LMG(q=g.q, p=p, r=r, levels=levels, atoms=tuple(new_atoms),
                caps=tuple(caps), cylinders=tuple(sorted(cyls)),
                marked_saddles=g.marked_saddles, fixed_saddles=g.fixed_saddles)
@@ -786,15 +774,13 @@ def _rebuilt(g, slot_map, swap_updown, reverse_levels):
 def mirror(g):
     """Reverse all cyclic orders (orientation reversal); min/max and levels
     keep their roles, edge directions flip."""
-    return _rebuilt(g, lambda s: (1 - s) % 4,
-                    swap_updown=False, reverse_levels=False)
+    return _rebuilt(g, flip=False)
 
 
 def dual(g):
     """Flip the function upside down: levels reverse, minima become maxima,
     edge directions flip, rotations are kept."""
-    return _rebuilt(g, lambda s: (s - 1) % 4,
-                    swap_updown=True, reverse_levels=True)
+    return _rebuilt(g, flip=True)
 
 
 # ---------------------------------------------------------------------------
@@ -838,12 +824,10 @@ def _circle_ref(ref):
 
 
 def from_json(doc):
-    """Read a leveled graph from JSON text (str or UTF-8 bytes) or from an
-    already decoded document; raises LMGJSONError naming the offending key."""
-    if isinstance(doc, (str, bytes)):
+    """Read a leveled graph from JSON text or from an already decoded
+    document; raises LMGJSONError naming the offending key."""
+    if isinstance(doc, str):
         try:
-            if isinstance(doc, bytes):
-                doc = doc.decode("utf-8")
             doc = json.loads(doc)
         except (ValueError, RecursionError) as exc:
             raise LMGJSONError("invalid JSON: %s" % exc)

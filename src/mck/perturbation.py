@@ -34,9 +34,7 @@ canonical form.
 
 The complex builder calls `delta` on covers, once per class and cover, and
 reaches every deeper face as a cover of `chain_predecessor`, the partition
-that `delta`'s own chain passes last.  It calls `delta` on a deep face only
-when that face meets a new class and the predecessor's stored
-representative is not the graph on `delta`'s chain.
+that `delta`'s own chain passes last.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
 InvariantViolation when a circle's edge set reaches no circle above it, or

@@ -230,7 +230,7 @@ def closure_by_delta(seeds, marking=None):
             raise cb.ParameterError("seeds must be one-level classes")
         if (g.p, g.q, g.r) != (p, q, r):
             raise cb.ParameterError("seeds mix parameter sets")
-        mg.validate(g, require_marks=False)
+        mg.validate(g)
 
     known = {}
     incidence = []
@@ -251,7 +251,7 @@ def closure_by_delta(seeds, marking=None):
             h = delta(g, J1)
             cf1 = mg.canonical_form(h)
             if cf1 not in known:
-                mg.validate(h, require_marks=False)
+                mg.validate(h)
                 known[cf1] = h
                 queue.append(cf1)
             incidence.append((src, J1.key(), cb.class_id(cf1)))

@@ -5,6 +5,7 @@ the library makes must still pass through the wrapped names."""
 import ast
 import gzip
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -26,6 +27,17 @@ def _load_tracing():
     return module
 
 
+def _traced(build):
+    """`build()` run under the tracer, and the pass's metric values."""
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        result = build()
+    finally:
+        tracer.uninstall()
+    return result, {name: value for name, (value, _) in tracer.metrics().items()}
+
+
 def test_every_traced_name_resolves_to_a_callable():
     wrapped = _load_tracing().WRAPPED
     assert wrapped
@@ -39,18 +51,17 @@ def test_every_traced_name_resolves_to_a_callable():
 def traced_build(request):
     """Build and reload a (2, 2, 2) complex under the tracer; with the
     minima unmarked some groups are not trivial."""
-    tracing = _load_tracing()
     seeds = cb.enumerate_top_classes(
         2, 2, 2, cb.MarkingSpec(marked=request.param, fixed=(0, 0, 0)))
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
+
+    def build_and_reload():
         K = cb.build_complex(seeds)
         cb.complex_from_json(cb.complex_to_json(K))
-    finally:
-        tracer.uninstall()
+        return K
+
+    K, metrics = _traced(build_and_reload)
     assert len(K.classes) > 1
-    return K, {name: value for name, (value, _) in tracer.metrics().items()}
+    return K, metrics
 
 
 def test_tracer_sees_one_group_per_handle_record(traced_build):
@@ -72,14 +83,7 @@ def test_tracer_sees_one_elimination_per_handle_record(traced_build):
 def test_tracer_sees_one_capping_per_tagged_atom():
     # (3, 3, 2) all marked has 22 tagged atom codes with 3 lower and 2 upper
     # circles; each is capped in 3! * 2! labelings, one canonical form each
-    tracing = _load_tracing()
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        cb.enumerate_top_classes(3, 3, 2)
-    finally:
-        tracer.uninstall()
-    calls = {name: value for name, (value, _) in tracer.metrics().items()}
+    _, calls = _traced(lambda: cb.enumerate_top_classes(3, 3, 2))
     assert calls["morse_graph.canonical_form.calls"] == 22 * 6 * 2 == 264
 
 
@@ -87,16 +91,14 @@ def test_tracer_sees_one_capping_per_tagged_atom():
 def traced_cover_build():
     """Build the (4, 3, 1) complex with the saddles unmarked under the
     tracer."""
-    tracing = _load_tracing()
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        K = cb.build_complex(seeds)
-    finally:
-        tracer.uninstall()
-    return K, {name: value for name, (value, _) in tracer.metrics().items()}
+    return _traced(lambda: cb.build_complex(seeds))
+
+
+def _covers(K):
+    return sum(len(hyperface_refinements(rec.lmg.level_partition()))
+               for rec in K.classes)
 
 
 def test_tracer_sees_one_split_per_class_and_cover(traced_cover_build):
@@ -104,10 +106,20 @@ def test_tracer_sees_one_split_per_class_and_cover(traced_cover_build):
     # class once along each of its hyperfaces and composes the deeper faces;
     # the class and incidence counts are those of resolving every face
     K, calls = traced_cover_build
-    covers = sum(len(hyperface_refinements(rec.lmg.level_partition()))
-                 for rec in K.classes)
-    assert calls["perturbation.split_level.calls"] == covers == 186
+    assert calls["perturbation.split_level.calls"] == _covers(K) == 186
+    assert calls["perturbation.delta.calls"] == 186
     assert (len(K.classes), len(K.incidence), K.top_count) == (71, 306, 20)
+    # the same with a marked saddle and the seeds in shuffled orders; the
+    # catalog's 66 entries lie in 64 classes (ROADMAP item 1)
+    seeds = cb.enumerate_top_classes(
+        3, 3, 2, cb.MarkingSpec(marked=(1, 1, 1), fixed=(0, 0, 0)))
+    assert len(seeds) == 66
+    for order in range(3):
+        random.Random(order).shuffle(seeds)
+        K, calls = _traced(lambda: cb.build_complex(seeds))
+        assert calls["perturbation.split_level.calls"] == _covers(K) == 638
+        assert calls["perturbation.delta.calls"] == 638
+        assert (len(K.classes), len(K.incidence), K.top_count) == (267, 1022, 64)
 
 
 def test_tracer_sees_one_validation_per_class(traced_cover_build):

@@ -195,7 +195,7 @@ def test_scrambled_copies_are_isomorphic_and_form_equal(complexes_q2):
     for K in complexes_q2.values():
         for k, rec in enumerate(K.classes):
             g2 = scrambled_copy(rec.lmg, seed=k)
-            mg.validate(g2, require_marks=False)
+            mg.validate(g2)
             assert mg.canonical_form(g2) == rec.canonical
             assert brute_force_isomorphic(rec.lmg, g2)
 

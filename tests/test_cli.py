@@ -365,6 +365,13 @@ def test_wrong_stored_handle_field_refused(tmp_path, capsys):
         assert code == 3 and where in err and field in err, field
 
 
+def test_negative_betti_refused(q1_files, capsys):
+    code, out, err = run(capsys, "qpoly", "--input", str(q1_files["complex"]),
+                         "--betti", "1,-1")
+    assert code == 2 and out == ""
+    assert "negative Betti" in err
+
+
 def test_repeated_class_refused(tmp_path, capsys):
     # a one-level class listed twice, with top_count, chi and Q set to what
     # the longer list gives, would report chi = -11 instead of -10

@@ -216,7 +216,7 @@ def test_every_cover_split_is_valid(complexes_q3):
     for K in complexes:
         for rec in K.classes:
             for J1 in hyperface_refinements(rec.lmg.level_partition()):
-                mg.validate(pt.delta(rec.lmg, J1), require_marks=False)
+                mg.validate(pt.delta(rec.lmg, J1))
                 splits += 1
     assert splits == 7506
 

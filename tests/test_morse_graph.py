@@ -9,7 +9,7 @@ from conftest import fig8, group_of
 from mck.complex_builder import MarkingSpec, _matchings, _top_candidates_chunk
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
-    EulerCountError, LabelCollisionError, LMGJSONError, MarkCountError,
+    EulerCountError, LabelCollisionError, LMGJSONError,
     NonAlternatingError, StructureError, UnmatchedDartError,
     canonical_form, components, decode_canonical, dual,
     from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
@@ -161,13 +161,6 @@ def test_double_capped_circle_is_reported(fig8_lmg):
         Cap(circle=(0, 2), kind="max", label=2, marked=True, fixed=False),))
     with pytest.raises(StructureError):
         validate(bad)
-
-
-def test_mark_count_error():
-    g = fig8(marked_minima=False)
-    with pytest.raises(MarkCountError):
-        validate(g)
-    validate(g, require_marks=False)
 
 
 # ---------------------------------------------------------------------------

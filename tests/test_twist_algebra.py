@@ -220,7 +220,7 @@ def test_two_level_classification(q2_two_level):
 
 def test_classification_identities_q2_exhaustive():
     for g, _ in q2_catalog_with_models():
-        mg.validate(g, require_marks=False)
+        mg.validate(g)
         d = classify_circles(g)
         assert d == len(g.cylinders) == len(g.atoms) - 1
         floating = (g.p - sum(1 for c in g.caps if c.kind == "min" and c.fixed)
