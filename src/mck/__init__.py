@@ -1,7 +1,7 @@
 """Leveled Morse graphs on the sphere and their handle complexes."""
 
 from .permutohedron import (
-    OrderedPartition, enumerate_partitions, refines_eq, sub_blocks,
+    OrderedPartition, enumerate_partitions, sub_blocks,
 )
 from .morse_graph import (
     Atom, Cap, LMG, validate, canonical_form, decode_canonical,

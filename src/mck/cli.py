@@ -4,8 +4,9 @@ Commands: enumerate, complex, euler, qpoly, dim, facelattice, export-dot.
 All reports are exact (integers and fraction strings, never floats) and all
 file outputs are byte-identical for identical configurations.
 
-Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure,
-4 internal invariant violation (diagnostic dump on stderr).
+Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure
+(a closed standard output included), 4 internal invariant violation
+(diagnostic dump on stderr).
 
 Every input file is re-derived when it is read: catalogs are revalidated
 graph by graph, and a complex dump must list each class once and match its
@@ -19,6 +20,7 @@ scope (every cylinder core is a torus direction, `classify_circles`).
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -300,7 +302,18 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone; point stdout at devnull so that the
+        # interpreter's flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write standard output: %s" % exc,
+              file=sys.stderr)
+        return EXIT_IO
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

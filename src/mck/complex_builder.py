@@ -319,23 +319,30 @@ def handle_record(g, enc, framings):
 
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and every split it registers as a class; `_graph_from_json` every
-    stored one), so the classification does not validate again."""
+    stored one), so the classification does not validate again.  An
+    AlgebraInvariantViolation is raised again with the class id in front."""
     canonical = mg.form_bytes(enc)
-    n = ta.classify_circles(g)
+    cid = class_id(canonical)
     autos = mg.automorphisms(g, framings)
-    model = ta.homology_model(g)
-    poly = ta.u_polytope(g, model)
-    stab = ta.check_stab_action(g, model, autos)
+    try:
+        n = ta.classify_circles(g)
+        model = ta.homology_model(g)
+        poly = ta.u_polytope(g, model)
+        stab = ta.check_stab_action(g, model, autos)
+        poincare = _poincare(n, autos)
+    except ta.AlgebraInvariantViolation as exc:
+        raise ta.AlgebraInvariantViolation(
+            "class %s: %s" % (cid, exc)) from exc
     s = len(g.levels)
     index = g.q - s
     return HandleRecord(
-        class_id=class_id(canonical), canonical=canonical, lmg=g,
+        class_id=cid, canonical=canonical, lmg=g,
         index=index, s=s, n=n,
         dim_upoly=poly.dim, handle_dim=index + n + poly.dim,
         gamma_order=len(autos),
         mirror_self=(mg.canonicalize(mg.mirror(g))[0] == enc),
         all_admissible=stab.all_admissible, all_free=stab.all_free,
-        poincare=_poincare(n, autos))
+        poincare=poincare)
 
 
 @mg.atom_memo()

@@ -110,11 +110,6 @@ def sub_blocks(J1, J):
     return tuple(groups)
 
 
-def refines_eq(J1, J2):
-    """Reflexive refinement (J1 <= J2)."""
-    return sub_blocks(J1, J2) is not None
-
-
 def _ordered_partitions_of_set(labels):
     """All ordered partitions of a plain set of labels (any ground set)."""
     labels = sorted(labels)

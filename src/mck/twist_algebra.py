@@ -25,13 +25,17 @@ twist subgroup (d = nu0 = n, c = e = 0), and the stabilizer's freeness test
 on the rotation offsets of the cores is exact.
 
 The dimension of the edge-value polytope is certified, not enumerated: a
-polytope is full-dimensional exactly when its strict system is feasible, and
-Fourier-Motzkin elimination over the integers decides that and yields an
-interior point (integer numerators over one common denominator), which is
-checked against every inequality in integers.  Every multi-level class of
-every q <= 3 complex, and of q = 4 (5, 4, 1), has such a point, so a strict
-system without one (an empty polytope, or one with implicit equalities) is
-an invariant violation, not a dimension to derive some other way.
+polytope is full-dimensional exactly when its strict system is feasible,
+and an interior point (integer numerators over one common denominator),
+checked against every inequality in integers, certifies that.  The point
+comes from the assembly tree: one value per atom, scaled across each
+cylinder by the edge counts of its two circles, fits the box whenever the
+largest value is below bound times the smallest (`_tree_witness`).  Only
+when it does not does Fourier-Motzkin elimination over the integers decide
+feasibility and yield a point; no class of any q <= 3 complex or of q = 4
+(5, 4, 1) needs it.  A strict system without a point (an empty polytope,
+or one with implicit equalities) is an invariant violation, not a
+dimension to derive some other way.
 """
 
 import math
@@ -301,7 +305,59 @@ def _strict_witness(system, ambient):
     return nums, D
 
 
-def _polytope_dim(slab_rows, bound, ambient):
+def _tree_witness(g, model, bound):
+    """A strict interior point of the edge-value polytope built from the
+    assembly tree, as (numerators over the kept edges, D); None when the
+    tree's values do not fit the box.
+
+    Cylinder relations: give every edge of atom a one value lambda_a.  A
+    circle c of atom a runs over edges of a only, so it sums to
+    |c| lambda_a, and the relation of a cylinder (lo, hi) holds exactly
+    when |lo| lambda_lo = |hi| lambda_hi, lambda_x being the value of the
+    atom of circle x.  The cylinders form a tree on the atoms
+    (n = atoms - 1, `classify_circles`), so a walk from atom 0 sets each
+    lambda once, lambda_b = lambda_a |lo| / |hi| across a cylinder from
+    a's side (|hi| / |lo| from b's), and then every relation holds.  The
+    path to an atom divides by one circle size of each cylinder on it, at
+    most once per cylinder, and lambda_0 = prod |lo| |hi| over all
+    cylinders holds all of those factors, so every division is exact and
+    every lambda a positive integer.
+
+    Strict box: scaling every lambda by c = (lmax + bound lmin) /
+    (2 lmin lmax) keeps the relations and puts every edge value between
+    (lmax + bound lmin) / (2 lmax) and (lmax + bound lmin) / (2 lmin); the
+    first exceeds 1 and the second is below bound exactly when
+    lmax < bound lmin.  The values of the traded edges are among them, and
+    they are the slab rows applied to the kept values, since the relations
+    determine a traded edge from the kept ones (`homology_model`), so every
+    slab holds strictly too.  `_polytope_dim` checks all of it in integers
+    anyway."""
+    adjacent = [[] for _ in g.atoms]
+    lam0 = 1
+    for (a, ca), (b, cb) in g.cylinders:
+        lo = len(g.atoms[a].circles[ca][1])
+        hi = len(g.atoms[b].circles[cb][1])
+        adjacent[a].append((b, lo, hi))
+        adjacent[b].append((a, hi, lo))
+        lam0 *= lo * hi
+    lam = [0] * len(g.atoms)
+    lam[0] = lam0
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b, num, den in adjacent[a]:
+            if not lam[b]:
+                lam[b] = lam[a] * num // den
+                stack.append(b)
+    lmin, lmax = min(lam), max(lam)
+    if lmax >= bound * lmin:
+        return None
+    scale = lmax + bound * lmin
+    return ([lam[model.edges[b][0]] * scale for b in model.basis],
+            2 * lmin * lmax)
+
+
+def _polytope_dim(slab_rows, bound, ambient, witness=None):
     """Dimension of the box [1, bound]^ambient cut by 1 <= row . u <= bound,
     never guessed.
 
@@ -309,14 +365,17 @@ def _polytope_dim(slab_rows, bound, ambient):
     the strict system, checked exactly against every inequality, certifies
     full dimension: with the point as numerators x over D > 0, every value
     a . x, box coordinates included, must lie strictly between D and
-    bound * D.  A strict system without a solution raises: the polytope is
-    empty or lies in a proper affine subspace, which no class has."""
+    bound * D.  The point is `witness` when one is given, else the
+    Fourier-Motzkin `_strict_witness`.  A strict system without a solution
+    raises: the polytope is empty or lies in a proper affine subspace, which
+    no class has."""
     if bound == 1:
         if all(sum(row) == 1 for row in slab_rows):
             return 0
         raise AlgebraInvariantViolation("empty edge-value polytope")
-    witness = _strict_witness(_strict_system(slab_rows, bound, ambient),
-                              ambient)
+    if witness is None:
+        witness = _strict_witness(_strict_system(slab_rows, bound, ambient),
+                                  ambient)
     if witness is None:
         raise AlgebraInvariantViolation("edge-value polytope is empty or not "
                                         "full-dimensional")
@@ -331,15 +390,17 @@ def _polytope_dim(slab_rows, bound, ambient):
 def u_polytope(g, model):
     """The polytope of positive edge values within the double-factorial
     bound, in kept-edge coordinates; `_polytope_dim` certifies that it is
-    the all-ones point (one level) or full-dimensional, and raises
-    otherwise."""
+    the all-ones point (one level) or full-dimensional, from the assembly
+    tree's point (`_tree_witness`) and, when that has none, by
+    Fourier-Motzkin, and raises otherwise."""
     q = g.q
     s = len(g.levels)
     bound = double_factorial_bound(q, s)
     ambient = len(model.basis)
     slabs = tuple(model.expansion[d] for d in model.deleted)
     return UPolytope(slabs=slabs, bound=bound, ambient=ambient,
-                     dim=_polytope_dim(slabs, bound, ambient))
+                     dim=_polytope_dim(slabs, bound, ambient,
+                                       _tree_witness(g, model, bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ per-class algebra dump that only the tests read.  `box_vertices`
 enumerates the vertices of a box cut by slabs, the reference for the
 library's certified polytope dimension, and `polytope_vertices` applies it
 to a small handle polytope.  The permutohedron helpers at the end
-(coarsenings, strict refinement, composition signatures, face vertices and
-coordinates, the induced face map's admissibility read off the vertices,
-and the value partition of a 0-cochain) state the face geometry that the
-library relies on without computing.
+(coarsenings, reflexive and strict refinement, composition signatures,
+face vertices and coordinates, the induced face map's admissibility read
+off the vertices, and the value partition of a 0-cochain) state the face
+geometry that the library relies on without computing.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -33,7 +33,7 @@ from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.permutohedron import (
     OrderedPartition, PartitionError, enumerate_partitions, refinements,
-    refines_eq)
+    sub_blocks)
 from mck.perturbation import InvariantViolation, PerturbationError, delta
 
 
@@ -377,6 +377,11 @@ def algebra_json(g, model=None, polytope=None):
 def composition_signature(J):
     """Block sizes (|J_1|, ..., |J_s|) in block order."""
     return tuple(len(b) for b in J.blocks)
+
+
+def refines_eq(J1, J2):
+    """Reflexive refinement (J1 <= J2)."""
+    return sub_blocks(J1, J2) is not None
 
 
 def refines(J1, J2):

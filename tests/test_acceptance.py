@@ -17,13 +17,13 @@ from mck.complex_builder import (
     enumerate_top_classes, euler_characteristic, morse_smale_report,
     q_polynomial)
 from mck.permutohedron import (
-    OrderedPartition, enumerate_partitions, refinements, refines_eq)
+    OrderedPartition, enumerate_partitions, refinements)
 from mck.perturbation import delta
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import (
     ZeroCochain, coarsenings, composition_signature, enumerate_classes_direct,
-    face_vertices, partition_of_values, transvections)
+    face_vertices, partition_of_values, refines_eq, transvections)
 from test_permutohedron import ordered_bell, realize_refinement
 
 

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -412,18 +417,39 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_missing_polytope_witness_exits_4(tmp_path, capsys, monkeypatch):
-    # without an interior point the dimension is not derived another way:
-    # the build stops with exit 4 and names the polytope
+    # without an interior point, from the assembly tree or from
+    # Fourier-Motzkin, the dimension is not derived another way: the build
+    # stops with exit 4 and names the polytope and the class
     cat = tmp_path / "cat.json"
     run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
         "--out", str(cat))
     from mck import twist_algebra as ta
+    monkeypatch.setattr(ta, "_tree_witness", lambda g, model, bound: None)
     monkeypatch.setattr(ta, "_strict_witness", lambda system, ambient: None)
     code, out, err = run(capsys, "complex", "--input", str(cat),
                          "--out", str(tmp_path / "K.json"))
     assert code == 4 and out == ""
-    assert "edge-value polytope is empty or not full-dimensional" in err
+    assert re.search(r"invariant violation: class c[0-9a-f]{16}: "
+                     r"edge-value polytope is empty or not full-dimensional",
+                     err)
     assert not (tmp_path / "K.json").exists()
+
+
+def test_closed_stdout_exits_3():
+    # a reader that has gone away ends the run with exit 3 and one error
+    # line, not a traceback; the read end is closed before mck starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cb.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mck.cli", "facelattice", "--q", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_export_dot_faces(capsys):

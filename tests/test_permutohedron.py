@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from mck import linalg
 from mck.permutohedron import (
     OrderedPartition, PartitionError, OrderBoundError, enumerate_partitions,
-    face_poset_dot, hyperface_refinements, refinements, refines_eq,
-    sub_blocks,
+    face_poset_dot, hyperface_refinements, refinements, sub_blocks,
 )
 from mck.twist_algebra import _face_admissible
 from oracles import (
     ZeroCochain, coarsenings, composition_signature, face_of, face_vertices,
-    induced_face_admissible, partition_of_values, refines,
+    induced_face_admissible, partition_of_values, refines, refines_eq,
 )
 
 

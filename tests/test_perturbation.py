@@ -8,14 +8,13 @@ from mck import morse_graph as mg
 from mck import perturbation as pt
 from mck.complex_builder import MarkingSpec, enumerate_top_classes
 from mck.permutohedron import (
-    OrderedPartition, enumerate_partitions, hyperface_refinements, refinements,
-    refines_eq)
+    OrderedPartition, enumerate_partitions, hyperface_refinements, refinements)
 from mck.perturbation import (
     InvariantViolation, PerturbationError, chain_predecessor, delta,
     split_level)
 
 from conftest import Q3_SPLITS, group_of
-from oracles import enumerate_classes_direct, merge_all_levels
+from oracles import enumerate_classes_direct, merge_all_levels, refines_eq
 
 
 def catalog_q2(p, r):

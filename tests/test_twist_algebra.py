@@ -7,7 +7,7 @@ from conftest import fig8, group_of
 from mck import linalg
 from mck import morse_graph as mg
 from mck import twist_algebra as ta
-from mck.complex_builder import enumerate_top_classes
+from mck.complex_builder import build_complex, enumerate_top_classes
 from mck.twist_algebra import (
     AlgebraInvariantViolation, _polytope_dim, check_stab_action,
     classify_circles, double_factorial_bound, homology_model, u_polytope,
@@ -416,6 +416,75 @@ def test_polytope_dims_q2_exhaustive():
             for row in m.expansion:
                 val = sum((a * b for a, b in zip(row, v)), Fraction(0))
                 assert 1 <= val <= P.bound
+
+
+def test_tree_witness_agrees_with_fourier_motzkin(complex_q1, complexes_q2,
+                                                  complexes_q3):
+    # on every class of every q <= 3 all-marked complex, the assembly
+    # tree's point and the Fourier-Motzkin point both pass the exact check
+    # and certify the dimension the build recorded
+    complexes = [complex_q1, *complexes_q2.values(), *complexes_q3.values()]
+    multi = 0
+    for K in complexes:
+        for rec in K.classes:
+            g = rec.lmg
+            m = homology_model(g)
+            P = u_polytope(g, m)
+            tree = ta._tree_witness(g, m, P.bound)
+            if P.bound == 1:
+                assert tree is None and P.dim == rec.dim_upoly == 0
+                continue
+            multi += 1
+            fm = ta._strict_witness(
+                ta._strict_system(P.slabs, P.bound, P.ambient), P.ambient)
+            assert tree is not None and fm is not None, rec.class_id
+            assert (_polytope_dim(P.slabs, P.bound, P.ambient, tree)
+                    == _polytope_dim(P.slabs, P.bound, P.ambient, fm)
+                    == P.dim == rec.dim_upoly == P.ambient), rec.class_id
+    assert multi > 1000
+
+
+def test_fallback_certifies_q2_without_tree_witness(monkeypatch):
+    # with no point from the tree, Fourier-Motzkin certifies every class
+    calls = []
+    strict = ta._strict_witness
+
+    def counted(system, ambient):
+        calls.append(ambient)
+        return strict(system, ambient)
+
+    monkeypatch.setattr(ta, "_tree_witness", lambda g, model, bound: None)
+    monkeypatch.setattr(ta, "_strict_witness", counted)
+    multi = 0
+    for g, m in q2_catalog_with_models():
+        P = u_polytope(g, m)
+        if len(g.levels) == 1:
+            assert P.dim == 0
+        else:
+            multi += 1
+            assert P.dim == 2 * g.q - m.n
+    assert 0 < multi == len(calls)
+
+
+def test_build_makes_no_fourier_motzkin_call(monkeypatch):
+    # every class of the q = 3 (4, 3, 1) all-marked complex is certified by
+    # its tree point, so the fallback never runs
+    calls = {"tree": 0, "strict": 0}
+    tree, strict = ta._tree_witness, ta._strict_witness
+
+    def counted_tree(g, model, bound):
+        calls["tree"] += 1
+        return tree(g, model, bound)
+
+    def counted_strict(system, ambient):
+        calls["strict"] += 1
+        return strict(system, ambient)
+
+    monkeypatch.setattr(ta, "_tree_witness", counted_tree)
+    monkeypatch.setattr(ta, "_strict_witness", counted_strict)
+    K = build_complex(enumerate_top_classes(4, 3, 1))
+    assert calls == {"tree": len(K.classes), "strict": 0}
+    assert any(rec.s > 1 for rec in K.classes)
 
 
 # ---------------------------------------------------------------------------
