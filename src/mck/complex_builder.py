@@ -35,7 +35,7 @@ from . import twist_algebra as ta
 from .permutohedron import refinements
 from .perturbation import InvariantViolation, chain_predecessor, delta
 
-MAX_TOP_Q = 4  # desk-scale guard for exhaustive one-level search
+MAX_TOP_Q = 4  # exhaustive search guard; scope of `ta._tree_witness`'s proof
 
 
 class ParameterError(ValueError):
@@ -120,6 +120,12 @@ def _check_top_params(p, q, r, marking):
     if not (1 <= q <= MAX_TOP_Q):
         raise ParameterError("q must be in 1..%d for exhaustive search" % MAX_TOP_Q)
     marking.check(p, q, r)
+
+
+def _check_builder_q(q):
+    if q > MAX_TOP_Q:
+        raise ParameterError("q = %d: complexes are built for q <= %d only"
+                             % (q, MAX_TOP_Q))
 
 
 def _cap_labelings(g_atom, p, r, marking, marked_saddles, fixed_saddles, q):
@@ -371,9 +377,10 @@ def build_complex(seeds):
     classes are output in the order of those bytes.
 
     Every seed is validated and must carry the first seed's marking, one
-    that `MarkingSpec.check` accepts (ParameterError otherwise); every split
-    is validated when it is registered as a new class: an invalid one
-    raises InvariantViolation.
+    that `MarkingSpec.check` accepts, and q <= MAX_TOP_Q (ParameterError
+    otherwise).  A split is validated when it is registered as a new class;
+    an invalid one, or an InvariantViolation of the split or of its
+    registration, raises InvariantViolation naming the class and face split.
     A split whose encoding is already known is not validated, and need not
     be.  The encoding records every atom placed in a level (its edges and
     the labels of its marked saddles), the level sizes, and every cap and
@@ -394,6 +401,7 @@ def build_complex(seeds):
         raise ParameterError("no seed classes")
     g0 = seeds[0]
     p, q, r = g0.p, g0.q, g0.r
+    _check_builder_q(q)
     marking = MarkingSpec(*g0.marking_counts())
     marking.check(p, q, r)
     if not marking.builder_scope_ok():
@@ -454,15 +462,19 @@ def build_complex(seeds):
             K = J1 if rho0 is None else J1.relabel(lambda v: rho0[v - 1])
             key = (c0, shared(K.key()))
             if key not in covers:
-                h = delta(records[c0].lmg, K)
-                enc, framings = mg.canonicalize(h)
-                if enc not in known:
-                    try:
+                try:
+                    h = delta(records[c0].lmg, K)
+                    enc, framings = mg.canonicalize(h)
+                    if enc not in known:
                         mg.validate(h)
-                    except mg.LMGError as exc:
-                        raise InvariantViolation(
-                            "resolution produced an invalid graph: %s" % exc)
-                    register(enc, h, framings)
+                        register(enc, h, framings)
+                except mg.LMGError as exc:
+                    raise InvariantViolation(
+                        "class %s: face %s: resolution produced an invalid "
+                        "graph: %s" % (records[c0].class_id, K, exc)) from exc
+                except InvariantViolation as exc:
+                    raise InvariantViolation("class %s: face %s: %s" % (
+                        records[c0].class_id, K, exc)) from exc
                 c1 = known[enc]
                 at = saddle_at[c1]
                 pos = mg.saddle_positions(h, framings)
@@ -684,20 +696,24 @@ def _params_from_json(doc):
     return p, q, r, marking
 
 
-def _graph_from_json(entry, p, q, r, marking):
+def _graph_from_json(entry, p, q, r, marking, where):
     """One stored graph, validated, with the document's (p, q, r) and the
     cap flags and marked and fixed saddles its marking gives.  The entry
-    must be a JSON object, not text holding one."""
-    if not isinstance(entry, dict):
-        raise mg.LMGJSONError("graph entry is not a JSON object")
-    g = mg.from_json(entry)
-    if (g.p, g.q, g.r) != (p, q, r):
-        raise mg.LMGJSONError("graph (p, q, r) differs from the params")
-    mg.validate(g)
-    if _marking_differs(g, marking):
-        raise mg.LMGJSONError("graph marking differs from the params' "
-                              "marked %s and fixed %s"
-                              % (list(marking.marked), list(marking.fixed)))
+    must be a JSON object, not text holding one.  An error is raised again,
+    of its own class, with `where`, the entry's place, in front."""
+    try:
+        if not isinstance(entry, dict):
+            raise mg.LMGJSONError("graph entry is not a JSON object")
+        g = mg.from_json(entry)
+        if (g.p, g.q, g.r) != (p, q, r):
+            raise mg.LMGJSONError("graph (p, q, r) differs from the params")
+        mg.validate(g)
+        if _marking_differs(g, marking):
+            raise mg.LMGJSONError(
+                "graph marking differs from the params' marked %s and fixed %s"
+                % (list(marking.marked), list(marking.fixed)))
+    except mg.LMGError as exc:
+        raise type(exc)("%s: %s" % (where, exc)) from exc
     return g
 
 
@@ -736,7 +752,8 @@ def complex_from_json(doc):
     revalidating every class and refusing it unless every class is listed
     once and every stored record, global invariant and incidence face list
     equals its recomputation.  A marking that `build_complex` refuses is
-    refused here too, with the same `ScopeError`."""
+    refused here too, with the same `ScopeError`, and so is q > MAX_TOP_Q,
+    with `ParameterError`."""
     try:
         doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
@@ -748,12 +765,14 @@ def complex_from_json(doc):
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))
     if not entries:
         raise mg.LMGJSONError("complex document has no classes")
+    _check_builder_q(q)
     if not marking.builder_scope_ok():
         raise ScopeError(SCOPE_REFUSAL)
     records = []
     seen = set()
-    for entry, lmg in zip(entries, lmgs):
-        g = _graph_from_json(lmg, p, q, r, marking)
+    for i, (entry, lmg) in enumerate(zip(entries, lmgs)):
+        g = _graph_from_json(lmg, p, q, r, marking,
+                             "classes[%d] (id %r)" % (i, entry.get("id")))
         rec = handle_record(g, *mg.canonicalize(g))
         if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
@@ -793,7 +812,8 @@ def catalog_from_json(doc):
         entries = list(doc["classes"])
     except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
-    classes = [_graph_from_json(entry, p, q, r, marking) for entry in entries]
+    classes = [_graph_from_json(entry, p, q, r, marking, "classes[%d]" % i)
+               for i, entry in enumerate(entries)]
     return classes, p, q, r, marking
 
 

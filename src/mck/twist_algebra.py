@@ -13,8 +13,8 @@ traded edges are checked, so no choice of them is trusted unverified.
 
 The relations, the expansions and the core classes are integral, and all
 of it runs over int: an expansion entry that is not an integer raises.
-Fractions appear only where a value is a true quotient: the bounds of one
-back-substitution step and the rotation offsets of the stabilizer check.
+Fractions appear only where a value is a true quotient: the rotation
+offsets of the stabilizer check.
 Coordinates on the dual space are (u~_1..u~_n, u'_{n+1}..u'_{2q}): values
 on the transverse edges followed by values on the kept graph edges.
 
@@ -24,21 +24,17 @@ with at most one of them.  Every core is then a torus direction of the
 twist subgroup (d = nu0 = n, c = e = 0), and the stabilizer's freeness test
 on the rotation offsets of the cores is exact.
 
-The dimension of the edge-value polytope is certified, not enumerated: a
-polytope is full-dimensional exactly when its strict system is feasible,
-and an interior point (integer numerators over one common denominator),
-checked against every inequality in integers, certifies that.  The point
-comes from the assembly tree: one value per atom, scaled across each
-cylinder by the edge counts of its two circles, fits the box whenever the
-largest value is below bound times the smallest (`_tree_witness`).  Only
-when it does not does Fourier-Motzkin elimination over the integers decide
-feasibility and yield a point; no class of any q <= 3 complex or of q = 4
-(5, 4, 1) needs it.  A strict system without a point (an empty polytope,
-or one with implicit equalities) is an invariant violation, not a
-dimension to derive some other way.
+The dimension of the edge-value polytope is certified, not enumerated: an
+interior point (integer numerators over one common denominator), checked
+against every inequality in integers, shows that the polytope is
+full-dimensional.  The point comes from the assembly tree: one value per
+atom, scaled across each cylinder by the edge counts of its two circles,
+fits the box whenever the largest value is below bound times the
+smallest, and `_tree_witness` proves that it does for every class with
+q <= 4, the scope `complex_builder` enforces.  A point that does not fit
+is an invariant violation, not a dimension to derive some other way.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,86 +221,6 @@ class UPolytope:
     dim: int
 
 
-def _strict_system(slab_rows, bound, ambient):
-    """Integer rows (a, b) of the strict system a . u < b of the polytope:
-    1 < u_j < bound, then 1 < row . u < bound, where a rational row is first
-    scaled by the common denominator of its entries."""
-    system = []
-    for j in range(ambient):
-        unit = tuple(1 if i == j else 0 for i in range(ambient))
-        system.append((tuple(-x for x in unit), -1))
-        system.append((unit, bound))
-    for row in slab_rows:
-        ints, scale = linalg.integer_row(row)
-        system.append((tuple(-x for x in ints), -scale))
-        system.append((tuple(ints), bound * scale))
-    return system
-
-
-def _reduced(system):
-    """Divide each row by the gcd of its entries, keep the tightest right
-    side per left side, and drop rows without variables; None when one of
-    those reads 0 < b with b <= 0."""
-    out = {}
-    for a, b in system:
-        if not any(a):
-            if b <= 0:
-                return None
-            continue
-        k = math.gcd(b, *a)
-        a, b = tuple(x // k for x in a), b // k
-        if a not in out or b < out[a]:
-            out[a] = b
-    return out
-
-
-def _strict_witness(system, ambient):
-    """A point with a . u < b for every row, as (numerators, D): integer
-    numerators over one positive common denominator D; None when there is
-    none.  Every variable must be bounded on both sides by rows of its own
-    (the box rows do that).
-
-    Fourier-Motzkin: eliminating u_k adds a positive integer combination of
-    every pair of rows with opposite signs on u_k, and strictness survives
-    such combinations.  The point is then built by back-substitution, with
-    each u_k midway between the bounds that the rows of its step give it."""
-    rows = _reduced(system)
-    steps = []
-    for k in range(ambient):
-        if rows is None:
-            return None
-        steps.append(rows)
-        nxt = [(a, b) for a, b in rows.items() if a[k] == 0]
-        for ap, bp in rows.items():
-            if ap[k] <= 0:
-                continue
-            for an, bn in rows.items():
-                if an[k] < 0:
-                    fp, fn = -an[k], ap[k]
-                    nxt.append((tuple(fp * x + fn * y for x, y in zip(ap, an)),
-                                fp * bp + fn * bn))
-        rows = _reduced(nxt)
-    if rows is None:
-        return None
-    nums, D = [0] * ambient, 1
-    for k in reversed(range(ambient)):
-        # u_k is still 0 here, so a . nums sums the later coordinates only:
-        # a[k] u_k < (b D - a . nums) / D
-        lows, highs = [], []
-        for a, b in steps[k].items():
-            if a[k]:
-                edge = Fraction(b * D - sum(x * v for x, v in zip(a, nums)),
-                                a[k] * D)
-                (highs if a[k] > 0 else lows).append(edge)
-        mid = (max(lows) + min(highs)) / 2
-        scale = mid.denominator // math.gcd(D, mid.denominator)
-        if scale != 1:
-            nums = [v * scale for v in nums]
-            D *= scale
-        nums[k] = mid.numerator * (D // mid.denominator)
-    return nums, D
-
-
 def _tree_witness(g, model, bound):
     """A strict interior point of the edge-value polytope built from the
     assembly tree, as (numerators over the kept edges, D); None when the
@@ -331,7 +247,29 @@ def _tree_witness(g, model, bound):
     they are the slab rows applied to the kept values, since the relations
     determine a traded edge from the kept ones (`homology_model`), so every
     slab holds strictly too.  `_polytope_dim` checks all of it in integers
-    anyway."""
+    anyway.
+
+    The point fits at q <= 4.  Let x_0 .. x_m be the tree path from an atom
+    of least lambda to one of largest, and c_i- and c_i+ the circles of x_i
+    on its cylinders towards x_{i-1} and x_{i+1}.  Then
+
+        lmax / lmin = |c_0+| * prod_{0<i<m} |c_i+| / |c_i-| / |c_m-|.
+
+    The upper circles of an atom with k saddles are the cycles of one
+    permutation of its 2k edges, and so are its lower circles: a circle has
+    at most 2k edges, and two circles on one side share no edge, so their
+    ratio is at most 2k - 1.  The atoms of the path are distinct.
+    - s >= 3: the ratio is at most prod 2 k_i <= 2^q, as 2k <= 2^k; that is
+      8 < 15 = bound at q = 3 and 16 < 35 <= bound at q = 4.
+    - s = 2: every cylinder joins the two levels, so the two circles of an
+      interior atom lie on one side.  One cylinder gives at most 2 (q - 1)
+      < 2q - 1 = bound, since the other atom holds a saddle.  Two give
+      2 k_0 (2 k_1 - 1) with k_0 + k_1 <= q - 1: 2 < 5 at q = 3 and at most
+      6 < 7 at q = 4.  Three need four atoms, all with k = 1 at q = 4, and
+      give 2.
+    - s = 1: the bound is 1 and there is no point (None); `_polytope_dim`
+      checks the all-ones point without one.
+    """
     adjacent = [[] for _ in g.atoms]
     lam0 = 1
     for (a, ca), (b, cb) in g.cylinders:
@@ -357,49 +295,41 @@ def _tree_witness(g, model, bound):
             2 * lmin * lmax)
 
 
-def _polytope_dim(slab_rows, bound, ambient, witness=None):
+def _polytope_dim(slab_rows, bound, witness):
     """Dimension of the box [1, bound]^ambient cut by 1 <= row . u <= bound,
     never guessed.
 
-    bound 1: the box is the all-ones point.  Otherwise an interior point of
-    the strict system, checked exactly against every inequality, certifies
-    full dimension: with the point as numerators x over D > 0, every value
+    bound 1: the box is the all-ones point.  Otherwise the interior point
+    `witness`, checked exactly against every inequality, certifies full
+    dimension: with the point as numerators x over D > 0, every value
     a . x, box coordinates included, must lie strictly between D and
-    bound * D.  The point is `witness` when one is given, else the
-    Fourier-Motzkin `_strict_witness`.  A strict system without a solution
-    raises: the polytope is empty or lies in a proper affine subspace, which
-    no class has."""
+    bound * D.  No point (`_tree_witness` found none) and a point that
+    fails the check both raise: `_tree_witness` proves a point for every
+    class in scope, so either is a bug, whatever the polytope is."""
     if bound == 1:
         if all(sum(row) == 1 for row in slab_rows):
             return 0
         raise AlgebraInvariantViolation("empty edge-value polytope")
     if witness is None:
-        witness = _strict_witness(_strict_system(slab_rows, bound, ambient),
-                                  ambient)
-    if witness is None:
-        raise AlgebraInvariantViolation("edge-value polytope is empty or not "
-                                        "full-dimensional")
+        raise AlgebraInvariantViolation("the assembly tree's point does not "
+                                        "fit the edge-value box")
     nums, D = witness
     values = nums + [sum(x * v for x, v in zip(row, nums)) for row in slab_rows]
     if not (D > 0 and all(D < v < bound * D for v in values)):
         raise AlgebraInvariantViolation("interior-point certificate of the "
                                         "edge-value polytope fails")
-    return ambient
+    return len(nums)
 
 
 def u_polytope(g, model):
     """The polytope of positive edge values within the double-factorial
     bound, in kept-edge coordinates; `_polytope_dim` certifies that it is
-    the all-ones point (one level) or full-dimensional, from the assembly
-    tree's point (`_tree_witness`) and, when that has none, by
-    Fourier-Motzkin, and raises otherwise."""
-    q = g.q
-    s = len(g.levels)
-    bound = double_factorial_bound(q, s)
-    ambient = len(model.basis)
+    the all-ones point (one level) or full-dimensional, with the assembly
+    tree's point (`_tree_witness`), and raises otherwise."""
+    bound = double_factorial_bound(g.q, len(g.levels))
     slabs = tuple(model.expansion[d] for d in model.deleted)
-    return UPolytope(slabs=slabs, bound=bound, ambient=ambient,
-                     dim=_polytope_dim(slabs, bound, ambient,
+    return UPolytope(slabs=slabs, bound=bound, ambient=len(model.basis),
+                     dim=_polytope_dim(slabs, bound,
                                        _tree_witness(g, model, bound)))
 
 

@@ -417,22 +417,53 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_missing_polytope_witness_exits_4(tmp_path, capsys, monkeypatch):
-    # without an interior point, from the assembly tree or from
-    # Fourier-Motzkin, the dimension is not derived another way: the build
-    # stops with exit 4 and names the polytope and the class
+    # without the assembly tree's point the dimension is not derived
+    # another way: the build stops with exit 4 and names the class
     cat = tmp_path / "cat.json"
     run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
         "--out", str(cat))
     from mck import twist_algebra as ta
     monkeypatch.setattr(ta, "_tree_witness", lambda g, model, bound: None)
-    monkeypatch.setattr(ta, "_strict_witness", lambda system, ambient: None)
     code, out, err = run(capsys, "complex", "--input", str(cat),
                          "--out", str(tmp_path / "K.json"))
     assert code == 4 and out == ""
     assert re.search(r"invariant violation: class c[0-9a-f]{16}: "
-                     r"edge-value polytope is empty or not full-dimensional",
-                     err)
+                     r"the assembly tree's point does not fit", err)
     assert not (tmp_path / "K.json").exists()
+
+
+def test_corrupted_graph_named_by_position_and_id(tmp_path, capsys):
+    # a stored graph that fails validation is named by its place in the
+    # document, and in a dump by its stored id too; its error keeps its
+    # class and exit code 3
+    cat, dump = tmp_path / "cat.json", tmp_path / "K.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+        "--out", str(cat))
+    run(capsys, "complex", "--input", str(cat), "--out", str(dump))
+    message = "levels must list every atom exactly once"
+    doc = json.loads(dump.read_text())
+    i, entry = [(i, e) for i, e in enumerate(doc["classes"])
+                if len(e["lmg"]["levels"]) > 1][-1]
+    levels = entry["lmg"]["levels"]
+    levels[1] = levels[0]
+    with pytest.raises(mg.StructureError) as info:
+        cb.complex_from_json(doc)
+    where = "classes[%d] (id %r)" % (i, entry["id"])
+    assert i > 0 and str(info.value) == "%s: %s" % (where, message)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "euler", "--input", str(bad))
+    assert code == 3 and out == ""
+    assert err == "error: invalid input graph: %s: %s\n" % (where, message)
+
+    doc = json.loads(cat.read_text())
+    doc["classes"][1]["levels"] *= 2
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "complex", "--input", str(bad),
+                         "--out", str(tmp_path / "K2.json"))
+    assert code == 3 and out == ""
+    assert err == "error: invalid input graph: classes[1]: %s\n" % message
+    assert not (tmp_path / "K2.json").exists()
 
 
 def test_closed_stdout_exits_3():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -239,12 +240,17 @@ def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
 
     monkeypatch.setattr(pt, "split_level", lossy)
     with pytest.raises(pt.InvariantViolation,
-                       match="resolution produced an invalid graph"):
+                       match="resolution produced an invalid graph") as info:
         build_complex(seeds)
+    # the message names the class that was split, a seed here, and the face
+    found = re.match(r"class (c[0-9a-f]{16}): face \([0-9,|]+\): "
+                     r"resolution produced", str(info.value))
+    assert found and found.group(1) in {
+        cb.class_id(mg.form_bytes(mg.canonicalize(g)[0])) for g in seeds}
     code = main(["complex", "--input", str(cat),
                  "--out", str(tmp_path / "K.json")])
     _, err = capsys.readouterr()
-    assert code == 4 and "resolution produced an invalid graph" in err
+    assert code == 4 and "invariant violation: %s" % found.group(0) in err
     assert not (tmp_path / "K.json").exists()
 
 
@@ -327,6 +333,47 @@ def test_fixed_point_complexes_pinned(pqr, marked, fixed):
                == (0, 0, e["n"], e["n"], True)
                for e in json.loads(text)["classes"])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def q5_seed():
+    """A q = 5 one-level seed: the first connected atom of `_matchings(5)`,
+    a sphere atom with 1 lower and 6 upper circles, capped once."""
+    atom = next(cb._one_level_atoms(1, 5, 6, cb._matchings(5)))
+    marking = MarkingSpec.all_marked(1, 5, 6)
+    g = next(cb._cap_labelings(atom, 1, 6, marking,
+                               *cb._marked_saddle_sets(marking), 5))
+    mg.validate(g)
+    return g
+
+
+def test_q_beyond_the_certificate_scope_refused(complex_q1, tmp_path, capsys):
+    # the polytope certificate is proved for q <= MAX_TOP_Q, so no complex
+    # beyond it is built or reloaded: a q = 5 seed, in the library and
+    # through `mck complex`, and a dump whose params say q = 5 exit 2 with
+    # nothing written
+    seed = q5_seed()
+    assert cb.MAX_TOP_Q == 4 and (seed.p, seed.q, seed.r) == (1, 5, 6)
+    with pytest.raises(ParameterError, match="q = 5"):
+        build_complex([seed])
+    cat, out_file = tmp_path / "cat.json", tmp_path / "out"
+    cat.write_text(catalog_to_json([seed], 1, 5, 6,
+                                   MarkingSpec.all_marked(1, 5, 6)))
+    code = main(["complex", "--input", str(cat), "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "q = 5" in err
+    assert not out_file.exists()
+
+    doc = json.loads(complex_to_json(complex_q1))
+    doc["params"].update(p=6, q=5, r=1, marked=[6, 5, 1])
+    with pytest.raises(ParameterError, match="q = 5"):
+        complex_from_json(doc)
+    dump = tmp_path / "K.json"
+    dump.write_text(json.dumps(doc))
+    code = main(["export-dot", "--what", "classes", "--input", str(dump),
+                 "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "q = 5" in err
+    assert not out_file.exists()
 
 
 def test_seeds_mixing_markings_refused():

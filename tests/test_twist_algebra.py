@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from conftest import fig8, group_of
 from mck import linalg
 from mck import morse_graph as mg
 from mck import twist_algebra as ta
-from mck.complex_builder import build_complex, enumerate_top_classes
+from mck.complex_builder import enumerate_top_classes
 from mck.twist_algebra import (
     AlgebraInvariantViolation, _polytope_dim, check_stab_action,
     classify_circles, double_factorial_bound, homology_model, u_polytope,
@@ -339,10 +340,22 @@ def dim_oracle(slab_rows, bound, ambient):
     return linalg.affine_rank(box_vertices(slab_rows, bound, ambient))
 
 
+def oracle_point(slab_rows, bound, ambient):
+    """The centroid of the vertex oracle's polytope, or the box centre when
+    the polytope is empty, as (integer numerators, common denominator).
+    The centroid of a full-dimensional polytope is an interior point; any
+    point of an empty or degenerate one fails the strict check."""
+    verts = (box_vertices(slab_rows, bound, ambient)
+             or [(Fraction(bound + 1, 2),) * ambient])
+    point = [sum(c) / len(verts) for c in zip(*verts)]
+    D = math.lcm(*(x.denominator for x in point))
+    return [int(x * D) for x in point], D
+
+
 def test_certified_dim_matches_vertex_oracle():
-    # the certificate gives the vertex oracle's dimension on every point
-    # (bound 1) and full-dimensional draw, and raises on every empty or
-    # degenerate one
+    # the vertex oracle's centroid certifies its dimension on every point
+    # (bound 1) and full-dimensional draw, and every empty or degenerate
+    # draw raises
     import random
     rng = random.Random(13)
     empty = degenerate = 0
@@ -352,16 +365,18 @@ def test_certified_dim_matches_vertex_oracle():
         rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(ambient))
                 for _ in range(nslab)]
         bound = rng.choice([1, 3, 5, 15])
+        point = oracle_point(rows, bound, ambient)
         if not box_vertices(rows, bound, ambient):
             empty += 1
         elif bound > 1 and dim_oracle(rows, bound, ambient) < ambient:
             degenerate += 1
         else:
-            assert (_polytope_dim(rows, bound, ambient)
+            assert (_polytope_dim(rows, bound, point)
                     == dim_oracle(rows, bound, ambient))
             continue
-        with pytest.raises(AlgebraInvariantViolation, match="empty"):
-            _polytope_dim(rows, bound, ambient)
+        with pytest.raises(AlgebraInvariantViolation,
+                           match="empty" if bound == 1 else "certificate"):
+            _polytope_dim(rows, bound, point)
     assert 0 < empty and 0 < degenerate and empty + degenerate < 120
 
 
@@ -380,27 +395,40 @@ def test_certified_dim_degenerate_cases(rows, bound, ambient, dim,
                                         degenerate):
     rows = [tuple(Fraction(x) for x in row) for row in rows]
     assert dim == dim_oracle(rows, bound, ambient)
+    point = oracle_point(rows, bound, ambient)
     if degenerate:
         with pytest.raises(AlgebraInvariantViolation,
-                           match="empty or not full-dimensional"):
-            _polytope_dim(rows, bound, ambient)
+                           match="certificate of the edge-value polytope"):
+            _polytope_dim(rows, bound, point)
     else:
-        assert _polytope_dim(rows, bound, ambient) == dim
+        assert _polytope_dim(rows, bound, point) == dim
 
 
 @pytest.mark.parametrize("row, bound", [((1, 1), 1), ((-1, -1), 5)])
 def test_empty_polytope_raises(row, bound):
-    with pytest.raises(AlgebraInvariantViolation, match="empty"):
-        _polytope_dim([tuple(Fraction(x) for x in row)], bound, 2)
+    # bound 1 checks the box's one point against the row; above it, no
+    # point of an empty polytope passes the exact check, the box centre
+    # included
+    centre = ([bound + 1] * 2, 2)
+    with pytest.raises(AlgebraInvariantViolation,
+                       match="empty" if bound == 1 else "certificate"):
+        _polytope_dim([tuple(Fraction(x) for x in row)], bound, centre)
 
 
-def test_failed_certificate_raises(monkeypatch):
-    # the witness is (numerators, common denominator); the all-ones point
-    # sits on the boundary u_j = 1, so the certificate rejects it
-    monkeypatch.setattr(ta, "_strict_witness",
-                        lambda system, ambient: ([1] * ambient, 1))
-    with pytest.raises(AlgebraInvariantViolation, match="certificate"):
-        _polytope_dim([(Fraction(1), Fraction(1))], 5, 2)
+def test_failed_certificate_raises():
+    # the point is (numerators, common denominator); the all-ones point
+    # sits on the boundary u_j = 1 and a non-positive denominator is no
+    # point, so the certificate rejects both; no point at all says the
+    # tree's point does not fit and claims nothing about the polytope
+    rows = [(Fraction(1), Fraction(1))]
+    for point in (([1, 1], 1), ([-3, -3], -1)):
+        with pytest.raises(AlgebraInvariantViolation, match="certificate"):
+            _polytope_dim(rows, 5, point)
+    with pytest.raises(AlgebraInvariantViolation,
+                       match="tree's point does not fit") as info:
+        _polytope_dim(rows, 5, None)
+    assert "empty" not in str(info.value)
+    assert _polytope_dim(rows, 5, ([2, 2], 1)) == 2
 
 
 def test_polytope_dims_q2_exhaustive():
@@ -418,13 +446,16 @@ def test_polytope_dims_q2_exhaustive():
                 assert 1 <= val <= P.bound
 
 
-def test_tree_witness_agrees_with_fourier_motzkin(complex_q1, complexes_q2,
-                                                  complexes_q3):
-    # on every class of every q <= 3 all-marked complex, the assembly
-    # tree's point and the Fourier-Motzkin point both pass the exact check
-    # and certify the dimension the build recorded
+def test_tree_witness_fits_every_q3_class(complex_q1, complexes_q2,
+                                         complexes_q3):
+    # on every class of every q <= 3 all-marked complex the assembly tree's
+    # point exists, passes the exact check and certifies the dimension the
+    # build recorded; the worst lmax / lmin per (q, s), read off the edge
+    # values, is within the bound `_tree_witness` proves, which is below
+    # the double-factorial bound
+    proven = {(2, 2): 2 * (2 - 1), (3, 2): 2 * (3 - 1), (3, 3): 2 ** 3}
     complexes = [complex_q1, *complexes_q2.values(), *complexes_q3.values()]
-    multi = 0
+    multi, worst = 0, {}
     for K in complexes:
         for rec in K.classes:
             g = rec.lmg
@@ -435,56 +466,19 @@ def test_tree_witness_agrees_with_fourier_motzkin(complex_q1, complexes_q2,
                 assert tree is None and P.dim == rec.dim_upoly == 0
                 continue
             multi += 1
-            fm = ta._strict_witness(
-                ta._strict_system(P.slabs, P.bound, P.ambient), P.ambient)
-            assert tree is not None and fm is not None, rec.class_id
-            assert (_polytope_dim(P.slabs, P.bound, P.ambient, tree)
-                    == _polytope_dim(P.slabs, P.bound, P.ambient, fm)
+            assert tree is not None, rec.class_id
+            assert (_polytope_dim(P.slabs, P.bound, tree)
                     == P.dim == rec.dim_upoly == P.ambient), rec.class_id
+            nums = tree[0]
+            values = nums + [sum(x * v for x, v in zip(row, nums))
+                             for row in P.slabs]
+            key = (g.q, rec.s)
+            worst[key] = max(worst.get(key, 0),
+                             Fraction(max(values), min(values)))
     assert multi > 1000
-
-
-def test_fallback_certifies_q2_without_tree_witness(monkeypatch):
-    # with no point from the tree, Fourier-Motzkin certifies every class
-    calls = []
-    strict = ta._strict_witness
-
-    def counted(system, ambient):
-        calls.append(ambient)
-        return strict(system, ambient)
-
-    monkeypatch.setattr(ta, "_tree_witness", lambda g, model, bound: None)
-    monkeypatch.setattr(ta, "_strict_witness", counted)
-    multi = 0
-    for g, m in q2_catalog_with_models():
-        P = u_polytope(g, m)
-        if len(g.levels) == 1:
-            assert P.dim == 0
-        else:
-            multi += 1
-            assert P.dim == 2 * g.q - m.n
-    assert 0 < multi == len(calls)
-
-
-def test_build_makes_no_fourier_motzkin_call(monkeypatch):
-    # every class of the q = 3 (4, 3, 1) all-marked complex is certified by
-    # its tree point, so the fallback never runs
-    calls = {"tree": 0, "strict": 0}
-    tree, strict = ta._tree_witness, ta._strict_witness
-
-    def counted_tree(g, model, bound):
-        calls["tree"] += 1
-        return tree(g, model, bound)
-
-    def counted_strict(system, ambient):
-        calls["strict"] += 1
-        return strict(system, ambient)
-
-    monkeypatch.setattr(ta, "_tree_witness", counted_tree)
-    monkeypatch.setattr(ta, "_strict_witness", counted_strict)
-    K = build_complex(enumerate_top_classes(4, 3, 1))
-    assert calls == {"tree": len(K.classes), "strict": 0}
-    assert any(rec.s > 1 for rec in K.classes)
+    assert worst == {(2, 2): 2, (3, 2): 4, (3, 3): 4}
+    for key, ratio in worst.items():
+        assert ratio <= proven[key] < double_factorial_bound(*key)
 
 
 # ---------------------------------------------------------------------------
