@@ -37,7 +37,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as dc_replace
 from functools import cached_property
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .permutohedron import OrderedPartition
 
@@ -161,6 +161,20 @@ class Atom:
     @classmethod
     def of(cls, saddles, edges):
         return cls(tuple(sorted(saddles)), tuple(sorted(edges)))
+
+    @classmethod
+    def shared(cls, saddles, edges):
+        """`Atom.of`, but inside an `atom_memo` scope the scope's one object
+        for these saddles and edges, so its circles are traced once and
+        memo keys holding it match by identity."""
+        key = (tuple(sorted(saddles)), tuple(sorted(edges)))
+        memo = _atom_memo
+        if memo is None:
+            return cls(*key)
+        atom = memo.atoms.get(key)
+        if atom is None:
+            atom = memo.atoms[key] = cls(*key)
+        return atom
 
     def check(self):
         sset = set(self.saddles)
@@ -381,12 +395,13 @@ def validate(g):
 # are embedded in the encoding, unmarked critical points encode as -1, so
 # equality of encodings is exactly orientation-preserving level-preserving
 # isomorphism fixing marked points.  `canonicalize` is the one pass: it
-# returns the minimal encoding and every framing achieving it; the canonical
-# form is that encoding as JSON bytes (`form_bytes`).  Each of those
-# yields one automorphism (`automorphisms`), and the first places every
-# saddle (`saddle_positions`); neither frames the graph again.  Each atom's
-# circle maps are computed once per minimal root dart and shared by every
-# framing that picks it.
+# returns the minimal encoding and every framing achieving it, encoding only
+# the framings whose caps can be least; the canonical form is that encoding
+# as JSON bytes (`form_bytes`).  Each of those framings yields one
+# automorphism (`automorphisms`), and the first places every saddle
+# (`saddle_positions`); neither frames the graph again.  Each atom's circle
+# maps are computed once per minimal root dart and shared by every framing
+# that picks it.
 #
 # An atom's minimal codes and realizing framings depend only on the atom and
 # on which of its saddles are marked or fixed, and one operation meets the
@@ -394,21 +409,31 @@ def validate(g):
 # a split leaves an atom untouched in, every mirror.  Inside an `atom_memo`
 # scope `_atom_min_codes` computes them once per distinct (atom, marked
 # saddles, fixed saddles) and hands every later graph the same read-only
-# dart maps and circle maps.  Enumeration, each chunk of its candidate scan,
-# the closure and the reload of a dump each open a scope; it is dropped when
-# the operation returns, and outside a scope nothing is kept.
+# dart maps and circle maps.  The atoms themselves are shared too: the sites
+# that rebuild atoms a scope meets again and again (`from_json`,
+# `decode_canonical`, a split's new atoms and `_rebuilt_atom`) take them from
+# `Atom.shared`, one object per distinct (saddles, edges), so each traces its
+# circles once and memo keys holding it match by identity; `_rebuilt_atom`
+# keeps each atom's mirror or dual with its circle map.  The candidate scan
+# (`_one_level_atoms`) makes plain atoms: its matchings are distinct, so
+# sharing would only fill the table.  Enumeration, each chunk of its
+# candidate scan, the closure and the reload of a dump each open a scope;
+# it is dropped when the operation returns, and outside a scope nothing is
+# kept.
 
-_atom_memo = None   # (atom, marked, fixed) -> _atom_min_codes value in a scope
+_atom_memo = None   # the open scope's tables (codes, atoms, rebuilt), or None
 
 
 @contextmanager
 def atom_memo():
-    """Scope in which each distinct atom's minimal codes are computed once;
-    also usable as a decorator.  Each scope starts empty and restores the
-    enclosing one when it closes, so a forked worker never reads its
-    parent's entries and no entry outlives the operation."""
+    """Scope in which each distinct atom's minimal codes, object and
+    mirror and dual are made once; also usable as a decorator.  Each scope
+    starts empty and restores the enclosing one when it closes, so a forked
+    worker never reads its parent's entries and no entry outlives the
+    operation."""
     global _atom_memo
-    outer, _atom_memo = _atom_memo, {}
+    outer = _atom_memo
+    _atom_memo = SimpleNamespace(codes={}, atoms={}, rebuilt={})
     try:
         yield
     finally:
@@ -465,9 +490,9 @@ def _atom_min_codes(atom, marked, fixed):
         return _atom_codes(atom, marked, fixed)
     saddles = frozenset(atom.saddles)
     key = (atom, saddles & marked, saddles & fixed)
-    value = memo.get(key)
+    value = memo.codes.get(key)
     if value is None:
-        value = memo[key] = _atom_codes(*key)
+        value = memo.codes[key] = _atom_codes(*key)
     return value
 
 
@@ -533,27 +558,63 @@ def _framing_encoding(g, arrangement, codes, circle_maps):
 def canonicalize(g):
     """(minimal encoding, framings) from one pass over framings: the
     encoding as a nested tuple, and all framings realizing it, as pairs
-    (arrangement of atom indices, {atom: dart map}).  Two graphs are
-    isomorphic iff their encodings are equal; `form_bytes` turns an
-    encoding into the canonical form."""
+    (arrangement of atom indices, {atom: dart map}), in the order of the
+    exhaustive pass over every product of in-level orders and minimal
+    roots.  Two graphs are isomorphic iff their encodings are equal;
+    `form_bytes` turns an encoding into the canonical form.
+
+    Only the framings whose caps can be least are encoded.  The header and
+    level sizes are fixed, and atoms inside a level are sorted by code and
+    only reordered among equal codes, so the codes are the same for every
+    framing and the caps decide first.  The caps sort by atom position
+    first, so they are one block per position, and a block depends only on
+    the atom placed there and on its root.  Every framing has the same
+    number of caps, so when one block is a proper prefix of another the
+    longer one is smaller (the shorter one is followed by a cap of a later
+    position); each block therefore compares as its entries followed by an
+    end mark above every entry.  The caps compare as the sequence of blocks,
+    and each atom chooses its root on its own, so the least caps are reached
+    exactly when every atom takes a root with its least block and every run
+    of equal codes is ordered so that its least blocks ascend.  Full
+    encodings, cylinders included, are compared only among those framings.
+    """
     per_atom = [_atom_min_codes(atom, g.marked_saddles, g.fixed_saddles)
                 for atom in g.atoms]
 
+    on_atom = [[] for _ in g.atoms]   # (circle, rest of the cap entry)
+    for c in g.caps:
+        a, ci = c.circle
+        on_atom[a].append((ci, (c.kind, c.label if c.marked else -1,
+                                c.marked, c.fixed)))
+    least = []   # atom -> (least cap block, realizations reaching it)
+    for a, (_, realizations) in enumerate(per_atom):
+        end = ((len(g.atoms[a].circles),),)
+        blocks = [tuple(sorted((cmap[ci], *rest) for ci, rest in on_atom[a])) + end
+                  for _, cmap in realizations]
+        low = min(blocks)
+        least.append((low, [real for real, block in zip(realizations, blocks)
+                            if block == low]))
+
     level_orders = []
+    codes = []
     for lev in g.levels:
         ordered = sorted(lev, key=lambda a: per_atom[a][0])
-        groups = [list(grp) for _, grp in
-                  itertools.groupby(ordered, key=lambda a: per_atom[a][0])]
-        perms = [list(p) for p in itertools.product(
-            *[list(itertools.permutations(grp)) for grp in groups])]
-        level_orders.append([tuple(itertools.chain.from_iterable(p)) for p in perms])
+        codes += [per_atom[a][0] for a in ordered]
+        runs = []
+        for _, grp in itertools.groupby(ordered, key=lambda a: per_atom[a][0]):
+            grp = list(grp)
+            want = sorted(least[a][0] for a in grp)
+            runs.append([perm for perm in itertools.permutations(grp)
+                         if [least[a][0] for a in perm] == want])
+        level_orders.append([tuple(itertools.chain.from_iterable(p))
+                             for p in itertools.product(*runs)])
+    codes = tuple(codes)
 
     best = None
     winners = []
     for combo in itertools.product(*level_orders):
         arrangement = tuple(itertools.chain.from_iterable(combo))
-        codes = tuple(per_atom[a][0] for a in arrangement)
-        for picked in itertools.product(*(per_atom[a][1] for a in arrangement)):
+        for picked in itertools.product(*(least[a][1] for a in arrangement)):
             enc = _framing_encoding(
                 g, arrangement, codes,
                 {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
@@ -607,7 +668,7 @@ def decode_canonical(data):
         labels = [tag[0] if tag[0] != -1 else next(free) for tag in tags]
         saddle_labels.append(labels)
         es = [((labels[o // 4], o % 4), (labels[i // 4], i % 4)) for o, i in edges]
-        atoms.append(Atom.of(labels, es))
+        atoms.append(Atom.shared(labels, es))
 
     levels = []
     k = 0
@@ -723,30 +784,36 @@ def automorphisms(g, framings):
 # Mirror and duality
 # ---------------------------------------------------------------------------
 
+def _rebuilt_atom(atom, flip):
+    """(new atom, circle map) of one atom under `_rebuilt`: entry ci of the
+    map is the index of the image of circle ci.  Kept per (atom, flip)
+    inside an `atom_memo` scope."""
+    memo = _atom_memo
+    if memo is not None:
+        value = memo.rebuilt.get((atom, flip))
+        if value is not None:
+            return value
+    slot_map = (lambda s: (s - 1) % 4) if flip else (lambda s: (1 - s) % 4)
+    na = Atom.shared(atom.saddles, [((iv, slot_map(is_)), (ov, slot_map(os)))
+                                    for (ov, os), (iv, is_) in atom.edges])
+    # old local edge -> new local edge: old (o,i) becomes the new edge
+    # whose out-dart is the image of the old in-dart
+    by_out = na.edge_at_out()
+    bij = [by_out[(iv, slot_map(is_))] for _, (iv, is_) in atom.edges]
+    table = {(side, frozenset(cyc)): ci for ci, (side, cyc) in enumerate(na.circles)}
+    swap = {"upper": "lower", "lower": "upper"}
+    value = (na, tuple(table[(swap[side] if flip else side,
+                              frozenset(bij[e] for e in cyc))]
+                       for side, cyc in atom.circles))
+    if memo is not None:
+        memo.rebuilt[(atom, flip)] = value
+    return value
+
+
 def _rebuilt(g, flip):
     """Shared machinery for mirror (reverse rotations) and dual (`flip`:
     turn f upside down, so sides, cap kinds and levels swap too)."""
-    slot_map = (lambda s: (s - 1) % 4) if flip else (lambda s: (1 - s) % 4)
-    new_atoms = []
-    circle_maps = []
-    for atom in g.atoms:
-        edges = [((iv, slot_map(is_)), (ov, slot_map(os)))
-                 for (ov, os), (iv, is_) in atom.edges]
-        na = Atom.of(atom.saddles, edges)
-        # old local edge -> new local edge: old (o,i) becomes the new edge
-        # whose out-dart is the image of the old in-dart
-        by_out = na.edge_at_out()
-        bij = {k: by_out[(iv, slot_map(is_))]
-               for k, ((ov, os), (iv, is_)) in enumerate(atom.edges)}
-        table = {}
-        for ci, (side, cyc) in enumerate(na.circles):
-            table[(side, frozenset(cyc))] = ci
-        cmap = {}
-        for ci, (side, cyc) in enumerate(atom.circles):
-            nside = {"upper": "lower", "lower": "upper"}[side] if flip else side
-            cmap[ci] = table[(nside, frozenset(bij[e] for e in cyc))]
-        new_atoms.append(na)
-        circle_maps.append(cmap)
+    new_atoms, circle_maps = zip(*(_rebuilt_atom(atom, flip) for atom in g.atoms))
 
     levels = tuple(tuple(lev) for lev in reversed(g.levels)) if flip else g.levels
 
@@ -766,7 +833,7 @@ def _rebuilt(g, flip):
         else:
             cyls.append((ref(tuple(lo)), ref(tuple(hi))))
     p, r = (g.r, g.p) if flip else (g.p, g.r)
-    return LMG(q=g.q, p=p, r=r, levels=levels, atoms=tuple(new_atoms),
+    return LMG(q=g.q, p=p, r=r, levels=levels, atoms=new_atoms,
                caps=tuple(caps), cylinders=tuple(sorted(cyls)),
                marked_saddles=g.marked_saddles, fixed_saddles=g.fixed_saddles)
 
@@ -838,7 +905,7 @@ def from_json(doc):
         if key not in doc:
             raise LMGJSONError("missing key %r" % key)
     try:
-        atoms = []
+        atoms = []   # (saddles, edges), shared once their types are checked
         for ad in doc["atoms"]:
             saddles = list(ad["saddles"])
             darts = ad["darts"]
@@ -851,7 +918,7 @@ def from_json(doc):
                     raise LMGJSONError("edge %r is not a pair of dart numbers "
                                        "in 0..%d" % ([o, i], darts - 1))
                 edges.append(((saddles[o // 4], o % 4), (saddles[i // 4], i % 4)))
-            atoms.append(Atom.of(saddles, edges))
+            atoms.append((saddles, edges))
         caps = tuple(Cap(circle=_circle_ref(cd["circle"]), kind=cd["kind"],
                          label=cd["label"], marked=cd["marked"],
                          fixed=cd["fixed"])
@@ -862,7 +929,7 @@ def from_json(doc):
         marked = tuple(doc["marked_saddles"])
         fixed = tuple(doc["fixed_saddles"])
         ints = (doc["q"], doc["p"], doc["r"], *(a for lev in levels for a in lev),
-                *(v for atom in atoms for v in atom.saddles),
+                *(v for saddles, _ in atoms for v in saddles),
                 *(c.label for c in caps), *marked, *fixed)
         if (any(type(x) is not int for x in ints)
                 or any(type(c.kind) is not str or type(c.marked) is not bool
@@ -872,7 +939,8 @@ def from_json(doc):
                                "cap kinds strings and cap marked/fixed flags "
                                "booleans")
         return LMG(q=doc["q"], p=doc["p"], r=doc["r"], levels=levels,
-                   atoms=tuple(atoms), caps=caps, cylinders=cylinders,
+                   atoms=tuple(Atom.shared(*atom) for atom in atoms),
+                   caps=caps, cylinders=cylinders,
                    marked_saddles=frozenset(marked),
                    fixed_saddles=frozenset(fixed))
     except LMGJSONError:

@@ -106,7 +106,7 @@ def _sublevel_system(atom, blk, k):
     pairs = [(o[0], i[0]) for (o, i), _ in comp_edges.values()]
     for saddles in mg.components(kept, pairs):
         strands = [comp_edges[(v, slot)] for v in saddles for slot in mg.OUT_SLOTS]
-        new_atom = mg.Atom.of(saddles, [e for e, _ in strands])
+        new_atom = mg.Atom.shared(saddles, [e for e, _ in strands])
         path_by_out = {e[0]: path for e, path in strands}
         paths = {idx: path_by_out[o] for idx, (o, _) in enumerate(new_atom.edges)}
         new_atoms.append((new_atom, paths))

@@ -10,6 +10,8 @@ every class with its own `delta` chain from the top, which the library's
 closure over covers must reproduce byte for byte.
 `fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
 the library's fraction-free `rref` is checked against.
+`exhaustive_canonicalize` encodes every framing, the reference for the
+library's pruned `canonicalize`.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
 per-class algebra dump that only the tests read.  `box_vertices`
 enumerates the vertices of a box cut by slabs, the reference for the
@@ -261,6 +263,40 @@ def closure_by_delta(seeds, marking=None):
     return cb.ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                        incidence=tuple(sorted(incidence)),
                        top_count=top_count)
+
+
+def exhaustive_canonicalize(g):
+    """`mg.canonicalize` without pruning: every product of in-level atom
+    orders (permutations of equal atom codes) and minimal roots is encoded,
+    and the least encoding is returned with every framing reaching it, in
+    the order met."""
+    per_atom = [mg._atom_min_codes(atom, g.marked_saddles, g.fixed_saddles)
+                for atom in g.atoms]
+
+    level_orders = []
+    for lev in g.levels:
+        ordered = sorted(lev, key=lambda a: per_atom[a][0])
+        groups = [list(grp) for _, grp in
+                  itertools.groupby(ordered, key=lambda a: per_atom[a][0])]
+        perms = [list(p) for p in itertools.product(
+            *[list(itertools.permutations(grp)) for grp in groups])]
+        level_orders.append([tuple(itertools.chain.from_iterable(p)) for p in perms])
+
+    best = None
+    winners = []
+    for combo in itertools.product(*level_orders):
+        arrangement = tuple(itertools.chain.from_iterable(combo))
+        codes = tuple(per_atom[a][0] for a in arrangement)
+        for picked in itertools.product(*(per_atom[a][1] for a in arrangement)):
+            enc = mg._framing_encoding(
+                g, arrangement, codes,
+                {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
+            if best is None or enc < best:
+                best, winners = enc, []
+            if enc == best:
+                winners.append((arrangement, {a: dmap for a, (dmap, _)
+                                              in zip(arrangement, picked)}))
+    return best, winners
 
 
 @dataclass(frozen=True)

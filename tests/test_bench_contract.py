@@ -195,6 +195,25 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
     assert len(passes) == len(seeds) + covers + len(K.classes) == 277
 
 
+def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
+    # the build's 277 framing passes encode only the framings whose cap
+    # blocks are least, 316 in all; encoding every product of in-level
+    # orders and minimal roots took 1,560
+    seeds = cb.enumerate_top_classes(
+        4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
+    encoded = []
+    raw = mg._framing_encoding
+
+    def counted(g, arrangement, codes, circle_maps):
+        encoded.append(arrangement)
+        return raw(g, arrangement, codes, circle_maps)
+
+    monkeypatch.setattr(mg, "_framing_encoding", counted)
+    K = cb.build_complex(seeds)
+    assert len(K.classes) == 71
+    assert len(encoded) == 316
+
+
 def test_library_calls_traced_functions_through_traced_names():
     # `from .m import f` binds a second name for f; when the tracer wraps f,
     # it must wrap that name too, or calls through it go unseen

@@ -8,8 +8,10 @@ and verifies caps, cylinders, levels, and marked labels directly.
 import itertools
 import random
 
+from conftest import Q2_SPLITS, Q3_SPLITS
 from mck import morse_graph as mg
 from mck.complex_builder import MarkingSpec, build_complex, enumerate_top_classes
+from oracles import exhaustive_canonicalize
 
 
 def _propagate(g1, g2, atom_bij, roots):
@@ -254,3 +256,55 @@ def test_canonicalize_matches_the_oracle_on_q3_symmetric_classes():
     assert symmetric
     for rec in symmetric:
         _check_canonicalize(rec.lmg)
+
+
+def test_pruned_pass_matches_the_exhaustive_pass(complex_q1, complexes_q2,
+                                                  complexes_q3):
+    # every class of the q <= 3 complexes, all marked, with marking 1,1,1
+    # and with marking 0,3,0, and each class's mirror: the pruned pass
+    # finds the least encoding of the exhaustive one, and the same winning
+    # framings in the same order
+    complexes = [complex_q1, *complexes_q2.values(), *complexes_q3.values()]
+    splits = [(2, 1, 1), *((p, 2, r) for p, r in Q2_SPLITS),
+              *((p, 3, r) for p, r in Q3_SPLITS)]
+    for p, q, r in splits:
+        for marked in [(1, 1, 1), (0, 3, 0)]:
+            if marked[1] <= q:
+                marking = MarkingSpec(marked=marked, fixed=(0, 0, 0))
+                complexes.append(build_complex(enumerate_top_classes(p, q, r, marking)))
+    graphs = [g for K in complexes for rec in K.classes
+              for g in (rec.lmg, mg.mirror(rec.lmg))]
+    tied = 0
+    for g in graphs:
+        enc, framings = mg.canonicalize(g)
+        assert (enc, framings) == exhaustive_canonicalize(g)
+        tied += len(framings) > 1
+    assert tied > 0   # the order of several winners is compared too
+
+
+def test_longer_cap_block_orders_first():
+    # atoms 0 and 1 are pants of one code on level 1, with a min-disk on 0
+    # and a min-disk and a max-disk on 1; 1 goes first, as its max-disk at
+    # position 0 is smaller than any cap at position 1
+    def pants(v, lowers):
+        slots = ((0, 3), (2, 1)) if lowers == 2 else ((0, 1), (2, 3))
+        return mg.Atom.of([v], [((v, o), (v, i)) for o, i in slots])
+
+    def cap(circle, kind, label):
+        return mg.Cap(circle=circle, kind=kind, label=label, marked=False,
+                      fixed=False)
+
+    # circles of a pants: its lowers first, then its uppers
+    g = mg.LMG(q=4, p=2, r=4, levels=((0, 1), (2, 3)),
+               atoms=(pants(1, 1), pants(2, 1), pants(3, 2), pants(4, 1)),
+               caps=(cap((0, 0), "min", 1), cap((1, 0), "min", 2),
+                     cap((1, 2), "max", 1), cap((2, 2), "max", 2),
+                     cap((3, 1), "max", 3), cap((3, 2), "max", 4)),
+               cylinders=(((0, 1), (2, 0)), ((0, 2), (3, 0)),
+                          ((1, 1), (2, 1))),
+               marked_saddles=frozenset(), fixed_saddles=frozenset())
+    mg.validate(g)
+    enc, framings = mg.canonicalize(g)
+    assert {arrangement for arrangement, _ in framings} == {(1, 0, 3, 2)}
+    for h in (g, mg.mirror(g), mg.dual(g)):
+        assert mg.canonicalize(h) == exhaustive_canonicalize(h)

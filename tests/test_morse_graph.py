@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 
@@ -11,7 +12,7 @@ from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
     NonAlternatingError, StructureError, UnmatchedDartError,
-    canonical_form, components, decode_canonical, dual,
+    atom_memo, canonical_form, components, decode_canonical, dual,
     from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
 )
 
@@ -204,6 +205,22 @@ def test_dual_is_an_involution(q2_two_level):
     assert validate(d) is None
     assert (d.p, d.r) == (g.r, g.p)
     assert canonical_form(dual(d)) == canonical_form(g)
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["no-scope", "in-scope"])
+def test_mirror_and_dual_are_involutions_on_every_class(
+        complex_q1, complexes_q2, complexes_q3, scoped):
+    # every class of the q <= 3 all-marked complexes, with and without the
+    # memo scope's shared atoms and per-atom mirrors and duals
+    recs = [rec for K in (complex_q1, *complexes_q2.values(),
+                          *complexes_q3.values()) for rec in K.classes]
+    with atom_memo() if scoped else contextlib.nullcontext():
+        for rec in recs:
+            g = rec.lmg
+            assert canonical_form(mirror(mirror(g))) == rec.canonical
+            d = dual(g)
+            assert (d.p, d.r, d.q) == (g.r, g.p, g.q)
+            assert canonical_form(dual(d)) == rec.canonical
 
 
 def test_canonical_decode_idempotent(fig8_lmg, q2_two_level):
