@@ -34,10 +34,10 @@ its `circles` attribute.
 
 import itertools
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, replace as dc_replace
+import weakref
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 from .permutohedron import OrderedPartition
 
@@ -147,6 +147,9 @@ def components(nodes, pairs):
 # Atoms
 # ---------------------------------------------------------------------------
 
+_interned = weakref.WeakValueDictionary()   # (saddles, edges) -> live Atom
+
+
 @dataclass(frozen=True)
 class Atom:
     """One level component: saddles with rotation system and edge matching.
@@ -164,19 +167,29 @@ class Atom:
 
     @classmethod
     def shared(cls, saddles, edges):
-        """`Atom.of`, but inside an `atom_memo` scope the scope's one object
-        for these saddles and edges, so its circles are traced once and
-        memo keys holding it match by identity."""
+        """`Atom.of`, interned: while an equal atom from here is alive, that
+        same object, so what it keeps is computed once for all its graphs."""
         key = (tuple(sorted(saddles)), tuple(sorted(edges)))
-        memo = _atom_memo
-        if memo is None:
-            return cls(*key)
-        atom = memo.atoms.get(key)
+        atom = _interned.get(key)
         if atom is None:
-            atom = memo.atoms[key] = cls(*key)
+            atom = _interned[key] = cls(*key)
         return atom
 
+    @cached_property
+    def _derived(self):
+        """What is computed from this atom alone, kept as long as it lives:
+        "check" once `check` passed, ("codes", marked, fixed) for
+        `_atom_min_codes` and ("rebuilt", flip) for `_rebuilt_atom`."""
+        return {}
+
     def check(self):
+        """Raise the LMGError of the atom's first defect; an atom that
+        passed keeps that and is not checked again."""
+        if "check" not in self._derived:
+            self._check()
+            self._derived["check"] = True
+
+    def _check(self):
         sset = set(self.saddles)
         if len(sset) != len(self.saddles):
             raise LabelCollisionError("duplicate saddle label in atom")
@@ -289,9 +302,6 @@ class LMG:
         """Deterministic global edge order: (atom index, local edge index)."""
         return [(a, i) for a in range(len(self.atoms))
                 for i in range(len(self.atoms[a].edges))]
-
-    def replace(self, **kw):
-        return dc_replace(self, **kw)
 
 
 def validate(g):
@@ -406,38 +416,17 @@ def validate(g):
 # An atom's minimal codes and realizing framings depend only on the atom and
 # on which of its saddles are marked or fixed, and one operation meets the
 # same atom in many graphs: every labeling of a capped candidate, every class
-# a split leaves an atom untouched in, every mirror.  Inside an `atom_memo`
-# scope `_atom_min_codes` computes them once per distinct (atom, marked
-# saddles, fixed saddles) and hands every later graph the same read-only
-# dart maps and circle maps.  The atoms themselves are shared too: the sites
-# that rebuild atoms a scope meets again and again (`from_json`,
-# `decode_canonical`, a split's new atoms and `_rebuilt_atom`) take them from
-# `Atom.shared`, one object per distinct (saddles, edges), so each traces its
-# circles once and memo keys holding it match by identity; `_rebuilt_atom`
-# keeps each atom's mirror or dual with its circle map.  The candidate scan
-# (`_one_level_atoms`) makes plain atoms: its matchings are distinct, so
-# sharing would only fill the table.  Enumeration, each chunk of its
-# candidate scan, the closure and the reload of a dump each open a scope;
-# it is dropped when the operation returns, and outside a scope nothing is
-# kept.
-
-_atom_memo = None   # the open scope's tables (codes, atoms, rebuilt), or None
-
-
-@contextmanager
-def atom_memo():
-    """Scope in which each distinct atom's minimal codes, object and
-    mirror and dual are made once; also usable as a decorator.  Each scope
-    starts empty and restores the enclosing one when it closes, so a forked
-    worker never reads its parent's entries and no entry outlives the
-    operation."""
-    global _atom_memo
-    outer = _atom_memo
-    _atom_memo = SimpleNamespace(codes={}, atoms={}, rebuilt={})
-    try:
-        yield
-    finally:
-        _atom_memo = outer
+# a split leaves an atom untouched in, every mirror.  The atom keeps them
+# (`_atom_min_codes`), once per distinct (marked saddles, fixed saddles) of
+# its own, and hands every later graph the same read-only dart maps and
+# circle maps; it keeps its mirror and dual with their circle maps
+# (`_rebuilt_atom`) the same way.  The sites that rebuild atoms met again and
+# again (`from_json`, `decode_canonical`, a split's new atoms and
+# `_rebuilt_atom`) intern them with `Atom.shared`, so equal atoms are one
+# object while any graph holds one, and what it keeps lives exactly as long;
+# the closure holds the atoms of its splits until it returns.
+# The candidate scan (`_one_level_atoms`) makes plain atoms: its matchings
+# are distinct, so interning would only fill the table.
 
 
 def _atom_traversal(atom, root):
@@ -482,17 +471,14 @@ def _atom_min_codes(atom, marked, fixed):
     fixed flag) in discovery order.  Each realization is a pair (dart map,
     circle map) for one root dart achieving the minimum: a read-only
     mapping from (saddle, slot) to the new dart id, and a tuple giving the
-    relabeled index of each circle.  Inside an `atom_memo` scope the value
-    is computed once per (atom, marked and fixed saddles of the atom).
+    relabeled index of each circle.  The atom keeps the value per marked
+    and fixed saddles of its own.
     """
-    memo = _atom_memo
-    if memo is None:
-        return _atom_codes(atom, marked, fixed)
     saddles = frozenset(atom.saddles)
-    key = (atom, saddles & marked, saddles & fixed)
-    value = memo.codes.get(key)
+    key = ("codes", saddles & marked, saddles & fixed)
+    value = atom._derived.get(key)
     if value is None:
-        value = memo.codes[key] = _atom_codes(*key)
+        value = atom._derived[key] = _atom_codes(atom, key[1], key[2])
     return value
 
 
@@ -786,13 +772,12 @@ def automorphisms(g, framings):
 
 def _rebuilt_atom(atom, flip):
     """(new atom, circle map) of one atom under `_rebuilt`: entry ci of the
-    map is the index of the image of circle ci.  Kept per (atom, flip)
-    inside an `atom_memo` scope."""
-    memo = _atom_memo
-    if memo is not None:
-        value = memo.rebuilt.get((atom, flip))
-        if value is not None:
-            return value
+    map is the index of the image of circle ci.  The atom keeps it per
+    `flip`; the new atom is interned, so a mirror's mirror is the atom."""
+    key = ("rebuilt", flip)
+    value = atom._derived.get(key)
+    if value is not None:
+        return value
     slot_map = (lambda s: (s - 1) % 4) if flip else (lambda s: (1 - s) % 4)
     na = Atom.shared(atom.saddles, [((iv, slot_map(is_)), (ov, slot_map(os)))
                                     for (ov, os), (iv, is_) in atom.edges])
@@ -802,11 +787,9 @@ def _rebuilt_atom(atom, flip):
     bij = [by_out[(iv, slot_map(is_))] for _, (iv, is_) in atom.edges]
     table = {(side, frozenset(cyc)): ci for ci, (side, cyc) in enumerate(na.circles)}
     swap = {"upper": "lower", "lower": "upper"}
-    value = (na, tuple(table[(swap[side] if flip else side,
-                              frozenset(bij[e] for e in cyc))]
-                       for side, cyc in atom.circles))
-    if memo is not None:
-        memo.rebuilt[(atom, flip)] = value
+    value = atom._derived[key] = (na, tuple(
+        table[(swap[side] if flip else side, frozenset(bij[e] for e in cyc))]
+        for side, cyc in atom.circles))
     return value
 
 
@@ -905,7 +888,7 @@ def from_json(doc):
         if key not in doc:
             raise LMGJSONError("missing key %r" % key)
     try:
-        atoms = []   # (saddles, edges), shared once their types are checked
+        atoms = []   # (saddles, edges), interned once their types are checked
         for ad in doc["atoms"]:
             saddles = list(ad["saddles"])
             darts = ad["darts"]

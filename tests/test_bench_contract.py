@@ -7,6 +7,7 @@ import gzip
 import importlib.util
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -156,22 +157,54 @@ def test_reload_lists_faces_once_per_level_partition(monkeypatch):
 
 
 def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
-    # the build's atom memo computes each (atom, marked and fixed saddles of
-    # the atom) once, however many split graphs, representatives and
-    # mirrors contain that atom
+    # each atom keeps its codes per (marked, fixed saddles of the atom), and
+    # the build holds every atom it splits off until it returns, so equal
+    # atoms are one object and no (atom, marked, fixed) is computed twice,
+    # however many split graphs, representatives and mirrors contain it.
+    # The table is the test's own, so no atom an earlier test left alive is
+    # handed out, and the spy records values, so it holds no atom
+    monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     keys = []
     raw = mg._atom_codes
 
     def counted(atom, marked, fixed):
-        keys.append((atom, marked, fixed))
+        keys.append((atom.saddles, atom.edges, marked, fixed))
         return raw(atom, marked, fixed)
 
     monkeypatch.setattr(mg, "_atom_codes", counted)
     K = cb.build_complex(seeds)
     assert len(K.classes) == 71
     assert len(keys) == len(set(keys)) == 14
+    # a second build of the same seeds, while the first complex is alive,
+    # computes codes only for the one split atom that no class holds
+    keys.clear()
+    assert len(cb.build_complex(seeds).classes) == 71
+    in_classes = {(atom.saddles, atom.edges)
+                  for rec in K.classes for atom in rec.lmg.atoms}
+    assert len(keys) == 1 and keys[0][:2] not in in_classes
+
+
+def test_one_atom_check_per_atom_object(monkeypatch):
+    # `validate` checks each atom once: an atom that passed keeps that, and
+    # the reload interns equal atoms as one object.  With a table of the
+    # test's own and every complex held, reloading the four stored dumps
+    # checks each of their distinct atoms exactly once
+    monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
+    checked = []
+    raw = mg.Atom._check
+
+    def counted(atom):
+        checked.append(atom)
+        return raw(atom)
+
+    monkeypatch.setattr(mg.Atom, "_check", counted)
+    complexes = [cb.complex_from_json(gzip.decompress(path.read_bytes()).decode())
+                 for path in sorted((BENCH / "dumps").glob("*.json.gz"))]
+    atoms = {atom for K in complexes for rec in K.classes for atom in rec.lmg.atoms}
+    assert len(complexes) == 4
+    assert len({id(atom) for atom in checked}) == len(checked) == len(atoms) == 56
 
 
 def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):

@@ -236,7 +236,7 @@ def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
 
     def lossy(g, level, subblocks):
         h = raw(g, level, subblocks)
-        return h.replace(**{field: getattr(h, field)[:-1]})
+        return dataclasses.replace(h, **{field: getattr(h, field)[:-1]})
 
     monkeypatch.setattr(pt, "split_level", lossy)
     with pytest.raises(pt.InvariantViolation,

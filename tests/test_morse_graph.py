@@ -1,4 +1,4 @@
-import contextlib
+import dataclasses
 import itertools
 import json
 
@@ -12,7 +12,7 @@ from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
     NonAlternatingError, StructureError, UnmatchedDartError,
-    atom_memo, canonical_form, components, decode_canonical, dual,
+    canonical_form, components, decode_canonical, dual,
     from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
 )
 
@@ -131,14 +131,14 @@ def test_unmatched_dart_error():
 
 def test_cylinder_level_error(q2_two_level):
     g = q2_two_level
-    flat = g.replace(levels=((0, 1),))
+    flat = dataclasses.replace(g, levels=((0, 1),))
     with pytest.raises(CylinderLevelError):
         validate(flat)
 
 
 def test_cap_side_error(fig8_lmg):
     g = fig8_lmg
-    bad = g.replace(caps=(
+    bad = dataclasses.replace(g, caps=(
         Cap(circle=(0, 0), kind="min", label=1, marked=True, fixed=False),
         Cap(circle=(0, 1), kind="max", label=1, marked=True, fixed=False),
         Cap(circle=(0, 2), kind="min", label=2, marked=True, fixed=False)))
@@ -148,7 +148,7 @@ def test_cap_side_error(fig8_lmg):
 
 def test_label_collision_error(fig8_lmg):
     g = fig8_lmg
-    bad = g.replace(caps=(
+    bad = dataclasses.replace(g, caps=(
         Cap(circle=(0, 0), kind="min", label=1, marked=True, fixed=False),
         Cap(circle=(0, 1), kind="min", label=1, marked=True, fixed=False),
         g.caps[2]))
@@ -158,7 +158,7 @@ def test_label_collision_error(fig8_lmg):
 
 def test_double_capped_circle_is_reported(fig8_lmg):
     g = fig8_lmg
-    bad = g.replace(caps=g.caps + (
+    bad = dataclasses.replace(g, caps=g.caps + (
         Cap(circle=(0, 2), kind="max", label=2, marked=True, fixed=False),))
     with pytest.raises(StructureError):
         validate(bad)
@@ -170,7 +170,7 @@ def test_double_capped_circle_is_reported(fig8_lmg):
 
 def test_unmarked_relabeling_same_form():
     g = fig8(marked_minima=False)
-    swapped = g.replace(caps=(
+    swapped = dataclasses.replace(g, caps=(
         Cap(circle=(0, 0), kind="min", label=2, marked=False, fixed=False),
         Cap(circle=(0, 1), kind="min", label=1, marked=False, fixed=False),
         g.caps[2]))
@@ -181,7 +181,7 @@ def test_marked_relabeling_differs_only_up_to_symmetry(fig8_lmg):
     # swapping the two marked minima is realized by the loop swap, so the
     # class is unchanged even though labels are pinned
     g = fig8_lmg
-    swapped = g.replace(caps=(
+    swapped = dataclasses.replace(g, caps=(
         Cap(circle=(0, 0), kind="min", label=2, marked=True, fixed=False),
         Cap(circle=(0, 1), kind="min", label=1, marked=True, fixed=False),
         g.caps[2]))
@@ -207,20 +207,18 @@ def test_dual_is_an_involution(q2_two_level):
     assert canonical_form(dual(d)) == canonical_form(g)
 
 
-@pytest.mark.parametrize("scoped", [False, True], ids=["no-scope", "in-scope"])
 def test_mirror_and_dual_are_involutions_on_every_class(
-        complex_q1, complexes_q2, complexes_q3, scoped):
-    # every class of the q <= 3 all-marked complexes, with and without the
-    # memo scope's shared atoms and per-atom mirrors and duals
+        complex_q1, complexes_q2, complexes_q3):
+    # every class of the q <= 3 all-marked complexes, through the interned
+    # atoms and the mirrors and duals each atom keeps
     recs = [rec for K in (complex_q1, *complexes_q2.values(),
                           *complexes_q3.values()) for rec in K.classes]
-    with atom_memo() if scoped else contextlib.nullcontext():
-        for rec in recs:
-            g = rec.lmg
-            assert canonical_form(mirror(mirror(g))) == rec.canonical
-            d = dual(g)
-            assert (d.p, d.r, d.q) == (g.r, g.p, g.q)
-            assert canonical_form(dual(d)) == rec.canonical
+    for rec in recs:
+        g = rec.lmg
+        assert canonical_form(mirror(mirror(g))) == rec.canonical
+        d = dual(g)
+        assert (d.p, d.r, d.q) == (g.r, g.p, g.q)
+        assert canonical_form(dual(d)) == rec.canonical
 
 
 def test_canonical_decode_idempotent(fig8_lmg, q2_two_level):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -262,7 +263,7 @@ def test_saturated_fixed_counts_give_floating_rank(q2_two_level):
                         marked=True,
                         fixed=(c.kind == "min" or c.label == 1))
                  for c in g.caps)
-    g2 = g.replace(caps=caps)
+    g2 = dataclasses.replace(g, caps=caps)
     mg.validate(g2)
     floating = sum(1 for c in g2.caps if not c.fixed)
     assert len(g2.atoms) == g2.q
