@@ -207,14 +207,20 @@ def test_dual_is_an_involution(q2_two_level):
     assert canonical_form(dual(d)) == canonical_form(g)
 
 
+@pytest.mark.parametrize("scoped", [False, True], ids=["no-scope", "in-scope"])
 def test_mirror_and_dual_are_involutions_on_every_class(
-        complex_q1, complexes_q2, complexes_q3):
-    # every class of the q <= 3 all-marked complexes, through the interned
-    # atoms and the mirrors and duals each atom keeps
+        complex_q1, complexes_q2, complexes_q3, scoped):
+    # every class of the q <= 3 all-marked complexes, on the interned atoms
+    # with the mirrors and duals each keeps, and on plain `Atom.of` copies
+    # that keep nothing
     recs = [rec for K in (complex_q1, *complexes_q2.values(),
                           *complexes_q3.values()) for rec in K.classes]
     for rec in recs:
         g = rec.lmg
+        if not scoped:
+            g = dataclasses.replace(g, atoms=tuple(
+                Atom.of(a.saddles, a.edges) for a in g.atoms))
+            assert all(a is not b for a, b in zip(g.atoms, rec.lmg.atoms))
         assert canonical_form(mirror(mirror(g))) == rec.canonical
         d = dual(g)
         assert (d.p, d.r, d.q) == (g.r, g.p, g.q)
