@@ -10,7 +10,7 @@ from .morse_graph import (
 )
 from .perturbation import split_level, delta
 from .twist_algebra import (
-    HomologyModel, UPolytope, homology_model,
+    HomologyModel, homology_model,
     classify_circles, u_polytope, check_stab_action, double_factorial_bound,
 )
 from .complex_builder import (

@@ -330,8 +330,8 @@ def handle_record(g, enc, framings):
     try:
         n = ta.classify_circles(g)
         model = ta.homology_model(g)
-        poly = ta.u_polytope(g, model)
-        stab = ta.check_stab_action(g, model, autos)
+        dim_upoly = ta.u_polytope(g, model)
+        admissible, free = ta.check_stab_action(g, model, autos)
         poincare = _poincare(n, autos)
     except ta.AlgebraInvariantViolation as exc:
         raise ta.AlgebraInvariantViolation(
@@ -341,10 +341,10 @@ def handle_record(g, enc, framings):
     return HandleRecord(
         class_id=cid, canonical=canonical, lmg=g,
         index=index, s=s, n=n,
-        dim_upoly=poly.dim, handle_dim=index + n + poly.dim,
+        dim_upoly=dim_upoly, handle_dim=index + n + dim_upoly,
         gamma_order=len(autos),
         mirror_self=(mg.canonicalize(mg.mirror(g))[0] == enc),
-        all_admissible=stab.all_admissible, all_free=stab.all_free,
+        all_admissible=admissible, all_free=free,
         poincare=poincare)
 
 
@@ -416,7 +416,10 @@ def build_complex(seeds):
     records = []    # class index -> handle record of the first graph met
     saddle_at = []  # class index -> position -> saddle of representative
     queue = []
-    pool = {}       # one shared object per distinct face and relabeling
+    # one shared object per distinct face and relabeling: the cover memo
+    # and the incidence entries hold references, not copies (peak RSS 250
+    # MB after building q = 4 `(5,4,1)` all marked, 293 MB without it)
+    pool = {}
     plans = {}      # level partition key -> [(face, predecessor key, face key)]
     # id -> atom of every split, alive until the build returns: a split
     # whose class is known is dropped at once, and without this its atoms

@@ -9,8 +9,8 @@ quotients come back as Fraction.
 `rref` (reduced row echelon form of any matrix) is the one elimination;
 `rank`, `affine_rank` and `solve_square` (the unique solution of a square
 system, or None when it is singular) are read off it.  `integer_row`
-clears a row's denominators; `mat_mul`, `mat_vec`, `identity` and
-`mat_eq` complete the set.
+clears a row's denominators; `mat_mul`, `mat_vec` and `identity`
+complete the set.
 
 The library itself calls only `rref`, `integer_row` and the matrix
 helpers.  `rank`, `affine_rank` and `solve_square` have no library caller
@@ -127,10 +127,6 @@ def mat_vec(A, v):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
 def affine_rank(points):

@@ -1,5 +1,10 @@
 """Exact linear algebra of a leveled graph: relative homology, cylinder
-classification, cohomology polytopes, and the stabilizer check.
+classification, cohomology polytopes, and the stabilizer check.  Each
+function a handle record calls returns what the record stores:
+`classify_circles` the torus directions n, `u_polytope` the polytope
+dimension and `check_stab_action` the pair (admissible, free).  An
+identity that holds for every class or every structure automorphism is
+checked, and its failure raises AlgebraInvariantViolation.
 
 The punctured surface (extrema removed) deformation-retracts onto the graph
 obtained from the level graph by trading one crossing edge per cylinder, the
@@ -206,21 +211,6 @@ def classify_circles(g):
 # Cohomology polytopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UPolytope:
-    """Exact H-representation of the kept-coordinate polytope:
-    1 <= row . u' <= bound for every edge row of the expansion matrix.
-
-    `dim` is certified by `_polytope_dim`: 0 for a one-level class (bound
-    1), else `ambient`.
-    """
-
-    slabs: tuple     # the rows of the traded edges; the others are unit rows
-    bound: int
-    ambient: int
-    dim: int
-
-
 def _tree_witness(g, model, bound):
     """A strict interior point of the edge-value polytope built from the
     assembly tree, as (numerators over the kept edges, D); None when the
@@ -322,43 +312,19 @@ def _polytope_dim(slab_rows, bound, witness):
 
 
 def u_polytope(g, model):
-    """The polytope of positive edge values within the double-factorial
-    bound, in kept-edge coordinates; `_polytope_dim` certifies that it is
-    the all-ones point (one level) or full-dimensional, with the assembly
-    tree's point (`_tree_witness`), and raises otherwise."""
+    """The dimension of the polytope of positive edge values within the
+    double-factorial bound, in kept-edge coordinates: 0 for a one-level
+    class, whose polytope is the all-ones point (bound 1), else the number
+    of kept edges.  `_polytope_dim` certifies it with the assembly tree's
+    point (`_tree_witness`) and raises otherwise."""
     bound = double_factorial_bound(g.q, len(g.levels))
-    slabs = tuple(model.expansion[d] for d in model.deleted)
-    return UPolytope(slabs=slabs, bound=bound, ambient=len(model.basis),
-                     dim=_polytope_dim(slabs, bound,
-                                       _tree_witness(g, model, bound)))
+    return _polytope_dim([model.expansion[d] for d in model.deleted], bound,
+                         _tree_witness(g, model, bound))
 
 
 # ---------------------------------------------------------------------------
 # Stabilizer action checks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AutomorphismCheck:
-    """Admissibility and freeness data for one non-identity structure
-    automorphism."""
-
-    consistent: bool          # edge action descends to the quotient
-    free: bool
-    cycle_obstructions: tuple  # ((cycle tuple), Fraction offset mod 1)
-    admissible: bool          # consistent, face check and degeneracies
-
-
-@dataclass(frozen=True)
-class StabReport:
-    checks: tuple
-    all_admissible: bool
-    all_free: bool
-
-
-def _quotient_matrix(model, edge_perm):
-    """Matrix of the edge action on the kept-coordinate quotient."""
-    return [list(model.expansion[edge_perm[b]]) for b in model.basis]
-
 
 def _circle_offset(psi, cyc):
     """Rotation offset, as a fraction of a turn, of an edge permutation on
@@ -373,69 +339,75 @@ def _circle_offset(psi, cyc):
 
 
 def _face_admissible(sigma, J):
-    """The face check of `check_stab_action`: whether the saddle
+    """The face clause of `check_stab_action`: whether the saddle
     permutation sigma (a mapping) stabilizes the ordered partition J."""
     return J.relabel(sigma).key() == J.key()
 
 
 def check_stab_action(g, model, autos):
-    """Run the admissibility checklist and the fixed-point-freeness test on
-    every non-identity structure automorphism.
+    """(admissible, free) of the stabilizer's action on the handle: whether
+    every non-identity structure automorphism passes the degeneracy clause,
+    and whether each has a nonzero rotation offset on some cylinder cycle.
+    The identity is admissible and free by definition and is not checked,
+    so a trivial group gives (True, True).
 
-    The identity is admissible and free by definition and is not checked, so
-    a trivial group gives no checks.  Consistency (the edge action commutes
-    with the expansion) is tested on the traded edges only: a kept edge
-    basis[k] expands to the unit row e_k, where it holds by construction.
+    Two more clauses of admissibility hold for every structure
+    automorphism, so they are invariant checks, and a failure raises
+    AlgebraInvariantViolation:
+    - consistency, the edge action commutes with the expansion.  An
+      automorphism maps each cylinder to a cylinder, and each circle to a
+      circle on the same side, so it permutes the cylinder relations, and
+      its action on the edges descends to the quotient that the expansion
+      coordinatizes.  It is tested on the traded edges only: a kept edge
+      basis[k] expands to the unit row e_k, where it holds by construction.
+    - the face clause, sigma stabilizes the level partition J, sigma the
+      saddle permutation.  `canonicalize` permutes atoms only inside a
+      level, so an automorphism preserves each level.  The face map sigma
+      induces on the face of J is admissible exactly when sigma stabilizes
+      J: sigma o pi = pi for no vertex pi unless sigma is the identity, and
+      a refinement J' with sigma(J') != J' shares no vertex with sigma(J'),
+      whose blocks have the same sizes in the same order.
 
-    The face map a saddle permutation sigma induces on the face of J is
-    admissible exactly when sigma stabilizes J: sigma o pi = pi for no vertex
-    pi unless sigma is the identity, and a refinement J' with
-    sigma(J') != J' shares no vertex with sigma(J'), whose blocks have the
-    same sizes in the same order."""
+    Degeneracy: an automorphism fixing every saddle must fix every cylinder
+    and act on the quotient as an involution; one that moves a saddle must
+    act on the quotient nontrivially."""
     J = g.level_partition()
     n = model.n
     identity = linalg.identity(len(model.basis))
-    moved = [phi for phi in autos if not phi.is_identity()]
     pos = {e: i for i, e in enumerate(model.edges)}
 
     def circle_positions(ref):
         a, ci = ref
         return [pos[(a, e)] for e in g.atoms[a].circles[ci][1]]
 
-    checks = []
-    for phi in moved:
-        B = _quotient_matrix(model, phi.edges)
+    admissible = free = True
+    for phi in autos:
+        if phi.is_identity():
+            continue
+        # row k: the image of kept edge basis[k] over the kept edges
+        B = [list(model.expansion[phi.edges[b]]) for b in model.basis]
         Bt = list(map(list, zip(*B)))
-        consistent = all(
-            list(model.expansion[phi.edges[i]]) ==
-            linalg.mat_vec(Bt, list(model.expansion[i]))
-            for i in model.deleted)
-        face_ok = _face_admissible(phi.saddles, J)
-        a_trivial = linalg.mat_eq(B, identity)
-        b_trivial = all(v == w for v, w in phi.saddles.items())
-        rho_trivial = all(phi.cylinders[k] == k for k in range(n))
-        if b_trivial:
-            deg_ok = rho_trivial and linalg.mat_eq(linalg.mat_mul(B, B),
-                                                   identity)
+        if any(list(model.expansion[phi.edges[i]])
+               != linalg.mat_vec(Bt, list(model.expansion[i]))
+               for i in model.deleted):
+            raise AlgebraInvariantViolation("the edge action does not "
+                                            "commute with the expansion")
+        if not _face_admissible(phi.saddles, J):
+            raise AlgebraInvariantViolation("the saddle map does not "
+                                            "stabilize the level partition")
+        if all(v == w for v, w in phi.saddles.items()):
+            admissible &= (all(phi.cylinders[k] == k for k in range(n))
+                           and linalg.mat_mul(B, B) == identity)
         else:
-            deg_ok = not a_trivial
+            admissible &= B != identity
 
-        obstructions = []
+        offsets = []
         for cyc in mg.trace_cycles(phi.cylinders, range(n)):
             psi = list(range(len(model.edges)))
             for _ in cyc:
                 psi = [phi.edges[i] for i in psi]
             lo, hi = g.cylinders[cyc[0]]
-            off = (_circle_offset(psi, circle_positions(hi))
-                   - _circle_offset(psi, circle_positions(lo))) % 1
-            obstructions.append((tuple(cyc), off))
-
-        checks.append(AutomorphismCheck(
-            consistent=consistent,
-            free=any(off != 0 for _, off in obstructions),
-            cycle_obstructions=tuple(obstructions),
-            admissible=consistent and face_ok and deg_ok))
-
-    return StabReport(checks=tuple(checks),
-                      all_admissible=all(c.admissible for c in checks),
-                      all_free=all(c.free for c in checks))
+            offsets.append((_circle_offset(psi, circle_positions(hi))
+                            - _circle_offset(psi, circle_positions(lo))) % 1)
+        free &= any(offsets)
+    return admissible, free

@@ -15,8 +15,9 @@ library's pruned `canonicalize`.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
 per-class algebra dump that only the tests read.  `box_vertices`
 enumerates the vertices of a box cut by slabs, the reference for the
-library's certified polytope dimension, and `polytope_vertices` applies it
-to a small handle polytope.  The permutohedron helpers at the end
+library's certified polytope dimension; `polytope_slabs` reads a handle
+polytope's H-representation off the homology model, and
+`polytope_vertices` applies `box_vertices` to a small one.  The permutohedron helpers at the end
 (coarsenings, reflexive and strict refinement, composition signatures,
 face vertices and coordinates, the induced face map's admissibility read
 off the vertices, and the value partition of a 0-cochain) state the face
@@ -366,13 +367,21 @@ def box_vertices(slab_rows, bound, ambient):
     return sorted(verts)
 
 
-def polytope_vertices(polytope):
-    """The sorted vertex tuple of a handle polytope when ambient <= 6, else
-    None."""
-    if polytope.ambient > 6:
+def polytope_slabs(g, model):
+    """The handle polytope of `g` as (slabs, bound, ambient): the box
+    [1, bound]^ambient over the kept edges, cut by 1 <= row . u <= bound for
+    the expansion row of each traded edge."""
+    return ([model.expansion[d] for d in model.deleted],
+            ta.double_factorial_bound(g.q, len(g.levels)), len(model.basis))
+
+
+def polytope_vertices(g, model):
+    """The sorted vertex tuple of the handle polytope of `g` when it has at
+    most 6 kept edges, else None."""
+    slabs, bound, ambient = polytope_slabs(g, model)
+    if ambient > 6:
         return None
-    return tuple(box_vertices(polytope.slabs, polytope.bound,
-                              polytope.ambient))
+    return tuple(box_vertices(slabs, bound, ambient))
 
 
 def _frac_pair(x):
@@ -380,17 +389,15 @@ def _frac_pair(x):
     return [f.numerator, f.denominator]
 
 
-def algebra_json(g, model=None, polytope=None):
+def algebra_json(g, model=None):
     """Per-class algebra dump with rationals as numerator/denominator pairs.
     Every core is a torus direction (`classify_circles`), so the circle
     block is n = nu0 = d with e = c = 0."""
     if model is None:
         model = ta.homology_model(g)
     n = ta.classify_circles(g)
-    if polytope is None:
-        polytope = ta.u_polytope(g, model)
     tvs = transvections(g, model)
-    vertices = polytope_vertices(polytope)
+    vertices = polytope_vertices(g, model)
     doc = {
         "edges": [list(e) for e in model.edges],
         "deleted": list(model.deleted),
@@ -402,7 +409,8 @@ def algebra_json(g, model=None, polytope=None):
         "circles": {"n": n, "nu0": n, "e": 0, "d": n, "c": 0},
         "polytope": {
             "rows": [[_frac_pair(x) for x in row] for row in model.expansion],
-            "lo": 1, "hi": polytope.bound, "dim": polytope.dim,
+            "lo": 1, "hi": polytope_slabs(g, model)[1],
+            "dim": ta.u_polytope(g, model),
             "vertices": None if vertices is None else
                 [[_frac_pair(x) for x in v] for v in vertices],
         },

@@ -148,8 +148,8 @@ def test_criterion_5_twist_algebra(complex_q1, complexes_q2, complexes_q3):
         mats = [[list(r) for r in t.matrix] for t in tvs]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                assert linalg.mat_eq(linalg.mat_mul(mats[i], mats[j]),
-                                     linalg.mat_mul(mats[j], mats[i]))
+                assert (linalg.mat_mul(mats[i], mats[j])
+                        == linalg.mat_mul(mats[j], mats[i]))
         if tvs:
             assert linalg.rank([list(t.core) for t in tvs]) == model.n
         # constraint vector invariant under every transvection
@@ -171,8 +171,7 @@ def test_criterion_5_twist_algebra(complex_q1, complexes_q2, complexes_q3):
         floating = g.p + g.r               # p' + p'' + r' + r'' with no fixed
         assert d <= min(floating, len(g.atoms) - 1)
         if rec.s == 1:
-            P = ta.u_polytope(g, model)
-            assert P.dim == 0
+            assert ta.u_polytope(g, model) == 0
         count += 1
     _report(5, "transvection, lattice, expansion, and rank identities hold "
                "on all %d classes of the q<=3 catalogs" % count)

@@ -432,6 +432,39 @@ def test_missing_polytope_witness_exits_4(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "K.json").exists()
 
 
+def test_inconsistent_stabilizer_action_exits_4(tmp_path, capsys,
+                                                monkeypatch):
+    # every structure automorphism commutes with the expansion; a traded
+    # row tampered in a coordinate that an automorphism moves breaks that,
+    # and the build stops with exit 4, names the class and writes no dump
+    cat = tmp_path / "cat.json"
+    run(capsys, "enumerate", "--p", "4", "--q", "3", "--r", "1",
+        "--marked", "0,3,1", "--out", str(cat))
+    from mck import twist_algebra as ta
+    check = ta.check_stab_action
+    tampered = []
+
+    def tamper(g, model, autos):
+        moved = [j for phi in autos for j, b in enumerate(model.basis)
+                 if phi.edges[b] != b]
+        if model.n and moved:
+            rows = list(model.expansion)
+            d = model.deleted[0]
+            rows[d] = tuple(x + (k == moved[0]) for k, x in enumerate(rows[d]))
+            model = dataclasses.replace(model, expansion=tuple(rows))
+            tampered.append(g)
+        return check(g, model, autos)
+
+    monkeypatch.setattr(ta, "check_stab_action", tamper)
+    code, out, err = run(capsys, "complex", "--input", str(cat),
+                         "--out", str(tmp_path / "K.json"))
+    assert code == 4 and out == "" and tampered
+    assert re.search(r"invariant violation: class c[0-9a-f]{16}: "
+                     r"the edge action does not commute with the expansion",
+                     err)
+    assert not (tmp_path / "K.json").exists()
+
+
 def test_corrupted_graph_named_by_position_and_id(tmp_path, capsys):
     # a stored graph that fails validation is named by its place in the
     # document, and in a dump by its stored id too; its error keeps its

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -15,8 +16,8 @@ from mck.twist_algebra import (
     classify_circles, double_factorial_bound, homology_model, u_polytope,
 )
 from oracles import (
-    algebra_json, box_vertices, enumerate_classes_direct, polytope_vertices,
-    transvections)
+    algebra_json, box_vertices, enumerate_classes_direct, polytope_slabs,
+    polytope_vertices, transvections)
 
 
 def family_tower():
@@ -182,7 +183,7 @@ def test_transvections_commute_and_have_full_rank():
         tvs = transvections(g, m)
         mats = [[list(r) for r in t.matrix] for t in tvs]
         for A, B in itertools.combinations(mats, 2):
-            assert linalg.mat_eq(linalg.mat_mul(A, B), linalg.mat_mul(B, A))
+            assert linalg.mat_mul(A, B) == linalg.mat_mul(B, A)
         if tvs:
             assert linalg.rank([list(t.core) for t in tvs]) == m.n
         # unipotent: (M - I) squared is zero
@@ -276,17 +277,18 @@ def test_saturated_fixed_counts_give_floating_rank(q2_two_level):
 
 def test_one_level_polytope_is_a_point(fig8_lmg):
     m = homology_model(fig8_lmg)
-    P = u_polytope(fig8_lmg, m)
-    assert P.bound == 1 and P.dim == 0
-    assert polytope_vertices(P) == (tuple([Fraction(1)] * P.ambient),)
+    assert double_factorial_bound(fig8_lmg.q, 1) == 1
+    assert u_polytope(fig8_lmg, m) == 0
+    assert (polytope_vertices(fig8_lmg, m)
+            == (tuple([Fraction(1)] * len(m.basis)),))
 
 
 def test_two_level_polytope(q2_two_level):
     m = homology_model(q2_two_level)
-    P = u_polytope(q2_two_level, m)
-    assert P.bound == 3
-    assert P.dim == 2 * q2_two_level.q - m.n
-    assert polytope_vertices(P)  # tiny scale: vertices are enumerated
+    assert double_factorial_bound(q2_two_level.q, 2) == 3
+    assert u_polytope(q2_two_level, m) == 2 * q2_two_level.q - m.n
+    # tiny scale: vertices are enumerated
+    assert polytope_vertices(q2_two_level, m)
 
 
 def test_q3_two_level_polytope_bound():
@@ -295,10 +297,10 @@ def test_q3_two_level_polytope_bound():
     g = enumerate_top_classes(4, 3, 1)[0]
     h = delta(g, OrderedPartition.of([{1}, {2, 3}]))
     m = homology_model(h)
-    P = u_polytope(h, m)
-    assert P.bound == 5  # 5!!/3!!
-    assert P.dim == 2 * h.q - m.n
-    assert P.dim != 0
+    assert double_factorial_bound(h.q, len(h.levels)) == 5  # 5!!/3!!
+    dim = u_polytope(h, m)
+    assert dim == 2 * h.q - m.n
+    assert dim != 0
 
 
 def test_vertex_enumeration_matches_brute_force():
@@ -434,17 +436,18 @@ def test_failed_certificate_raises():
 
 def test_polytope_dims_q2_exhaustive():
     for g, m in q2_catalog_with_models():
-        P = u_polytope(g, m)
-        assert 0 <= P.dim <= len(m.basis)
-        assert P.dim == dim_oracle(P.slabs, P.bound, P.ambient)
+        slabs, bound, ambient = polytope_slabs(g, m)
+        dim = u_polytope(g, m)
+        assert 0 <= dim <= len(m.basis)
+        assert dim == dim_oracle(slabs, bound, ambient)
         if len(g.levels) == 1:
-            assert P.dim == 0
+            assert dim == 0
         else:
-            assert P.dim == 2 * g.q - m.n
-        for v in polytope_vertices(P) or ():
+            assert dim == 2 * g.q - m.n
+        for v in polytope_vertices(g, m) or ():
             for row in m.expansion:
                 val = sum((a * b for a, b in zip(row, v)), Fraction(0))
-                assert 1 <= val <= P.bound
+                assert 1 <= val <= bound
 
 
 def test_tree_witness_fits_every_q3_class(complex_q1, complexes_q2,
@@ -461,18 +464,19 @@ def test_tree_witness_fits_every_q3_class(complex_q1, complexes_q2,
         for rec in K.classes:
             g = rec.lmg
             m = homology_model(g)
-            P = u_polytope(g, m)
-            tree = ta._tree_witness(g, m, P.bound)
-            if P.bound == 1:
-                assert tree is None and P.dim == rec.dim_upoly == 0
+            slabs, bound, ambient = polytope_slabs(g, m)
+            dim = u_polytope(g, m)
+            tree = ta._tree_witness(g, m, bound)
+            if bound == 1:
+                assert tree is None and dim == rec.dim_upoly == 0
                 continue
             multi += 1
             assert tree is not None, rec.class_id
-            assert (_polytope_dim(P.slabs, P.bound, tree)
-                    == P.dim == rec.dim_upoly == P.ambient), rec.class_id
+            assert (_polytope_dim(slabs, bound, tree)
+                    == dim == rec.dim_upoly == ambient), rec.class_id
             nums = tree[0]
             values = nums + [sum(x * v for x, v in zip(row, nums))
-                             for row in P.slabs]
+                             for row in slabs]
             key = (g.q, rec.s)
             worst[key] = max(worst.get(key, 0),
                              Fraction(max(values), min(values)))
@@ -489,10 +493,10 @@ def test_tree_witness_fits_every_q3_class(complex_q1, complexes_q2,
 def test_identity_is_admissible(q2_two_level):
     m = homology_model(q2_two_level)
     auts = group_of(q2_two_level)
-    rep = check_stab_action(q2_two_level, m, auts)
-    assert rep.all_admissible and rep.all_free
-    # the group is trivial and the identity is never checked
-    assert len(auts) == 1 and auts[0].is_identity() and rep.checks == ()
+    # the group is trivial, and the identity is admissible and free by
+    # definition
+    assert len(auts) == 1 and auts[0].is_identity()
+    assert check_stab_action(q2_two_level, m, auts) == (True, True)
 
 
 def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
@@ -500,8 +504,9 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
     m = homology_model(g)
     auts = group_of(g)
     assert len(auts) == 2
-    rep = check_stab_action(g, m, auts)
-    assert rep.all_admissible
+    # admissible, and not free: a one-level class has no cylinder, so the
+    # swap has no rotation offset
+    assert check_stab_action(g, m, auts) == (True, False)
     swap = next(a for a in auts if not a.is_identity())
     cmap = swap.circles
     # the swap acts freely on the two min-disk circles
@@ -510,8 +515,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
 
 def test_stab_action_q2_exhaustive():
     for g, m in q2_catalog_with_models():
-        rep = check_stab_action(g, m, group_of(g))
-        assert rep.all_admissible and rep.all_free
+        assert check_stab_action(g, m, group_of(g)) == (True, True)
 
 
 def test_automorphisms_stabilize_the_level_partition(complexes_q3):
@@ -554,25 +558,20 @@ def symmetric_two_level_classes():
 def test_symmetric_two_level_class_is_admissible_and_free():
     # unmarked minima allow the loop swap on a two-level class; its action
     # rotates the cylinder boundary below by half a turn but not above,
-    # leaving a half-integer twist obstruction: the action is free
+    # leaving a half-integer twist obstruction: the action is free, which
+    # says that every non-identity automorphism has a nonzero offset
     hit = 0
     for h, auts in symmetric_two_level_classes():
         m = homology_model(h)
-        rep = check_stab_action(h, m, auts)
-        assert rep.all_admissible
-        assert rep.all_free
-        assert len(rep.checks) == len(auts) - 1
-        for chk in rep.checks:
-            assert any(off != 0 for _, off in chk.cycle_obstructions)
+        assert check_stab_action(h, m, auts) == (True, True)
         hit += 1
     assert hit > 0
 
 
 def test_tampered_traded_row_is_inconsistent():
-    # the consistency test reads the traded-edge rows of the expansion; one
+    # the consistency check reads the traded-edge rows of the expansion; one
     # wrong entry, in a coordinate the swap moves, makes the swap
-    # inconsistent and so inadmissible
-    import dataclasses
+    # inconsistent, which no structure automorphism is, so it raises
     h, auts = next(c for c in symmetric_two_level_classes() if len(c[1]) == 2)
     swap = auts[1]
     m = homology_model(h)
@@ -581,10 +580,58 @@ def test_tampered_traded_row_is_inconsistent():
     rows = list(m.expansion)
     rows[d] = tuple(x + (k == j) for k, x in enumerate(rows[d]))
     bad = dataclasses.replace(m, expansion=tuple(rows))
-    (good_check,) = check_stab_action(h, m, auts).checks
-    assert good_check.consistent and good_check.admissible
-    (bad_check,) = check_stab_action(h, bad, auts).checks
-    assert not bad_check.consistent and not bad_check.admissible
+    assert check_stab_action(h, m, auts) == (True, True)
+    with pytest.raises(AlgebraInvariantViolation,
+                       match="does not commute with the expansion"):
+        check_stab_action(h, bad, auts)
+
+
+def fake_automorphism(g, saddles):
+    """The identity automorphism of `g` with its saddle map replaced by
+    `saddles` and two darts swapped, so that it is not the identity; its
+    edge, circle and cylinder maps stay the identity."""
+    ident = group_of(g)[0]
+    darts = dict(ident.darts)
+    d0, d1 = list(darts)[:2]
+    darts[d0], darts[d1] = d1, d0
+    return dataclasses.replace(ident, darts=MappingProxyType(darts),
+                               saddles=MappingProxyType(saddles))
+
+
+def two_level_class():
+    """A q = 3 (4, 1) class with levels {1}, {2, 3} and one cylinder."""
+    from mck.permutohedron import OrderedPartition
+    from mck.perturbation import delta
+    g = enumerate_top_classes(4, 3, 1)[0]
+    return delta(g, OrderedPartition.of([{1}, {2, 3}]))
+
+
+def test_saddle_moved_across_levels_raises():
+    # an automorphism preserves each level, so a saddle map that moves
+    # saddle 1 to the other level is an invariant violation, not an
+    # inadmissible action
+    h = two_level_class()
+    m = homology_model(h)
+    phi = fake_automorphism(h, {1: 2, 2: 1, 3: 3})
+    with pytest.raises(AlgebraInvariantViolation,
+                       match="does not stabilize the level partition"):
+        check_stab_action(h, m, [phi])
+
+
+def test_degenerate_action_is_inadmissible_and_not_free():
+    # a swap of the two saddles of one level that acts trivially on the
+    # edges is consistent and stabilizes J, but moves a saddle without
+    # moving the quotient, so it fails the degeneracy clause; its rotation
+    # offset on the one cylinder is zero, so it is not free
+    h = two_level_class()
+    m = homology_model(h)
+    assert m.n == 1
+    phi = fake_automorphism(h, {1: 1, 2: 3, 3: 2})
+    assert check_stab_action(h, m, [phi]) == (False, False)
+    # with the identity saddle map the same action passes the degeneracy
+    # clause (one cylinder, fixed, and B = I an involution)
+    assert check_stab_action(h, m, [fake_automorphism(
+        h, {1: 1, 2: 2, 3: 3})]) == (True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -599,5 +646,6 @@ def test_algebra_json_shape(q2_two_level):
     assert doc["circles"] == {"n": 1, "nu0": 1, "e": 0, "d": 1, "c": 0}
     assert doc["polytope"]["rows"] == doc["expansion"]
     assert doc["polytope"]["hi"] == 3
+    assert doc["polytope"]["dim"] == 2 * q2_two_level.q - 1
     # rationals as numerator/denominator pairs
     assert all(len(pair) == 2 for row in doc["expansion"] for pair in row)
