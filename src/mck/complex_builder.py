@@ -18,8 +18,8 @@ resolution, and each class carries its handle data (index, cylinder ranks,
 polytope dimension, symmetry group, handle Poincare polynomial).  Every
 proper refinement of a class's level partition gets an incidence entry, but
 only the covers (hyperfaces) are split, each once per class: a deeper face
-is the cover of the face that `delta`'s chain passes just before it, read
-through a saddle relabeling into that face's stored representative.
+is a cover of the face `chain_predecessor` names, read through a saddle
+relabeling into that face's stored representative.
 """
 
 import hashlib
@@ -357,9 +357,10 @@ def build_complex(seeds):
     saddle relabeling of the split graph into the target's representative,
     matched by `saddle_positions` (the identity when the split is that
     representative).  A deeper entry (g, J1) takes the entry of
-    `chain_predecessor(J, J1)`, which `refinements` lists earlier, relabels
-    J1 into that class's representative and looks the cover up; `delta` is
-    transitive, so this is the class `delta(g, J1)` lies in.
+    `chain_predecessor(J, J1)`, which `refinements` lists earlier and J1
+    covers, relabels J1 into that class's representative and looks the
+    cover up.  By induction this is the class that a chain of cover splits
+    from g to J1 reaches, and that class does not depend on the chain.
     The faces of J, their predecessors and their keys depend on J only, so
     they are listed once per distinct level partition.  Faces, relabelings
     and class ids are shared objects, so the memo and the incidence entries
@@ -388,11 +389,11 @@ def build_complex(seeds):
     which all encode as -1, so a repeated or out-of-range unmarked label
     would not show.  `split_level`'s construction rules out both.  It keeps
     every untouched atom in its level and puts each new atom in exactly one
-    new sub-level; each saddle of the split level lies in exactly one new
-    atom, a component of its sub-block's curve system; and caps are copied
-    with their kind, label and flags, only their circles moved.  A split
-    thus carries its input's saddle and cap labels, and its input is a seed
-    or a registered class, validated already."""
+    of two new sub-levels; each saddle of the split level lies in exactly
+    one new atom, a component of its sub-block's curve system; and caps are
+    copied with their kind, label and flags, only their circles moved.  A
+    split thus carries its input's saddle and cap labels, and its input is
+    a seed or a registered class, validated already."""
     if not seeds:
         raise ParameterError("no seed classes")
     g0 = seeds[0]

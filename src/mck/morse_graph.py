@@ -324,7 +324,8 @@ def validate(g):
     labels = [v for atom in g.atoms for v in atom.saddles]
     if len(set(labels)) != len(labels):
         raise LabelCollisionError("saddle label used by two atoms")
-    if set(labels) != set(range(1, g.q + 1)):
+    # the count first: a set of 1..q is built only for as many labels
+    if len(labels) != g.q or set(labels) != set(range(1, g.q + 1)):
         raise StructureError("saddle labels must be {1..q}")
 
     tables = [atom.circles for atom in g.atoms]
@@ -383,7 +384,7 @@ def validate(g):
                              % (g.p, g.r, p_actual, r_actual))
     if mins != list(range(1, p_actual + 1)) or maxs != list(range(1, r_actual + 1)):
         raise LabelCollisionError("extremum labels must be 1..p and 1..r")
-    if not g.marked_saddles <= set(range(1, g.q + 1)):
+    if not g.marked_saddles <= set(labels):
         raise LabelCollisionError("marked saddle outside {1..q}")
     if not g.fixed_saddles <= g.marked_saddles:
         raise StructureError("fixed saddles must be marked")

@@ -57,14 +57,6 @@ class OrderedPartition:
     def s(self):
         return len(self.blocks)
 
-    def assignment(self):
-        """The level-assignment tuple (J(1), ..., J(q)), 1-based."""
-        lev = {}
-        for k, b in enumerate(self.blocks):
-            for x in b:
-                lev[x] = k + 1
-        return tuple(lev[i] for i in range(1, self.q + 1))
-
     def key(self):
         """Canonical hashable form: tuple of sorted tuples."""
         return tuple(tuple(sorted(b)) for b in self.blocks)

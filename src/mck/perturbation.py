@@ -1,20 +1,20 @@
 """Saddle resolution: refining the level partition of a leveled graph.
 
-Splitting one level whose saddle set is divided into ordered sub-blocks
-B_1 < ... < B_m models a perturbation that pulls the saddle values apart.
-Inside the ribbon neighborhood of each old level atom, every sub-level k
-carries one curve system C_k: saddles of B_k stay vertices, saddles of lower
-sub-blocks are resolved upward (the curve passes above them, through the two
-up-sectors), saddles of higher sub-blocks downward.  With slots numbered as
-in `morse_graph`, arriving at the incoming slot-s dart the upward resolution
+Splitting one level into a lower sub-block B_1 and an upper sub-block B_2
+of its saddles models a perturbation that pulls the two saddle values
+apart.  Inside the ribbon neighborhood of each old level atom, each
+sub-level k carries one curve system C_k: saddles of B_k stay vertices,
+the others are resolved, downward in C_1 (the curve passes below them,
+through the two down-sectors) and upward in C_2.  With slots numbered as in
+`morse_graph`, arriving at the incoming slot-s dart the upward resolution
 continues from slot s-1, the downward one from slot s+1.
 
-Between consecutive sub-levels lie the regular interface curves I_k (all
-blocks <= k resolved up, the rest down): I_0 is the old lower circles, I_m
-the old upper circles.  Each interface curve traverses every old edge
+Around the sub-levels lie the regular interface curves I_k: I_0 is the
+old lower circles, I_1 the curves with B_1 resolved up and B_2 down, and
+I_2 the old upper circles.  Each interface curve traverses every old edge
 exactly once, so its edge set matches it both to the circle below (an upper
 circle of system C_k, or an old lower circle for k = 0) and to the circle
-above (a lower circle of C_{k+1}, or an old upper circle for k = m).  The
+above (a lower circle of C_{k+1}, or an old upper circle for k = 2).  The
 interface curves are therefore named by their edge sets, never traced.
 Saddle-free components of a C_k are kept transiently, as edge sets: the
 interface curves on both sides of one share its edge set.  Each new
@@ -24,17 +24,10 @@ or old upper circle with it.  Regions ending on old circles extend the caps
 and cylinders that were attached there; regions between two new-atom
 circles become new cylinders.
 
-`delta` reaches a deep refinement through a chain of hyperface splits (one
-level into two), always splitting off the first target sub-block of the
-lowest divisible level.  The class it reaches does not depend on the chain,
-and an explicit chain J -> J1 -> J2 is the composition
-`delta(delta(g, J1), J2)`.  `split_level` also takes m >= 2 sub-blocks at
-once; the tests compare that direct multi-way split with `delta` by
-canonical form.
-
-The complex builder calls `delta` on covers, once per class and cover, and
-reaches every deeper face as a cover of `chain_predecessor`, the partition
-that `delta`'s own chain passes last.
+The library resolves covers only: `delta` splits one level of the level
+partition in two, and the complex builder reaches every deeper face as a
+cover of `chain_predecessor`'s partition, read in the class that partition
+lies in.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
 InvariantViolation when a circle's edge set reaches no circle above it, or
@@ -62,8 +55,10 @@ class InvariantViolation(RuntimeError):
 # One-atom surgery
 # ---------------------------------------------------------------------------
 
-def _sublevel_system(atom, blk, k):
-    """Curve system C_k of one old atom.
+def _sublevel_system(atom, kept, turn):
+    """Curve system of one old atom at one sub-level: the saddles in `kept`
+    stay vertices, the others are resolved by `turn`, +1 (downward) at the
+    lower sub-level and -1 (upward) at the upper one.
 
     Returns (new_atoms, transients) where new_atoms is a list of
     (Atom, paths) with paths mapping the new atom's local edge index to the
@@ -76,14 +71,14 @@ def _sublevel_system(atom, blk, k):
     def resolved_next(cur):
         """The edge after `cur` when its head saddle is resolved."""
         w, s = atom.edges[cur][1]
-        if blk[w] == k:
+        if w in kept:
             raise InvariantViolation("strand resolves kept saddle %r" % (w,))
-        return by_out[(w, (s + (-1 if blk[w] < k else +1)) % 4)]
+        return by_out[(w, (s + turn) % 4)]
 
-    kept = [v for v in atom.saddles if blk[v] == k]
+    kept_saddles = [v for v in atom.saddles if v in kept]
     comp_edges = {}
     used = set()
-    for v in kept:
+    for v in kept_saddles:
         for slot in mg.OUT_SLOTS:
             o = (v, slot)
             path = []
@@ -91,7 +86,7 @@ def _sublevel_system(atom, blk, k):
             while True:
                 path.append(cur)
                 w, s = atom.edges[cur][1]
-                if blk[w] == k:
+                if w in kept:
                     comp_edges[o] = ((o, (w, s)), frozenset(path))
                     used.update(path)
                     break
@@ -104,7 +99,7 @@ def _sublevel_system(atom, blk, k):
 
     new_atoms = []
     pairs = [(o[0], i[0]) for (o, i), _ in comp_edges.values()]
-    for saddles in mg.components(kept, pairs):
+    for saddles in mg.components(kept_saddles, pairs):
         strands = [comp_edges[(v, slot)] for v in saddles for slot in mg.OUT_SLOTS]
         new_atom = mg.Atom.shared(saddles, [e for e, _ in strands])
         path_by_out = {e[0]: path for e, path in strands}
@@ -113,28 +108,31 @@ def _sublevel_system(atom, blk, k):
     return new_atoms, transients
 
 
-def _atom_surgery(atom, blk, m):
-    """Sub-level systems of one old atom and the regions between them.
+def _atom_surgery(atom, lower):
+    """Sub-level systems of one old atom and the regions between them, when
+    the saddles in `lower` move to the lower sub-level and the rest of the
+    atom's saddles to the upper one.
 
     Returns (systems, reattach, cylinders).  systems[k-1] is the new-atom
-    list of sub-level k; a new circle is named (k, j, ci), circle ci of the
-    j-th new atom of sub-level k, and an old circle by its index ci.
-    reattach maps each old circle to the new circle that takes its place,
-    and cylinders lists the new (lower, upper) circle pairs.
+    list of sub-level k (1 below, 2 above); a new circle is named (k, j, ci),
+    circle ci of the j-th new atom of sub-level k, and an old circle by its
+    index ci.  reattach maps each old circle to the new circle that takes
+    its place, and cylinders lists the new (lower, upper) circle pairs.
 
     The region above an old lower circle or a new upper circle climbs
     through the transients with the same edge set to the new lower circle
     or old upper circle with that edge set.  Each start must reach such a
     circle, and each circle above must be reached exactly once.
     """
-    systems = [_sublevel_system(atom, blk, k) for k in range(1, m + 1)]
+    systems = [_sublevel_system(atom, lower, +1),
+               _sublevel_system(atom, set(atom.saddles) - lower, -1)]
     starts = []  # (layer, edge set, circle) of every region's lower circle
     ends = {}    # (layer, edge set) -> circle, of every region's upper circle
     for ci, (side, cyc) in enumerate(atom.circles):
         if side == "lower":
             starts.append((0, frozenset(cyc), ci))
         else:
-            ends[(m + 1, frozenset(cyc))] = ci
+            ends[(3, frozenset(cyc))] = ci
     for k, (new_atoms, _) in enumerate(systems, start=1):
         for j, (na, paths) in enumerate(new_atoms):
             for ci, (side, cyc) in enumerate(na.circles):
@@ -148,7 +146,7 @@ def _atom_surgery(atom, blk, m):
     for k, es, lo in starts:
         top = k + 1
         while (top, es) not in ends:
-            if top > m or es not in systems[top - 1][1]:
+            if top > 2 or es not in systems[top - 1][1]:
                 raise InvariantViolation("circle %s at layer %d meets nothing "
                                          "at layer %d" % (sorted(es), k, top))
             top += 1
@@ -173,35 +171,25 @@ def _atom_surgery(atom, blk, m):
 # split_level and delta
 # ---------------------------------------------------------------------------
 
-def split_level(g, level, subblocks):
-    """Replace one level by consecutive sub-levels given by `subblocks`.
+def split_level(g, level, lower):
+    """Split one level in two: the saddles in `lower` below, the rest of
+    the level's saddles above.
 
-    `level` is 1-based; `subblocks` an ordered list of disjoint nonempty
-    saddle sets partitioning that level's saddles (values increase along the
-    list).  m = 1 is the identity.  The result is not validated (see the
-    module docstring); the surgery raises InvariantViolation when its circles
-    do not match up.
+    `level` is 1-based; `lower` a nonempty proper subset of that level's
+    saddles.  The result is not validated (see the module docstring); the
+    surgery raises InvariantViolation when its circles do not match up.
     """
     if not (1 <= level <= len(g.levels)):
         raise PerturbationError("no level %r" % (level,))
-    level_saddles = set()
-    for a in g.levels[level - 1]:
-        level_saddles |= set(g.atoms[a].saddles)
-    blocks = [frozenset(b) for b in subblocks]
-    if any(not b for b in blocks):
-        raise PerturbationError("empty sub-block")
-    if set().union(*blocks) != level_saddles or \
-            sum(len(b) for b in blocks) != len(level_saddles):
-        raise PerturbationError("sub-blocks must partition the level's saddles %s"
-                                % sorted(level_saddles))
-    m = len(blocks)
-    if m == 1:
-        return g
-
-    blk = {v: k for k, b in enumerate(blocks, start=1) for v in b}
+    level_saddles = {v for a in g.levels[level - 1] for v in g.atoms[a].saddles}
+    lower = frozenset(lower)
+    if not lower or not lower < level_saddles:
+        raise PerturbationError("the lower sub-block %s must be a nonempty "
+                                "proper subset of the level's saddles %s"
+                                % (sorted(lower), sorted(level_saddles)))
 
     old_level_atoms = list(g.levels[level - 1])
-    surgery = {a: _atom_surgery(g.atoms[a], blk, m) for a in old_level_atoms}
+    surgery = {a: _atom_surgery(g.atoms[a], lower) for a in old_level_atoms}
 
     # keep every non-split atom, in original index order
     kept = [a for a in range(len(g.atoms)) if a not in old_level_atoms]
@@ -211,7 +199,7 @@ def split_level(g, level, subblocks):
     # new atoms, sub-level by sub-level, old atoms in index order
     sub_atom_index = {}
     new_levels = []
-    for k in range(1, m + 1):
+    for k in (1, 2):
         lev = []
         for a in old_level_atoms:
             for j, (na, _) in enumerate(surgery[a][0][k - 1]):
@@ -257,34 +245,24 @@ def split_level(g, level, subblocks):
                   marked_saddles=g.marked_saddles, fixed_saddles=g.fixed_saddles)
 
 
-def delta(g, target):
-    """The perturbed class attached to a refinement of the level partition.
-
-    Repeats one hyperface split (one level into two) until the level
-    partition is `target`: each step splits off the first target sub-block
-    of the lowest divisible level.  The result is chain-independent, and,
-    like `split_level`'s, not validated.
-    """
-    cur = g
-    while True:
-        J = cur.level_partition()
-        groups = sub_blocks(target, J)
-        if groups is None:
-            raise PerturbationError("%s does not refine %s" % (target, J))
-        level = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
-        if level is None:
-            return cur
-        grp = groups[level]
-        cur = split_level(cur, level + 1, [grp[0], frozenset().union(*grp[1:])])
+def delta(g, cover):
+    """The perturbed class attached to a cover of the level partition: one
+    level split into two sub-blocks.  Like `split_level`'s, the result is
+    not validated."""
+    J = g.level_partition()
+    groups = sub_blocks(cover, J)
+    if groups is None or cover.s != J.s + 1:
+        raise PerturbationError("%s is not a cover of %s" % (cover, J))
+    level = next(i for i, grp in enumerate(groups) if len(grp) == 2)
+    return split_level(g, level + 1, groups[level][0])
 
 
 def chain_predecessor(J, target):
-    """The partition that `delta`'s chain from J passes just before the
-    proper refinement `target`.
-
-    The chain splits the divisible blocks of J from the lowest up, peeling
-    off one target sub-block at a time, so its last step splits the last
-    divided block of J into its last two target sub-blocks."""
+    """The refinement of J that a proper refinement `target` covers: the
+    last block of J that `target` divides gets its last two target
+    sub-blocks merged back, and every other block keeps its target
+    sub-blocks.  It is J itself when `target` covers J, and `refinements`
+    lists it before `target`."""
     groups = sub_blocks(target, J)
     if groups is None or len(groups) == target.s:
         raise PerturbationError("%s is not a proper refinement of %s"

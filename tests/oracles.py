@@ -5,9 +5,10 @@ brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
-`closure_by_delta` is the closure that resolves every proper refinement of
-every class with its own `delta` chain from the top, which the library's
-closure over covers must reproduce byte for byte.
+The library splits covers only; `delta_chain` reaches any refinement by a
+chain of them, and `closure_by_delta` is the closure that resolves every
+proper refinement of every class with its own chain from the top, which the
+library's closure over covers must reproduce byte for byte.
 `fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
 the library's fraction-free `rref` is checked against.
 `exhaustive_canonicalize` encodes every framing, the reference for the
@@ -20,8 +21,9 @@ polytope's H-representation off the homology model, and
 `polytope_vertices` applies `box_vertices` to a small one.  The permutohedron helpers at the end
 (coarsenings, reflexive and strict refinement, composition signatures,
 face vertices and coordinates, the induced face map's admissibility read
-off the vertices, and the value partition of a 0-cochain) state the face
-geometry that the library relies on without computing.
+off the vertices, a partition's level assignment and the value partition
+of a 0-cochain) state the face geometry that the library relies on without
+computing.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -175,9 +177,9 @@ def merge_all_levels(g, seeds=None):
 
     Searches the one-level catalog with the same parameters and marking for a
     seed f and a face assignment shaped like g's level partition such that
-    delta(f, .) has g's canonical form.  Unmarked saddle relabelings of the
-    face are part of the search.  Pass `seeds` to reuse an already enumerated
-    catalog.
+    delta_chain(f, .) has g's canonical form.  Unmarked saddle relabelings of
+    the face are part of the search.  Pass `seeds` to reuse an already
+    enumerated catalog.
     """
     if len(g.levels) == 1:
         return g
@@ -208,17 +210,36 @@ def merge_all_levels(g, seeds=None):
         seeds = cb.enumerate_top_classes(g.p, g.q, g.r, marking)
     for seed in seeds:
         for face in faces:
-            if mg.canonical_form(delta(seed, face)) == target_key:
+            if mg.canonical_form(delta_chain(seed, face)) == target_key:
                 return seed
     raise InvariantViolation("no one-level seed reproduces the class; "
                              "downward-closure completeness violated")
 
 
+def delta_chain(g, target):
+    """The class of a refinement `target` of g's level partition, reached
+    by library cover splits: each splits off the first target sub-block of
+    the lowest divisible level.  The class does not depend on the chain;
+    `target` equal to the level partition gives g itself."""
+    while True:
+        J = g.level_partition()
+        groups = sub_blocks(target, J)
+        if groups is None:
+            raise PerturbationError("%s does not refine %s" % (target, J))
+        level = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
+        if level is None:
+            return g
+        grp = groups[level]
+        cover = OrderedPartition.of(J.blocks[:level] + (
+            grp[0], frozenset().union(*grp[1:])) + J.blocks[level + 1:], J.q)
+        g = delta(g, cover)
+
+
 def closure_by_delta(seeds, marking=None):
     """The complex of `seeds` with every incidence entry resolved by its own
-    `delta`: each class keeps the first graph met, in the library's queue
-    and refinement order, and is validated when it is met, independently
-    of the library's own validation."""
+    `delta_chain`: each class keeps the first graph met, in the library's
+    queue and refinement order, and is validated when it is met,
+    independently of the library's own validation."""
     if not seeds:
         raise cb.ParameterError("no seed classes")
     g0 = seeds[0]
@@ -251,7 +272,7 @@ def closure_by_delta(seeds, marking=None):
         src = cb.class_id(cf)
         J = g.level_partition()
         for J1 in refinements(J):
-            h = delta(g, J1)
+            h = delta_chain(g, J1)
             cf1 = mg.canonical_form(h)
             if cf1 not in known:
                 mg.validate(h)
@@ -416,6 +437,12 @@ def algebra_json(g, model=None):
         },
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def assignment(J):
+    """The level-assignment tuple (J(1), ..., J(q)), 1-based."""
+    lev = {x: k for k, b in enumerate(J.blocks, start=1) for x in b}
+    return tuple(lev[i] for i in range(1, J.q + 1))
 
 
 def composition_signature(J):

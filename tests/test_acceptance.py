@@ -18,12 +18,12 @@ from mck.complex_builder import (
     q_polynomial)
 from mck.permutohedron import (
     OrderedPartition, enumerate_partitions, refinements)
-from mck.perturbation import delta
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import (
-    ZeroCochain, coarsenings, composition_signature, enumerate_classes_direct,
-    face_vertices, partition_of_values, refines_eq, transvections)
+    ZeroCochain, assignment, coarsenings, composition_signature,
+    delta_chain, enumerate_classes_direct, face_vertices, partition_of_values,
+    refines_eq, transvections)
 from test_permutohedron import ordered_bell, realize_refinement
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_partition_of_values_stability():
     # exhaustively at small q: every refinement of every partition
     for q in (1, 2, 3):
         for J in enumerate_partitions(q):
-            c = ZeroCochain.of([Fraction(J.assignment()[x - 1])
+            c = ZeroCochain.of([Fraction(assignment(J)[x - 1])
                                 for x in range(1, q + 1)])
             for target in [J, *refinements(J)]:
                 realized = realize_refinement(c, J, target)
@@ -184,15 +184,15 @@ def test_criterion_6_delta_coherence(complex_q1, complexes_q2, complexes_q3):
     for rec in _all_catalog_classes(complex_q1, complexes_q2, complexes_q3):
         g = rec.lmg
         J = g.level_partition()
-        assert mg.canonical_form(delta(g, J)) == rec.canonical  # fixpoint
+        assert mg.canonical_form(delta_chain(g, J)) == rec.canonical  # fixpoint
         memo = {}
         for J1 in refinements(J):
-            h = delta(g, J1)
+            h = delta_chain(g, J1)
             for J2 in refinements(J1):
                 key = J2.key()
                 if key not in memo:
-                    memo[key] = mg.canonical_form(delta(g, J2))
-                assert mg.canonical_form(delta(h, J2)) == memo[key]
+                    memo[key] = mg.canonical_form(delta_chain(g, J2))
+                assert mg.canonical_form(delta_chain(h, J2)) == memo[key]
                 pairs += 1
     _report(6, "identity fixpoint and transitivity on %d face chains over "
                "the q<=3 catalogs" % pairs)

@@ -516,6 +516,30 @@ def test_closed_stdout_exits_3():
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_huge_claimed_q_refused_in_bounded_memory(q1_files, tmp_path):
+    # the graph validator's cost follows the graph, not the claimed q: a
+    # q = 1 catalog that claims q = 10^12 is refused with exit 3 under a
+    # 1 GiB address-space limit
+    import resource
+    doc = json.loads(q1_files["catalog"].read_text())
+    doc["params"]["q"] = doc["classes"][0]["q"] = 10 ** 12
+    cat = tmp_path / "huge-q.json"
+    cat.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cb.__file__).parents[1]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "mck.cli", "complex", "--input", str(cat),
+         "--out", str(tmp_path / "K.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert "saddle labels must be {1..q}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_export_dot_faces(capsys):
     code, out, _ = run(capsys, "export-dot", "--what", "faces", "--q", "2")
     assert code == 0 and out.startswith("digraph face_poset")

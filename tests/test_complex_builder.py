@@ -234,8 +234,8 @@ def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
                                    MarkingSpec.all_marked(4, 3, 1)))
     raw = pt.split_level
 
-    def lossy(g, level, subblocks):
-        h = raw(g, level, subblocks)
+    def lossy(g, level, lower):
+        h = raw(g, level, lower)
         return dataclasses.replace(h, **{field: getattr(h, field)[:-1]})
 
     monkeypatch.setattr(pt, "split_level", lossy)

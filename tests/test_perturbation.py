@@ -14,7 +14,8 @@ from mck.perturbation import (
     split_level)
 
 from conftest import Q3_SPLITS, group_of
-from oracles import enumerate_classes_direct, merge_all_levels, refines_eq
+from oracles import (
+    delta_chain, enumerate_classes_direct, merge_all_levels, refines_eq)
 
 
 def catalog_q2(p, r):
@@ -26,14 +27,17 @@ def catalog_q2(p, r):
 # ---------------------------------------------------------------------------
 
 def test_identity_split_is_identity(q2_two_level):
+    # the empty chain of cover splits is the identity; the library has no
+    # one-block split, so a split that divides nothing is refused
     g = q2_two_level
-    assert split_level(g, 1, [{1}]) is g
-    assert mg.canonical_form(delta(g, g.level_partition())) == mg.canonical_form(g)
+    assert delta_chain(g, g.level_partition()) is g
+    with pytest.raises(PerturbationError):
+        split_level(g, 1, {1})
 
 
 def test_split_drops_index_by_one():
     for g in catalog_q2(2, 2):
-        h = split_level(g, 1, [{1}, {2}])
+        h = split_level(g, 1, {1})
         assert mg.validate(h) is None
         assert len(h.levels) == 2 and h.q - len(h.levels) == (g.q - 1) - 1
         assert (h.p, h.r) == (g.p, g.r)
@@ -42,11 +46,14 @@ def test_split_drops_index_by_one():
 def test_split_rejects_bad_subblocks(q2_two_level):
     g = q2_two_level
     with pytest.raises(PerturbationError):
-        split_level(g, 1, [{1}, {2}])  # saddle 2 is not on level 1
+        split_level(g, 1, {2})  # saddle 2 is not on level 1
     with pytest.raises(PerturbationError):
-        split_level(g, 1, [set()])
+        split_level(g, 1, set())
     with pytest.raises(PerturbationError):
-        split_level(g, 7, [{1}])
+        split_level(g, 7, {1})
+    seed = catalog_q2(2, 2)[0]
+    with pytest.raises(PerturbationError):
+        split_level(seed, 1, {1, 2})  # the whole level stays one block
 
 
 def test_split_preserves_conserved_quantities():
@@ -92,8 +99,8 @@ def test_surgery_refuses_a_broken_curve_system(mutation, monkeypatch):
     raw = pt._sublevel_system
     broken = []
 
-    def mutated(atom, blk, k):
-        system = raw(atom, blk, k)
+    def mutated(atom, kept, turn):
+        system = raw(atom, kept, turn)
         changed = mutation(*system)
         broken.append(changed is not None)
         return system if changed is None else changed
@@ -123,6 +130,18 @@ def test_delta_requires_refinement(q2_two_level):
         delta(q2_two_level, OrderedPartition.of([{1, 2}]))
 
 
+def test_delta_refuses_non_covers():
+    # delta splits one level in two: the partition itself, a face two
+    # splits deep and a face that does not refine it are all refused
+    g = enumerate_top_classes(4, 3, 1)[0]
+    h = delta(g, OrderedPartition.of([{1}, {2, 3}]))
+    for graph, face in ((g, g.level_partition()),
+                        (g, OrderedPartition.of([{1}, {2}, {3}])),
+                        (h, OrderedPartition.of([{2}, {1, 3}]))):
+        with pytest.raises(PerturbationError, match="is not a cover of"):
+            delta(graph, face)
+
+
 def test_delta_transitivity_q2_exhaustive():
     for p, r in [(3, 1), (2, 2), (1, 3)]:
         for g in catalog_q2(p, r):
@@ -135,18 +154,21 @@ def test_delta_transitivity_q2_exhaustive():
                     assert lhs == rhs
 
 
-def test_delta_agrees_with_direct_multiway_split():
-    # the hyperface chain and one direct three-way split reach the same
-    # class, on every one-level seed of every q = 3 split, marked all and
-    # 0,3,0 (with fewer than three blocks both are the same split_level call)
+def test_delta_two_cover_chains_to_a_vertex_agree():
+    # a vertex (a|b|c) lies below the two covers (a|b,c) and (a,b|c) of a
+    # one-level partition; both chains of cover splits reach one class, on
+    # every one-level seed of every q = 3 split, marked all and 0,3,0
     vertices = [J for J in enumerate_partitions(3) if J.s == 3]
     for p, r in Q3_SPLITS:
         for marking in (MarkingSpec.all_marked(p, 3, r),
                         MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))):
             for g in enumerate_top_classes(p, 3, r, marking):
                 for J1 in vertices:
-                    assert (mg.canonical_form(delta(g, J1)) == mg.canonical_form(
-                        split_level(g, 1, J1.blocks)))
+                    a, b, c = J1.blocks
+                    forms = {mg.canonical_form(delta(delta(g, mid), J1))
+                             for mid in (OrderedPartition.of([a, b | c]),
+                                         OrderedPartition.of([a | b, c]))}
+                    assert len(forms) == 1
 
 
 def test_delta_chain_independence_explicit_chains():
@@ -158,17 +180,18 @@ def test_delta_chain_independence_explicit_chains():
         if mid.s == 2 and refines_eq(target, mid):
             results.add(mg.canonical_form(delta(delta(g, mid), target)))
     assert len(results) == 1
-    assert results.pop() == mg.canonical_form(delta(g, target))
+    assert results.pop() == mg.canonical_form(delta_chain(g, target))
 
 
 def test_chain_predecessor_is_where_delta_splits_last(monkeypatch):
-    # the closure composes each deep face from the partition that delta
-    # splits last, which `refinements` lists before the face
+    # the closure composes each deep face from the partition that the
+    # chain of cover splits leaves last, which `refinements` lists before
+    # the face
     split_from = []
 
-    def recording(h, level, subblocks):
+    def recording(h, level, lower):
         split_from.append(h.level_partition().key())
-        return split_level(h, level, subblocks)
+        return split_level(h, level, lower)
 
     monkeypatch.setattr(pt, "split_level", recording)
     g = _first_q4_seeds(5, 1, MarkingSpec.all_marked(5, 4, 1), 1)[0]
@@ -177,7 +200,7 @@ def test_chain_predecessor_is_where_delta_splits_last(monkeypatch):
     listed = {J.key(): -1, **{J1.key(): i for i, J1 in enumerate(faces)}}
     for i, J1 in enumerate(faces):
         split_from.clear()
-        delta(g, J1)
+        delta_chain(g, J1)
         J0 = chain_predecessor(J, J1).key()
         assert J0 == split_from[-1] and listed[J0] < i
     assert len(faces) == 74
@@ -199,7 +222,7 @@ def _first_q4_seeds(p, r, marking, count):
             return seeds[:count]
 
 
-# sha256 of the 1,308 delta results of each case below, in test order
+# sha256 of the 1,308 delta_chain results of each case below, in test order
 Q4_PIN = {
     (5, 1, "all"):
         "3520944b45f958139d690762d87bf3fa6b9b154cac49fc8264fddbbfd68266fd",
@@ -210,18 +233,18 @@ Q4_PIN = {
 
 @pytest.mark.parametrize("p, r, marked", sorted(Q4_PIN))
 def test_delta_bytes_pinned_q4(p, r, marked):
-    # the exact graphs delta returns, not only their classes: every face of
-    # a few q = 4 seeds and every face of each two-level result
+    # the exact graphs the cover chains return, not only their classes:
+    # every face of a few q = 4 seeds and every face of each two-level result
     marking = (MarkingSpec.all_marked(p, 4, r) if marked == "all"
                else MarkingSpec(marked=(0, 4, 0), fixed=(0, 0, 0)))
     digest = hashlib.sha256()
     for g in _first_q4_seeds(p, r, marking, 6):
         for J1 in refinements(g.level_partition()):
-            h = delta(g, J1)
+            h = delta_chain(g, J1)
             digest.update(mg.to_json(h).encode())
             if J1.s == 2:
                 for J2 in refinements(J1):
-                    digest.update(mg.to_json(delta(h, J2)).encode())
+                    digest.update(mg.to_json(delta_chain(h, J2)).encode())
     assert digest.hexdigest() == Q4_PIN[(p, r, marked)]
 
 
@@ -260,10 +283,10 @@ def test_gamma_orbits_of_faces_share_targets():
     for h in symmetric:
         auts = group_of(h)
         for J2 in refinements(h.level_partition()):
-            base = mg.canonical_form(delta(h, J2))
+            base = mg.canonical_form(delta_chain(h, J2))
             for phi in auts:
                 J2s = J2.relabel(lambda x: phi.saddles[x])
-                assert mg.canonical_form(delta(h, J2s)) == base
+                assert mg.canonical_form(delta_chain(h, J2s)) == base
                 checked += 1
     assert checked > 0
 
@@ -295,6 +318,6 @@ def test_merge_roundtrip_q2_exhaustive():
             f = merge_all_levels(g, seeds=seeds)
             assert len(f.levels) == 1
             J = f.level_partition()
-            targets = {mg.canonical_form(delta(f, J1))
+            targets = {mg.canonical_form(delta_chain(f, J1))
                        for J1 in [J, *refinements(J)]}
             assert mg.canonical_form(g) in targets

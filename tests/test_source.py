@@ -61,3 +61,34 @@ def test_fraction_only_where_values_are_quotients():
     assert uses - FRACTION_ALLOWED == set()
     # each allowance still names a real use, so the list cannot go stale
     assert FRACTION_ALLOWED - uses == set()
+
+
+def _wrapped_attributes():
+    """The attribute names that `bench/tracing.py` wraps, read off its
+    `WRAPPED` table without importing it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "WRAPPED"):
+            return {attr for _, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("no WRAPPED table in %s" % path)
+
+
+def test_every_library_definition_is_used():
+    # a function or class that no library code names, that the package
+    # does not export and that the tracer does not wrap is test-only or
+    # dead code; dunders are called by the language
+    defined, named = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    kept = named | set(mck.__all__) | _wrapped_attributes()
+    unused = [(file, name) for file, name in defined
+              if name not in kept
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == []

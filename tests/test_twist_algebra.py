@@ -16,8 +16,8 @@ from mck.twist_algebra import (
     classify_circles, double_factorial_bound, homology_model, u_polytope,
 )
 from oracles import (
-    algebra_json, box_vertices, enumerate_classes_direct, polytope_slabs,
-    polytope_vertices, transvections)
+    algebra_json, box_vertices, delta_chain, enumerate_classes_direct,
+    polytope_slabs, polytope_vertices, transvections)
 
 
 def family_tower():
@@ -544,12 +544,11 @@ def symmetric_two_level_classes():
     """(class, automorphisms) of the q = 3 (4, 1) faces, minima unmarked,
     whose group is not trivial."""
     from mck.complex_builder import MarkingSpec
-    from mck.perturbation import delta
     from mck.permutohedron import refinements
     marking = MarkingSpec(marked=(0, 3, 1), fixed=(0, 0, 0))
     for g in enumerate_top_classes(4, 3, 1, marking):
         for J1 in refinements(g.level_partition()):
-            h = delta(g, J1)
+            h = delta_chain(g, J1)
             auts = group_of(h)
             if len(auts) > 1:
                 yield h, auts
