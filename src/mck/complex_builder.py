@@ -422,12 +422,6 @@ def build_complex(seeds):
     # MB after building q = 4 `(5,4,1)` all marked, 293 MB without it)
     pool = {}
     plans = {}      # level partition key -> [(face, predecessor key, face key)]
-    # id -> atom of every split, alive until the build returns: a split
-    # whose class is known is dropped at once, and without this its atoms
-    # would be made, traced and encoded again at each later split that
-    # meets them (18,559 code computations for 220 distinct atoms when
-    # building q = 4 `(5,4,1)` all marked)
-    held = {}
 
     def shared(x):
         return pool.setdefault(x, x)
@@ -470,7 +464,6 @@ def build_complex(seeds):
             if key not in covers:
                 try:
                     h = delta(records[c0].lmg, K)
-                    held.update((id(atom), atom) for atom in h.atoms)
                     enc, framings = mg.canonicalize(h)
                     if enc not in known:
                         mg.validate(h)

@@ -175,19 +175,19 @@ class Atom:
             atom = _interned[key] = cls(*key)
         return atom
 
-    @cached_property
-    def _derived(self):
-        """What is computed from this atom alone, kept as long as it lives:
-        "check" once `check` passed, ("codes", marked, fixed) for
-        `_atom_min_codes` and ("rebuilt", flip) for `_rebuilt_atom`."""
-        return {}
+    def kept(self, key, compute):
+        """`compute()`, run once per key and kept as long as the atom lives:
+        "check", ("codes", marked, fixed), ("rebuilt", flip) and ("surgery",
+        lower).  A compute that raises keeps nothing."""
+        table = self.__dict__.setdefault("_kept", {})
+        if key not in table:
+            table[key] = compute()
+        return table[key]
 
     def check(self):
         """Raise the LMGError of the atom's first defect; an atom that
         passed keeps that and is not checked again."""
-        if "check" not in self._derived:
-            self._check()
-            self._derived["check"] = True
+        self.kept("check", self._check)
 
     def _check(self):
         sset = set(self.saddles)
@@ -421,11 +421,13 @@ def validate(g):
 # (`_atom_min_codes`), once per distinct (marked saddles, fixed saddles) of
 # its own, and hands every later graph the same read-only dart maps and
 # circle maps; it keeps its mirror and dual with their circle maps
-# (`_rebuilt_atom`) the same way.  The sites that rebuild atoms met again and
+# (`_rebuilt_atom`) and its splits (`perturbation._atom_surgery`) the same
+# way, all through `Atom.kept`.  The sites that rebuild atoms met again and
 # again (`from_json`, `decode_canonical`, a split's new atoms and
 # `_rebuilt_atom`) intern them with `Atom.shared`, so equal atoms are one
-# object while any graph holds one, and what it keeps lives exactly as long;
-# the closure holds the atoms of its splits until it returns.
+# object while any graph holds one, and what it keeps lives exactly as long.
+# A split's new atoms live as long as the atom split, which keeps them, so a
+# later split that meets them again finds their codes kept.
 # The candidate scan (`_one_level_atoms`) makes plain atoms: its matchings
 # are distinct, so interning would only fill the table.
 
@@ -476,11 +478,9 @@ def _atom_min_codes(atom, marked, fixed):
     and fixed saddles of its own.
     """
     saddles = frozenset(atom.saddles)
-    key = ("codes", saddles & marked, saddles & fixed)
-    value = atom._derived.get(key)
-    if value is None:
-        value = atom._derived[key] = _atom_codes(atom, key[1], key[2])
-    return value
+    marked, fixed = saddles & marked, saddles & fixed
+    return atom.kept(("codes", marked, fixed),
+                     lambda: _atom_codes(atom, marked, fixed))
 
 
 def _atom_codes(atom, marked, fixed):
@@ -775,23 +775,22 @@ def _rebuilt_atom(atom, flip):
     """(new atom, circle map) of one atom under `_rebuilt`: entry ci of the
     map is the index of the image of circle ci.  The atom keeps it per
     `flip`; the new atom is interned, so a mirror's mirror is the atom."""
-    key = ("rebuilt", flip)
-    value = atom._derived.get(key)
-    if value is not None:
-        return value
-    slot_map = (lambda s: (s - 1) % 4) if flip else (lambda s: (1 - s) % 4)
-    na = Atom.shared(atom.saddles, [((iv, slot_map(is_)), (ov, slot_map(os)))
-                                    for (ov, os), (iv, is_) in atom.edges])
-    # old local edge -> new local edge: old (o,i) becomes the new edge
-    # whose out-dart is the image of the old in-dart
-    by_out = na.edge_at_out()
-    bij = [by_out[(iv, slot_map(is_))] for _, (iv, is_) in atom.edges]
-    table = {(side, frozenset(cyc)): ci for ci, (side, cyc) in enumerate(na.circles)}
-    swap = {"upper": "lower", "lower": "upper"}
-    value = atom._derived[key] = (na, tuple(
-        table[(swap[side] if flip else side, frozenset(bij[e] for e in cyc))]
-        for side, cyc in atom.circles))
-    return value
+    def rebuild():
+        slot_map = (lambda s: (s - 1) % 4) if flip else (lambda s: (1 - s) % 4)
+        na = Atom.shared(atom.saddles, [((iv, slot_map(is_)), (ov, slot_map(os)))
+                                        for (ov, os), (iv, is_) in atom.edges])
+        # old local edge -> new local edge: old (o,i) becomes the new edge
+        # whose out-dart is the image of the old in-dart
+        by_out = na.edge_at_out()
+        bij = [by_out[(iv, slot_map(is_))] for _, (iv, is_) in atom.edges]
+        table = {(side, frozenset(cyc)): ci
+                 for ci, (side, cyc) in enumerate(na.circles)}
+        swap = {"upper": "lower", "lower": "upper"}
+        return (na, tuple(
+            table[(swap[side] if flip else side, frozenset(bij[e] for e in cyc))]
+            for side, cyc in atom.circles))
+
+    return atom.kept(("rebuilt", flip), rebuild)
 
 
 def _rebuilt(g, flip):

@@ -27,7 +27,9 @@ circles become new cylinders.
 The library resolves covers only: `delta` splits one level of the level
 partition in two, and the complex builder reaches every deeper face as a
 cover of `chain_predecessor`'s partition, read in the class that partition
-lies in.
+lies in.  The surgery of one atom reads only which of its own saddles go
+down, so each atom keeps it per that set (`_atom_surgery`), and with it the
+new atoms, which thus live as long as the atom split.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
 InvariantViolation when a circle's edge set reaches no circle above it, or
@@ -113,17 +115,25 @@ def _atom_surgery(atom, lower):
     the saddles in `lower` move to the lower sub-level and the rest of the
     atom's saddles to the upper one.
 
-    Returns (systems, reattach, cylinders).  systems[k-1] is the new-atom
-    list of sub-level k (1 below, 2 above); a new circle is named (k, j, ci),
-    circle ci of the j-th new atom of sub-level k, and an old circle by its
-    index ci.  reattach maps each old circle to the new circle that takes
-    its place, and cylinders lists the new (lower, upper) circle pairs.
+    Returns (systems, reattach, cylinders), all tuples.  systems[k-1] holds
+    the new atoms of sub-level k (1 below, 2 above); a new circle is named
+    (k, j, ci), circle ci of the j-th new atom of sub-level k, and an old
+    circle by its index ci.  reattach[ci] is the new circle that takes the
+    place of old circle ci, and cylinders lists the new (lower, upper)
+    circle pairs.
 
     The region above an old lower circle or a new upper circle climbs
     through the transients with the same edge set to the new lower circle
     or old upper circle with that edge set.  Each start must reach such a
-    circle, and each circle above must be reached exactly once.
+    circle, and each circle above must be reached exactly once.  The atom
+    keeps the result per its own saddles in `lower`, once every check passed.
     """
+    lower = frozenset(atom.saddles) & lower
+    return atom.kept(("surgery", lower), lambda: _surgery(atom, lower))
+
+
+def _surgery(atom, lower):
+    """`_atom_surgery` computed afresh."""
     systems = [_sublevel_system(atom, lower, +1),
                _sublevel_system(atom, set(atom.saddles) - lower, -1)]
     starts = []  # (layer, edge set, circle) of every region's lower circle
@@ -164,7 +174,10 @@ def _atom_surgery(atom, lower):
     if not len(reached) == len(starts) == len(ends):
         raise InvariantViolation("%d regions for %d lower and %d upper circles"
                                  % (len(reached), len(starts), len(ends)))
-    return [new_atoms for new_atoms, _ in systems], reattach, cylinders
+    # every circle above is reached once, so every old circle reattaches
+    return (tuple(tuple(na for na, _ in new_atoms) for new_atoms, _ in systems),
+            tuple(reattach[ci] for ci in range(len(atom.circles))),
+            tuple(cylinders))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +215,7 @@ def split_level(g, level, lower):
     for k in (1, 2):
         lev = []
         for a in old_level_atoms:
-            for j, (na, _) in enumerate(surgery[a][0][k - 1]):
+            for j, na in enumerate(surgery[a][0][k - 1]):
                 sub_atom_index[(a, k, j)] = len(atoms)
                 lev.append(len(atoms))
                 atoms.append(na)
@@ -217,21 +230,14 @@ def split_level(g, level, lower):
     def atom_circle(a, k, j, ci):
         return (sub_atom_index[(a, k, j)], ci)
 
-    # where each old circle of a split atom reattaches
-    reattach = {}
-    new_cylinders = []
-    for a in old_level_atoms:
-        _, moved, cylinders = surgery[a]
-        for ci, circle in moved.items():
-            reattach[(a, ci)] = atom_circle(a, *circle)
-        new_cylinders += [(atom_circle(a, *lo), atom_circle(a, *hi))
-                          for lo, hi in cylinders]
-
     def map_circle(ref):
         a, ci = ref
-        if a in surgery:
-            return reattach[(a, ci)]
+        if a in surgery:  # the new circle where an old one reattaches
+            return atom_circle(a, *surgery[a][1][ci])
         return (new_index[a], ci)
+
+    new_cylinders = [(atom_circle(a, *lo), atom_circle(a, *hi))
+                     for a in old_level_atoms for lo, hi in surgery[a][2]]
 
     caps = tuple(mg.Cap(circle=map_circle(tuple(c.circle)), kind=c.kind,
                         label=c.label, marked=c.marked, fixed=c.fixed)

@@ -15,6 +15,7 @@ import pytest
 import mck.cli  # noqa: F401  (imports every module the tracer wraps)
 from mck import complex_builder as cb
 from mck import morse_graph as mg
+from mck import perturbation as pt
 from mck.permutohedron import hyperface_refinements
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -158,9 +159,9 @@ def test_reload_lists_faces_once_per_level_partition(monkeypatch):
 
 def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
     # each atom keeps its codes per (marked, fixed saddles of the atom), and
-    # the build holds every atom it splits off until it returns, so equal
-    # atoms are one object and no (atom, marked, fixed) is computed twice,
-    # however many split graphs, representatives and mirrors contain it.
+    # its kept surgeries hold every atom split off it, so equal atoms are one
+    # object and no (atom, marked, fixed) is computed twice, however many
+    # split graphs, representatives and mirrors contain it.
     # The table is the test's own, so no atom an earlier test left alive is
     # handed out, and the spy records values, so it holds no atom
     monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
@@ -178,12 +179,44 @@ def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
     assert len(K.classes) == 71
     assert len(keys) == len(set(keys)) == 14
     # a second build of the same seeds, while the first complex is alive,
-    # computes codes only for the one split atom that no class holds
+    # splits the same atoms and so meets only atoms that keep their codes
     keys.clear()
     assert len(cb.build_complex(seeds).classes) == 71
-    in_classes = {(atom.saddles, atom.edges)
-                  for rec in K.classes for atom in rec.lmg.atoms}
-    assert len(keys) == 1 and keys[0][:2] not in in_classes
+    assert keys == []
+
+
+def test_one_surgery_per_atom_and_lower_block(monkeypatch):
+    # an atom keeps its surgery per its own lower saddles, so the 186 cover
+    # splits compute 24 surgeries, each of two sub-level systems, and no
+    # (atom, lower saddles) twice.  The table is the test's own, so no atom
+    # an earlier test left alive is handed out, and the spy records values,
+    # so it holds no atom
+    monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
+    seeds = cb.enumerate_top_classes(
+        4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
+    systems, splits = [], []
+    raw, raw_split = pt._sublevel_system, pt.split_level
+
+    def counted(atom, kept, turn):
+        systems.append((atom.saddles, atom.edges, frozenset(kept), turn))
+        return raw(atom, kept, turn)
+
+    def split(g, level, lower):
+        splits.append(level)
+        return raw_split(g, level, lower)
+
+    monkeypatch.setattr(pt, "_sublevel_system", counted)
+    monkeypatch.setattr(pt, "split_level", split)
+    K = cb.build_complex(seeds)
+    assert (len(K.classes), len(splits), _covers(K)) == (71, 186, 186)
+    surgeries = [key[:3] for key in systems if key[3] == +1]
+    assert len(systems) == len(set(systems)) == 48
+    assert len(surgeries) == len(set(surgeries)) == 24
+    # a second build of the same seeds, while the first complex is alive,
+    # finds every surgery kept
+    systems.clear()
+    assert len(cb.build_complex(seeds).classes) == 71
+    assert systems == []
 
 
 def test_one_atom_check_per_atom_object(monkeypatch):

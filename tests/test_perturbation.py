@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import weakref
 
 import pytest
 
@@ -95,7 +96,10 @@ def _duplicate_last_atom(new_atoms, transients):
 def test_surgery_refuses_a_broken_curve_system(mutation, monkeypatch):
     # a sub-level system that loses a transient or a new atom, or repeats
     # one, leaves a circle unmatched or matched twice; the surgery raises on
-    # exactly the cover splits whose system was broken
+    # exactly the cover splits whose system was broken.  The interning table
+    # is the test's own: an atom that an earlier test left alive keeps its
+    # surgeries, and would never reach the broken system
+    monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
     raw = pt._sublevel_system
     broken = []
 
