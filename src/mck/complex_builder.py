@@ -2,10 +2,11 @@
 
 One-level classes are enumerated exhaustively: rotation systems on q labeled
 4-valent saddles are fixed by the slot convention, so candidates are the
-perfect matchings of outgoing to incoming darts, filtered for connectivity
-and the requested disk counts, deduplicated by tagged atom code (isomorphic
-atoms that fix the marked saddles are capped once), capped in every
-labeling, and deduplicated by canonical form.  Candidates are valid by
+perfect matchings of outgoing to incoming darts, one per orbit of the
+saddles' half-turns and the unmarked saddles' relabelings (isomorphic
+atoms that fix the marked saddles are capped once), filtered for
+connectivity and the requested disk counts, capped in every labeling, and
+deduplicated by canonical form.  Candidates are valid by
 construction (one connected atom, every circle capped on its own side,
 labels 1..p and 1..r, a checked marking), so they are not validated one by
 one; every emitted class is.
@@ -151,19 +152,45 @@ def _cap_labelings(g_atom, p, r, marking, marked_saddles, fixed_saddles, q):
                          fixed_saddles=fixed_saddles)
 
 
-def _matchings(q):
-    """All out-to-in dart matchings on q labeled saddles."""
-    saddles = list(range(1, q + 1))
+def _orbit_matchings(q, marked_saddles):
+    """One out-to-in dart matching on q labeled saddles per orbit of G_s.
+
+    G_s is generated by the half-turn of any saddle (slot s to s xor 2, which
+    swaps its two outgoing and its two incoming darts) and by every
+    permutation of the saddles not in `marked_saddles`.  The scan runs over
+    all (2q)! matchings in `itertools.permutations` order of the incoming
+    darts and keeps the first of each orbit; every matching it keeps marks
+    its whole orbit seen.
+    """
+    saddles = range(1, q + 1)
     outs = [(v, s) for v in saddles for s in mg.OUT_SLOTS]
     ins = [(v, s) for v in saddles for s in mg.IN_SLOTS]
-    for perm in itertools.permutations(ins):
-        yield tuple(zip(outs, perm))
+    free = [v for v in saddles if v not in marked_saddles]
+    # per group element: the position of the out-dart that moves to each
+    # out-dart, and the position each in-dart moves to
+    moves = []
+    for image in itertools.permutations(free):
+        to = dict(zip(free, image))
+        for turns in itertools.product((0, 2), repeat=q):
+            move = {(v, s): (to.get(v, v), s ^ turns[v - 1])
+                    for v in saddles for s in range(4)}
+            source = {move[d]: j for j, d in enumerate(outs)}
+            moves.append(([source[d] for d in outs],
+                          [ins.index(move[d]) for d in ins]))
+    kept, seen = [], set()
+    for perm in itertools.permutations(range(len(ins))):
+        if perm in seen:
+            continue
+        kept.append(tuple(zip(outs, [ins[k] for k in perm])))
+        seen.update(tuple([to_in[perm[j]] for j in source])
+                    for source, to_in in moves)
+    return kept
 
 
 def _one_level_atoms(p, q, r, matchings):
     """The connected atoms of the matchings with p lower and r upper circles.
 
-    `_matchings` joins each outgoing dart to one incoming dart, so every
+    Each matching joins every outgoing dart to one incoming dart, so every
     atom alternates and matches each dart once; only connectivity can fail."""
     saddles = list(range(1, q + 1))
     for edges in matchings:
@@ -176,31 +203,32 @@ def _one_level_atoms(p, q, r, matchings):
 
 
 def _top_candidates_chunk(args):
-    """Worker: canonical forms of the valid candidates in one matching chunk.
+    """Worker: canonical forms of the valid candidates in one chunk of
+    `_orbit_matchings`.
 
-    Only the first atom with each tagged atom code (the first element of
-    `_atom_min_codes`: vertex count, relabeled edges and per-vertex marked
-    label and fixed flag) is capped.  This loses no class.  Two atoms with
-    one tagged code are isomorphic by a rotation-preserving map that fixes
-    every marked saddle and sends lower circles to lower circles and upper
-    to upper.  Cap flags depend only on (kind, label), and every labeling is
-    enumerated, so both atoms give the same set of canonical forms.  Each
-    chunk deduplicates on its own and the union of forms is the same, so
-    the result does not depend on worker scheduling.
+    Every atom of the chunk is capped.  No two atoms of `_orbit_matchings`
+    have one tagged atom code (the first element of `mg._atom_min_codes`:
+    vertex count, relabeled edges and per-vertex marked label and fixed
+    flag), and together they have every code of the full scan, because two
+    connected atoms on saddles 1..q have one tagged code exactly when an
+    element of G_s maps one matching to the other.  Equal codes mean a
+    rotation-preserving isomorphism that fixes every marked saddle.  It
+    maps outgoing darts to outgoing darts, so it turns each saddle by 0 or
+    2 slots and permutes the unmarked ones: it is an element of G_s.  Each
+    element of G_s is such an isomorphism.  Capping one atom per orbit
+    loses no class: the isomorphism sends lower circles to lower and upper
+    to upper, cap flags depend only on (kind, label) and every labeling is
+    enumerated, so atoms of one orbit give one set of canonical forms.
+    The union of the chunks' forms does not depend on worker scheduling.
 
-    Each candidate atom keeps its minimal codes (`mg._atom_min_codes`):
-    they are computed once, for the tagged-code check, and reused by the
-    canonical forms of its p! r! labelings.
+    The first canonical form of a candidate computes the atom's minimal
+    codes (`mg._atom_min_codes`); the atom keeps them for the rest of its
+    p! r! labelings.
     """
     p, q, r, marking, matchings = args
     marked_s, fixed_s = _marked_saddle_sets(marking)
     forms = set()
-    seen = set()
     for atom in _one_level_atoms(p, q, r, matchings):
-        code = mg._atom_min_codes(atom, marked_s, fixed_s)[0]
-        if code in seen:
-            continue
-        seen.add(code)
         for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q):
             forms.add(mg.canonical_form(g))
     return forms
@@ -210,15 +238,16 @@ def enumerate_top_classes(p, q, r, marking=None, jobs=1):
     """All one-level classes with the given parameters, canonical order.
 
     Entries are decoded canonical representatives, so the catalog is a pure
-    function of (p, q, r, marking).  The candidate scan runs in at most
-    min(jobs, CPU count, matchings) worker processes.
+    function of (p, q, r, marking).  The orbits are found in this process;
+    the scan of their matchings runs in at most min(jobs, CPU count,
+    matchings) worker processes.
     """
     if marking is None:
         marking = MarkingSpec.all_marked(p, q, r)
     _check_top_params(p, q, r, marking)
     if jobs < 1:
         raise ParameterError("jobs must be at least 1, got %r" % (jobs,))
-    matchings = list(_matchings(q))
+    matchings = _orbit_matchings(q, _marked_saddle_sets(marking)[0])
     workers = min(jobs, os.cpu_count() or 1, len(matchings))
     if workers > 1:
         chunk = (len(matchings) + workers - 1) // workers

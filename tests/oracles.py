@@ -4,6 +4,8 @@ Direct enumeration of every class is a completeness oracle for the closure:
 brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
+`matchings` is the full scan of dart matchings that the library cuts to one
+per relabeling orbit.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
 The library splits covers only; `delta_chain` reaches any refinement by a
 chain of them, and `closure_by_delta` is the closure that resolves every
@@ -81,11 +83,20 @@ def _set_partitions(items):
         yield part + [{first}]
 
 
-def _connected_matchings(saddles):
+def matchings(saddles):
+    """Every out-to-in dart matching on `saddles`, in the order of
+    `itertools.permutations` of the incoming darts: the full scan, of which
+    the library's `_orbit_matchings(q, ...)` keeps the first matching of
+    each orbit when `saddles` is 1..q."""
     outs = [(v, s) for v in saddles for s in mg.OUT_SLOTS]
     ins = [(v, s) for v in saddles for s in mg.IN_SLOTS]
     for perm in itertools.permutations(ins):
-        atom = mg.Atom.of(saddles, list(zip(outs, perm)))
+        yield tuple(zip(outs, perm))
+
+
+def _connected_matchings(saddles):
+    for edges in matchings(saddles):
+        atom = mg.Atom.of(saddles, list(edges))
         try:
             atom.check()
         except mg.LMGError:

@@ -12,6 +12,8 @@ from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck.cli import main
 
+from oracles import matchings
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -125,7 +127,7 @@ def test_seen_cache_env_is_ignored(tmp_path, capsys, monkeypatch):
     one = mg.canonical_form(classes[0]).hex()
     marking = cb.MarkingSpec.all_marked(2, 2, 2)
     memo = {}
-    for atom in cb._one_level_atoms(2, 2, 2, cb._matchings(2)):
+    for atom in cb._one_level_atoms(2, 2, 2, matchings((1, 2))):
         for g in cb._cap_labelings(atom, 2, 2, marking, frozenset({1, 2}),
                                    frozenset(), 2):
             memo[mg.to_json(g)] = one

@@ -19,7 +19,8 @@ from mck.permutohedron import hyperface_refinements
 from mck.twist_algebra import classify_circles
 
 from conftest import Q2_SPLITS, Q3_SPLITS
-from oracles import closure_by_delta, enumerate_classes_direct, face_vertices
+from oracles import (
+    closure_by_delta, enumerate_classes_direct, face_vertices, matchings)
 from test_perturbation import _first_q4_seeds
 
 
@@ -63,13 +64,10 @@ def test_parameter_errors():
         enumerate_top_classes(6, 5, 1)  # beyond the desk-scale guard
 
 
-def test_cap_labelings_are_valid_by_construction():
-    # enumeration canonicalizes capped connected matchings without
-    # validating them, so each one must already be a valid graph; the 1,1,1
-    # marking also fixes label 1 of each index.  Enumeration caps only one
-    # atom per tagged atom code, and must still give the canonical forms of
-    # every capped matching.
-    built = 0
+def _scan_cases():
+    """(p, q, r, marking) for every q <= 3 split under the markings all,
+    p,0,r, 1,1,1 (with label 1 of each index fixed) and 0,q,0, where
+    `check` accepts them."""
     for q in (1, 2, 3):
         for p in range(1, q + 2):
             r = q + 2 - p
@@ -82,17 +80,69 @@ def test_cap_labelings_are_valid_by_construction():
                     marking.check(p, q, r)
                 except ParameterError:
                     continue
-                marked_s, fixed_s = cb._marked_saddle_sets(marking)
-                forms = set()
-                for atom in cb._one_level_atoms(p, q, r, cb._matchings(q)):
-                    for g in cb._cap_labelings(atom, p, r, marking, marked_s,
-                                               fixed_s, q):
-                        mg.validate(g)
-                        forms.add(mg.canonical_form(g))
-                        built += 1
-                assert cb._top_candidates_chunk(
-                    (p, q, r, marking, list(cb._matchings(q)))) == forms
+                yield p, q, r, marking
+
+
+def test_cap_labelings_are_valid_by_construction():
+    # enumeration canonicalizes capped connected matchings without
+    # validating them, so each one must already be a valid graph; the 1,1,1
+    # marking also fixes label 1 of each index.  Enumeration caps one
+    # matching per relabeling orbit, and must still give the canonical
+    # forms of every capped matching of the full scan.
+    built = 0
+    for p, q, r, marking in _scan_cases():
+        marked_s, fixed_s = cb._marked_saddle_sets(marking)
+        forms = set()
+        for atom in cb._one_level_atoms(p, q, r, matchings(range(1, q + 1))):
+            for g in cb._cap_labelings(atom, p, r, marking, marked_s,
+                                       fixed_s, q):
+                mg.validate(g)
+                forms.add(mg.canonical_form(g))
+                built += 1
+        assert cb._top_candidates_chunk(
+            (p, q, r, marking, cb._orbit_matchings(q, marked_s))) == forms
     assert built == 24852
+
+
+def test_orbit_scan_keeps_one_atom_per_tagged_code():
+    # the orbit scan builds exactly the atoms that are first with their
+    # tagged atom code in the full scan, in the same order
+    for p, q, r, marking in _scan_cases():
+        marked_s, fixed_s = cb._marked_saddle_sets(marking)
+
+        def tagged(scan):
+            return [(mg._atom_min_codes(atom, marked_s, fixed_s)[0], atom.edges)
+                    for atom in cb._one_level_atoms(p, q, r, scan)]
+
+        first = {}
+        for code, edges in tagged(matchings(range(1, q + 1))):
+            first.setdefault(code, edges)
+        assert tagged(cb._orbit_matchings(q, marked_s)) == list(first.items()), (
+            p, q, r, marking)
+
+
+def test_orbit_counts_pinned():
+    # one matching per orbit of the half-turns and of the permutations of
+    # the unmarked saddles, out of (2q)! = 720 and 40,320
+    assert {(q, m): len(cb._orbit_matchings(q, frozenset(range(1, m + 1))))
+            for q, m in ((3, 3), (3, 1), (3, 0), (4, 4), (4, 1), (4, 0))} == {
+        (3, 3): 120, (3, 1): 70, (3, 0): 34,
+        (4, 4): 3000, (4, 1): 566, (4, 0): 182}
+
+
+def test_scan_builds_each_tagged_atom_once(monkeypatch):
+    # (3, 3, 2) all marked: 76 connected orbit representatives, where the
+    # full scan builds and circle-traces all 592 connected atoms
+    built = []
+    plain = mg.Atom.of.__func__
+
+    def counting(cls, saddles, edges):
+        built.append(1)
+        return plain(cls, saddles, edges)
+
+    monkeypatch.setattr(mg.Atom, "of", classmethod(counting))
+    assert len(enumerate_top_classes(3, 3, 2)) == 264
+    assert len(built) == 76
 
 
 def test_enumeration_deterministic_and_parallel_agree():
@@ -105,8 +155,8 @@ def test_enumeration_deterministic_and_parallel_agree():
 
 def test_worker_pool_is_capped(monkeypatch):
     monkeypatch.setattr(cb.os, "cpu_count", lambda: 3)
-    # a real 2-worker pool: each chunk deduplicates atoms on its own, and
-    # the union of forms is the same as in one process
+    # a real 2-worker pool: the orbits are found before the matchings are
+    # chunked, and the union of forms is the same as in one process
     marking = MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))
     assert (enumerate_top_classes(3, 3, 2, marking, jobs=2)
             == enumerate_top_classes(3, 3, 2, marking, jobs=1))
@@ -130,7 +180,7 @@ def test_worker_pool_is_capped(monkeypatch):
     assert enumerate_top_classes(3, 2, 1, jobs=10**6) == enumerate_top_classes(3, 2, 1)
     assert enumerate_top_classes(2, 1, 1, jobs=10**6) == enumerate_top_classes(2, 1, 1)
     assert enumerate_top_classes(3, 2, 1, jobs=2) == enumerate_top_classes(3, 2, 1)
-    # min(jobs, CPUs, chunks): 24 and 2 matchings for q = 2 and q = 1
+    # min(jobs, CPUs, chunks): 10 and 2 orbit matchings for q = 2 and q = 1
     assert sizes == [3, 2, 2]
 
 
@@ -336,9 +386,9 @@ def test_fixed_point_complexes_pinned(pqr, marked, fixed):
 
 
 def q5_seed():
-    """A q = 5 one-level seed: the first connected atom of `_matchings(5)`,
+    """A q = 5 one-level seed: the first connected atom of the full scan,
     a sphere atom with 1 lower and 6 upper circles, capped once."""
-    atom = next(cb._one_level_atoms(1, 5, 6, cb._matchings(5)))
+    atom = next(cb._one_level_atoms(1, 5, 6, matchings(range(1, 6))))
     marking = MarkingSpec.all_marked(1, 5, 6)
     g = next(cb._cap_labelings(atom, 1, 6, marking,
                                *cb._marked_saddle_sets(marking), 5))

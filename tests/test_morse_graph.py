@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig8, group_of
-from mck.complex_builder import MarkingSpec, _matchings, _top_candidates_chunk
+from oracles import matchings
+from mck.complex_builder import MarkingSpec, _top_candidates_chunk
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
@@ -241,7 +242,8 @@ def test_canonical_decode_idempotent(fig8_lmg, q2_two_level):
 def test_decode_round_trip_partially_marked():
     # the (3, 3, 2) catalog marked 1,1,1 decodes each form of the scan
     marking = MarkingSpec(marked=(1, 1, 1), fixed=(0, 0, 0))
-    forms = _top_candidates_chunk((3, 3, 2, marking, list(_matchings(3))))
+    forms = _top_candidates_chunk(
+        (3, 3, 2, marking, list(matchings((1, 2, 3)))))
     assert [cf for cf in sorted(forms)
             if canonical_form(decode_canonical(cf)) != cf] == []
 
