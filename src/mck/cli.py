@@ -6,7 +6,8 @@ file outputs are byte-identical for identical configurations.
 
 Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure
 (a closed standard output included), 4 internal invariant violation
-(diagnostic dump on stderr).
+(an "invariant violation:" line on stderr, naming the class when one is at
+fault).  No exit prints a traceback.
 
 Every input file is re-derived when it is read: catalogs are revalidated
 graph by graph, and a complex dump must list each class once and match its
@@ -329,8 +330,6 @@ def main(argv=None):
         return EXIT_IO
     except (pt.InvariantViolation, ta.AlgebraInvariantViolation) as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
-        import traceback
-        traceback.print_exc()
         return EXIT_INVARIANT
 
 

@@ -5,8 +5,9 @@ One-level classes are enumerated exhaustively: rotation systems on q labeled
 perfect matchings of outgoing to incoming darts, one per orbit of the
 saddles' half-turns and the unmarked saddles' relabelings (isomorphic
 atoms that fix the marked saddles are capped once), filtered for
-connectivity and the requested disk counts, capped in every labeling, and
-deduplicated by canonical form.  Candidates are valid by
+connectivity and the requested disk counts, and capped once per orbit of
+the atom's automorphisms on the marked cap labels, so that each class is
+canonicalized once.  Candidates are valid by
 construction (one connected atom, every circle capped on its own side,
 labels 1..p and 1..r, a checked marking), so they are not validated one by
 one; every emitted class is.
@@ -130,26 +131,46 @@ def _check_builder_q(q):
 
 
 def _cap_labelings(g_atom, p, r, marking, marked_saddles, fixed_saddles, q):
-    """All labeled cappings of a connected one-level atom with p lower and
-    r upper circles."""
+    """One labeled capping of a connected one-level atom with p lower and r
+    upper circles per orbit of its automorphisms and of the permutations of
+    the unmarked cap labels.
+
+    A labeling is the placement of the marked labels 1..p_hat on lower and
+    1..r_hat on upper circles; the other circles take the unmarked labels
+    in circle order.  The automorphisms are the rotation-preserving ones
+    that fix the marked saddles: realization k of the atom's minimal codes
+    (`mg._atom_min_codes`) sends circle c to cmap_k^-1[cmap_0[c]].  The
+    placements run in `itertools.permutations` order, and every one kept
+    marks its whole orbit seen.
+    """
+    ph, _, rh = marking.marked
     circles = g_atom.circles
     lows = [ci for ci, (side, _) in enumerate(circles) if side == "lower"]
     ups = [ci for ci, (side, _) in enumerate(circles) if side == "upper"]
-    for min_labels in itertools.permutations(range(1, p + 1)):
-        for max_labels in itertools.permutations(range(1, r + 1)):
-            caps = []
-            for ci, lab in zip(lows, min_labels):
-                m, f = _cap_flags(marking, "min", lab)
-                caps.append(mg.Cap(circle=(0, ci), kind="min", label=lab,
+    (_, cmap0), *others = mg._atom_min_codes(
+        g_atom, marked_saddles, fixed_saddles)[1]
+    autos = []   # each placement is met once, so the identity is left out
+    for _, cmap in others:
+        back = {k: c for c, k in enumerate(cmap)}
+        autos.append([back[k] for k in cmap0])
+    seen = set()
+    for placed in itertools.product(itertools.permutations(lows, ph),
+                                    itertools.permutations(ups, rh)):
+        if placed in seen:
+            continue
+        seen.update(tuple(tuple(a[c] for c in side) for side in placed)
+                    for a in autos)
+        caps = []
+        for kind, side, on in zip(("min", "max"), (lows, ups), placed):
+            order = [*on, *[ci for ci in side if ci not in on]]
+            for lab, ci in enumerate(order, 1):
+                m, f = _cap_flags(marking, kind, lab)
+                caps.append(mg.Cap(circle=(0, ci), kind=kind, label=lab,
                                    marked=m, fixed=f))
-            for ci, lab in zip(ups, max_labels):
-                m, f = _cap_flags(marking, "max", lab)
-                caps.append(mg.Cap(circle=(0, ci), kind="max", label=lab,
-                                   marked=m, fixed=f))
-            yield mg.LMG(q=q, p=p, r=r, levels=((0,),), atoms=(g_atom,),
-                         caps=tuple(caps), cylinders=(),
-                         marked_saddles=marked_saddles,
-                         fixed_saddles=fixed_saddles)
+        yield mg.LMG(q=q, p=p, r=r, levels=((0,),), atoms=(g_atom,),
+                     caps=tuple(caps), cylinders=(),
+                     marked_saddles=marked_saddles,
+                     fixed_saddles=fixed_saddles)
 
 
 def _orbit_matchings(q, marked_saddles):
@@ -203,35 +224,41 @@ def _one_level_atoms(p, q, r, matchings):
 
 
 def _top_candidates_chunk(args):
-    """Worker: canonical forms of the valid candidates in one chunk of
-    `_orbit_matchings`.
+    """Worker: the canonical forms of the valid candidates in one chunk of
+    `_orbit_matchings`, one per one-level class, in scan order.
 
-    Every atom of the chunk is capped.  No two atoms of `_orbit_matchings`
-    have one tagged atom code (the first element of `mg._atom_min_codes`:
-    vertex count, relabeled edges and per-vertex marked label and fixed
-    flag), and together they have every code of the full scan, because two
-    connected atoms on saddles 1..q have one tagged code exactly when an
-    element of G_s maps one matching to the other.  Equal codes mean a
-    rotation-preserving isomorphism that fixes every marked saddle.  It
-    maps outgoing darts to outgoing darts, so it turns each saddle by 0 or
-    2 slots and permutes the unmarked ones: it is an element of G_s.  Each
-    element of G_s is such an isomorphism.  Capping one atom per orbit
-    loses no class: the isomorphism sends lower circles to lower and upper
-    to upper, cap flags depend only on (kind, label) and every labeling is
-    enumerated, so atoms of one orbit give one set of canonical forms.
-    The union of the chunks' forms does not depend on worker scheduling.
+    No two atoms of `_orbit_matchings` have one tagged atom code (the first
+    element of `mg._atom_min_codes`: vertex count, relabeled edges and
+    per-vertex marked label and fixed flag), and together they have every
+    code of the full scan, because two connected atoms on saddles 1..q have
+    one tagged code exactly when an element of G_s maps one matching to the
+    other.  Equal codes mean a rotation-preserving isomorphism that fixes
+    every marked saddle.  It maps outgoing darts to outgoing darts, so it
+    turns each saddle by 0 or 2 slots and permutes the unmarked ones: it is
+    an element of G_s.  Each element of G_s is such an isomorphism.  So the
+    atoms of the chunks are pairwise non-isomorphic, and every class has
+    one of them.
 
-    The first canonical form of a candidate computes the atom's minimal
-    codes (`mg._atom_min_codes`); the atom keeps them for the rest of its
-    p! r! labelings.
+    Each atom is capped once per orbit of its automorphisms and of the
+    unmarked cap labels (`_cap_labelings`), and that is once per class.  An
+    isomorphism of two one-level graphs on one atom is a rotation-preserving
+    automorphism of the atom that fixes the marked saddles, and it maps
+    caps to caps with an equal (label if marked, marked, fixed) tag: it
+    maps one placement of the marked labels onto the other, and the
+    unmarked labels are told apart by nothing.  Conversely each such
+    automorphism, with any permutation of the unmarked labels, is an
+    isomorphism.  So the forms of the chunk are pairwise distinct, and
+    `enumerate_top_classes` checks that, across chunks too.
+
+    `_cap_labelings` computes the atom's minimal codes
+    (`mg._atom_min_codes`) first; the atom keeps them for the canonical
+    forms of all its cappings.
     """
     p, q, r, marking, matchings = args
     marked_s, fixed_s = _marked_saddle_sets(marking)
-    forms = set()
-    for atom in _one_level_atoms(p, q, r, matchings):
-        for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q):
-            forms.add(mg.canonical_form(g))
-    return forms
+    return [mg.canonical_form(g)
+            for atom in _one_level_atoms(p, q, r, matchings)
+            for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q)]
 
 
 def enumerate_top_classes(p, q, r, marking=None, jobs=1):
@@ -240,7 +267,8 @@ def enumerate_top_classes(p, q, r, marking=None, jobs=1):
     Entries are decoded canonical representatives, so the catalog is a pure
     function of (p, q, r, marking).  The orbits are found in this process;
     the scan of their matchings runs in at most min(jobs, CPU count,
-    matchings) worker processes.
+    matchings) worker processes.  Every capping the scan keeps is a class
+    of its own; two with one canonical form raise InvariantViolation.
     """
     if marking is None:
         marking = MarkingSpec.all_marked(p, q, r)
@@ -253,14 +281,20 @@ def enumerate_top_classes(p, q, r, marking=None, jobs=1):
         chunk = (len(matchings) + workers - 1) // workers
         argsets = [(p, q, r, marking, matchings[i:i + chunk])
                    for i in range(0, len(matchings), chunk)]
-        forms = set()
+        forms = []
         with ProcessPoolExecutor(max_workers=len(argsets)) as pool:
             for got in pool.map(_top_candidates_chunk, argsets):
-                forms |= got
+                forms += got
     else:
         forms = _top_candidates_chunk((p, q, r, marking, matchings))
+    forms.sort()
+    for a, b in zip(forms, forms[1:]):
+        if a == b:
+            raise InvariantViolation(
+                "class %s: two cappings kept as distinct one-level classes "
+                "have one canonical form" % class_id(a))
     out = []
-    for cf in sorted(forms):
+    for cf in forms:
         g = mg.decode_canonical(cf)
         mg.validate(g)
         out.append(g)

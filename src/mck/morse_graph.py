@@ -416,8 +416,9 @@ def validate(g):
 #
 # An atom's minimal codes and realizing framings depend only on the atom and
 # on which of its saddles are marked or fixed, and one operation meets the
-# same atom in many graphs: every labeling of a capped candidate, every class
-# a split leaves an atom untouched in, every mirror.  The atom keeps them
+# same atom in many graphs: every capping of a candidate (whose labeling scan
+# reads the automorphisms off them first), every class a split leaves an atom
+# untouched in, every mirror.  The atom keeps them
 # (`_atom_min_codes`), once per distinct (marked saddles, fixed saddles) of
 # its own, and hands every later graph the same read-only dart maps and
 # circle maps; it keeps its mirror and dual with their circle maps

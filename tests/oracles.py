@@ -5,7 +5,8 @@ brute force over level partitions, per-level atom splittings, matchings,
 circle pairings and cap labelings.  It never resolves a saddle, so the tests
 compare its class set with the downward closure of the one-level catalog.
 `matchings` is the full scan of dart matchings that the library cuts to one
-per relabeling orbit.
+per relabeling orbit, and `cap_labelings` the full scan of an atom's cap
+labelings that the library cuts to one per orbit of its automorphisms.
 `merge_all_levels` searches the one-level catalog for a seed above a class.
 The library splits covers only; `delta_chain` reaches any refinement by a
 chain of them, and `closure_by_delta` is the closure that resolves every
@@ -92,6 +93,31 @@ def matchings(saddles):
     ins = [(v, s) for v in saddles for s in mg.IN_SLOTS]
     for perm in itertools.permutations(ins):
         yield tuple(zip(outs, perm))
+
+
+def cap_labelings(g_atom, p, r, marking, marked_saddles, fixed_saddles, q):
+    """All p! r! labeled cappings of a connected one-level atom with p lower
+    and r upper circles: the full scan, of which the library's
+    `_cap_labelings` keeps one per orbit of the atom's automorphisms and of
+    the unmarked cap labels."""
+    circles = g_atom.circles
+    lows = [ci for ci, (side, _) in enumerate(circles) if side == "lower"]
+    ups = [ci for ci, (side, _) in enumerate(circles) if side == "upper"]
+    for min_labels in itertools.permutations(range(1, p + 1)):
+        for max_labels in itertools.permutations(range(1, r + 1)):
+            caps = []
+            for ci, lab in zip(lows, min_labels):
+                m, f = cb._cap_flags(marking, "min", lab)
+                caps.append(mg.Cap(circle=(0, ci), kind="min", label=lab,
+                                   marked=m, fixed=f))
+            for ci, lab in zip(ups, max_labels):
+                m, f = cb._cap_flags(marking, "max", lab)
+                caps.append(mg.Cap(circle=(0, ci), kind="max", label=lab,
+                                   marked=m, fixed=f))
+            yield mg.LMG(q=q, p=p, r=r, levels=((0,),), atoms=(g_atom,),
+                         caps=tuple(caps), cylinders=(),
+                         marked_saddles=marked_saddles,
+                         fixed_saddles=fixed_saddles)
 
 
 def _connected_matchings(saddles):

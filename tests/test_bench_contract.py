@@ -84,9 +84,24 @@ def test_tracer_sees_one_elimination_per_handle_record(traced_build):
 
 def test_tracer_sees_one_capping_per_tagged_atom():
     # (3, 3, 2) all marked has 22 tagged atom codes with 3 lower and 2 upper
-    # circles; each is capped in 3! * 2! labelings, one canonical form each
+    # circles; no automorphism of them fixes every saddle but the identity,
+    # so each of their 3! * 2! labelings is an orbit of its own and is
+    # capped once, one canonical form each
     _, calls = _traced(lambda: cb.enumerate_top_classes(3, 3, 2))
     assert calls["morse_graph.canonical_form.calls"] == 22 * 6 * 2 == 264
+
+
+@pytest.mark.parametrize("p, q, r, marked, forms", [
+    (4, 3, 1, (0, 3, 0), 5),      # 120 forms at the full labeling scan
+    (3, 3, 2, (1, 1, 1), 66),     # 144
+    (3, 3, 2, (3, 0, 2), 44),     # 60
+])
+def test_tracer_sees_one_canonical_form_per_class(p, q, r, marked, forms):
+    # one capping per labeling orbit: enumeration canonicalizes each class
+    # it emits once, and nothing else
+    marking = cb.MarkingSpec(marked=marked, fixed=(0, 0, 0))
+    classes, calls = _traced(lambda: cb.enumerate_top_classes(p, q, r, marking))
+    assert calls["morse_graph.canonical_form.calls"] == len(classes) == forms
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck.cli import main
 
-from oracles import matchings
+from oracles import cap_labelings, matchings
 
 
 def run(capsys, *argv):
@@ -128,8 +128,8 @@ def test_seen_cache_env_is_ignored(tmp_path, capsys, monkeypatch):
     marking = cb.MarkingSpec.all_marked(2, 2, 2)
     memo = {}
     for atom in cb._one_level_atoms(2, 2, 2, matchings((1, 2))):
-        for g in cb._cap_labelings(atom, 2, 2, marking, frozenset({1, 2}),
-                                   frozenset(), 2):
+        for g in cap_labelings(atom, 2, 2, marking, frozenset({1, 2}),
+                               frozenset(), 2):
             memo[mg.to_json(g)] = one
     cache = tmp_path / "cache.json"
     cache.write_text(json.dumps(memo))
@@ -416,6 +416,27 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod.cb, "euler_characteristic", boom)
     code, _, err = run(capsys, "euler", "--input", str(cat))
     assert code == 4 and "synthetic failure" in err
+
+
+def test_cap_label_blind_canonical_form_exits_4(tmp_path, capsys, monkeypatch):
+    # enumeration keeps one capping per labeling orbit, each a class of its
+    # own; a canonical form that ignores cap labels gives two of them one
+    # form, and `enumerate` stops with exit 4 and writes no catalog
+    form = mg.canonical_form
+
+    def blind(g):
+        return form(dataclasses.replace(g, caps=tuple(
+            dataclasses.replace(c, label=0, marked=False, fixed=False)
+            for c in g.caps)))
+
+    monkeypatch.setattr(mg, "canonical_form", blind)
+    cat = tmp_path / "cat.json"
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--q", "2",
+                         "--r", "2", "--out", str(cat))
+    assert code == 4 and out == "" and not cat.exists()
+    assert re.search(r"^invariant violation: class c[0-9a-f]{16}: two "
+                     r"cappings kept as distinct one-level classes", err)
+    assert "Traceback" not in err
 
 
 def test_missing_polytope_witness_exits_4(tmp_path, capsys, monkeypatch):

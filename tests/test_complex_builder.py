@@ -20,7 +20,8 @@ from mck.twist_algebra import classify_circles
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import (
-    closure_by_delta, enumerate_classes_direct, face_vertices, matchings)
+    cap_labelings, closure_by_delta, enumerate_classes_direct, face_vertices,
+    matchings)
 from test_perturbation import _first_q4_seeds
 
 
@@ -87,20 +88,28 @@ def test_cap_labelings_are_valid_by_construction():
     # enumeration canonicalizes capped connected matchings without
     # validating them, so each one must already be a valid graph; the 1,1,1
     # marking also fixes label 1 of each index.  Enumeration caps one
-    # matching per relabeling orbit, and must still give the canonical
-    # forms of every capped matching of the full scan.
+    # matching per relabeling orbit in one labeling per orbit of the atom's
+    # automorphisms, and must still give the canonical forms of every
+    # capping of the full scan, each once.
     built = 0
     for p, q, r, marking in _scan_cases():
         marked_s, fixed_s = cb._marked_saddle_sets(marking)
         forms = set()
         for atom in cb._one_level_atoms(p, q, r, matchings(range(1, q + 1))):
-            for g in cb._cap_labelings(atom, p, r, marking, marked_s,
-                                       fixed_s, q):
+            for g in cap_labelings(atom, p, r, marking, marked_s, fixed_s, q):
                 mg.validate(g)
                 forms.add(mg.canonical_form(g))
                 built += 1
-        assert cb._top_candidates_chunk(
-            (p, q, r, marking, cb._orbit_matchings(q, marked_s))) == forms
+        orbits = cb._orbit_matchings(q, marked_s)
+        kept = []
+        for atom in cb._one_level_atoms(p, q, r, orbits):
+            for g in cb._cap_labelings(atom, p, r, marking, marked_s,
+                                       fixed_s, q):
+                mg.validate(g)
+                kept.append(mg.canonical_form(g))
+        assert len(kept) == len(forms) and set(kept) == forms, (
+            p, q, r, marking)
+        assert cb._top_candidates_chunk((p, q, r, marking, orbits)) == kept
     assert built == 24852
 
 
@@ -182,6 +191,30 @@ def test_worker_pool_is_capped(monkeypatch):
     assert enumerate_top_classes(3, 2, 1, jobs=2) == enumerate_top_classes(3, 2, 1)
     # min(jobs, CPUs, chunks): 10 and 2 orbit matchings for q = 2 and q = 1
     assert sizes == [3, 2, 2]
+
+
+def test_class_from_two_chunks_is_an_invariant_violation(monkeypatch):
+    # every kept capping is a class of its own: a pool whose workers report
+    # the same forms raises, though each chunk's forms are distinct
+    class EchoPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, argsets):
+            argsets = list(argsets)
+            assert len(argsets) == 2
+            return [fn(argsets[0])] * 2
+
+    monkeypatch.setattr(cb.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cb, "ProcessPoolExecutor", EchoPool)
+    with pytest.raises(pt.InvariantViolation, match="one canonical form"):
+        enumerate_top_classes(2, 2, 2, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +423,8 @@ def q5_seed():
     a sphere atom with 1 lower and 6 upper circles, capped once."""
     atom = next(cb._one_level_atoms(1, 5, 6, matchings(range(1, 6))))
     marking = MarkingSpec.all_marked(1, 5, 6)
-    g = next(cb._cap_labelings(atom, 1, 6, marking,
-                               *cb._marked_saddle_sets(marking), 5))
+    g = next(cap_labelings(atom, 1, 6, marking,
+                           *cb._marked_saddle_sets(marking), 5))
     mg.validate(g)
     return g
 

@@ -16,8 +16,8 @@ from mck.perturbation import (
 
 from conftest import Q3_SPLITS, group_of
 from oracles import (
-    delta_chain, enumerate_classes_direct, matchings, merge_all_levels,
-    refines_eq)
+    cap_labelings, delta_chain, enumerate_classes_direct, matchings,
+    merge_all_levels, refines_eq)
 
 
 def catalog_q2(p, r):
@@ -222,7 +222,7 @@ def _first_q4_seeds(p, r, marking, count):
     seeds = []
     for atom in cb._one_level_atoms(p, 4, r, matchings(range(1, 5))):
         seeds.extend(itertools.islice(
-            cb._cap_labelings(atom, p, r, marking, marked_s, fixed_s, 4), 2))
+            cap_labelings(atom, p, r, marking, marked_s, fixed_s, 4), 2))
         if len(seeds) >= count:
             return seeds[:count]
 
