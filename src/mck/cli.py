@@ -6,8 +6,9 @@ file outputs are byte-identical for identical configurations.
 
 Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure
 (a closed standard output included), 4 internal invariant violation
-(an "invariant violation:" line on stderr, naming the class when one is at
-fault).  No exit prints a traceback.
+(`morse_graph.InvariantViolation`, from any layer: an "invariant
+violation:" line on stderr, naming the class when one is at fault).  No
+exit prints a traceback.
 
 Every input file is re-derived when it is read: catalogs are revalidated
 graph by graph, and a complex dump must list each class once and match its
@@ -29,7 +30,6 @@ from . import complex_builder as cb
 from . import morse_graph as mg
 from . import permutohedron as ph
 from . import perturbation as pt
-from . import twist_algebra as ta
 
 EXIT_PARAMS = 2
 EXIT_IO = 3
@@ -197,13 +197,8 @@ def cmd_dim(args):
 
 
 def cmd_facelattice(args):
-    try:
-        parts = ph.enumerate_partitions(args.q)
-    except ph.OrderBoundError as exc:
-        raise CliError(EXIT_PARAMS, str(exc))
+    parts = ph.enumerate_partitions(args.q)
     print("vertices: %d, faces: %d" % (math.factorial(args.q), len(parts)))
-    if args.dot:
-        _write(args.dot, ph.face_poset_dot(args.q))
     return 0
 
 
@@ -211,16 +206,13 @@ def cmd_export_dot(args):
     if args.what == "faces":
         if args.q is None:
             raise CliError(EXIT_PARAMS, "--q is required for --what faces")
-        try:
-            text = ph.face_poset_dot(args.q)
-        except ph.OrderBoundError as exc:
-            raise CliError(EXIT_PARAMS, str(exc))
+        text = ph.face_poset_dot(args.q)
     elif args.what == "classes":
         if args.input is None:
             raise CliError(EXIT_PARAMS, "--input is required for --what classes")
         K = _load_complex_or_catalog(args.input)
         text = cb.class_poset_dot(K)
-    elif args.what == "graph":
+    else:  # "graph", the last of the parser's choices
         if args.input is None:
             raise CliError(EXIT_PARAMS, "--input is required for --what graph")
         classes = _catalog_seeds(args.input, _read(args.input))
@@ -228,8 +220,6 @@ def cmd_export_dot(args):
             raise CliError(EXIT_PARAMS, "--index out of range (%d classes)"
                            % len(classes))
         text = mg.to_dot(classes[args.index])
-    else:
-        raise CliError(EXIT_PARAMS, "unknown --what %r" % args.what)
     if args.out:
         _write(args.out, text)
     else:
@@ -285,7 +275,6 @@ def build_parser():
 
     pf = sub.add_parser("facelattice", help="permutohedron census")
     pf.add_argument("--q", type=int, required=True)
-    pf.add_argument("--dot", help="also write the face poset as DOT")
     pf.set_defaults(func=cmd_facelattice)
 
     px = sub.add_parser("export-dot", help="DOT exports")
@@ -328,7 +317,7 @@ def main(argv=None):
     except mg.LMGError as exc:
         print("error: invalid input graph: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except (pt.InvariantViolation, ta.AlgebraInvariantViolation) as exc:
+    except mg.InvariantViolation as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -20,8 +20,9 @@ resolution, and each class carries its handle data (index, cylinder ranks,
 polytope dimension, symmetry group, handle Poincare polynomial).  Every
 proper refinement of a class's level partition gets an incidence entry, but
 only the covers (hyperfaces) are split, each once per class: a deeper face
-is a cover of the face `chain_predecessor` names, read through a saddle
-relabeling into that face's stored representative.
+is a cover of the face `permutohedron.chain_predecessor` names, read
+through a saddle relabeling into that face's stored representative.  A
+failed identity raises `morse_graph.InvariantViolation` naming the class.
 """
 
 import hashlib
@@ -34,8 +35,8 @@ from fractions import Fraction
 
 from . import morse_graph as mg
 from . import twist_algebra as ta
-from .permutohedron import refinements
-from .perturbation import InvariantViolation, chain_predecessor, delta
+from .permutohedron import chain_predecessor, refinements
+from .perturbation import delta
 
 MAX_TOP_Q = 4  # exhaustive search guard; scope of `ta._tree_witness`'s proof
 
@@ -290,7 +291,7 @@ def enumerate_top_classes(p, q, r, marking=None, jobs=1):
     forms.sort()
     for a, b in zip(forms, forms[1:]):
         if a == b:
-            raise InvariantViolation(
+            raise mg.InvariantViolation(
                 "class %s: two cappings kept as distinct one-level classes "
                 "have one canonical form" % class_id(a))
     out = []
@@ -362,7 +363,7 @@ def _poincare(n, autos):
     for x in acc:
         v, rem = divmod(x, len(autos))
         if rem != 0 or v < 0:
-            raise ta.AlgebraInvariantViolation("non-integral invariant dimension")
+            raise mg.InvariantViolation("non-integral invariant dimension")
         out.append(v)
     return tuple(out)
 
@@ -386,7 +387,7 @@ def handle_record(g, enc, framings):
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and every split it registers as a class; `_graph_from_json` every
     stored one), so the classification does not validate again.  An
-    AlgebraInvariantViolation is raised again with the class id in front."""
+    InvariantViolation is raised again with the class id in front."""
     canonical = mg.form_bytes(enc)
     cid = class_id(canonical)
     autos = mg.automorphisms(g, framings)
@@ -396,8 +397,8 @@ def handle_record(g, enc, framings):
         dim_upoly = ta.u_polytope(g, model)
         admissible, free = ta.check_stab_action(g, model, autos)
         poincare = _poincare(n, autos)
-    except ta.AlgebraInvariantViolation as exc:
-        raise ta.AlgebraInvariantViolation(
+    except mg.InvariantViolation as exc:
+        raise mg.InvariantViolation(
             "class %s: %s" % (cid, exc)) from exc
     s = len(g.levels)
     index = g.q - s
@@ -439,8 +440,9 @@ def build_complex(seeds):
     Every seed is validated and must carry the first seed's marking, one
     that `MarkingSpec.check` accepts, and q <= MAX_TOP_Q (ParameterError
     otherwise).  A split is validated when it is registered as a new class;
-    an invalid one, or an InvariantViolation of the split or of its
-    registration, raises InvariantViolation naming the class and face split.
+    an invalid one, or an InvariantViolation of the split, raises
+    InvariantViolation naming the class and face split, and a failure in
+    the new class's handle record names that class alone (`handle_record`).
     A split whose encoding is already known is not validated, and need not
     be.  The encoding records every atom placed in a level (its edges and
     the labels of its marked saddles), the level sizes, and every cap and
@@ -530,14 +532,16 @@ def build_complex(seeds):
                     enc, framings = mg.canonicalize(h)
                     if enc not in known:
                         mg.validate(h)
-                        register(enc, h, framings)
                 except mg.LMGError as exc:
-                    raise InvariantViolation(
+                    raise mg.InvariantViolation(
                         "class %s: face %s: resolution produced an invalid "
                         "graph: %s" % (records[c0].class_id, K, exc)) from exc
-                except InvariantViolation as exc:
-                    raise InvariantViolation("class %s: face %s: %s" % (
+                except mg.InvariantViolation as exc:
+                    raise mg.InvariantViolation("class %s: face %s: %s" % (
                         records[c0].class_id, K, exc)) from exc
+                # outside the try: a failing handle record names its own class
+                if enc not in known:
+                    register(enc, h, framings)
                 c1 = known[enc]
                 at = saddle_at[c1]
                 pos = mg.saddle_positions(h, framings)
@@ -604,7 +608,7 @@ def q_polynomial(K):
     if not coeffs:
         coeffs = [0]
     if any(c < 0 for c in coeffs):
-        raise ta.AlgebraInvariantViolation("negative handle-count coefficient")
+        raise mg.InvariantViolation("negative handle-count coefficient")
     return coeffs
 
 

@@ -89,6 +89,10 @@ class LMGJSONError(LMGError):
     """Malformed serialized graph."""
 
 
+class InvariantViolation(RuntimeError):
+    """An identity that holds for every valid input failed (a bug)."""
+
+
 # ---------------------------------------------------------------------------
 # Graph primitives
 # ---------------------------------------------------------------------------
@@ -867,6 +871,14 @@ def to_json(g):
     return json.dumps(to_doc(g), separators=(",", ":"), sort_keys=True)
 
 
+def _json_list(x, what):
+    """x when it is a JSON list: `tuple("")` and `tuple({})` are () too."""
+    if type(x) is not list:
+        raise LMGJSONError("%s is not a JSON list but a %s"
+                           % (what, type(x).__name__))
+    return x
+
+
 def _circle_ref(ref):
     if not (isinstance(ref, list) and len(ref) == 2
             and all(type(x) is int for x in ref)):
@@ -890,14 +902,14 @@ def from_json(doc):
             raise LMGJSONError("missing key %r" % key)
     try:
         atoms = []   # (saddles, edges), interned once their types are checked
-        for ad in doc["atoms"]:
-            saddles = list(ad["saddles"])
+        for ad in _json_list(doc["atoms"], "atoms"):
+            saddles = _json_list(ad["saddles"], "atom saddles")
             darts = ad["darts"]
             if type(darts) is not int or darts != 4 * len(saddles):
                 raise LMGJSONError("atom darts %r is not 4 per saddle of %r"
                                    % (darts, saddles))
             edges = []
-            for o, i in ad["edges"]:
+            for o, i in _json_list(ad["edges"], "atom edges"):
                 if not all(type(x) is int and 0 <= x < darts for x in (o, i)):
                     raise LMGJSONError("edge %r is not a pair of dart numbers "
                                        "in 0..%d" % ([o, i], darts - 1))
@@ -906,12 +918,13 @@ def from_json(doc):
         caps = tuple(Cap(circle=_circle_ref(cd["circle"]), kind=cd["kind"],
                          label=cd["label"], marked=cd["marked"],
                          fixed=cd["fixed"])
-                     for cd in doc["caps"])
-        cylinders = tuple(sorted((_circle_ref(lo), _circle_ref(hi))
-                                 for lo, hi in doc["cylinders"]))
-        levels = tuple(tuple(lev) for lev in doc["levels"])
-        marked = tuple(doc["marked_saddles"])
-        fixed = tuple(doc["fixed_saddles"])
+                     for cd in _json_list(doc["caps"], "caps"))
+        cylinders = tuple(sorted((_circle_ref(lo), _circle_ref(hi)) for lo, hi
+                                 in _json_list(doc["cylinders"], "cylinders")))
+        levels = tuple(tuple(_json_list(lev, "level"))
+                       for lev in _json_list(doc["levels"], "levels"))
+        marked = _json_list(doc["marked_saddles"], "marked_saddles")
+        fixed = _json_list(doc["fixed_saddles"], "fixed_saddles")
         ints = (doc["q"], doc["p"], doc["r"], *(a for lev in levels for a in lev),
                 *(v for saddles, _ in atoms for v in saddles),
                 *(c.label for c in caps), *marked, *fixed)

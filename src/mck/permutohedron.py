@@ -6,7 +6,8 @@ out its vertices.  Nothing in this module touches floating point.
 
 Refinement order: J' < J means J' splits blocks of J into ordered runs of
 consecutive sub-blocks, equivalently the face of J' is contained in the face
-of J.  `sub_blocks` is the one walk that decides it and names the runs.
+of J.  `sub_blocks` is the one walk that decides it and names the runs,
+`refinements` the one generator, and `merged` undoes a cover (hyperface).
 """
 
 import functools
@@ -66,6 +67,14 @@ class OrderedPartition:
         f = sigma if callable(sigma) else sigma.__getitem__
         return OrderedPartition.of([frozenset(f(x) for x in b) for b in self.blocks], self.q)
 
+    def merged(self, k):
+        """The face this one covers by splitting its block k: blocks k and
+        k + 1 joined, the inverse of a cover split."""
+        b = self.blocks
+        if not 0 <= k < len(b) - 1:
+            raise PartitionError("no blocks %d and %d to merge" % (k, k + 1))
+        return OrderedPartition(b[:k] + (b[k] | b[k + 1],) + b[k + 2:], self.q)
+
     def __str__(self):
         return "(" + "|".join(",".join(map(str, sorted(b))) for b in self.blocks) + ")"
 
@@ -100,6 +109,19 @@ def sub_blocks(J1, J):
             i += 1
         groups.append(tuple(grp))
     return tuple(groups)
+
+
+def chain_predecessor(J, target):
+    """The refinement of J that a proper refinement `target` covers: the
+    last block of J that `target` divides gets its last two target
+    sub-blocks merged back, and every other block keeps its target
+    sub-blocks.  It is J itself when `target` covers J, and `refinements`
+    lists it before `target`."""
+    groups = sub_blocks(target, J)
+    if groups is None or len(groups) == target.s:
+        raise PartitionError("%s is not a proper refinement of %s" % (target, J))
+    k = max(i for i, grp in enumerate(groups) if len(grp) > 1)
+    return target.merged(sum(map(len, groups[:k + 1])) - 2)
 
 
 def _ordered_partitions_of_set(labels):
@@ -145,37 +167,25 @@ def refinements(J):
     return out
 
 
-def hyperface_refinements(J):
-    """Refinements obtained by splitting exactly one block into two."""
-    out = []
-    for k, b in enumerate(J.blocks):
-        if len(b) < 2:
-            continue
-        members = sorted(b)
-        # nonempty proper subsets as the lower sub-block
-        for r in range(1, len(members)):
-            for lower in itertools.combinations(members, r):
-                blocks = (J.blocks[:k]
-                          + (frozenset(lower), b - frozenset(lower))
-                          + J.blocks[k + 1:])
-                out.append(OrderedPartition.of(blocks, J.q))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # DOT export of the face poset
 # ---------------------------------------------------------------------------
 
 def face_poset_dot(q):
     """Graphviz DOT of the face poset; edges are covering relations of
-    refinement (split one block into two)."""
+    refinement (split one block into two), read off each cover H as the
+    faces `H.merged(k)`.  A face lists the covers into it by (split block,
+    lower block size, lower block)."""
     parts = enumerate_partitions(q)
-    name = {J.key(): "f%d" % i for i, J in enumerate(parts)}
+    keys = [J.key() for J in parts]
+    name = {jk: "f%d" % i for i, jk in enumerate(keys)}
+    into = {jk: [] for jk in keys}  # face -> its covers, (order, name)
+    for H, hk in zip(parts, keys):
+        for k in range(H.s - 1):
+            into[H.merged(k).key()].append(((k, len(hk[k]), hk[k]), name[hk]))
     lines = ["digraph face_poset {", '  rankdir="BT";']
-    for J in parts:
-        lines.append('  %s [label="%s"];' % (name[J.key()], str(J)))
-    for J in parts:
-        for H in hyperface_refinements(J):
-            lines.append("  %s -> %s;" % (name[H.key()], name[J.key()]))
+    lines += ['  %s [label="%s"];' % (name[jk], J) for J, jk in zip(parts, keys)]
+    for jk, covers in into.items():
+        lines += ["  %s -> %s;" % (h, name[jk]) for _, h in sorted(covers)]
     lines.append("}")
     return "\n".join(lines) + "\n"

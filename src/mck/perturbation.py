@@ -26,10 +26,10 @@ circles become new cylinders.
 
 The library resolves covers only: `delta` splits one level of the level
 partition in two, and the complex builder reaches every deeper face as a
-cover of `chain_predecessor`'s partition, read in the class that partition
-lies in.  The surgery of one atom reads only which of its own saddles go
-down, so each atom keeps it per that set (`_atom_surgery`), and with it the
-new atoms, which thus live as long as the atom split.
+cover of `permutohedron.chain_predecessor`'s partition, read in the class
+that partition lies in.  The surgery of one atom reads only which of its
+own saddles go down, so each atom keeps it per that set (`_atom_surgery`),
+and with it the new atoms, which thus live as long as the atom split.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
 InvariantViolation when a circle's edge set reaches no circle above it, or
@@ -42,15 +42,12 @@ that keep a split validate it themselves.
 import itertools
 
 from . import morse_graph as mg
-from .permutohedron import OrderedPartition, sub_blocks
+from .morse_graph import InvariantViolation
+from .permutohedron import sub_blocks
 
 
 class PerturbationError(ValueError):
     """Invalid refinement or sub-block request."""
-
-
-class InvariantViolation(RuntimeError):
-    """The resolution produced a structurally invalid graph (a bug)."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +259,3 @@ def delta(g, cover):
     level = next(i for i, grp in enumerate(groups) if len(grp) == 2)
     return split_level(g, level + 1, groups[level][0])
 
-
-def chain_predecessor(J, target):
-    """The refinement of J that a proper refinement `target` covers: the
-    last block of J that `target` divides gets its last two target
-    sub-blocks merged back, and every other block keeps its target
-    sub-blocks.  It is J itself when `target` covers J, and `refinements`
-    lists it before `target`."""
-    groups = sub_blocks(target, J)
-    if groups is None or len(groups) == target.s:
-        raise PerturbationError("%s is not a proper refinement of %s"
-                                % (target, J))
-    k = max(i for i, grp in enumerate(groups) if len(grp) > 1)
-    merged = groups[k][:-2] + (groups[k][-2] | groups[k][-1],)
-    return OrderedPartition.of(
-        itertools.chain(*groups[:k], merged, *groups[k + 1:]), J.q)

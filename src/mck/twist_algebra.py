@@ -4,7 +4,7 @@ function a handle record calls returns what the record stores:
 `classify_circles` the torus directions n, `u_polytope` the polytope
 dimension and `check_stab_action` the pair (admissible, free).  An
 identity that holds for every class or every structure automorphism is
-checked, and its failure raises AlgebraInvariantViolation.
+checked, and its failure raises `morse_graph.InvariantViolation`.
 
 The punctured surface (extrema removed) deformation-retracts onto the graph
 obtained from the level graph by trading one crossing edge per cylinder, the
@@ -45,10 +45,6 @@ from fractions import Fraction
 
 from . import linalg
 from . import morse_graph as mg
-
-
-class AlgebraInvariantViolation(RuntimeError):
-    """An exact identity that must hold failed (a bug)."""
 
 
 def double_factorial_bound(q, s):
@@ -139,8 +135,8 @@ def homology_model(g):
     R, pivots = linalg.rref([[rel[d] for d in deleted]
                              + [-rel[b] for b in basis] for rel in relations])
     if pivots[:n] != list(range(n)):
-        raise AlgebraInvariantViolation("cylinder relations are singular on "
-                                        "the traded edges")
+        raise mg.InvariantViolation("cylinder relations are singular on "
+                                    "the traded edges")
     unit = {b: tuple(1 if j == k else 0 for j in range(m))
             for k, b in enumerate(basis)}
     expansion = []
@@ -148,8 +144,8 @@ def homology_model(g):
         if i in row_of:
             row = tuple(R[row_of[i]][n:])
             if any(type(x) is not int for x in row):
-                raise AlgebraInvariantViolation("non-integral expansion of "
-                                                "traded edge %d" % i)
+                raise mg.InvariantViolation("non-integral expansion of "
+                                            "traded edge %d" % i)
             expansion.append(row)
         else:
             expansion.append(unit[i])
@@ -161,8 +157,8 @@ def homology_model(g):
             if coef:
                 acc = [a + coef * x for a, x in zip(acc, erow)]
         if any(acc):
-            raise AlgebraInvariantViolation("expansion does not satisfy "
-                                            "cylinder relation %d" % k)
+            raise mg.InvariantViolation("expansion does not satisfy "
+                                        "cylinder relation %d" % k)
 
     gamma = []
     for lo, hi in g.cylinders:
@@ -170,7 +166,7 @@ def homology_model(g):
         for e in _circle_edges(g, lo):
             row = [a + b for a, b in zip(row, expansion[pos[e]])]
         if not any(row):
-            raise AlgebraInvariantViolation("vanishing core class")
+            raise mg.InvariantViolation("vanishing core class")
         gamma.append(tuple(row))
 
     return HomologyModel(edges=tuple(edges), deleted=deleted, basis=basis,
@@ -198,10 +194,10 @@ def classify_circles(g):
     one side holds at most one.  So e = c = 0 and d = nu0 = n."""
     n = len(g.cylinders)
     if n != len(g.atoms) - 1:
-        raise AlgebraInvariantViolation("sphere assembly graph is not a tree")
+        raise mg.InvariantViolation("sphere assembly graph is not a tree")
     fixed = len(g.fixed_saddles) + sum(1 for cap in g.caps if cap.fixed)
     if fixed > MAX_FIXED_POINTS:
-        raise AlgebraInvariantViolation(
+        raise mg.InvariantViolation(
             "%d fixed points, more than chi(S^2) + 1 = %d"
             % (fixed, MAX_FIXED_POINTS))
     return n
@@ -299,15 +295,15 @@ def _polytope_dim(slab_rows, bound, witness):
     if bound == 1:
         if all(sum(row) == 1 for row in slab_rows):
             return 0
-        raise AlgebraInvariantViolation("empty edge-value polytope")
+        raise mg.InvariantViolation("empty edge-value polytope")
     if witness is None:
-        raise AlgebraInvariantViolation("the assembly tree's point does not "
-                                        "fit the edge-value box")
+        raise mg.InvariantViolation("the assembly tree's point does not "
+                                    "fit the edge-value box")
     nums, D = witness
     values = nums + [sum(x * v for x, v in zip(row, nums)) for row in slab_rows]
     if not (D > 0 and all(D < v < bound * D for v in values)):
-        raise AlgebraInvariantViolation("interior-point certificate of the "
-                                        "edge-value polytope fails")
+        raise mg.InvariantViolation("interior-point certificate of the "
+                                    "edge-value polytope fails")
     return len(nums)
 
 
@@ -331,10 +327,10 @@ def _circle_offset(psi, cyc):
     one boundary circle given as its edges' positions in trace order."""
     image0 = psi[cyc[0]]
     if image0 not in cyc:
-        raise AlgebraInvariantViolation("boundary circle not preserved")
+        raise mg.InvariantViolation("boundary circle not preserved")
     o, L = cyc.index(image0), len(cyc)
     if any(psi[cyc[i]] != cyc[(i + o) % L] for i in range(L)):
-        raise AlgebraInvariantViolation("circle image is not a rotation")
+        raise mg.InvariantViolation("circle image is not a rotation")
     return Fraction(o, L)
 
 
@@ -353,7 +349,7 @@ def check_stab_action(g, model, autos):
 
     Two more clauses of admissibility hold for every structure
     automorphism, so they are invariant checks, and a failure raises
-    AlgebraInvariantViolation:
+    InvariantViolation:
     - consistency, the edge action commutes with the expansion.  An
       automorphism maps each cylinder to a cylinder, and each circle to a
       circle on the same side, so it permutes the cylinder relations, and
@@ -390,11 +386,11 @@ def check_stab_action(g, model, autos):
         if any(list(model.expansion[phi.edges[i]])
                != linalg.mat_vec(Bt, list(model.expansion[i]))
                for i in model.deleted):
-            raise AlgebraInvariantViolation("the edge action does not "
-                                            "commute with the expansion")
+            raise mg.InvariantViolation("the edge action does not "
+                                        "commute with the expansion")
         if not _face_admissible(phi.saddles, J):
-            raise AlgebraInvariantViolation("the saddle map does not "
-                                            "stabilize the level partition")
+            raise mg.InvariantViolation("the saddle map does not "
+                                        "stabilize the level partition")
         if all(v == w for v, w in phi.saddles.items()):
             admissible &= (all(phi.cylinders[k] == k for k in range(n))
                            and linalg.mat_mul(B, B) == identity)

@@ -22,11 +22,11 @@ enumerates the vertices of a box cut by slabs, the reference for the
 library's certified polytope dimension; `polytope_slabs` reads a handle
 polytope's H-representation off the homology model, and
 `polytope_vertices` applies `box_vertices` to a small one.  The permutohedron helpers at the end
-(coarsenings, reflexive and strict refinement, composition signatures,
-face vertices and coordinates, the induced face map's admissibility read
-off the vertices, a partition's level assignment and the value partition
-of a 0-cochain) state the face geometry that the library relies on without
-computing.
+(coarsenings, reflexive and strict refinement, covers, composition
+signatures, face vertices and coordinates, the induced face map's
+admissibility read off the vertices, a partition's level assignment and the
+value partition of a 0-cochain) state the face geometry that the library
+relies on without computing.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -42,7 +42,8 @@ from mck import twist_algebra as ta
 from mck.permutohedron import (
     OrderedPartition, PartitionError, enumerate_partitions, refinements,
     sub_blocks)
-from mck.perturbation import InvariantViolation, PerturbationError, delta
+from mck.morse_graph import InvariantViolation
+from mck.perturbation import PerturbationError, delta
 
 
 def fraction_rref(matrix):
@@ -380,7 +381,7 @@ def transvections(g, model):
         out.append(Transvection(cylinder=ell, core=model.gamma[ell],
                                 matrix=tuple(tuple(r) for r in mat)))
     if linalg.rank([list(t.core) for t in out]) != n:
-        raise ta.AlgebraInvariantViolation("translation lattice rank below n")
+        raise InvariantViolation("translation lattice rank below n")
     return out
 
 
@@ -496,6 +497,13 @@ def refines(J1, J2):
     """Strict refinement: J1 obtained from J2 by splitting blocks into
     ordered runs of consecutive sub-blocks (J1 != J2)."""
     return J1.key() != J2.key() and refines_eq(J1, J2)
+
+
+def covers(J):
+    """The covers (hyperfaces) of J: the strict refinements with one block
+    more, searched among all ordered partitions of {1..q}."""
+    return [H for H in enumerate_partitions(J.q)
+            if H.s == J.s + 1 and refines(H, J)]
 
 
 def coarsenings(J):

@@ -16,7 +16,8 @@ import mck.cli  # noqa: F401  (imports every module the tracer wraps)
 from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck import perturbation as pt
-from mck.permutohedron import hyperface_refinements
+
+import oracles
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -114,7 +115,7 @@ def traced_cover_build():
 
 
 def _covers(K):
-    return sum(len(hyperface_refinements(rec.lmg.level_partition()))
+    return sum(len(oracles.covers(rec.lmg.level_partition()))
                for rec in K.classes)
 
 
@@ -270,7 +271,7 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
 
     monkeypatch.setattr(mg, "canonicalize", counted)
     K = cb.build_complex(seeds)
-    covers = sum(len(hyperface_refinements(rec.lmg.level_partition()))
+    covers = sum(len(oracles.covers(rec.lmg.level_partition()))
                  for rec in K.classes)
     assert (len(seeds), covers, len(K.classes)) == (20, 186, 71)
     assert len(passes) == len(seeds) + covers + len(K.classes) == 277

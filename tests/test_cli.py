@@ -38,6 +38,15 @@ def test_facelattice_bounds(capsys):
     assert code == 2 and "1..8" in err
 
 
+def test_facelattice_writes_no_dot(tmp_path, capsys):
+    # the face poset's DOT has one path, `export-dot --what faces`
+    dot = tmp_path / "faces.dot"
+    with pytest.raises(SystemExit) as info:
+        main(["facelattice", "--q", "3", "--dot", str(dot)])
+    assert info.value.code == 2 and not dot.exists()
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+
+
 def test_enumerate_q1(tmp_path, capsys):
     out_file = tmp_path / "cat.json"
     code, out, _ = run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",
@@ -214,13 +223,15 @@ DELETE, WRAP, TEXT = object(), object(), object()
 @pytest.fixture(scope="module")
 def q1_files(tmp_path_factory):
     """q = 1 catalogs and their complex dumps, written by the CLI: all
-    marked, and all marked with the saddle fixed."""
+    marked, all marked with the saddle fixed, and the saddle unmarked."""
     root = tmp_path_factory.mktemp("q1")
     files = {}
-    for prefix, fixed in (("", "none"), ("fixed-", "0,1,0")):
+    for prefix, marked, fixed in (("", "all", "none"), ("fixed-", "all", "0,1,0"),
+                                  ("unmarked-", "2,0,1", "none")):
         cat, dump = root / (prefix + "cat.json"), root / (prefix + "K.json")
         assert main(["enumerate", "--p", "2", "--q", "1", "--r", "1",
-                     "--fixed", fixed, "--out", str(cat)]) == 0
+                     "--marked", marked, "--fixed", fixed,
+                     "--out", str(cat)]) == 0
         assert main(["complex", "--input", str(cat), "--out", str(dump)]) == 0
         files[prefix + "catalog"], files[prefix + "complex"] = cat, dump
     return files
@@ -257,6 +268,12 @@ def q1_files(tmp_path_factory):
     ("fixed-complex", "qpoly", ("classes", 0, "lmg", "fixed_saddles"), [True]),
     ("catalog", "euler", ("classes", 0), TEXT),
     ("complex", "euler", ("classes", 0, "lmg"), TEXT),
+    ("catalog", "euler", ("classes", 0, "cylinders"), ""),
+    ("complex", "euler", ("classes", 0, "lmg", "cylinders"), {}),
+    ("catalog", "euler", ("classes", 0, "fixed_saddles"), {}),
+    ("complex", "qpoly", ("classes", 0, "lmg", "fixed_saddles"), ""),
+    ("unmarked-catalog", "euler", ("classes", 0, "marked_saddles"), ""),
+    ("unmarked-complex", "euler", ("classes", 0, "lmg", "marked_saddles"), {}),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
@@ -267,7 +284,10 @@ def q1_files(tmp_path_factory):
         "complex-canonical-missing", "catalog-bool-marked-saddle",
         "complex-float-marked-saddle", "catalog-float-fixed-saddle",
         "complex-bool-fixed-saddle", "catalog-graph-as-text",
-        "complex-graph-as-text"])
+        "complex-graph-as-text", "catalog-string-cylinders",
+        "complex-object-cylinders", "catalog-object-fixed-saddles",
+        "complex-string-fixed-saddles", "catalog-string-marked-saddles",
+        "complex-object-marked-saddles"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())
@@ -408,10 +428,9 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",
         "--out", str(cat))
     import mck.cli as cli_mod
-    from mck.twist_algebra import AlgebraInvariantViolation
 
     def boom(K):
-        raise AlgebraInvariantViolation("synthetic failure")
+        raise mg.InvariantViolation("synthetic failure")
 
     monkeypatch.setattr(cli_mod.cb, "euler_characteristic", boom)
     code, _, err = run(capsys, "euler", "--input", str(cat))

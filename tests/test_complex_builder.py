@@ -15,13 +15,12 @@ from mck.complex_builder import (
     catalog_from_json, catalog_to_json, class_poset_dot, complex_dimension,
     complex_from_json, complex_rank, complex_to_json, enumerate_top_classes,
     euler_characteristic, morse_smale_report, q_polynomial)
-from mck.permutohedron import hyperface_refinements
 from mck.twist_algebra import classify_circles
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import (
-    cap_labelings, closure_by_delta, enumerate_classes_direct, face_vertices,
-    matchings)
+    cap_labelings, closure_by_delta, covers, enumerate_classes_direct,
+    face_vertices, matchings)
 from test_perturbation import _first_q4_seeds
 
 
@@ -213,7 +212,7 @@ def test_class_from_two_chunks_is_an_invariant_violation(monkeypatch):
 
     monkeypatch.setattr(cb.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cb, "ProcessPoolExecutor", EchoPool)
-    with pytest.raises(pt.InvariantViolation, match="one canonical form"):
+    with pytest.raises(mg.InvariantViolation, match="one canonical form"):
         enumerate_top_classes(2, 2, 2, jobs=2)
 
 
@@ -299,7 +298,7 @@ def test_every_cover_split_is_valid(complexes_q3):
     splits = 0
     for K in complexes:
         for rec in K.classes:
-            for J1 in hyperface_refinements(rec.lmg.level_partition()):
+            for J1 in covers(rec.lmg.level_partition()):
                 mg.validate(pt.delta(rec.lmg, J1))
                 splits += 1
     assert splits == 7506
@@ -322,7 +321,7 @@ def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
         return dataclasses.replace(h, **{field: getattr(h, field)[:-1]})
 
     monkeypatch.setattr(pt, "split_level", lossy)
-    with pytest.raises(pt.InvariantViolation,
+    with pytest.raises(mg.InvariantViolation,
                        match="resolution produced an invalid graph") as info:
         build_complex(seeds)
     # the message names the class that was split, a seed here, and the face

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 import random
 from fractions import Fraction
 
@@ -10,13 +12,13 @@ from hypothesis import strategies as st
 from mck import linalg
 from mck.permutohedron import (
     OrderedPartition, PartitionError, OrderBoundError, enumerate_partitions,
-    face_poset_dot, hyperface_refinements, refinements, sub_blocks,
+    chain_predecessor, face_poset_dot, refinements, sub_blocks,
 )
 from mck.twist_algebra import _face_admissible
 from oracles import (
-    ZeroCochain, assignment, coarsenings, composition_signature, face_of,
-    face_vertices, induced_face_admissible, partition_of_values, refines,
-    refines_eq,
+    ZeroCochain, assignment, coarsenings, composition_signature, covers,
+    face_of, face_vertices, induced_face_admissible, partition_of_values,
+    refines, refines_eq,
 )
 
 
@@ -192,10 +194,32 @@ def test_refinements_and_coarsenings_are_inverse_relations():
             assert refines_eq(J1, J)
         for J2 in coarsenings(J):
             assert refines_eq(J, J2)
-    # hyperfaces drop the dimension by exactly one
+
+
+def test_merged_undoes_exactly_one_cover_split():
+    # a cover H of J splits one block of J in two: merging those two blocks
+    # gives J back, and merging any two adjacent blocks of H gives a face
+    # that H covers
     for J in enumerate_partitions(4):
-        for H in hyperface_refinements(J):
-            assert H.s == J.s + 1 and refines(H, J)
+        for H in covers(J):
+            assert [H.merged(k).key() for k in range(H.s - 1)].count(J.key()) == 1
+            assert all(H.key() in {C.key() for C in covers(H.merged(k))}
+                       for k in range(H.s - 1))
+    J = OrderedPartition.of([{2}, {1, 3}])
+    for k in (-1, 1):
+        with pytest.raises(PartitionError):
+            J.merged(k)
+
+
+def test_chain_predecessor_merges_the_last_divided_block():
+    J = OrderedPartition.of([{1, 2, 3}, {4, 5}])
+    target = OrderedPartition.of([{2}, {1}, {3}, {5}, {4}])
+    assert str(chain_predecessor(J, target)) == "(2|1|3|4,5)"
+    target = OrderedPartition.of([{2}, {1}, {3}, {4, 5}])
+    assert str(chain_predecessor(J, target)) == "(2|1,3|4,5)"
+    for bad in (J, OrderedPartition.of([{4}, {1, 2, 3}, {5}])):
+        with pytest.raises(PartitionError, match="not a proper refinement"):
+            chain_predecessor(J, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +375,35 @@ def test_face_poset_dot_shape():
     assert dot.startswith("digraph face_poset")
     assert dot.count("->") == 2  # two vertices under the segment
     assert '(1,2)' in dot and '(1|2)' in dot and '(2|1)' in dot
+
+
+# sha256 of face_poset_dot(q), q = 1..6, as the edges were first written:
+# each face lists the covers into it by split block, then by the size and
+# the members of the lower sub-block
+FACE_POSET_SHA256 = (
+    "90a8232855b16ddffd302280fcf4fe562df1a95bbd08db9def78ec94bbab3314",
+    "f9d1ceb3d3ccb38c7cfd5188cd1fe704996e9be2a3ab6d0e3405d7ff6b4e62c2",
+    "5be4b365ef4eeec6f2d3cc456e751cddf6f3ba248401e3c3db020d539e65d784",
+    "5ae95de8fc451895c5a81d0b93d1196cfeaf8661d25a3cea3d0d4634c32c8baf",
+    "426462594da4a9ad9beb026d03cebe334b373cee8a3f67d8e4e74af891eaa95c",
+    "5d450347d33823d8f7d42dc558cef93ca0917e61adde70cc26ef46495ea7d743",
+)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_face_poset_dot_bytes_pinned(q):
+    dot = face_poset_dot(q).encode()
+    assert hashlib.sha256(dot).hexdigest() == FACE_POSET_SHA256[q - 1]
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_face_poset_dot_edges_are_the_covers(q):
+    # the edges, read back through the node labels, are the cover relation
+    # found by brute force, each once
+    dot = face_poset_dot(q)
+    label = dict(re.findall(r'^  (f\d+) \[label="(.*)"\];$', dot, re.M))
+    edges = [(label[h], label[j])
+             for h, j in re.findall(r"^  (f\d+) -> (f\d+);$", dot, re.M)]
+    assert len(edges) == dot.count("->") == len(set(edges))
+    assert set(edges) == {(str(H), str(J)) for J in enumerate_partitions(q)
+                          for H in covers(J)}

@@ -8,15 +8,15 @@ from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck import perturbation as pt
 from mck.complex_builder import MarkingSpec, enumerate_top_classes
+from mck.morse_graph import InvariantViolation
 from mck.permutohedron import (
-    OrderedPartition, enumerate_partitions, hyperface_refinements, refinements)
-from mck.perturbation import (
-    InvariantViolation, PerturbationError, chain_predecessor, delta,
-    split_level)
+    OrderedPartition, PartitionError, chain_predecessor, enumerate_partitions,
+    refinements)
+from mck.perturbation import PerturbationError, delta, split_level
 
 from conftest import Q3_SPLITS, group_of
 from oracles import (
-    cap_labelings, delta_chain, enumerate_classes_direct, matchings,
+    cap_labelings, covers, delta_chain, enumerate_classes_direct, matchings,
     merge_all_levels, refines_eq)
 
 
@@ -113,7 +113,7 @@ def test_surgery_refuses_a_broken_curve_system(mutation, monkeypatch):
     monkeypatch.setattr(pt, "_sublevel_system", mutated)
     splits = raised = 0
     for g in enumerate_top_classes(4, 3, 1)[:10]:
-        for J1 in hyperface_refinements(g.level_partition()):
+        for J1 in covers(g.level_partition()):
             broken.clear()
             try:
                 delta(g, J1)
@@ -209,9 +209,9 @@ def test_chain_predecessor_is_where_delta_splits_last(monkeypatch):
         J0 = chain_predecessor(J, J1).key()
         assert J0 == split_from[-1] and listed[J0] < i
     assert len(faces) == 74
-    with pytest.raises(PerturbationError):
+    with pytest.raises(PartitionError):
         chain_predecessor(J, J)
-    with pytest.raises(PerturbationError):
+    with pytest.raises(PartitionError):
         chain_predecessor(faces[0], J)
 
 

@@ -12,8 +12,8 @@ from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.complex_builder import enumerate_top_classes
 from mck.twist_algebra import (
-    AlgebraInvariantViolation, _polytope_dim, check_stab_action,
-    classify_circles, double_factorial_bound, homology_model, u_polytope,
+    _polytope_dim, check_stab_action, classify_circles, double_factorial_bound,
+    homology_model, u_polytope,
 )
 from oracles import (
     algebra_json, box_vertices, delta_chain, enumerate_classes_direct,
@@ -134,7 +134,7 @@ def test_non_integral_expansion_raises(monkeypatch, q2_two_level):
                  for j, x in enumerate(row)] for row in R], pivots
 
     monkeypatch.setattr(linalg, "rref", halved)
-    with pytest.raises(AlgebraInvariantViolation, match="non-integral"):
+    with pytest.raises(mg.InvariantViolation, match="non-integral"):
         homology_model(q2_two_level)
 
 
@@ -144,7 +144,7 @@ def test_repeated_traded_edge_raises(monkeypatch, complexes_q3):
     g = next(rec.lmg for rec in complexes_q3[(4, 1)].classes if rec.n == 2)
     e = ta._traded_edges(g)[0]
     monkeypatch.setattr(ta, "_traded_edges", lambda g: [e, e])
-    with pytest.raises(AlgebraInvariantViolation, match="singular"):
+    with pytest.raises(mg.InvariantViolation, match="singular"):
         homology_model(g)
 
 
@@ -237,7 +237,7 @@ def test_more_than_three_fixed_points_raise():
     # outside it, and the classification refuses them rather than counting
     g = family_tower()
     mg.validate(g)
-    with pytest.raises(AlgebraInvariantViolation, match="4 fixed points"):
+    with pytest.raises(mg.InvariantViolation, match="4 fixed points"):
         classify_circles(g)
 
 
@@ -251,7 +251,7 @@ def test_non_sphere_is_unsupported_scope():
                    marked_saddles=frozenset({1, 2}), fixed_saddles=frozenset())
     with pytest.raises(mg.EulerCountError):
         mg.validate(torus)
-    with pytest.raises(AlgebraInvariantViolation, match="not a tree"):
+    with pytest.raises(mg.InvariantViolation, match="not a tree"):
         classify_circles(torus)
 
 
@@ -377,7 +377,7 @@ def test_certified_dim_matches_vertex_oracle():
             assert (_polytope_dim(rows, bound, point)
                     == dim_oracle(rows, bound, ambient))
             continue
-        with pytest.raises(AlgebraInvariantViolation,
+        with pytest.raises(mg.InvariantViolation,
                            match="empty" if bound == 1 else "certificate"):
             _polytope_dim(rows, bound, point)
     assert 0 < empty and 0 < degenerate and empty + degenerate < 120
@@ -400,7 +400,7 @@ def test_certified_dim_degenerate_cases(rows, bound, ambient, dim,
     assert dim == dim_oracle(rows, bound, ambient)
     point = oracle_point(rows, bound, ambient)
     if degenerate:
-        with pytest.raises(AlgebraInvariantViolation,
+        with pytest.raises(mg.InvariantViolation,
                            match="certificate of the edge-value polytope"):
             _polytope_dim(rows, bound, point)
     else:
@@ -413,7 +413,7 @@ def test_empty_polytope_raises(row, bound):
     # point of an empty polytope passes the exact check, the box centre
     # included
     centre = ([bound + 1] * 2, 2)
-    with pytest.raises(AlgebraInvariantViolation,
+    with pytest.raises(mg.InvariantViolation,
                        match="empty" if bound == 1 else "certificate"):
         _polytope_dim([tuple(Fraction(x) for x in row)], bound, centre)
 
@@ -425,9 +425,9 @@ def test_failed_certificate_raises():
     # tree's point does not fit and claims nothing about the polytope
     rows = [(Fraction(1), Fraction(1))]
     for point in (([1, 1], 1), ([-3, -3], -1)):
-        with pytest.raises(AlgebraInvariantViolation, match="certificate"):
+        with pytest.raises(mg.InvariantViolation, match="certificate"):
             _polytope_dim(rows, 5, point)
-    with pytest.raises(AlgebraInvariantViolation,
+    with pytest.raises(mg.InvariantViolation,
                        match="tree's point does not fit") as info:
         _polytope_dim(rows, 5, None)
     assert "empty" not in str(info.value)
@@ -580,7 +580,7 @@ def test_tampered_traded_row_is_inconsistent():
     rows[d] = tuple(x + (k == j) for k, x in enumerate(rows[d]))
     bad = dataclasses.replace(m, expansion=tuple(rows))
     assert check_stab_action(h, m, auts) == (True, True)
-    with pytest.raises(AlgebraInvariantViolation,
+    with pytest.raises(mg.InvariantViolation,
                        match="does not commute with the expansion"):
         check_stab_action(h, bad, auts)
 
@@ -612,7 +612,7 @@ def test_saddle_moved_across_levels_raises():
     h = two_level_class()
     m = homology_model(h)
     phi = fake_automorphism(h, {1: 2, 2: 1, 3: 3})
-    with pytest.raises(AlgebraInvariantViolation,
+    with pytest.raises(mg.InvariantViolation,
                        match="does not stabilize the level partition"):
         check_stab_action(h, m, [phi])
 
