@@ -2,7 +2,11 @@
 
 Commands: enumerate, complex, euler, qpoly, dim, facelattice, export-dot.
 All reports are exact (integers and fraction strings, never floats) and all
-file outputs are byte-identical for identical configurations.
+file outputs are byte-identical for identical configurations.  Catalogs and
+complex dumps, in an `--out` file or on standard output, are written as they
+are encoded, one class and one incidence entry at a time, so the whole
+document is never held in memory; the global invariants of a dump are
+computed before its file is opened.
 
 Exit codes: 0 success, 2 invalid parameters, 3 I/O or parse failure
 (a closed standard output included), 4 internal invariant violation
@@ -86,10 +90,16 @@ def _read(path):
     return doc
 
 
-def _write(path, text):
+def _write(path, emit, end="\n"):
+    """Call `emit(fh)` with `fh` the file `path` open for writing, or with
+    standard output, followed by `end`, when no path is given."""
+    if not path:
+        emit(sys.stdout)
+        sys.stdout.write(end)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(fh)
     except OSError as exc:
         raise CliError(EXIT_IO, "cannot write %s: %s" % (path, exc))
 
@@ -128,11 +138,8 @@ def cmd_enumerate(args):
     marking = _marking(args, args.p, args.q, args.r)
     classes = cb.enumerate_top_classes(args.p, args.q, args.r, marking,
                                        jobs=args.jobs)
-    text = cb.catalog_to_json(classes, args.p, args.q, args.r, marking)
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text)
+    _write(args.out, lambda fh: cb.catalog_to_json(
+        classes, args.p, args.q, args.r, marking, fh))
     print("classes: %d" % len(classes))
     hist = {}
     for g in classes:
@@ -144,11 +151,8 @@ def cmd_enumerate(args):
 
 def cmd_complex(args):
     K = cb.build_complex(_catalog_seeds(args.input, _read(args.input)))
-    out_text = cb.complex_to_json(K)
-    if args.out:
-        _write(args.out, out_text)
-    else:
-        print(out_text)
+    cb._report_fields(K)  # an invariant that fails here leaves no file
+    _write(args.out, lambda fh: cb.complex_to_json(K, fh))
     print("classes: %d" % len(K.classes))
     print("incidence entries: %d" % len(K.incidence))
     return 0
@@ -220,10 +224,7 @@ def cmd_export_dot(args):
             raise CliError(EXIT_PARAMS, "--index out of range (%d classes)"
                            % len(classes))
         text = mg.to_dot(classes[args.index])
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text, end="")
+    _write(args.out, lambda fh: fh.write(text), end="")
     return 0
 
 

@@ -679,6 +679,41 @@ def morse_smale_report(K, betti=None):
 # Serialization
 # ---------------------------------------------------------------------------
 
+# the one encoder of catalog and dump entries: compact, keys sorted
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def _pieces(fields, lists):
+    """The text of the JSON object with the keys of `fields` and `lists`,
+    in sorted order, piece by piece: a value of `fields` is encoded whole,
+    an iterable of `lists` one entry at a time."""
+    encode = _ENCODER.encode
+    for i, key in enumerate(sorted(fields.keys() | lists.keys())):
+        yield ("," if i else "{") + encode(key) + ":"
+        if key in fields:
+            yield encode(fields[key])
+            continue
+        sep = "["
+        for entry in lists[key]:
+            yield sep + encode(entry)
+            sep = ","
+        yield "[]" if sep == "[" else "]"
+    yield "}"
+
+
+def _emit(fields, lists, fh):
+    """The `_pieces` joined, or written to `fh` as they are made."""
+    if fh is None:
+        return "".join(_pieces(fields, lists))
+    fh.writelines(_pieces(fields, lists))
+    return None
+
+
+def _params_doc(p, q, r, marking):
+    return {"p": p, "q": q, "r": r, "marked": list(marking.marked),
+            "fixed": list(marking.fixed)}
+
+
 def _record_fields(rec):
     """The per-class fields of a dump entry that are derived from its lmg;
     c, d, nu0, e and free_exact are constant (`ta.classify_circles`)."""
@@ -708,22 +743,18 @@ def _report_fields(K):
     }
 
 
-def complex_to_json(K):
-    doc = {
-        "params": {"p": K.p, "q": K.q, "r": K.r,
-                   "marked": list(K.marking.marked),
-                   "fixed": list(K.marking.fixed)},
-        "classes": [{
-            "id": rec.class_id,
-            "canonical": rec.canonical.decode("ascii"),
-            "lmg": mg.to_doc(rec.lmg),
-            **_record_fields(rec),
-        } for rec in K.classes],
-        "incidence": [[src, [list(b) for b in face], dst]
-                      for src, face, dst in K.incidence],
-        **_report_fields(K),
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+def complex_to_json(K, fh=None):
+    """The JSON dump of K, returned as text, or written to the open text
+    file `fh` one class and one incidence entry at a time."""
+    fields = dict(_report_fields(K), params=_params_doc(K.p, K.q, K.r,
+                                                        K.marking))
+    classes = ({"id": rec.class_id,
+                "canonical": rec.canonical.decode("ascii"),
+                "lmg": mg.to_doc(rec.lmg),
+                **_record_fields(rec)} for rec in K.classes)
+    incidence = ([src, [list(b) for b in face], dst]
+                 for src, face, dst in K.incidence)
+    return _emit(fields, {"classes": classes, "incidence": incidence}, fh)
 
 
 def _json_equal(a, b):
@@ -859,14 +890,11 @@ def complex_from_json(doc):
     return K
 
 
-def catalog_to_json(classes, p, q, r, marking):
-    doc = {
-        "params": {"p": p, "q": q, "r": r,
-                   "marked": list(marking.marked),
-                   "fixed": list(marking.fixed)},
-        "classes": [mg.to_doc(g) for g in classes],
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+def catalog_to_json(classes, p, q, r, marking, fh=None):
+    """The JSON catalog of `classes`, returned as text, or written to the
+    open text file `fh` one class at a time."""
+    return _emit({"params": _params_doc(p, q, r, marking)},
+                 {"classes": map(mg.to_doc, classes)}, fh)
 
 
 def catalog_from_json(doc):
@@ -875,7 +903,7 @@ def catalog_from_json(doc):
     try:
         doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
-        entries = list(doc["classes"])
+        entries = mg._json_list(doc["classes"], "catalog classes")
     except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
     classes = [_graph_from_json(entry, p, q, r, marking, "classes[%d]" % i)

@@ -618,10 +618,14 @@ def canonicalize(g):
     return best, winners
 
 
+# the encoder of canonical forms: compact, nested lists in their order
+_FORM_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def form_bytes(enc):
     """The canonical byte string of a minimal encoding from `canonicalize`.
     Equal encodings give equal bytes, but tuple order is not byte order."""
-    return json.dumps(enc, separators=(",", ":")).encode("ascii")
+    return _FORM_ENCODER.encode(enc).encode("ascii")
 
 
 def canonical_form(g):

@@ -21,12 +21,15 @@ per-class algebra dump that only the tests read.  `box_vertices`
 enumerates the vertices of a box cut by slabs, the reference for the
 library's certified polytope dimension; `polytope_slabs` reads a handle
 polytope's H-representation off the homology model, and
-`polytope_vertices` applies `box_vertices` to a small one.  The permutohedron helpers at the end
-(coarsenings, reflexive and strict refinement, covers, composition
-signatures, face vertices and coordinates, the induced face map's
-admissibility read off the vertices, a partition's level assignment and the
-value partition of a 0-cochain) state the face geometry that the library
-relies on without computing.
+`polytope_vertices` applies `box_vertices` to a small one.
+`whole_catalog_json` and `whole_complex_json` build a catalog or a dump as
+one document and serialize it in one call, the reference for the library's
+serializers, which write the document one entry at a time.  The
+permutohedron helpers at the end (coarsenings, reflexive and strict
+refinement, covers, composition signatures, face vertices and coordinates,
+the induced face map's admissibility read off the vertices, a partition's
+level assignment and the value partition of a 0-cochain) state the face
+geometry that the library relies on without computing.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -323,6 +326,38 @@ def closure_by_delta(seeds, marking=None):
     return cb.ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                        incidence=tuple(sorted(incidence)),
                        top_count=top_count)
+
+
+def _whole_json(doc):
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def _params_doc(p, q, r, marking):
+    return {"p": p, "q": q, "r": r, "marked": list(marking.marked),
+            "fixed": list(marking.fixed)}
+
+
+def whole_catalog_json(classes, p, q, r, marking):
+    """A catalog's text, the whole document built and then serialized."""
+    return _whole_json({"params": _params_doc(p, q, r, marking),
+                        "classes": [mg.to_doc(g) for g in classes]})
+
+
+def whole_complex_json(K):
+    """A complex dump's text, the whole document built and then
+    serialized."""
+    return _whole_json({
+        "params": _params_doc(K.p, K.q, K.r, K.marking),
+        "classes": [{
+            "id": rec.class_id,
+            "canonical": rec.canonical.decode("ascii"),
+            "lmg": mg.to_doc(rec.lmg),
+            **cb._record_fields(rec),
+        } for rec in K.classes],
+        "incidence": [[src, [list(b) for b in face], dst]
+                      for src, face, dst in K.incidence],
+        **cb._report_fields(K),
+    })
 
 
 def exhaustive_canonicalize(g):

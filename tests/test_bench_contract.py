@@ -49,6 +49,23 @@ def test_every_traced_name_resolves_to_a_callable():
         assert callable(getattr(sys.modules[module], attr, None)), metric
 
 
+def test_cli_writes_each_file_through_its_traced_serializer(tmp_path, capsys):
+    # `enumerate --out` and `complex --out` write their files in one call
+    # of the traced serializer each, which encodes and writes every entry,
+    # so the tracer times the writing too
+    cat, dump = tmp_path / "cat.json", tmp_path / "K.json"
+    for argv, want in (
+            (["enumerate", "--p", "2", "--q", "2", "--r", "2", "--out",
+              str(cat)], (1, 0)),
+            (["complex", "--input", str(cat), "--out", str(dump)], (0, 1))):
+        code, metrics = _traced(lambda: mck.cli.main(argv))
+        calls = (metrics["complex_builder.catalog_to_json.calls"],
+                 metrics["complex_builder.complex_to_json.calls"])
+        assert code == 0 and calls == want
+    capsys.readouterr()
+    assert cat.stat().st_size and dump.stat().st_size
+
+
 @pytest.fixture(scope="module", params=[(2, 2, 2), (0, 2, 1)],
                 ids=["all-marked", "minima-unmarked"])
 def traced_build(request):

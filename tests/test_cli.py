@@ -111,6 +111,18 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_stdout_carries_the_out_file_bytes(tmp_path, capsys):
+    # without --out, enumerate and complex print the bytes they write to
+    # an --out file, then a newline, then the lines they print with --out
+    cat, dump = tmp_path / "cat.json", tmp_path / "K.json"
+    for argv, path in ((("enumerate", "--p", "2", "--q", "2", "--r", "2"), cat),
+                       (("complex", "--input", str(cat)), dump)):
+        code, summary, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and path.stat().st_size > 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == path.read_text() + "\n" + summary
+
+
 def test_jobs_flag_same_output(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2", "--out", str(a))
@@ -274,6 +286,10 @@ def q1_files(tmp_path_factory):
     ("complex", "qpoly", ("classes", 0, "lmg", "fixed_saddles"), ""),
     ("unmarked-catalog", "euler", ("classes", 0, "marked_saddles"), ""),
     ("unmarked-complex", "euler", ("classes", 0, "lmg", "marked_saddles"), {}),
+    ("catalog", "complex", ("classes",), ""),
+    ("catalog", "euler", ("classes",), ""),
+    ("catalog", "complex", ("classes",), {}),
+    ("catalog", "euler", ("classes",), {}),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
@@ -287,7 +303,9 @@ def q1_files(tmp_path_factory):
         "complex-graph-as-text", "catalog-string-cylinders",
         "complex-object-cylinders", "catalog-object-fixed-saddles",
         "complex-string-fixed-saddles", "catalog-string-marked-saddles",
-        "complex-object-marked-saddles"])
+        "complex-object-marked-saddles", "catalog-string-classes-complex",
+        "catalog-string-classes-euler", "catalog-object-classes-complex",
+        "catalog-object-classes-euler"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())
@@ -435,6 +453,24 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod.cb, "euler_characteristic", boom)
     code, _, err = run(capsys, "euler", "--input", str(cat))
     assert code == 4 and "synthetic failure" in err
+
+
+def test_failed_global_invariant_leaves_no_dump(tmp_path, capsys,
+                                                monkeypatch):
+    # the dump is written as it is encoded, so its global invariants are
+    # computed before the file is opened: a failure leaves no file
+    cat, dump = tmp_path / "cat.json", tmp_path / "K.json"
+    run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",
+        "--out", str(cat))
+
+    def boom(K):
+        raise mg.InvariantViolation("synthetic failure")
+
+    monkeypatch.setattr(cb, "q_polynomial", boom)
+    code, out, err = run(capsys, "complex", "--input", str(cat),
+                         "--out", str(dump))
+    assert code == 4 and out == "" and "synthetic failure" in err
+    assert not dump.exists()
 
 
 def test_cap_label_blind_canonical_form_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
 import dataclasses
+import gzip
 import hashlib
+import io
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,7 @@ from mck.twist_algebra import classify_circles
 from conftest import Q2_SPLITS, Q3_SPLITS
 from oracles import (
     cap_labelings, closure_by_delta, covers, enumerate_classes_direct,
-    face_vertices, matchings)
+    face_vertices, matchings, whole_catalog_json, whole_complex_json)
 from test_perturbation import _first_q4_seeds
 
 
@@ -597,6 +600,43 @@ def test_catalog_roundtrip():
     assert ([mg.canonical_form(g) for g in back]
             == [mg.canonical_form(g) for g in classes])
     assert catalog_to_json(back, p, q, r, marking) == text
+
+
+def _three_ways(serialize, oracle):
+    """The text `serialize(None)` returns, the text `serialize(fh)` writes
+    into a StringIO, and the oracle's text, which must all be equal."""
+    fh = io.StringIO()
+    assert serialize(fh) is None
+    text = serialize(None)
+    assert text == fh.getvalue() == oracle
+    return text
+
+
+def test_streamed_dump_is_the_whole_document():
+    # every q <= 2 complex in the builder's scope, and the four stored
+    # bench dumps after a reload; q = 1 dumps have an empty incidence list
+    cases = [build_complex(enumerate_top_classes(p, q, r, marking))
+             for p, q, r, marking in _scan_cases()
+             if q <= 2 and marking.builder_scope_ok()]
+    bench = Path(__file__).resolve().parents[1] / "bench" / "dumps"
+    stored = [gzip.decompress(path.read_bytes()).decode()
+              for path in sorted(bench.glob("*.json.gz"))]
+    cases += [complex_from_json(text) for text in stored]
+    assert len(stored) == 4 and len(cases) == 19
+    assert sum(not K.incidence for K in cases) == 6
+    texts = [_three_ways(lambda fh: complex_to_json(K, fh),
+                         whole_complex_json(K)) for K in cases]
+    assert texts[-4:] == stored
+
+
+def test_streamed_catalog_is_the_whole_document():
+    # every q <= 3 catalog under the markings all, p,0,r, 1,1,1 and 0,q,0
+    cases = list(_scan_cases())
+    assert len(cases) == 31
+    for p, q, r, marking in cases:
+        classes = enumerate_top_classes(p, q, r, marking)
+        _three_ways(lambda fh: catalog_to_json(classes, p, q, r, marking, fh),
+                    whole_catalog_json(classes, p, q, r, marking))
 
 
 def test_complex_roundtrip(complexes_q2):
