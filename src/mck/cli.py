@@ -135,17 +135,15 @@ def _load_complex_or_catalog(path):
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args):
+    if args.jobs != 1:
+        raise CliError(EXIT_PARAMS, "--jobs must be 1 (enumeration runs in "
+                       "one process), got %d" % args.jobs)
     marking = _marking(args, args.p, args.q, args.r)
-    classes = cb.enumerate_top_classes(args.p, args.q, args.r, marking,
-                                       jobs=args.jobs)
+    classes = cb.enumerate_top_classes(args.p, args.q, args.r, marking)
     _write(args.out, lambda fh: cb.catalog_to_json(
         classes, args.p, args.q, args.r, marking, fh))
     print("classes: %d" % len(classes))
-    hist = {}
-    for g in classes:
-        hist[len(g.levels)] = hist.get(len(g.levels), 0) + 1
-    for s in sorted(hist):
-        print("s=%d: %d" % (s, hist[s]))
+    print("s=1: %d" % len(classes))  # every catalog class has one level
     return 0
 
 
@@ -252,7 +250,9 @@ def build_parser():
     add_marking(pe)
     pe.add_argument("--out", help="catalog JSON path (stdout when omitted)")
     pe.add_argument("--jobs", type=int, default=1,
-                    help="worker cap, at most the CPU count (default 1)")
+                    help="must be 1: enumeration runs in one process; the "
+                         "flag stays so that command lines passing "
+                         "'--jobs 1' still run")
     pe.set_defaults(func=cmd_enumerate)
 
     pc = sub.add_parser("complex", help="downward closure of a seed catalog")

@@ -12,8 +12,7 @@ construction (one connected atom, every circle capped on its own side,
 labels 1..p and 1..r, a checked marking), so they are not validated one by
 one; every emitted class is.
 The catalog entry for each class is the decoded canonical representative,
-which makes output independent of enumeration order and of worker
-scheduling.
+which makes output independent of enumeration order.
 
 The complex is the downward closure of the one-level seeds under saddle
 resolution, and each class carries its handle data (index, cylinder ranks,
@@ -28,8 +27,6 @@ failed identity raises `morse_graph.InvariantViolation` naming the class.
 import hashlib
 import itertools
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,9 +221,9 @@ def _one_level_atoms(p, q, r, matchings):
             yield atom
 
 
-def _top_candidates_chunk(args):
-    """Worker: the canonical forms of the valid candidates in one chunk of
-    `_orbit_matchings`, one per one-level class, in scan order.
+def _top_forms(p, q, r, marking, matchings):
+    """The canonical forms of the valid candidates of `matchings` (the
+    `_orbit_matchings` scan), one per one-level class, in scan order.
 
     No two atoms of `_orbit_matchings` have one tagged atom code (the first
     element of `mg._atom_min_codes`: vertex count, relabeled edges and
@@ -237,7 +234,7 @@ def _top_candidates_chunk(args):
     every marked saddle.  It maps outgoing darts to outgoing darts, so it
     turns each saddle by 0 or 2 slots and permutes the unmarked ones: it is
     an element of G_s.  Each element of G_s is such an isomorphism.  So the
-    atoms of the chunks are pairwise non-isomorphic, and every class has
+    atoms of the scan are pairwise non-isomorphic, and every class has
     one of them.
 
     Each atom is capped once per orbit of its automorphisms and of the
@@ -248,47 +245,31 @@ def _top_candidates_chunk(args):
     maps one placement of the marked labels onto the other, and the
     unmarked labels are told apart by nothing.  Conversely each such
     automorphism, with any permutation of the unmarked labels, is an
-    isomorphism.  So the forms of the chunk are pairwise distinct, and
-    `enumerate_top_classes` checks that, across chunks too.
+    isomorphism.  So the forms are pairwise distinct, and
+    `enumerate_top_classes` checks that.
 
     `_cap_labelings` computes the atom's minimal codes
     (`mg._atom_min_codes`) first; the atom keeps them for the canonical
     forms of all its cappings.
     """
-    p, q, r, marking, matchings = args
     marked_s, fixed_s = _marked_saddle_sets(marking)
     return [mg.canonical_form(g)
             for atom in _one_level_atoms(p, q, r, matchings)
             for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q)]
 
 
-def enumerate_top_classes(p, q, r, marking=None, jobs=1):
+def enumerate_top_classes(p, q, r, marking=None):
     """All one-level classes with the given parameters, canonical order.
 
     Entries are decoded canonical representatives, so the catalog is a pure
-    function of (p, q, r, marking).  The orbits are found in this process;
-    the scan of their matchings runs in at most min(jobs, CPU count,
-    matchings) worker processes.  Every capping the scan keeps is a class
-    of its own; two with one canonical form raise InvariantViolation.
+    function of (p, q, r, marking).  Every capping the scan keeps is a
+    class of its own; two with one canonical form raise InvariantViolation.
     """
     if marking is None:
         marking = MarkingSpec.all_marked(p, q, r)
     _check_top_params(p, q, r, marking)
-    if jobs < 1:
-        raise ParameterError("jobs must be at least 1, got %r" % (jobs,))
     matchings = _orbit_matchings(q, _marked_saddle_sets(marking)[0])
-    workers = min(jobs, os.cpu_count() or 1, len(matchings))
-    if workers > 1:
-        chunk = (len(matchings) + workers - 1) // workers
-        argsets = [(p, q, r, marking, matchings[i:i + chunk])
-                   for i in range(0, len(matchings), chunk)]
-        forms = []
-        with ProcessPoolExecutor(max_workers=len(argsets)) as pool:
-            for got in pool.map(_top_candidates_chunk, argsets):
-                forms += got
-    else:
-        forms = _top_candidates_chunk((p, q, r, marking, matchings))
-    forms.sort()
+    forms = sorted(_top_forms(p, q, r, marking, matchings))
     for a, b in zip(forms, forms[1:]):
         if a == b:
             raise mg.InvariantViolation(
@@ -898,13 +879,12 @@ def catalog_to_json(classes, p, q, r, marking, fh=None):
 
 
 def catalog_from_json(doc):
-    """The classes and (p, q, r, marking) of a catalog, given as JSON text or
-    the decoded object; every class is revalidated."""
+    """The classes and (p, q, r, marking) of a decoded catalog document;
+    every class is revalidated."""
     try:
-        doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
         entries = mg._json_list(doc["classes"], "catalog classes")
-    except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
+    except (KeyError, TypeError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
     classes = [_graph_from_json(entry, p, q, r, marking, "classes[%d]" % i)
                for i, entry in enumerate(entries)]

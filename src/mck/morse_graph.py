@@ -713,17 +713,15 @@ class Automorphism:
     fixing marked labels pointwise.  It carries the permutations it induces
     on the graph it was computed from.
 
-    `darts`, `saddles` and `circles` are read-only mappings from each dart
-    (saddle, slot), saddle label and circle reference (atom, circle index)
-    to its image.  `edges` and `cylinders` are tuples: entry i is the
-    position in `global_edges()` of the image of the edge at position i,
-    and the index of the image of cylinder i.  The dart map determines the
-    rest, so it alone is hashed."""
+    `darts` and `saddles` are read-only mappings from each dart (saddle,
+    slot) and saddle label to its image.  `edges` and `cylinders` are
+    tuples: entry i is the position in `global_edges()` of the image of the
+    edge at position i, and the index of the image of cylinder i.  The dart
+    map determines the rest, so it alone is hashed."""
 
     darts: MappingProxyType
     saddles: MappingProxyType
     edges: tuple
-    circles: MappingProxyType
     cylinders: tuple
 
     def __hash__(self):
@@ -769,7 +767,6 @@ def automorphisms(g, framings):
             saddles=MappingProxyType({v: darts[(v, 0)][0] for atom in g.atoms
                                       for v in atom.saddles}),
             edges=tuple(offset[a] + i for a, i in images),
-            circles=MappingProxyType(circles),
             cylinders=tuple(cylinder_at[circles[tuple(lo)]]
                             for lo, _ in g.cylinders)))
     out.sort(key=lambda phi: (not phi.is_identity(), sorted(phi.darts.items())))

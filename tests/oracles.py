@@ -15,7 +15,8 @@ library's closure over covers must reproduce byte for byte.
 `fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
 the library's fraction-free `rref` is checked against.
 `exhaustive_canonicalize` encodes every framing, the reference for the
-library's pruned `canonicalize`.
+library's pruned `canonicalize`, and `circle_images` reads an
+automorphism's action on circles off its edge map.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
 per-class algebra dump that only the tests read.  `box_vertices`
 enumerates the vertices of a box cut by slabs, the reference for the
@@ -402,6 +403,20 @@ class Transvection:
     cylinder: int
     core: tuple    # core-class row over kept-edge coordinates
     matrix: tuple  # (n + m) x (n + m) rows of Fraction
+
+
+def circle_images(g, phi):
+    """The circle map of the automorphism `phi` of `g`: each circle
+    reference (atom, circle index) to its image, the circle on the same
+    side through the image of its first edge."""
+    offset = list(itertools.accumulate(
+        (len(atom.edges) for atom in g.atoms), initial=0))
+    circles = [(a, ci, side, cyc) for a, atom in enumerate(g.atoms)
+               for ci, (side, cyc) in enumerate(atom.circles)]
+    at = {(offset[a] + e, side): (a, ci) for a, ci, side, cyc in circles
+          for e in cyc}
+    return {(a, ci): at[(phi.edges[offset[a] + cyc[0]], side)]
+            for a, ci, side, cyc in circles}
 
 
 def transvections(g, model):

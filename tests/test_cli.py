@@ -98,7 +98,7 @@ def test_catalog_roundtrips_through_files(tmp_path, capsys):
         "--out", str(cat))
     from mck.complex_builder import catalog_from_json
     from mck import morse_graph as mg
-    classes, p, q, r, marking = catalog_from_json(cat.read_text())
+    classes, p, q, r, marking = catalog_from_json(json.loads(cat.read_text()))
     assert (p, q, r) == (2, 2, 2)
     for g in classes:
         mg.validate(g)
@@ -124,11 +124,17 @@ def test_stdout_carries_the_out_file_bytes(tmp_path, capsys):
 
 
 def test_jobs_flag_same_output(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    # enumeration runs in one process: --jobs 1 is accepted and changes
+    # nothing, and any other count is refused before anything is written
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2", "--out", str(a))
-    run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
-        "--jobs", "2", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
+    code, _, _ = run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
+                     "--jobs", "1", "--out", str(b))
+    assert code == 0 and a.read_bytes() == b.read_bytes()
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--q", "2",
+                         "--r", "2", "--jobs", "2", "--out", str(c))
+    assert code == 2 and out == "" and not c.exists()
+    assert err.startswith("error: --jobs") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -144,7 +150,7 @@ def test_seen_cache_env_is_ignored(tmp_path, capsys, monkeypatch):
     plain, poisoned = tmp_path / "plain.json", tmp_path / "poisoned.json"
     run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2",
         "--out", str(plain))
-    classes, *_ = cb.catalog_from_json(plain.read_text())
+    classes, *_ = cb.catalog_from_json(json.loads(plain.read_text()))
     one = mg.canonical_form(classes[0]).hex()
     marking = cb.MarkingSpec.all_marked(2, 2, 2)
     memo = {}

@@ -111,7 +111,7 @@ def test_cap_labelings_are_valid_by_construction():
                 kept.append(mg.canonical_form(g))
         assert len(kept) == len(forms) and set(kept) == forms, (
             p, q, r, marking)
-        assert cb._top_candidates_chunk((p, q, r, marking, orbits)) == kept
+        assert cb._top_forms(p, q, r, marking, orbits) == kept
     assert built == 24852
 
 
@@ -156,67 +156,11 @@ def test_scan_builds_each_tagged_atom_once(monkeypatch):
     assert len(built) == 76
 
 
-def test_enumeration_deterministic_and_parallel_agree():
+def test_enumeration_deterministic():
     base = enumerate_top_classes(2, 2, 2)
     again = enumerate_top_classes(2, 2, 2)
-    par = enumerate_top_classes(2, 2, 2, jobs=2)
     key = lambda gs: [mg.canonical_form(g) for g in gs]
-    assert key(base) == key(again) == key(par)
-
-
-def test_worker_pool_is_capped(monkeypatch):
-    monkeypatch.setattr(cb.os, "cpu_count", lambda: 3)
-    # a real 2-worker pool: the orbits are found before the matchings are
-    # chunked, and the union of forms is the same as in one process
-    marking = MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))
-    assert (enumerate_top_classes(3, 3, 2, marking, jobs=2)
-            == enumerate_top_classes(3, 3, 2, marking, jobs=1))
-    # a fake pool records its size and maps in-process, so no worker starts
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, argsets):
-            return map(fn, argsets)
-
-    monkeypatch.setattr(cb, "ProcessPoolExecutor", RecordingPool)
-    assert enumerate_top_classes(3, 2, 1, jobs=10**6) == enumerate_top_classes(3, 2, 1)
-    assert enumerate_top_classes(2, 1, 1, jobs=10**6) == enumerate_top_classes(2, 1, 1)
-    assert enumerate_top_classes(3, 2, 1, jobs=2) == enumerate_top_classes(3, 2, 1)
-    # min(jobs, CPUs, chunks): 10 and 2 orbit matchings for q = 2 and q = 1
-    assert sizes == [3, 2, 2]
-
-
-def test_class_from_two_chunks_is_an_invariant_violation(monkeypatch):
-    # every kept capping is a class of its own: a pool whose workers report
-    # the same forms raises, though each chunk's forms are distinct
-    class EchoPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, argsets):
-            argsets = list(argsets)
-            assert len(argsets) == 2
-            return [fn(argsets[0])] * 2
-
-    monkeypatch.setattr(cb.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cb, "ProcessPoolExecutor", EchoPool)
-    with pytest.raises(mg.InvariantViolation, match="one canonical form"):
-        enumerate_top_classes(2, 2, 2, jobs=2)
+    assert key(base) == key(again)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +171,23 @@ def test_q1_complex_has_no_incidence(complex_q1):
     K = complex_q1
     assert len(K.classes) == 1 and K.incidence == ()
     assert complex_dimension(K) == 0 and complex_rank(K) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a class's stored graph is the cover split that "
+                          "first reaches it, so the dump's bytes follow the "
+                          "seed order: three shuffles, three digests "
+                          "(ROADMAP item 1, canonical representatives)")
+def test_dump_independent_of_seed_order():
+    # (4, 3, 1) all marked: 426 classes and 1,836 entries in every order
+    seeds = enumerate_top_classes(4, 3, 1)
+    digests = set()
+    for s in range(3):
+        shuffled = list(seeds)
+        random.Random(s).shuffle(shuffled)
+        text = complex_to_json(build_complex(shuffled))
+        digests.add(hashlib.sha256(text.encode()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_q2_closure_equals_direct_enumeration(complexes_q2):
@@ -595,7 +556,7 @@ def test_one_level_classes_have_no_cylinders(complexes_q2):
 def test_catalog_roundtrip():
     classes = enumerate_top_classes(3, 2, 1)
     text = catalog_to_json(classes, 3, 2, 1, MarkingSpec.all_marked(3, 2, 1))
-    back, p, q, r, marking = catalog_from_json(text)
+    back, p, q, r, marking = catalog_from_json(json.loads(text))
     assert (p, q, r) == (3, 2, 1)
     assert ([mg.canonical_form(g) for g in back]
             == [mg.canonical_form(g) for g in classes])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig8, group_of
-from oracles import matchings
-from mck.complex_builder import MarkingSpec, _top_candidates_chunk
+from oracles import circle_images, matchings
+from mck.complex_builder import MarkingSpec, _top_forms
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
@@ -243,8 +243,7 @@ def test_decode_round_trip_partially_marked():
     # the (3, 3, 2) catalog marked 1,1,1 decodes each form of the scan;
     # atoms of one orbit of the full matching scan repeat their forms
     marking = MarkingSpec(marked=(1, 1, 1), fixed=(0, 0, 0))
-    forms = set(_top_candidates_chunk(
-        (3, 3, 2, marking, list(matchings((1, 2, 3))))))
+    forms = set(_top_forms(3, 3, 2, marking, list(matchings((1, 2, 3)))))
     assert [cf for cf in sorted(forms)
             if canonical_form(decode_canonical(cf)) != cf] == []
 
@@ -260,7 +259,7 @@ def test_fig8_automorphisms_marked_vs_unmarked(fig8_lmg):
     assert len(auts) == 2
     swap = next(a for a in auts if not a.is_identity())
     # the loop swap permutes the two min caps without fixing either
-    cmap = swap.circles
+    cmap = circle_images(free_g, swap)
     assert cmap[(0, 0)] == (0, 1) and cmap[(0, 1)] == (0, 0)
 
 

@@ -1,6 +1,9 @@
 """Properties of the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mck
@@ -92,3 +95,16 @@ def test_every_library_definition_is_used():
               if name not in kept
               and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # enumeration runs in one process; `concurrent.futures.process` pulls in
+    # `multiprocessing`, about 3 MB of RSS that every run would pay
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mck.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -16,8 +16,8 @@ from mck.twist_algebra import (
     homology_model, u_polytope,
 )
 from oracles import (
-    algebra_json, box_vertices, delta_chain, enumerate_classes_direct,
-    polytope_slabs, polytope_vertices, transvections)
+    algebra_json, box_vertices, circle_images, delta_chain,
+    enumerate_classes_direct, polytope_slabs, polytope_vertices, transvections)
 
 
 def family_tower():
@@ -508,7 +508,7 @@ def test_fig8_loop_swap_is_admissible_and_moves_both_disks():
     # swap has no rotation offset
     assert check_stab_action(g, m, auts) == (True, False)
     swap = next(a for a in auts if not a.is_identity())
-    cmap = swap.circles
+    cmap = circle_images(g, swap)
     # the swap acts freely on the two min-disk circles
     assert cmap[(0, 0)] != (0, 0) and cmap[(0, 1)] != (0, 1)
 
