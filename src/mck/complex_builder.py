@@ -27,7 +27,7 @@ failed identity raises `morse_graph.InvariantViolation` naming the class.
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import morse_graph as mg
@@ -300,10 +300,14 @@ class HandleRecord:
     dim_upoly: int
     handle_dim: int   # index + n + dim_upoly
     gamma_order: int
-    mirror_self: bool
+    mirror: str       # class id of the mirror; None until the build reads it
     all_admissible: bool
     all_free: bool
     poincare: tuple   # handle Poincare polynomial coefficients
+
+    @property
+    def mirror_self(self):
+        return self.mirror == self.class_id
 
 
 @dataclass(frozen=True)
@@ -359,11 +363,15 @@ def _poly_mul(a, b):
     return out
 
 
-def handle_record(g, enc, framings):
+def handle_record(g, enc, framings, mirror_enc):
     """Compute the full handle record of one validated class from its
     framing pass `enc, framings = mg.canonicalize(g)`.  The canonical bytes
-    are encoded here, once per class, and the mirror's encoding is compared
-    with `enc` as a tuple.
+    are encoded here, once per class.  `mirror_enc` is the minimal encoding
+    of `mg.mirror(g)`; the record's `mirror` is `class_id` of its bytes,
+    encoded only when it is not `enc`.  `complex_from_json` frames each
+    mirror.  `build_complex` frames the top classes' mirrors only and reads
+    the others off its cover memo once the closure is done (`_mirror_ids`),
+    so it passes None, which leaves `mirror` None until then.
 
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and every split it registers as a class; `_graph_from_json` every
@@ -381,14 +389,19 @@ def handle_record(g, enc, framings):
     except mg.InvariantViolation as exc:
         raise mg.InvariantViolation(
             "class %s: %s" % (cid, exc)) from exc
+    if mirror_enc is None:
+        mirror = None
+    elif mirror_enc == enc:
+        mirror = cid
+    else:
+        mirror = class_id(mg.form_bytes(mirror_enc))
     s = len(g.levels)
     index = g.q - s
     return HandleRecord(
         class_id=cid, canonical=canonical, lmg=g,
         index=index, s=s, n=n,
         dim_upoly=dim_upoly, handle_dim=index + n + dim_upoly,
-        gamma_order=len(autos),
-        mirror_self=(mg.canonicalize(mg.mirror(g))[0] == enc),
+        gamma_order=len(autos), mirror=mirror,
         all_admissible=admissible, all_free=free,
         poincare=poincare)
 
@@ -417,6 +430,13 @@ def build_complex(seeds):
     Classes are looked up by the minimal encoding of that pass, a tuple;
     only a registered class has it turned into canonical bytes, and the
     classes are output in the order of those bytes.
+    Reversing the orientation permutes the classes and commutes with every
+    cover split, so only the top classes' mirrors are framed; once the
+    closure is done, every other class's mirror is read off the cover memo
+    (`_mirror_ids`).  That also checks that the covers into a class agree
+    on its mirror, that the map is an involution, and that it is defined on
+    every class with more than one level, so a seed set whose closure is
+    not mirror-closed below the top level raises InvariantViolation.
 
     Every seed is validated and must carry the first seed's marking, one
     that `MarkingSpec.check` accepts, and q <= MAX_TOP_Q (ParameterError
@@ -474,7 +494,7 @@ def build_complex(seeds):
 
     def register(enc, g, framings):
         known[enc] = len(records)
-        records.append(handle_record(g, enc, framings))
+        records.append(handle_record(g, enc, framings, None))
         saddle_at.append({at: v for v, at
                           in mg.saddle_positions(g, framings).items()})
         queue.append(known[enc])
@@ -534,10 +554,82 @@ def build_complex(seeds):
             reached[face] = (c1, rho1)
             incidence.append((records[c].class_id, face, records[c1].class_id))
 
+    for c, m in enumerate(_mirror_ids(records, known, saddle_at, covers,
+                                      top_count)):
+        records[c] = replace(records[c], mirror=m)
     return ComplexK(p=p, q=q, r=r, marking=marking,
                     classes=tuple(sorted(records, key=lambda rec: rec.canonical)),
                     incidence=tuple(sorted(incidence)),
                     top_count=top_count)
+
+
+def _mirror_ids(records, known, saddle_at, covers, top_count):
+    """Class index -> class id of its representative's mirror, read off the
+    closure's cover memo: m(c), the index of the mirror's class, is None
+    only for a top class whose mirror is not a class of the complex, which
+    keeps the id of its framed mirror.
+
+    Only the top classes (indices below `top_count`) have their mirror
+    framed: its encoding is looked up in `known`, and sigma_c, the saddle
+    relabeling of mirror(rep c) into rep m(c), is matched by
+    `saddle_positions`.  Reversing the orientation commutes with resolving
+    a level and keeps every saddle label, so a cover entry
+    covers[(c0, K)] = (c1, rho) with m(c0) a class gives
+    covers[(m(c0), sigma_c0(K))] = (m(c1), rho') and
+    sigma_c1 = rho' . sigma_c0 . rho^-1.  The memo is read once per level
+    count of the source, so every source's mirror is known before its
+    covers are read.  An InvariantViolation names the class when two
+    covers into it give different mirrors, when m(m(c)) is not c, or when a
+    class with more than one level has no mirror: the complex of a
+    mirror-closed seed set is mirror-closed."""
+    q = records[0].lmg.q
+    mirror = [None] * len(records)
+    sigma = [None] * len(records)
+    outside = {}    # top class -> class id of a mirror not in the complex
+    for c in range(top_count):
+        h = mg.mirror(records[c].lmg)
+        enc, framings = mg.canonicalize(h)
+        m = known.get(enc)
+        if m is None:
+            outside[c] = class_id(mg.form_bytes(enc))
+        else:
+            at = saddle_at[m]
+            pos = mg.saddle_positions(h, framings)
+            mirror[c] = m
+            sigma[c] = tuple(at[pos[v]] for v in range(1, q + 1))
+    levels = [rec.s for rec in records]
+    for s in range(1, q):
+        for (c0, face), (c1, rho) in covers.items():
+            m0, sig0 = mirror[c0], sigma[c0]
+            if levels[c0] != s or m0 is None:
+                continue
+            image = covers.get((m0, tuple(
+                tuple(sorted(sig0[v - 1] for v in block)) for block in face)))
+            if image is None:
+                raise mg.InvariantViolation(
+                    "class %s: the mirror of face %s is no cover of class %s"
+                    % (records[c0].class_id, face, records[m0].class_id))
+            m1, rho1 = image
+            if mirror[c1] is None:
+                sig1 = [0] * q
+                for v, w in enumerate(rho):
+                    sig1[w - 1] = rho1[sig0[v] - 1]
+                mirror[c1], sigma[c1] = m1, tuple(sig1)
+            elif mirror[c1] != m1:
+                raise mg.InvariantViolation(
+                    "class %s: its covers give the mirrors %s and %s"
+                    % (records[c1].class_id, records[mirror[c1]].class_id,
+                       records[m1].class_id))
+    for c, m in enumerate(mirror):
+        if m is None and levels[c] > 1:
+            raise mg.InvariantViolation("class %s: its mirror is not a class "
+                                        "of the complex" % records[c].class_id)
+        if m is not None and mirror[m] != c:
+            raise mg.InvariantViolation(
+                "class %s: the mirror of its mirror %s is not itself"
+                % (records[c].class_id, records[m].class_id))
+    return [outside[c] if m is None else records[m].class_id
+            for c, m in enumerate(mirror)]
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +917,40 @@ def _check_incidence(records, incidence):
                                   "match its %d faces" % (rec.class_id, len(want)))
 
 
+def _check_mirrors(records, incidence):
+    """The mirror is a map on the stored classes: an involution wherever a
+    class's mirror is stored, defined on every class with more than one
+    level, and mapping the targets of each class's entries onto the targets
+    of its mirror's entries, as multisets."""
+    by_id = {rec.class_id: rec for rec in records}
+    for rec in records:
+        m = by_id.get(rec.mirror)
+        if m is None and rec.s > 1:
+            raise mg.LMGJSONError("class %s: its mirror %s is not stored"
+                                  % (rec.class_id, rec.mirror))
+        if m is not None and m.mirror != rec.class_id:
+            raise mg.LMGJSONError("class %s: the mirror of its mirror %s is "
+                                  "not itself" % (rec.class_id, rec.mirror))
+    targets = {}
+    for src, _, dst in incidence:
+        targets.setdefault(src, []).append(dst)
+    for rec in records:
+        if rec.mirror in by_id:
+            mapped = sorted(by_id[dst].mirror
+                            for dst in targets.get(rec.class_id, ()))
+            if mapped != sorted(targets.get(rec.mirror, ())):
+                raise mg.LMGJSONError(
+                    "class %s: the mirrors of its entries' targets are not "
+                    "the targets of its mirror %s" % (rec.class_id, rec.mirror))
+
+
 def complex_from_json(doc):
     """Rebuild a complex from its JSON dump (text or the decoded object),
     revalidating every class and refusing it unless every class is listed
-    once and every stored record, global invariant and incidence face list
-    equals its recomputation.  A marking that `build_complex` refuses is
-    refused here too, with the same `ScopeError`, and so is q > MAX_TOP_Q,
-    with `ParameterError`."""
+    once, every stored record, global invariant and incidence face list
+    equals its recomputation, and the framed mirrors pass `_check_mirrors`.
+    A marking that `build_complex` refuses is refused here too, with the
+    same `ScopeError`, and so is q > MAX_TOP_Q, with `ParameterError`."""
     try:
         doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
@@ -851,7 +970,9 @@ def complex_from_json(doc):
     for i, (entry, lmg) in enumerate(zip(entries, lmgs)):
         g = _graph_from_json(lmg, p, q, r, marking,
                              "classes[%d] (id %r)" % (i, entry.get("id")))
-        rec = handle_record(g, *mg.canonicalize(g))
+        enc, framings = mg.canonicalize(g)
+        rec = handle_record(g, enc, framings,
+                            mg.canonicalize(mg.mirror(g))[0])
         if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry.get("id"))
@@ -864,6 +985,7 @@ def complex_from_json(doc):
         records.append(rec)
     records.sort(key=lambda rec: rec.canonical)
     _check_incidence(records, incidence)
+    _check_mirrors(records, incidence)
     top_count = sum(1 for rec in records if rec.s == 1)
     K = ComplexK(p=p, q=q, r=r, marking=marking, classes=tuple(records),
                  incidence=incidence, top_count=top_count)

@@ -737,11 +737,20 @@ def automorphisms(g, framings):
 
     Every winning framing differs from a reference one by exactly one
     automorphism, found by composing the two framings' dart relabelings
-    atom position by atom position.
+    atom position by atom position.  One winning framing means the group
+    is the identity alone, which is built as it is, with the entries in the
+    order the composition gives them.
     """
     ref_arr, ref_maps = framings[0]
     offset = list(itertools.accumulate(
         (len(atom.edges) for atom in g.atoms), initial=0))
+    if len(framings) == 1:
+        return [Automorphism(
+            darts=MappingProxyType({d: d for a in ref_arr for d in ref_maps[a]}),
+            saddles=MappingProxyType({v: v for atom in g.atoms
+                                      for v in atom.saddles}),
+            edges=tuple(range(offset[-1])),
+            cylinders=tuple(range(len(g.cylinders))))]
     by_out = [atom.edge_at_out() for atom in g.atoms]
     circle_at = {(a, e, side): ci for a, atom in enumerate(g.atoms)
                  for ci, (side, cyc) in enumerate(atom.circles) for e in cyc}

@@ -20,11 +20,12 @@ from mck import perturbation as pt
 import oracles
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-TRACING = BENCH / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name):
+    """The module `bench/<name>.py`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_" + name,
+                                                  BENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -32,7 +33,7 @@ def _load_tracing():
 
 def _traced(build):
     """`build()` run under the tracer, and the pass's metric values."""
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
         result = build()
@@ -42,7 +43,7 @@ def _traced(build):
 
 
 def test_every_traced_name_resolves_to_a_callable():
-    wrapped = _load_tracing().WRAPPED
+    wrapped = _load_bench("tracing").WRAPPED
     assert wrapped
     for module, attr, metric in wrapped:
         assert module in sys.modules, metric
@@ -91,6 +92,22 @@ def test_tracer_sees_one_group_per_handle_record(traced_build):
     assert metrics["morse_graph.automorphisms.calls"] == 2 * len(K.classes)
     assert (metrics["morse_graph.automorphisms.group_order_sum"]
             == 2 * sum(rec.gamma_order for rec in K.classes))
+
+
+def test_tracer_sees_one_mirror_per_top_class():
+    # closure_sweep's eight complexes: the build frames the mirror of each
+    # of the 230 top classes and reads the other 618 classes' mirrors off
+    # its cover memo
+    seeds = []
+    for p, q, r, marked in _load_bench("workloads").CLOSURE_JOBS:
+        marking = None if marked == "all" else cb.MarkingSpec(
+            marked=tuple(int(x) for x in marked.split(",")), fixed=(0, 0, 0))
+        seeds.append(cb.enumerate_top_classes(p, q, r, marking))
+    assert len(seeds) == 8
+    complexes, calls = _traced(lambda: [cb.build_complex(s) for s in seeds])
+    assert sum(len(K.classes) for K in complexes) == 848
+    assert sum(K.top_count for K in complexes) == 230
+    assert calls["morse_graph.mirror.calls"] == 230
 
 
 def test_tracer_sees_one_elimination_per_handle_record(traced_build):
@@ -194,7 +211,7 @@ def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
     # each atom keeps its codes per (marked, fixed saddles of the atom), and
     # its kept surgeries hold every atom split off it, so equal atoms are one
     # object and no (atom, marked, fixed) is computed twice, however many
-    # split graphs, representatives and mirrors contain it.
+    # split graphs, representatives and top classes' mirrors contain it.
     # The table is the test's own, so no atom an earlier test left alive is
     # handed out, and the spy records values, so it holds no atom
     monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
@@ -210,7 +227,7 @@ def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
     monkeypatch.setattr(mg, "_atom_codes", counted)
     K = cb.build_complex(seeds)
     assert len(K.classes) == 71
-    assert len(keys) == len(set(keys)) == 14
+    assert len(keys) == len(set(keys)) == 12
     # a second build of the same seeds, while the first complex is alive,
     # splits the same atoms and so meets only atoms that keep their codes
     keys.clear()
@@ -274,9 +291,10 @@ def test_one_atom_check_per_atom_object(monkeypatch):
 
 
 def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
-    # the build frames each seed, each cover split and each class's mirror
-    # once; a handle record reads its group off the pass that registered
-    # its class instead of framing the representative again
+    # the build frames each seed, each cover split and each top class's
+    # mirror once; a handle record reads its group off the pass that
+    # registered its class instead of framing the representative again,
+    # and a multi-level class reads its mirror off the cover memo
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     passes = []
@@ -291,13 +309,13 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
     covers = sum(len(oracles.covers(rec.lmg.level_partition()))
                  for rec in K.classes)
     assert (len(seeds), covers, len(K.classes)) == (20, 186, 71)
-    assert len(passes) == len(seeds) + covers + len(K.classes) == 277
+    assert len(passes) == len(seeds) + covers + K.top_count == 226
 
 
 def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
-    # the build's 277 framing passes encode only the framings whose cap
-    # blocks are least, 316 in all; encoding every product of in-level
-    # orders and minimal roots took 1,560
+    # the build's 226 framing passes encode only the framings whose cap
+    # blocks are least, 256 in all, not every product of in-level orders
+    # and minimal roots
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     encoded = []
@@ -310,13 +328,13 @@ def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
     monkeypatch.setattr(mg, "_framing_encoding", counted)
     K = cb.build_complex(seeds)
     assert len(K.classes) == 71
-    assert len(encoded) == 316
+    assert len(encoded) == 256
 
 
 def test_library_calls_traced_functions_through_traced_names():
     # `from .m import f` binds a second name for f; when the tracer wraps f,
     # it must wrap that name too, or calls through it go unseen
-    wrapped = {(module, attr) for module, attr, _ in _load_tracing().WRAPPED}
+    wrapped = {(module, attr) for module, attr, _ in _load_bench("tracing").WRAPPED}
     traced = {attr for _, attr in wrapped}
     source = Path(cb.__file__).resolve().parent
     unwrapped = []

@@ -202,7 +202,9 @@ def _closure_jobs(complexes_q2, complexes_q3):
     every q <= 2 split and (4, 3, 1) all marked; every q <= 2 split with
     extrema only and one point of each index marked; every q = 3 split with
     those and with saddles only marked, seeds shuffled; closures of a few
-    q = 4 seeds.  (Saddles only leave too few marked points at q <= 2.)"""
+    q = 4 seeds and their mirrors, since the build reads each class's
+    mirror off the closure and refuses a multi-level class whose mirror is
+    not in it.  (Saddles only leave too few marked points at q <= 2.)"""
     for (p, r), K in complexes_q2.items():
         yield "%d-2-%d-all" % (p, r), enumerate_top_classes(p, 2, r), K
     for q, splits in ((1, ((2, 1), (1, 2))), (2, Q2_SPLITS)):
@@ -226,6 +228,7 @@ def _closure_jobs(complexes_q2, complexes_q3):
                           (3, 3, MarkingSpec((1, 1, 1), (0, 0, 0))),
                           (4, 2, MarkingSpec((0, 4, 0), (0, 0, 0)))):
         seeds = _first_q4_seeds(p, r, marking, 6)
+        seeds += [mg.mirror(g) for g in seeds]
         yield ("%d-4-%d-%s" % (p, r, marking.marked), seeds,
                build_complex(seeds))
 
@@ -679,6 +682,42 @@ def test_incidence_target_is_checked(complexes_q2):
             complex_from_json(json.dumps(doc))
 
 
+def test_swapped_targets_refused_by_the_mirror_check(tmp_path, capsys):
+    # swapping the targets of two entries whose targets have one level
+    # count keeps every face list and level count, so only the mirror map
+    # can see it: in the (2,2,2) all-marked dump it catches 50 of the 160
+    # swaps that change the incidence, and `mck euler` exits 3 on the first
+    K = build_complex(enumerate_top_classes(2, 2, 2))
+    doc = json.loads(complex_to_json(K))
+    entries = doc["incidence"]
+    s_of = {rec.class_id: rec.s for rec in K.classes}
+    caught = []
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            a, b = entries[i][2], entries[j][2]
+            if a == b or s_of[a] != s_of[b]:
+                continue
+            swapped = list(K.incidence)
+            swapped[i] = (*K.incidence[i][:2], b)
+            swapped[j] = (*K.incidence[j][:2], a)
+            cb._check_incidence(K.classes, swapped)
+            try:
+                cb._check_mirrors(K.classes, swapped)
+            except mg.LMGJSONError:
+                caught.append((i, j))
+    assert K.incidence == tuple(cb._incidence_entry(*e) for e in entries)
+    assert len(caught) == 50
+    i, j = caught[0]
+    entries[i][2], entries[j][2] = entries[j][2], entries[i][2]
+    dump = tmp_path / "K.json"
+    dump.write_text(json.dumps(doc))
+    code = main(["euler", "--input", str(dump)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert re.search(r"class c[0-9a-f]{16}: the mirrors of its entries' "
+                     r"targets are not the targets of its mirror", err)
+
+
 def test_class_poset_dot(complexes_q2):
     K = complexes_q2[(3, 1)]
     dot = class_poset_dot(K)
@@ -687,11 +726,51 @@ def test_class_poset_dot(complexes_q2):
     assert dot.count("->") == len({(s, d) for s, _, d in K.incidence})
 
 
-def test_mirror_self_flag(complexes_q2):
-    K = complexes_q2[(2, 2)]
-    forms = {rec.canonical for rec in K.classes}
-    for rec in K.classes:
-        mirrored = mg.canonical_form(mg.mirror(rec.lmg))
-        assert rec.mirror_self == (mirrored == rec.canonical)
-        # the catalog is mirror-closed
-        assert mirrored in forms
+def test_mirror_self_flag(complex_q1, complexes_q2):
+    # the build frames only the top classes' mirrors and reads the others
+    # off its cover memo; every class's mirror id and flag equal those of
+    # its framed mirror, on the q <= 2 complexes and on (4,3,1), (3,3,2) and
+    # (2,3,3) under four markings, seeds shuffled.  The one mirror outside
+    # its complex is that of a (3,3,2) 1,1,1 top class (ROADMAP item 1)
+    rng = random.Random(5)
+    cases = [complex_q1, *complexes_q2.values()]
+    for p, r in ((4, 1), (3, 2), (2, 3)):
+        for marked in ((p, 3, r), (p, 0, r), (1, 1, 1), (0, 3, 0)):
+            seeds = enumerate_top_classes(
+                p, 3, r, MarkingSpec(marked=marked, fixed=(0, 0, 0)))
+            rng.shuffle(seeds)
+            cases.append(build_complex(seeds))
+    outside = []
+    for K in cases:
+        ids = {rec.class_id for rec in K.classes}
+        for rec in K.classes:
+            framed = cb.class_id(mg.canonical_form(mg.mirror(rec.lmg)))
+            assert rec.mirror == framed, rec.class_id
+            assert rec.mirror_self == (framed == rec.class_id)
+            if framed not in ids:
+                outside.append((rec.class_id, rec.s))
+    assert len(cases) == 16
+    assert outside == [("c146f13c1679b23d2", 1)]
+
+
+def test_covers_giving_two_mirrors_refused(monkeypatch):
+    # one cover entry of a chiral top class is sent to another two-level
+    # class before the mirrors are read off the memo: that class then gets
+    # one mirror from its own cover and another through the wrong entry
+    raw = cb._mirror_ids
+
+    def corrupted(records, known, saddle_at, covers, top_count):
+        (c0, face), (c1, rho) = next(
+            (key, value) for key, value in covers.items()
+            if records[key[0]].s == 1 and mg.canonical_form(
+                mg.mirror(records[key[0]].lmg)) != records[key[0]].canonical)
+        other = next(c for c, rec in enumerate(records)
+                     if rec.s == 2 and c != c1)
+        covers[(c0, face)] = (other, rho)
+        return raw(records, known, saddle_at, covers, top_count)
+
+    monkeypatch.setattr(cb, "_mirror_ids", corrupted)
+    with pytest.raises(mg.InvariantViolation,
+                       match=r"class c[0-9a-f]{16}: its covers give the "
+                             r"mirrors c[0-9a-f]{16} and c[0-9a-f]{16}"):
+        build_complex(enumerate_top_classes(2, 2, 2))

@@ -1,6 +1,8 @@
 import dataclasses
+import gzip
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
     NonAlternatingError, StructureError, UnmatchedDartError,
-    canonical_form, components, decode_canonical, dual,
-    from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
+    automorphisms, canonical_form, canonicalize, components,
+    decode_canonical, dual, from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
 )
 
 # a one-level q=3 class that is neither mirror-symmetric nor has any
@@ -279,6 +281,30 @@ def test_group_closure_under_composition():
     maps = [a.darts for a in auts]
     for a, b in itertools.product(auts, repeat=2):
         assert {d: b.darts[e] for d, e in a.darts.items()} in maps
+
+
+def test_identity_group_built_directly_equals_the_composed_one():
+    # one winning framing: the group is the identity alone, built without
+    # composing; it equals the framing composed with itself (what the
+    # general path gives for two equal framings), entry order included, on
+    # every such class of the four stored bench dumps
+    bench = Path(__file__).resolve().parents[1] / "bench" / "dumps"
+    trivial = total = 0
+    for path in sorted(bench.glob("*.json.gz")):
+        for entry in json.loads(gzip.decompress(path.read_bytes()))["classes"]:
+            total += 1
+            g = from_json(entry["lmg"])
+            framings = canonicalize(g)[1]
+            if len(framings) > 1:
+                continue
+            trivial += 1
+            (direct,) = automorphisms(g, framings)
+            composed = automorphisms(g, framings * 2)[0]
+            assert direct == composed
+            for field in ("darts", "saddles"):
+                assert (list(getattr(direct, field).items())
+                        == list(getattr(composed, field).items()))
+    assert (trivial, total) == (1709, 1804)
 
 
 def test_automorphisms_are_hashable_and_read_only():
