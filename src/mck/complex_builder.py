@@ -367,11 +367,13 @@ def handle_record(g, enc, framings, mirror_enc):
     """Compute the full handle record of one validated class from its
     framing pass `enc, framings = mg.canonicalize(g)`.  The canonical bytes
     are encoded here, once per class.  `mirror_enc` is the minimal encoding
-    of `mg.mirror(g)`; the record's `mirror` is `class_id` of its bytes,
-    encoded only when it is not `enc`.  `complex_from_json` frames each
-    mirror.  `build_complex` frames the top classes' mirrors only and reads
-    the others off its cover memo once the closure is done (`_mirror_ids`),
-    so it passes None, which leaves `mirror` None until then.
+    of `mg.mirror(g)`, as `mg.canonicalize_mirror(g)` gives it without
+    building the mirror graph; the record's `mirror` is `class_id` of its
+    bytes, encoded only when it is not `enc`.  `complex_from_json` frames
+    each mirror.  `build_complex` frames the top classes' mirrors only and
+    reads the others off its cover memo once the closure is done
+    (`_mirror_ids`), so it passes None, which leaves `mirror` None until
+    then.
 
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and every split it registers as a class; `_graph_from_json` every
@@ -570,10 +572,11 @@ def _mirror_ids(records, known, saddle_at, covers, top_count):
     keeps the id of its framed mirror.
 
     Only the top classes (indices below `top_count`) have their mirror
-    framed: its encoding is looked up in `known`, and sigma_c, the saddle
-    relabeling of mirror(rep c) into rep m(c), is matched by
-    `saddle_positions`.  Reversing the orientation commutes with resolving
-    a level and keeps every saddle label, so a cover entry
+    framed, by `mg.canonicalize_mirror`, which builds no mirror graph: its
+    encoding is looked up in `known`, and sigma_c, the saddle relabeling
+    of mirror(rep c) into rep m(c), is matched by `saddle_positions` on
+    rep c itself.  Reversing the orientation commutes with resolving a
+    level and keeps every saddle label, so a cover entry
     covers[(c0, K)] = (c1, rho) with m(c0) a class gives
     covers[(m(c0), sigma_c0(K))] = (m(c1), rho') and
     sigma_c1 = rho' . sigma_c0 . rho^-1.  The memo is read once per level
@@ -587,14 +590,14 @@ def _mirror_ids(records, known, saddle_at, covers, top_count):
     sigma = [None] * len(records)
     outside = {}    # top class -> class id of a mirror not in the complex
     for c in range(top_count):
-        h = mg.mirror(records[c].lmg)
-        enc, framings = mg.canonicalize(h)
+        g = records[c].lmg
+        enc, framings = mg.canonicalize_mirror(g)
         m = known.get(enc)
         if m is None:
             outside[c] = class_id(mg.form_bytes(enc))
         else:
             at = saddle_at[m]
-            pos = mg.saddle_positions(h, framings)
+            pos = mg.saddle_positions(g, framings)
             mirror[c] = m
             sigma[c] = tuple(at[pos[v]] for v in range(1, q + 1))
     levels = [rec.s for rec in records]
@@ -954,10 +957,10 @@ def complex_from_json(doc):
     try:
         doc = json.loads(doc) if isinstance(doc, str) else doc
         p, q, r, marking = _params_from_json(doc)
-        entries = doc["classes"]
+        entries = mg._json_list(doc["classes"], "complex classes")
         lmgs = [entry["lmg"] for entry in entries]
-        incidence = tuple(sorted(_incidence_entry(*entry)
-                                 for entry in doc["incidence"]))
+        incidence = tuple(sorted(_incidence_entry(*entry) for entry
+                                 in mg._json_list(doc["incidence"], "incidence")))
     except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))
     if not entries:
@@ -971,8 +974,7 @@ def complex_from_json(doc):
         g = _graph_from_json(lmg, p, q, r, marking,
                              "classes[%d] (id %r)" % (i, entry.get("id")))
         enc, framings = mg.canonicalize(g)
-        rec = handle_record(g, enc, framings,
-                            mg.canonicalize(mg.mirror(g))[0])
+        rec = handle_record(g, enc, framings, mg.canonicalize_mirror(g)[0])
         if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry.get("id"))

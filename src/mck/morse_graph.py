@@ -410,13 +410,19 @@ def validate(g):
 # are embedded in the encoding, unmarked critical points encode as -1, so
 # equality of encodings is exactly orientation-preserving level-preserving
 # isomorphism fixing marked points.  `canonicalize` is the one pass: it
-# returns the minimal encoding and every framing achieving it, encoding only
-# the framings whose caps can be least; the canonical form is that encoding
-# as JSON bytes (`form_bytes`).  Each of those framings yields one
+# returns the minimal encoding and every framing achieving it, considering
+# only the framings whose caps can be least; the canonical form is that
+# encoding as JSON bytes (`form_bytes`).  Each of those framings yields one
 # automorphism (`automorphisms`), and the first places every saddle
 # (`saddle_positions`); neither frames the graph again.  Each atom's circle
 # maps are computed once per minimal root dart and shared by every framing
-# that picks it.
+# that picks it.  One kernel (`_minimal_framings`) does the minimizing: it
+# builds the header, level sizes, codes and caps once per graph, as every
+# framing it considers shares them, and compares those framings by their
+# cylinders alone.  `canonicalize_mirror` feeds it the mirror's atoms and
+# circle maps, which each atom keeps, so the reload and the build frame a
+# mirror without building the mirror graph; `mirror` stays the constructor
+# and the reference it is tested against.
 #
 # An atom's minimal codes and realizing framings depend only on the atom and
 # on which of its saddles are marked or fixed, and one operation meets the
@@ -524,27 +530,98 @@ def _relabeled_circles(atom, dmap):
     return tuple(image)
 
 
-def _framing_encoding(g, arrangement, codes, circle_maps):
-    """Full encoding for one framing.
+def _cap_entry(cap):
+    """A cap's entry in an encoding, its circle reference left out."""
+    return (cap.kind, cap.label if cap.marked else -1, cap.marked, cap.fixed)
 
-    arrangement: tuple of original atom indices in framing order (levels
-    concatenated); codes: their atom codes in that order; circle_maps[a]:
-    the circle map of the root dart chosen for atom a.
+
+def _framing_cylinders(cylinders, pos, circle_maps):
+    """The cylinder part of one framing's encoding, the only part in which
+    the framings `_minimal_framings` compares differ: each cylinder as its
+    two ends (atom position, relabeled circle index) in order, sorted.
+    `pos[a]` is the position of atom a and `circle_maps[a]` the circle map
+    of the root dart chosen for it."""
+    out = []
+    for (a, c), (b, d) in cylinders:
+        lo, hi = (pos[a], circle_maps[a][c]), (pos[b], circle_maps[b][d])
+        out.append((lo, hi) if lo < hi else (hi, lo))
+    out.sort()
+    return tuple(out)
+
+
+def _minimal_framings(g, atoms, caps, cylinders):
+    """The one minimization behind `canonicalize` and `canonicalize_mirror`.
+
+    `atoms[a]` is the atom framed in place of atom a of `g`, which supplies
+    the levels, the marked and fixed saddles and the header; `caps` lists
+    (circle reference, `_cap_entry`) and `cylinders` pairs of circle
+    references, both in the circles of `atoms`.  Returns the minimal
+    encoding and its framings, as `canonicalize` documents them.
     """
-    pos = {a: i for i, a in enumerate(arrangement)}
+    code_of = []       # atom -> its least code
+    least = []         # atom -> (least cap block, realizations reaching it)
+    on_atom = [[] for _ in atoms]   # (circle, rest of the cap entry)
+    for (a, ci), rest in caps:
+        on_atom[a].append((ci, rest))
+    for atom, on in zip(atoms, on_atom):
+        best_code, realizations = _atom_min_codes(atom, g.marked_saddles,
+                                                  g.fixed_saddles)
+        code_of.append(best_code)
+        end = ((len(atom.circles),),)
+        blocks = [tuple(sorted([(cmap[ci], rest) for ci, rest in on])) + end
+                  for _, cmap in realizations]
+        if len(blocks) == 1:
+            least.append((blocks[0], realizations))
+            continue
+        low = min(blocks)
+        least.append((low, [real for real, block in zip(realizations, blocks)
+                            if block == low]))
 
-    def ref(circle):
-        a, c = circle
-        return (pos[a], circle_maps[a][c])
+    level_orders = []
+    codes = []
+    for lev in g.levels:
+        if len(lev) == 1:
+            codes.append(code_of[lev[0]])
+            level_orders.append([lev])
+            continue
+        ordered = sorted(lev, key=code_of.__getitem__)
+        codes += [code_of[a] for a in ordered]
+        runs = []
+        for _, grp in itertools.groupby(ordered, key=code_of.__getitem__):
+            grp = tuple(grp)
+            if len(grp) == 1:
+                runs.append([grp])
+                continue
+            want = sorted(least[a][0] for a in grp)
+            runs.append([perm for perm in itertools.permutations(grp)
+                         if [least[a][0] for a in perm] == want])
+        level_orders.append([tuple(itertools.chain.from_iterable(p))
+                             for p in itertools.product(*runs)])
 
-    caps = tuple(sorted(
-        (ref(c.circle), c.kind, c.label if c.marked else -1, c.marked, c.fixed)
-        for c in g.caps))
-    cyls = tuple(sorted(tuple(sorted((ref(lo), ref(hi)))) for lo, hi in g.cylinders))
-    header = (g.q, g.p, g.r,
-              tuple(sorted(g.marked_saddles)), tuple(sorted(g.fixed_saddles)))
-    level_sizes = tuple(len(lev) for lev in g.levels)
-    return (header, level_sizes, codes, caps, cyls)
+    # every candidate places the same least cap blocks at each position
+    first = tuple(itertools.chain.from_iterable(
+        orders[0] for orders in level_orders))
+    cap_part = tuple(((i, ci), *rest) for i, a in enumerate(first)
+                     for ci, rest in least[a][0][:-1])
+    shared = ((g.q, g.p, g.r, tuple(sorted(g.marked_saddles)),
+               tuple(sorted(g.fixed_saddles))),
+              tuple(len(lev) for lev in g.levels), tuple(codes), cap_part)
+
+    best = None
+    winners = []
+    for combo in itertools.product(*level_orders):
+        arrangement = tuple(itertools.chain.from_iterable(combo))
+        pos = {a: i for i, a in enumerate(arrangement)}
+        for picked in itertools.product(*(least[a][1] for a in arrangement)):
+            cyls = _framing_cylinders(
+                cylinders, pos,
+                {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
+            if best is None or cyls < best:
+                best, winners = cyls, []
+            if cyls == best:
+                winners.append((arrangement, {a: dmap for a, (dmap, _)
+                                              in zip(arrangement, picked)}))
+    return shared + (best,), winners
 
 
 def canonicalize(g):
@@ -555,7 +632,7 @@ def canonicalize(g):
     roots.  Two graphs are isomorphic iff their encodings are equal;
     `form_bytes` turns an encoding into the canonical form.
 
-    Only the framings whose caps can be least are encoded.  The header and
+    Only the framings whose caps can be least are compared.  The header and
     level sizes are fixed, and atoms inside a level are sorted by code and
     only reordered among equal codes, so the codes are the same for every
     framing and the caps decide first.  The caps sort by atom position
@@ -569,53 +646,34 @@ def canonicalize(g):
     exactly when every atom takes a root with its least block and every run
     of equal codes is ordered so that its least blocks ascend.  Full
     encodings, cylinders included, are compared only among those framings.
+
+    Every one of those framings places at each position the least blocks of
+    its run in ascending order, so all of them have the same caps: the
+    header, level sizes, codes and caps are built once, and the framings
+    are compared by their cylinders alone (`_framing_cylinders`).  An atom
+    with one minimal root has its one block as its least, and a level or a
+    run of one atom has one order, so none of them is compared.
     """
-    per_atom = [_atom_min_codes(atom, g.marked_saddles, g.fixed_saddles)
-                for atom in g.atoms]
+    return _minimal_framings(g, g.atoms,
+                             [(c.circle, _cap_entry(c)) for c in g.caps],
+                             g.cylinders)
 
-    on_atom = [[] for _ in g.atoms]   # (circle, rest of the cap entry)
-    for c in g.caps:
-        a, ci = c.circle
-        on_atom[a].append((ci, (c.kind, c.label if c.marked else -1,
-                                c.marked, c.fixed)))
-    least = []   # atom -> (least cap block, realizations reaching it)
-    for a, (_, realizations) in enumerate(per_atom):
-        end = ((len(g.atoms[a].circles),),)
-        blocks = [tuple(sorted((cmap[ci], *rest) for ci, rest in on_atom[a])) + end
-                  for _, cmap in realizations]
-        low = min(blocks)
-        least.append((low, [real for real, block in zip(realizations, blocks)
-                            if block == low]))
 
-    level_orders = []
-    codes = []
-    for lev in g.levels:
-        ordered = sorted(lev, key=lambda a: per_atom[a][0])
-        codes += [per_atom[a][0] for a in ordered]
-        runs = []
-        for _, grp in itertools.groupby(ordered, key=lambda a: per_atom[a][0]):
-            grp = list(grp)
-            want = sorted(least[a][0] for a in grp)
-            runs.append([perm for perm in itertools.permutations(grp)
-                         if [least[a][0] for a in perm] == want])
-        level_orders.append([tuple(itertools.chain.from_iterable(p))
-                             for p in itertools.product(*runs)])
-    codes = tuple(codes)
+def canonicalize_mirror(g):
+    """`canonicalize(mirror(g))`, equal in encoding and framings, without
+    building the mirror graph: each atom's mirror and circle map are read
+    off `_rebuilt_atom`, which the atom keeps.  Mirroring keeps every
+    saddle label, so `saddle_positions(g, framings)` places the saddles of
+    the mirror."""
+    atoms, circle_maps = zip(*(_rebuilt_atom(atom, False) for atom in g.atoms))
 
-    best = None
-    winners = []
-    for combo in itertools.product(*level_orders):
-        arrangement = tuple(itertools.chain.from_iterable(combo))
-        for picked in itertools.product(*(least[a][1] for a in arrangement)):
-            enc = _framing_encoding(
-                g, arrangement, codes,
-                {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
-            if best is None or enc < best:
-                best, winners = enc, []
-            if enc == best:
-                winners.append((arrangement, {a: dmap for a, (dmap, _)
-                                              in zip(arrangement, picked)}))
-    return best, winners
+    def ref(circle):
+        a, ci = circle
+        return (a, circle_maps[a][ci])
+
+    return _minimal_framings(
+        g, atoms, [(ref(c.circle), _cap_entry(c)) for c in g.caps],
+        [(ref(lo), ref(hi)) for lo, hi in g.cylinders])
 
 
 # the encoder of canonical forms: compact, nested lists in their order

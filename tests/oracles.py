@@ -14,8 +14,9 @@ proper refinement of every class with its own chain from the top, which the
 library's closure over covers must reproduce byte for byte.
 `fraction_rref` is the plain Gauss-Jordan elimination over Fraction that
 the library's fraction-free `rref` is checked against.
-`exhaustive_canonicalize` encodes every framing, the reference for the
-library's pruned `canonicalize`, and `circle_images` reads an
+`exhaustive_canonicalize` encodes every framing in full
+(`framing_encoding`), the reference for the library's pruned
+`canonicalize` and `canonicalize_mirror`, and `circle_images` reads an
 automorphism's action on circles off its edge map.
 `transvections` and `algebra_json` spell out the Dehn-twist action and a
 per-class algebra dump that only the tests read.  `box_vertices`
@@ -362,6 +363,29 @@ def whole_complex_json(K):
     })
 
 
+def framing_encoding(g, arrangement, codes, circle_maps):
+    """The full encoding of one framing, built as it is.
+
+    arrangement: tuple of original atom indices in framing order (levels
+    concatenated); codes: their atom codes in that order; circle_maps[a]:
+    the circle map of the root dart chosen for atom a.
+    """
+    pos = {a: i for i, a in enumerate(arrangement)}
+
+    def ref(circle):
+        a, c = circle
+        return (pos[a], circle_maps[a][c])
+
+    caps = tuple(sorted(
+        (ref(c.circle), c.kind, c.label if c.marked else -1, c.marked, c.fixed)
+        for c in g.caps))
+    cyls = tuple(sorted(tuple(sorted((ref(lo), ref(hi)))) for lo, hi in g.cylinders))
+    header = (g.q, g.p, g.r,
+              tuple(sorted(g.marked_saddles)), tuple(sorted(g.fixed_saddles)))
+    level_sizes = tuple(len(lev) for lev in g.levels)
+    return (header, level_sizes, codes, caps, cyls)
+
+
 def exhaustive_canonicalize(g):
     """`mg.canonicalize` without pruning: every product of in-level atom
     orders (permutations of equal atom codes) and minimal roots is encoded,
@@ -385,7 +409,7 @@ def exhaustive_canonicalize(g):
         arrangement = tuple(itertools.chain.from_iterable(combo))
         codes = tuple(per_atom[a][0] for a in arrangement)
         for picked in itertools.product(*(per_atom[a][1] for a in arrangement)):
-            enc = mg._framing_encoding(
+            enc = framing_encoding(
                 g, arrangement, codes,
                 {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
             if best is None or enc < best:

@@ -94,20 +94,29 @@ def test_tracer_sees_one_group_per_handle_record(traced_build):
             == 2 * sum(rec.gamma_order for rec in K.classes))
 
 
-def test_tracer_sees_one_mirror_per_top_class():
+def test_one_mirror_framing_per_top_class(monkeypatch):
     # closure_sweep's eight complexes: the build frames the mirror of each
     # of the 230 top classes and reads the other 618 classes' mirrors off
-    # its cover memo
+    # its cover memo; the mirrors are framed without building a mirror
+    # graph, by `canonicalize_mirror`, which the tracer does not wrap
     seeds = []
     for p, q, r, marked in _load_bench("workloads").CLOSURE_JOBS:
         marking = None if marked == "all" else cb.MarkingSpec(
             marked=tuple(int(x) for x in marked.split(",")), fixed=(0, 0, 0))
         seeds.append(cb.enumerate_top_classes(p, q, r, marking))
     assert len(seeds) == 8
-    complexes, calls = _traced(lambda: [cb.build_complex(s) for s in seeds])
+    framed = []
+    raw = mg.canonicalize_mirror
+
+    def counted(g):
+        framed.append(g)
+        return raw(g)
+
+    monkeypatch.setattr(mg, "canonicalize_mirror", counted)
+    complexes = [cb.build_complex(s) for s in seeds]
     assert sum(len(K.classes) for K in complexes) == 848
     assert sum(K.top_count for K in complexes) == 230
-    assert calls["morse_graph.mirror.calls"] == 230
+    assert len(framed) == 230
 
 
 def test_tracer_sees_one_elimination_per_handle_record(traced_build):
@@ -291,41 +300,43 @@ def test_one_atom_check_per_atom_object(monkeypatch):
 
 
 def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
-    # the build frames each seed, each cover split and each top class's
-    # mirror once; a handle record reads its group off the pass that
-    # registered its class instead of framing the representative again,
-    # and a multi-level class reads its mirror off the cover memo
+    # the build frames each seed, each cover split (`canonicalize`) and
+    # each top class's mirror (`canonicalize_mirror`) once; a handle record
+    # reads its group off the pass that registered its class instead of
+    # framing the representative again, and a multi-level class reads its
+    # mirror off the cover memo
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
-    passes = []
-    raw = mg.canonicalize
+    passes = {"canonicalize": [], "canonicalize_mirror": []}
+    for name, calls in passes.items():
+        def counted(g, raw=getattr(mg, name), calls=calls):
+            calls.append(g)
+            return raw(g)
 
-    def counted(g):
-        passes.append(g)
-        return raw(g)
-
-    monkeypatch.setattr(mg, "canonicalize", counted)
+        monkeypatch.setattr(mg, name, counted)
     K = cb.build_complex(seeds)
     covers = sum(len(oracles.covers(rec.lmg.level_partition()))
                  for rec in K.classes)
-    assert (len(seeds), covers, len(K.classes)) == (20, 186, 71)
-    assert len(passes) == len(seeds) + covers + K.top_count == 226
+    assert (len(seeds), covers, len(K.classes), K.top_count) == (20, 186, 71, 20)
+    assert len(passes["canonicalize"]) == len(seeds) + covers == 206
+    assert len(passes["canonicalize_mirror"]) == K.top_count == 20
+    assert sum(map(len, passes.values())) == 226
 
 
 def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
-    # the build's 226 framing passes encode only the framings whose cap
+    # the build's 226 framing passes compare only the framings whose cap
     # blocks are least, 256 in all, not every product of in-level orders
-    # and minimal roots
+    # and minimal roots; each of them costs one `_framing_cylinders`
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     encoded = []
-    raw = mg._framing_encoding
+    raw = mg._framing_cylinders
 
-    def counted(g, arrangement, codes, circle_maps):
-        encoded.append(arrangement)
-        return raw(g, arrangement, codes, circle_maps)
+    def counted(cylinders, pos, circle_maps):
+        encoded.append(pos)
+        return raw(cylinders, pos, circle_maps)
 
-    monkeypatch.setattr(mg, "_framing_encoding", counted)
+    monkeypatch.setattr(mg, "_framing_cylinders", counted)
     K = cb.build_complex(seeds)
     assert len(K.classes) == 71
     assert len(encoded) == 256

@@ -5,13 +5,18 @@ machinery: it propagates a dart bijection from a single root correspondence
 and verifies caps, cylinders, levels, and marked labels directly.
 """
 
+import gzip
 import itertools
+import json
 import random
+from pathlib import Path
 
 from conftest import Q2_SPLITS, Q3_SPLITS
 from mck import morse_graph as mg
 from mck.complex_builder import MarkingSpec, build_complex, enumerate_top_classes
 from oracles import exhaustive_canonicalize
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _propagate(g1, g2, atom_bij, roots):
@@ -263,7 +268,8 @@ def test_pruned_pass_matches_the_exhaustive_pass(complex_q1, complexes_q2,
     # every class of the q <= 3 complexes, all marked, with marking 1,1,1
     # and with marking 0,3,0, and each class's mirror: the pruned pass
     # finds the least encoding of the exhaustive one, and the same winning
-    # framings in the same order
+    # framings in the same order; so does the mirror pass, which frames a
+    # class's mirror without building the mirror graph
     complexes = [complex_q1, *complexes_q2.values(), *complexes_q3.values()]
     splits = [(2, 1, 1), *((p, 2, r) for p, r in Q2_SPLITS),
               *((p, 3, r) for p, r in Q3_SPLITS)]
@@ -272,14 +278,29 @@ def test_pruned_pass_matches_the_exhaustive_pass(complex_q1, complexes_q2,
             if marked[1] <= q:
                 marking = MarkingSpec(marked=marked, fixed=(0, 0, 0))
                 complexes.append(build_complex(enumerate_top_classes(p, q, r, marking)))
-    graphs = [g for K in complexes for rec in K.classes
-              for g in (rec.lmg, mg.mirror(rec.lmg))]
+    graphs = [rec.lmg for K in complexes for rec in K.classes]
     tied = 0
     for g in graphs:
-        enc, framings = mg.canonicalize(g)
-        assert (enc, framings) == exhaustive_canonicalize(g)
-        tied += len(framings) > 1
+        h = mg.mirror(g)
+        want_g, want_h = exhaustive_canonicalize(g), exhaustive_canonicalize(h)
+        assert mg.canonicalize(g) == want_g
+        assert mg.canonicalize(h) == mg.canonicalize_mirror(g) == want_h
+        tied += (len(want_g[1]) > 1) + (len(want_h[1]) > 1)
     assert tied > 0   # the order of several winners is compared too
+
+
+def test_bench_dump_classes_frame_to_their_stored_forms():
+    # every class of the four stored benchmark dumps frames to its stored
+    # canonical form, and its mirror pass equals the pass over its mirror
+    # graph, encoding and winning framings in order
+    count = 0
+    for path in sorted((BENCH / "dumps").glob("*.json.gz")):
+        for entry in json.loads(gzip.decompress(path.read_bytes()))["classes"]:
+            g = mg.from_json(entry["lmg"])
+            assert mg.canonical_form(g) == entry["canonical"].encode("ascii")
+            assert mg.canonicalize_mirror(g) == mg.canonicalize(mg.mirror(g))
+            count += 1
+    assert count == 1804
 
 
 def test_longer_cap_block_orders_first():

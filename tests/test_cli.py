@@ -296,6 +296,9 @@ def q1_files(tmp_path_factory):
     ("catalog", "euler", ("classes",), ""),
     ("catalog", "complex", ("classes",), {}),
     ("catalog", "euler", ("classes",), {}),
+    ("complex", "euler", ("incidence",), ""),
+    ("complex", "qpoly", ("incidence",), {}),
+    ("complex", "dim", ("incidence",), ""),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
@@ -311,7 +314,8 @@ def q1_files(tmp_path_factory):
         "complex-string-fixed-saddles", "catalog-string-marked-saddles",
         "complex-object-marked-saddles", "catalog-string-classes-complex",
         "catalog-string-classes-euler", "catalog-object-classes-complex",
-        "catalog-object-classes-euler"])
+        "catalog-object-classes-euler", "complex-string-incidence-euler",
+        "complex-object-incidence-qpoly", "complex-string-incidence-dim"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())
