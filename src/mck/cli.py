@@ -24,6 +24,7 @@ scope (every cylinder core is a torus direction, `classify_circles`).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -289,9 +290,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """`build_parser()`, built once per process: a parse keeps no state in
+    the parser, and each call of `main` would otherwise build the seven
+    sub-parsers again."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -755,8 +755,10 @@ def morse_smale_report(K, betti=None):
 # Serialization
 # ---------------------------------------------------------------------------
 
-# the one encoder of catalog and dump entries: compact, keys sorted
-_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+# the one encoder of catalog and dump entries: compact, keys sorted; every
+# value it encodes is a tree just built here, so it tracks no cycles
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                            check_circular=False)
 
 
 def _pieces(fields, lists):

@@ -676,8 +676,9 @@ def canonicalize_mirror(g):
         [(ref(lo), ref(hi)) for lo, hi in g.cylinders])
 
 
-# the encoder of canonical forms: compact, nested lists in their order
-_FORM_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# the encoder of canonical forms: compact, nested lists in their order; an
+# encoding is a tree of fresh tuples, so it tracks no cycles
+_FORM_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def form_bytes(enc):
@@ -949,7 +950,7 @@ def _json_list(x, what):
 
 def _circle_ref(ref):
     if not (isinstance(ref, list) and len(ref) == 2
-            and all(type(x) is int for x in ref)):
+            and type(ref[0]) is type(ref[1]) is int):
         raise LMGJSONError("circle reference is not a pair of ints: %r" % (ref,))
     return tuple(ref)
 
@@ -978,7 +979,8 @@ def from_json(doc):
                                    % (darts, saddles))
             edges = []
             for o, i in _json_list(ad["edges"], "atom edges"):
-                if not all(type(x) is int and 0 <= x < darts for x in (o, i)):
+                if not (type(o) is type(i) is int
+                        and 0 <= o < darts and 0 <= i < darts):
                     raise LMGJSONError("edge %r is not a pair of dart numbers "
                                        "in 0..%d" % ([o, i], darts - 1))
                 edges.append(((saddles[o // 4], o % 4), (saddles[i // 4], i % 4)))

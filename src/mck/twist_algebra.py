@@ -109,22 +109,30 @@ def _traded_edges(g):
 
 def homology_model(g):
     """Build the cylinder-adapted basis and the exact integer expansion
-    matrix."""
+    matrix.  Global edge (a, e) sits at position offset[a] + e, the edges
+    of the atoms before a followed by a's own."""
     edges = g.global_edges()
-    pos = {e: i for i, e in enumerate(edges)}
-    nq2 = len(edges)
+    offset = [0]
+    for atom in g.atoms:
+        offset.append(offset[-1] + len(atom.edges))
+    nq2 = offset[-1]
     n = len(g.cylinders)
+
+    def positions(ref):
+        a, ci = ref
+        base = offset[a]
+        return [base + e for e in g.atoms[a].circles[ci][1]]
 
     relations = []
     for lo, hi in g.cylinders:
         row = [0] * nq2
-        for e in _circle_edges(g, hi):
-            row[pos[e]] += 1
-        for e in _circle_edges(g, lo):
-            row[pos[e]] -= 1
+        for i in positions(hi):
+            row[i] += 1
+        for i in positions(lo):
+            row[i] -= 1
         relations.append(tuple(row))
 
-    deleted = tuple(pos[e] for e in _traded_edges(g))
+    deleted = tuple(offset[a] + e for a, e in _traded_edges(g))
     row_of = {d: k for k, d in enumerate(deleted)}
     basis = tuple(i for i in range(nq2) if i not in row_of)
     m = len(basis)
@@ -137,9 +145,10 @@ def homology_model(g):
     if pivots[:n] != list(range(n)):
         raise mg.InvariantViolation("cylinder relations are singular on "
                                     "the traded edges")
-    unit = {b: tuple(1 if j == k else 0 for j in range(m))
-            for k, b in enumerate(basis)}
+    # the unit row of kept edge basis[k] is ramp[m - 1 - k:2 * m - 1 - k]
+    ramp = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
     expansion = []
+    k = 0
     for i in range(nq2):
         if i in row_of:
             row = tuple(R[row_of[i]][n:])
@@ -148,7 +157,8 @@ def homology_model(g):
                                             "traded edge %d" % i)
             expansion.append(row)
         else:
-            expansion.append(unit[i])
+            expansion.append(ramp[m - 1 - k:2 * m - 1 - k])
+            k += 1
 
     # exactness certificate: every relation vanishes on the expansions
     for k, rel in enumerate(relations):
@@ -163,8 +173,8 @@ def homology_model(g):
     gamma = []
     for lo, hi in g.cylinders:
         row = [0] * m
-        for e in _circle_edges(g, lo):
-            row = [a + b for a, b in zip(row, expansion[pos[e]])]
+        for i in positions(lo):
+            row = [a + b for a, b in zip(row, expansion[i])]
         if not any(row):
             raise mg.InvariantViolation("vanishing core class")
         gamma.append(tuple(row))
@@ -344,8 +354,12 @@ def check_stab_action(g, model, autos):
     """(admissible, free) of the stabilizer's action on the handle: whether
     every non-identity structure automorphism passes the degeneracy clause,
     and whether each has a nonzero rotation offset on some cylinder cycle.
-    The identity is admissible and free by definition and is not checked,
-    so a trivial group gives (True, True).
+    The identity is admissible and free by definition and is not checked.
+    So a trivial group has nothing to set up: when no automorphism moves a
+    dart, the pair (True, True) returns before the level partition, the
+    identity matrix and the edge positions are built.  The test is
+    `is_identity`, not the group's size, so a single automorphism that
+    moves something still meets every clause.
 
     Two more clauses of admissibility hold for every structure
     automorphism, so they are invariant checks, and a failure raises
@@ -367,6 +381,9 @@ def check_stab_action(g, model, autos):
     Degeneracy: an automorphism fixing every saddle must fix every cylinder
     and act on the quotient as an involution; one that moves a saddle must
     act on the quotient nontrivially."""
+    moved = [phi for phi in autos if not phi.is_identity()]
+    if not moved:
+        return True, True
     J = g.level_partition()
     n = model.n
     identity = linalg.identity(len(model.basis))
@@ -377,9 +394,7 @@ def check_stab_action(g, model, autos):
         return [pos[(a, e)] for e in g.atoms[a].circles[ci][1]]
 
     admissible = free = True
-    for phi in autos:
-        if phi.is_identity():
-            continue
+    for phi in moved:
         # row k: the image of kept edge basis[k] over the kept edges
         B = [list(model.expansion[phi.edges[b]]) for b in model.basis]
         Bt = list(map(list, zip(*B)))

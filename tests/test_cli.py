@@ -47,6 +47,31 @@ def test_facelattice_writes_no_dot(tmp_path, capsys):
     assert "unrecognized arguments: --dot" in capsys.readouterr().err
 
 
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # `main` parses with one parser per process; a parse error after a
+    # good parse, and a good parse after an error, behave as in a fresh one
+    from mck import cli
+    build_parser, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(capsys, "facelattice", "--q", "3")[:2] == (
+                0, "vertices: 6, faces: 13\n")
+            with pytest.raises(SystemExit) as info:
+                main(["facelattice", "--q", "x"])
+            assert info.value.code == 2
+            assert "invalid int value" in capsys.readouterr().err
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_enumerate_q1(tmp_path, capsys):
     out_file = tmp_path / "cat.json"
     code, out, _ = run(capsys, "enumerate", "--p", "2", "--q", "1", "--r", "1",
@@ -299,6 +324,14 @@ def q1_files(tmp_path_factory):
     ("complex", "euler", ("incidence",), ""),
     ("complex", "qpoly", ("incidence",), {}),
     ("complex", "dim", ("incidence",), ""),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "edges", 0), [0, 1.0]),
+    ("complex", "euler", ("classes", 0, "lmg", "atoms", 0, "edges", 0), [0, 1.0]),
+    ("catalog", "euler", ("classes", 0, "atoms", 0, "edges", 0), [0, 4]),
+    ("complex", "qpoly", ("classes", 0, "lmg", "atoms", 0, "edges", 0), [0, 4]),
+    ("catalog", "euler", ("classes", 0, "caps", 0, "circle"), [0, True]),
+    ("complex", "euler", ("classes", 0, "lmg", "caps", 0, "circle"), [0, True]),
+    ("catalog", "complex", ("classes", 0, "caps", 0, "circle"), [0.0, 0]),
+    ("complex", "dim", ("classes", 0, "lmg", "caps", 0, "circle"), [0.0, 0]),
 ], ids=["graph-q", "cap-label", "catalog-marked", "complex-marked", "graph-p",
         "float-p", "fixed-exceeds-marked", "short-edge", "string-edge",
         "catalog-empty-cylinder", "complex-empty-cylinder", "string-cap-flag",
@@ -315,7 +348,11 @@ def q1_files(tmp_path_factory):
         "complex-object-marked-saddles", "catalog-string-classes-complex",
         "catalog-string-classes-euler", "catalog-object-classes-complex",
         "catalog-object-classes-euler", "complex-string-incidence-euler",
-        "complex-object-incidence-qpoly", "complex-string-incidence-dim"])
+        "complex-object-incidence-qpoly", "complex-string-incidence-dim",
+        "catalog-float-dart", "complex-float-dart", "catalog-dart-equal-darts",
+        "complex-dart-equal-darts", "catalog-bool-circle-ref",
+        "complex-bool-circle-ref", "catalog-float-circle-ref",
+        "complex-float-circle-ref"])
 def test_malformed_field_refused(q1_files, tmp_path, capsys, source, command,
                                  path, value):
     doc = json.loads(q1_files[source].read_text())

@@ -580,9 +580,31 @@ def test_tampered_traded_row_is_inconsistent():
     rows[d] = tuple(x + (k == j) for k, x in enumerate(rows[d]))
     bad = dataclasses.replace(m, expansion=tuple(rows))
     assert check_stab_action(h, m, auts) == (True, True)
-    with pytest.raises(mg.InvariantViolation,
-                       match="does not commute with the expansion"):
-        check_stab_action(h, bad, auts)
+    # the swap alone, a group of one element that is not the identity,
+    # still meets the clause
+    for group in (auts, [swap]):
+        with pytest.raises(mg.InvariantViolation,
+                           match="does not commute with the expansion"):
+            check_stab_action(h, bad, group)
+
+
+def test_identity_alone_sets_nothing_up(monkeypatch, complex_q1, complexes_q2):
+    # a trivial group is (True, True) before the level partition or the
+    # identity matrix is built: with both made to raise, the identity alone
+    # still passes on every q <= 2 class
+    identities = [(rec.lmg, group_of(rec.lmg)[0])
+                  for K in [complex_q1, *complexes_q2.values()]
+                  for rec in K.classes]
+
+    def boom(*args):
+        raise AssertionError("set up for a trivial group")
+
+    monkeypatch.setattr(mg.LMG, "level_partition", boom)
+    monkeypatch.setattr(linalg, "identity", boom)
+    for g, identity in identities:
+        assert identity.is_identity()
+        assert check_stab_action(g, homology_model(g), [identity]) == (True, True)
+    assert len(identities) == 1 + 12 + 20 + 12
 
 
 def fake_automorphism(g, saddles):
