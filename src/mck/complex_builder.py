@@ -18,10 +18,14 @@ The complex is the downward closure of the one-level seeds under saddle
 resolution, and each class carries its handle data (index, cylinder ranks,
 polytope dimension, symmetry group, handle Poincare polynomial).  Every
 proper refinement of a class's level partition gets an incidence entry, but
-only the covers (hyperfaces) are split, each once per class: a deeper face
-is a cover of the face `permutohedron.chain_predecessor` names, read
-through a saddle relabeling into that face's stored representative.  A
-failed identity raises `morse_graph.InvariantViolation` naming the class.
+only the covers (hyperfaces) are split, each at most once per class: a
+deeper face is a cover of the face `permutohedron.chain_predecessor` names,
+read through a saddle relabeling into that face's stored representative.
+A face with several blocks also covers other faces, and once a class's
+face table is complete, each such cover whose target class has a trivial
+group is entered for the class of the other face without a split, or
+checked against the entry a split made.  A failed identity raises
+`morse_graph.InvariantViolation` naming the class.
 """
 
 import hashlib
@@ -32,8 +36,8 @@ from fractions import Fraction
 
 from . import morse_graph as mg
 from . import twist_algebra as ta
-from .permutohedron import chain_predecessor, refinements
-from .perturbation import delta
+from .permutohedron import OrderedPartition, chain_predecessor, refinements
+from .perturbation import PerturbationError, delta
 
 MAX_TOP_Q = 4  # exhaustive search guard; scope of `ta._tree_witness`'s proof
 
@@ -408,23 +412,72 @@ def handle_record(g, enc, framings, mirror_enc):
         poincare=poincare)
 
 
+def _relabel(face, rho):
+    """The face key `face` with saddle v read as rho[v - 1]."""
+    return tuple(tuple(sorted(rho[v - 1] for v in block)) for block in face)
+
+
+def _face_plan(J, shared):
+    """(face, chain predecessor, others) per proper face of J, as keys in
+    `refinements` order: others are the faces of J other than the
+    predecessor that the face covers, `face.merged(k)` for some k."""
+    faces = refinements(J)
+    keys = {J1.key() for J1 in faces}
+    plan = []
+    for J1 in faces:
+        before = chain_predecessor(J, J1).key()
+        merged = (J1.merged(k).key() for k in range(J1.s - 1))
+        plan.append((shared(J1.key()), before,
+                     tuple(F for F in merged if F in keys and F != before)))
+    return plan
+
+
 def build_complex(seeds):
     """Downward closure of one-level seeds under saddle resolution.
 
     Each class other than a seed's stores the cover split that first
-    reaches it.  Only the (class, cover) pairs are split: `covers` maps a
-    class and a cover face of its representative to the target class and a
-    saddle relabeling of the split graph into the target's representative,
-    matched by `saddle_positions` (the identity when the split is that
-    representative).  A deeper entry (g, J1) takes the entry of
-    `chain_predecessor(J, J1)`, which `refinements` lists earlier and J1
-    covers, relabels J1 into that class's representative and looks the
-    cover up.  By induction this is the class that a chain of cover splits
-    from g to J1 reaches, and that class does not depend on the chain.
-    The faces of J, their predecessors and their keys depend on J only, so
-    they are listed once per distinct level partition.  Faces, relabelings
-    and class ids are shared objects, so the memo and the incidence entries
-    hold references, not copies.
+    reaches it.  Only (class, cover) pairs are split, each at most once:
+    `covers` maps a class and a cover face of its representative to the
+    target class and a saddle relabeling of the split graph into the
+    target's representative, matched by `saddle_positions` (the identity
+    when the split is that representative).  A deeper entry (g, J1) takes
+    the entry of `chain_predecessor(J, J1)`, which `refinements` lists
+    earlier and J1 covers, relabels J1 into that class's representative and
+    looks the cover up.  By induction this is the class that a chain of
+    cover splits from g to J1 reaches, and that class does not depend on
+    the chain.  The faces of J, their predecessors, the other faces each
+    covers and their keys depend on J only, so they are listed once per
+    distinct level partition (`_face_plan`), as tuples of sorted saddle
+    tuples that are relabeled directly; an `OrderedPartition` is built only
+    for a cover that is split.  Faces, relabelings and class ids are shared
+    objects, so the memo and the incidence entries hold references, not
+    copies.
+
+    Derived cover entries.  Once g's face table is complete, each face F1
+    of g whose class c1 has a trivial group (`gamma_order` 1) gives an
+    entry for every other proper face F of J that F1 covers (F =
+    `F1.merged(k)`, not F1's chain predecessor): with (c0, rho_F) and
+    (c1, rho_F1) the table's entries, covers[(c0, rho_F(F1))] =
+    (c1, rho_F1 . rho_F^-1).  The entry is exact.  `split_level` carries
+    every saddle label and touches only the atoms of the level it splits,
+    so splits of two levels commute, and a block split in three gets the
+    same curve system on each sub-level whichever of its two cuts comes
+    first (a saddle resolved downward stays so, and so does one resolved
+    upward).  The split graphs of two chains of covers from g to F1 thus
+    differ only in how atoms and circles are numbered: they are isomorphic
+    by a map that fixes every saddle label.  Their class is c1, and a
+    relabeling into a representative with a trivial group is unique, so
+    splitting rep c0 along rho_F(F1), which is rho_F applied to the split
+    of g's graph at F along F1, gives c1 and that relabeling.  A key the
+    memo already holds must agree in class and relabeling, or the build
+    raises InvariantViolation naming the class.  The outputs do not
+    change: only splits whose target class is already registered are
+    skipped, so the same splits register the same classes in the same
+    order, and every stored representative is the same graph.  Through a
+    class with a larger group two chains may give relabelings that differ
+    by an automorphism, and the one a split reads off `saddle_positions`
+    decides which graph a later split registers, so such a face gives no
+    entry.
 
     Each graph that becomes a representative (a seed or a cover split) is
     framed once by `canonicalize`, and its handle record is computed when
@@ -489,7 +542,7 @@ def build_complex(seeds):
     # and the incidence entries hold references, not copies (peak RSS 250
     # MB after building q = 4 `(5,4,1)` all marked, 293 MB without it)
     pool = {}
-    plans = {}      # level partition key -> [(face, predecessor key, face key)]
+    plans = {}      # level partition key -> `_face_plan`
 
     def shared(x):
         return pool.setdefault(x, x)
@@ -519,29 +572,28 @@ def build_complex(seeds):
         here = J.key()
         plan = plans.get(here)
         if plan is None:
-            plan = plans[here] = [
-                (J1, chain_predecessor(J, J1).key(), shared(J1.key()))
-                for J1 in refinements(J)]
+            plan = plans[here] = _face_plan(J, shared)
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
         # face) into the class's representative, or None for g itself)
         reached = {here: (c, None)}
-        for J1, before, face in plan:
+        for face, before, _ in plan:
             c0, rho0 = reached[before]
-            K = J1 if rho0 is None else J1.relabel(lambda v: rho0[v - 1])
-            key = (c0, shared(K.key()))
+            K = face if rho0 is None else _relabel(face, rho0)
+            key = (c0, shared(K))
             if key not in covers:
+                cover = OrderedPartition.of(K, q)
                 try:
-                    h = delta(records[c0].lmg, K)
+                    h = delta(records[c0].lmg, cover)
                     enc, framings = mg.canonicalize(h)
                     if enc not in known:
                         mg.validate(h)
                 except mg.LMGError as exc:
                     raise mg.InvariantViolation(
                         "class %s: face %s: resolution produced an invalid "
-                        "graph: %s" % (records[c0].class_id, K, exc)) from exc
-                except mg.InvariantViolation as exc:
+                        "graph: %s" % (records[c0].class_id, cover, exc)) from exc
+                except (mg.InvariantViolation, PerturbationError) as exc:
                     raise mg.InvariantViolation("class %s: face %s: %s" % (
-                        records[c0].class_id, K, exc)) from exc
+                        records[c0].class_id, cover, exc)) from exc
                 # outside the try: a failing handle record names its own class
                 if enc not in known:
                     register(enc, h, framings)
@@ -555,6 +607,31 @@ def build_complex(seeds):
                 rho1 = shared(tuple(rho1[w - 1] for w in rho0))
             reached[face] = (c1, rho1)
             incidence.append((records[c].class_id, face, records[c1].class_id))
+        # derived cover entries: face F1 of g, whose class has a trivial
+        # group, covers each face F of `others` too; read the cover of F's
+        # class that F1 is, through F's relabeling, off the table
+        for face, _, others in plan:
+            c1, rho1 = reached[face]
+            if not others or records[c1].gamma_order != 1:
+                continue
+            for other in others:
+                c0, rho0 = reached[other]
+                back = [0] * q
+                for v, w in enumerate(rho0, 1):
+                    back[w - 1] = v
+                K = _relabel(face, rho0)
+                rho = tuple(rho1[v - 1] for v in back)
+                held = covers.get((c0, K))
+                if held is None:
+                    covers[(c0, shared(K))] = (c1, shared(rho))
+                elif held != (c1, rho):
+                    raise mg.InvariantViolation(
+                        "class %s: its cover %s reaches class %s by %s, but "
+                        "the faces of class %s give class %s by %s" % (
+                            records[c0].class_id, OrderedPartition.of(K, q),
+                            records[held[0]].class_id, list(held[1]),
+                            records[c].class_id, records[c1].class_id,
+                            list(rho)))
 
     for c, m in enumerate(_mirror_ids(records, known, saddle_at, covers,
                                       top_count)):
@@ -606,8 +683,7 @@ def _mirror_ids(records, known, saddle_at, covers, top_count):
             m0, sig0 = mirror[c0], sigma[c0]
             if levels[c0] != s or m0 is None:
                 continue
-            image = covers.get((m0, tuple(
-                tuple(sorted(sig0[v - 1] for v in block)) for block in face)))
+            image = covers.get((m0, _relabel(face, sig0)))
             if image is None:
                 raise mg.InvariantViolation(
                     "class %s: the mirror of face %s is no cover of class %s"
@@ -764,7 +840,8 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
 def _pieces(fields, lists):
     """The text of the JSON object with the keys of `fields` and `lists`,
     in sorted order, piece by piece: a value of `fields` is encoded whole,
-    an iterable of `lists` one entry at a time."""
+    and a value of `lists` is an iterable of the encoded texts of its
+    entries, written one at a time."""
     encode = _ENCODER.encode
     for i, key in enumerate(sorted(fields.keys() | lists.keys())):
         yield ("," if i else "{") + encode(key) + ":"
@@ -772,8 +849,8 @@ def _pieces(fields, lists):
             yield encode(fields[key])
             continue
         sep = "["
-        for entry in lists[key]:
-            yield sep + encode(entry)
+        for text in lists[key]:
+            yield sep + text
             sep = ","
         yield "[]" if sep == "[" else "]"
     yield "}"
@@ -826,13 +903,24 @@ def complex_to_json(K, fh=None):
     file `fh` one class and one incidence entry at a time."""
     fields = dict(_report_fields(K), params=_params_doc(K.p, K.q, K.r,
                                                         K.marking))
-    classes = ({"id": rec.class_id,
-                "canonical": rec.canonical.decode("ascii"),
-                "lmg": mg.to_doc(rec.lmg),
-                **_record_fields(rec)} for rec in K.classes)
-    incidence = ([src, [list(b) for b in face], dst]
-                 for src, face, dst in K.incidence)
-    return _emit(fields, {"classes": classes, "incidence": incidence}, fh)
+    classes = (_ENCODER.encode({"id": rec.class_id,
+                                "canonical": rec.canonical.decode("ascii"),
+                                "lmg": mg.to_doc(rec.lmg),
+                                **_record_fields(rec)})
+               for rec in K.classes)
+    return _emit(fields, {"classes": classes,
+                          "incidence": _incidence_texts(K.incidence)}, fh)
+
+
+def _incidence_texts(incidence):
+    """The encoded incidence entries, each distinct face encoded once.  A
+    class id is "c" and hex digits, so it is written unescaped."""
+    faces = {}
+    for src, face, dst in incidence:
+        text = faces.get(face)
+        if text is None:
+            text = faces[face] = _ENCODER.encode([list(b) for b in face])
+        yield '["%s",%s,"%s"]' % (src, text, dst)
 
 
 def _json_equal(a, b):
@@ -1001,7 +1089,8 @@ def catalog_to_json(classes, p, q, r, marking, fh=None):
     """The JSON catalog of `classes`, returned as text, or written to the
     open text file `fh` one class at a time."""
     return _emit({"params": _params_doc(p, q, r, marking)},
-                 {"classes": map(mg.to_doc, classes)}, fh)
+                 {"classes": (_ENCODER.encode(mg.to_doc(g)) for g in classes)},
+                 fh)
 
 
 def catalog_from_json(doc):

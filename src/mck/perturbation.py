@@ -236,15 +236,18 @@ def split_level(g, level, lower):
     new_cylinders = [(atom_circle(a, *lo), atom_circle(a, *hi))
                      for a in old_level_atoms for lo, hi in surgery[a][2]]
 
-    caps = tuple(mg.Cap(circle=map_circle(tuple(c.circle)), kind=c.kind,
-                        label=c.label, marked=c.marked, fixed=c.fixed)
-                 for c in g.caps)
+    caps = []
+    for c in g.caps:   # a cap whose circle stays put is kept as it is
+        circle = map_circle(tuple(c.circle))
+        caps.append(c if circle == c.circle else mg.Cap(
+            circle=circle, kind=c.kind, label=c.label, marked=c.marked,
+            fixed=c.fixed))
     cylinders = tuple(sorted(
         [(map_circle(tuple(lo)), map_circle(tuple(hi))) for lo, hi in g.cylinders]
         + new_cylinders))
 
     return mg.LMG(q=g.q, p=g.p, r=g.r, levels=tuple(levels), atoms=tuple(atoms),
-                  caps=caps, cylinders=cylinders,
+                  caps=tuple(caps), cylinders=cylinders,
                   marked_saddles=g.marked_saddles, fixed_saddles=g.fixed_saddles)
 
 

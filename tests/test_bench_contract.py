@@ -163,12 +163,14 @@ def _covers(K):
 
 
 def test_tracer_sees_one_split_per_class_and_cover(traced_cover_build):
-    # closure over covers: with the saddles unmarked, the build splits each
-    # class once along each of its hyperfaces and composes the deeper faces;
-    # the class and incidence counts are those of resolving every face
+    # closure over covers: with the saddles unmarked, the build splits a
+    # class along each of its hyperfaces at most once, reads the 30 covers
+    # whose trivial-group target an earlier face table names off that
+    # table, and composes the deeper faces; the class and incidence counts
+    # are those of resolving every face
     K, calls = traced_cover_build
-    assert calls["perturbation.split_level.calls"] == _covers(K) == 186
-    assert calls["perturbation.delta.calls"] == 186
+    assert calls["perturbation.split_level.calls"] == 156 < _covers(K) == 186
+    assert calls["perturbation.delta.calls"] == 156
     assert (len(K.classes), len(K.incidence), K.top_count) == (71, 306, 20)
     # the same with a marked saddle and the seeds in shuffled orders; the
     # catalog's 66 entries lie in 64 classes (ROADMAP item 1)
@@ -178,14 +180,14 @@ def test_tracer_sees_one_split_per_class_and_cover(traced_cover_build):
     for order in range(3):
         random.Random(order).shuffle(seeds)
         K, calls = _traced(lambda: cb.build_complex(seeds))
-        assert calls["perturbation.split_level.calls"] == _covers(K) == 638
-        assert calls["perturbation.delta.calls"] == 638
+        assert calls["perturbation.split_level.calls"] == 551 < _covers(K) == 638
+        assert calls["perturbation.delta.calls"] == 551
         assert (len(K.classes), len(K.incidence), K.top_count) == (267, 1022, 64)
 
 
 def test_tracer_sees_one_validation_per_class(traced_cover_build):
     # the build validates its 20 seeds and the 51 splits it registers as
-    # new classes, not the other 135 of its 186 cover splits
+    # new classes, not the other 105 of its 156 cover splits
     K, calls = traced_cover_build
     assert calls["morse_graph.validate.calls"] == len(K.classes) == 71
 
@@ -245,8 +247,8 @@ def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
 
 
 def test_one_surgery_per_atom_and_lower_block(monkeypatch):
-    # an atom keeps its surgery per its own lower saddles, so the 186 cover
-    # splits compute 24 surgeries, each of two sub-level systems, and no
+    # an atom keeps its surgery per its own lower saddles, so the 156 cover
+    # splits compute 20 surgeries, each of two sub-level systems, and no
     # (atom, lower saddles) twice.  The table is the test's own, so no atom
     # an earlier test left alive is handed out, and the spy records values,
     # so it holds no atom
@@ -267,10 +269,10 @@ def test_one_surgery_per_atom_and_lower_block(monkeypatch):
     monkeypatch.setattr(pt, "_sublevel_system", counted)
     monkeypatch.setattr(pt, "split_level", split)
     K = cb.build_complex(seeds)
-    assert (len(K.classes), len(splits), _covers(K)) == (71, 186, 186)
+    assert (len(K.classes), len(splits), _covers(K)) == (71, 156, 186)
     surgeries = [key[:3] for key in systems if key[3] == +1]
-    assert len(systems) == len(set(systems)) == 48
-    assert len(surgeries) == len(set(surgeries)) == 24
+    assert len(systems) == len(set(systems)) == 40
+    assert len(surgeries) == len(set(surgeries)) == 20
     # a second build of the same seeds, while the first complex is alive,
     # finds every surgery kept
     systems.clear()
@@ -301,7 +303,8 @@ def test_one_atom_check_per_atom_object(monkeypatch):
 
 def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
     # the build frames each seed, each cover split (`canonicalize`) and
-    # each top class's mirror (`canonicalize_mirror`) once; a handle record
+    # each top class's mirror (`canonicalize_mirror`) once, and the 30
+    # covers it reads off a face table not at all; a handle record
     # reads its group off the pass that registered its class instead of
     # framing the representative again, and a multi-level class reads its
     # mirror off the cover memo
@@ -318,14 +321,14 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
     covers = sum(len(oracles.covers(rec.lmg.level_partition()))
                  for rec in K.classes)
     assert (len(seeds), covers, len(K.classes), K.top_count) == (20, 186, 71, 20)
-    assert len(passes["canonicalize"]) == len(seeds) + covers == 206
+    assert len(passes["canonicalize"]) == len(seeds) + covers - 30 == 176
     assert len(passes["canonicalize_mirror"]) == K.top_count == 20
-    assert sum(map(len, passes.values())) == 226
+    assert sum(map(len, passes.values())) == 196
 
 
 def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
-    # the build's 226 framing passes compare only the framings whose cap
-    # blocks are least, 256 in all, not every product of in-level orders
+    # the build's 196 framing passes compare only the framings whose cap
+    # blocks are least, 220 in all, not every product of in-level orders
     # and minimal roots; each of them costs one `_framing_cylinders`
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
@@ -339,7 +342,7 @@ def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
     monkeypatch.setattr(mg, "_framing_cylinders", counted)
     K = cb.build_complex(seeds)
     assert len(K.classes) == 71
-    assert len(encoded) == 256
+    assert len(encoded) == 220
 
 
 def test_library_calls_traced_functions_through_traced_names():

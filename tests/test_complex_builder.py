@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gzip
 import hashlib
@@ -300,6 +301,113 @@ def test_invalid_resolution_caught_at_registration(field, tmp_path, capsys,
                  "--out", str(tmp_path / "K.json")])
     _, err = capsys.readouterr()
     assert code == 4 and "invariant violation: %s" % found.group(0) in err
+    assert not (tmp_path / "K.json").exists()
+
+
+def test_no_representative_split_twice(complexes_q2, complexes_q3,
+                                      monkeypatch):
+    # the cover memo, and the covers read off face tables, leave no
+    # (representative, level, lower block) split twice on any q <= 3
+    # closure job, and the q = 3 jobs split fewer (class, cover) pairs than
+    # they have
+    raw = pt.split_level
+    splits = []
+
+    def spied(g, level, lower):
+        splits.append((id(g), level, frozenset(lower)))
+        return raw(g, level, lower)
+
+    monkeypatch.setattr(pt, "split_level", spied)
+    jobs, q3 = 0, collections.Counter()
+    for name, seeds, K in _closure_jobs(complexes_q2, complexes_q3):
+        if K.q > 3:
+            break
+        splits.clear()
+        held = build_complex(seeds)  # its representatives keep their ids
+        pairs = sum(len(covers(rec.lmg.level_partition()))
+                    for rec in held.classes)
+        assert len(set(splits)) == len(splits) <= pairs, name
+        if K.q == 3:
+            q3.update(splits=len(splits), pairs=pairs)
+        jobs += 1
+    assert jobs == 28 and q3["splits"] < q3["pairs"]
+
+
+def test_rotated_cover_relabeling_exits_4(tmp_path, capsys, monkeypatch):
+    # the relabeling of the first split that registers a three-level class
+    # is rotated (saddle v read as v + 1); a face table later reads that
+    # cover off another chain and finds another relabeling, so the build
+    # stops and names the class, and `mck complex` exits 4
+    marking = MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0))
+    seeds = enumerate_top_classes(4, 3, 1, marking)
+    cat = tmp_path / "cat.json"
+    cat.write_text(catalog_to_json(seeds, 4, 3, 1, marking))
+    raw = mg.saddle_positions
+    last, done = [None], []   # a split that registers a class is met twice
+
+    def rotated(g, framings):
+        pos = raw(g, framings)
+        again, last[0] = last[0] is g, g
+        if again and len(g.levels) == 3 and not done:
+            done.append(g)
+            return {v: pos[v % g.q + 1] for v in pos}
+        return pos
+
+    monkeypatch.setattr(mg, "saddle_positions", rotated)
+    with pytest.raises(mg.InvariantViolation) as info:
+        build_complex(seeds)
+    assert re.fullmatch(
+        r"class c[0-9a-f]{16}: its cover \([0-9|]+\) reaches class "
+        r"c[0-9a-f]{16} by \[[0-9, ]+\], but the faces of class c[0-9a-f]{16} "
+        r"give class c[0-9a-f]{16} by \[[0-9, ]+\]", str(info.value))
+    last[0] = None
+    done.clear()
+    _assert_exit_4_naming(info.value, cat, tmp_path, capsys)
+    # the cover's class, its target, the class whose faces read it and
+    # their target: classes with 2, 3, 1 and 3 levels
+    monkeypatch.setattr(mg, "saddle_positions", raw)
+    levels = {rec.class_id: rec.s for rec in build_complex(seeds).classes}
+    named = re.findall(r"c[0-9a-f]{16}", str(info.value))
+    assert [levels[cid] for cid in named] == [2, 3, 1, 3]
+
+
+def test_relabeled_face_that_is_no_cover_exits_4(tmp_path, capsys,
+                                                 monkeypatch):
+    # a relabeling that sends a deeper face to a face that is no cover of
+    # the class it is read in is a failed identity, not a parameter error:
+    # the build names the class and face, and `mck complex` exits 4
+    seeds = enumerate_top_classes(4, 3, 1)
+    cat = tmp_path / "cat.json"
+    cat.write_text(catalog_to_json(seeds, 4, 3, 1,
+                                   MarkingSpec.all_marked(4, 3, 1)))
+    raw = cb._relabel
+    done = []
+
+    def reversed_once(face, rho):
+        out = raw(face, rho)
+        if len(out) == 3 and not done:
+            done.append(out)
+            return out[::-1]
+        return out
+
+    monkeypatch.setattr(cb, "_relabel", reversed_once)
+    with pytest.raises(mg.InvariantViolation) as info:
+        build_complex(seeds)
+    assert re.fullmatch(r"class c[0-9a-f]{16}: face \(([0-9]\|){2}[0-9]\): "
+                        r"\(([0-9]\|){2}[0-9]\) is not a cover of "
+                        r"\([0-9,|]+\)", str(info.value))
+    done.clear()
+    _assert_exit_4_naming(info.value, cat, tmp_path, capsys)
+
+
+def _assert_exit_4_naming(exc, cat, tmp_path, capsys):
+    """`mck complex` on `cat` exits 4 with `exc`'s message and no
+    traceback, and writes no dump."""
+    code = main(["complex", "--input", str(cat),
+                 "--out", str(tmp_path / "K.json")])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert err == "invariant violation: %s\n" % exc
     assert not (tmp_path / "K.json").exists()
 
 
