@@ -24,8 +24,9 @@ read through a saddle relabeling into that face's stored representative.
 A face with several blocks also covers other faces, and once a class's
 face table is complete, each such cover whose target class has a trivial
 group is entered for the class of the other face without a split, or
-checked against the entry a split made.  A failed identity raises
-`morse_graph.InvariantViolation` naming the class.
+checked against the entry a split made.  Only the top classes' mirrors
+are framed; the others are read off the top classes' face tables.  A
+failed identity raises `morse_graph.InvariantViolation` naming the class.
 """
 
 import hashlib
@@ -375,9 +376,9 @@ def handle_record(g, enc, framings, mirror_enc):
     building the mirror graph; the record's `mirror` is `class_id` of its
     bytes, encoded only when it is not `enc`.  `complex_from_json` frames
     each mirror.  `build_complex` frames the top classes' mirrors only and
-    reads the others off its cover memo once the closure is done
-    (`_mirror_ids`), so it passes None, which leaves `mirror` None until
-    then.
+    reads the others off the top classes' face tables once the closure is
+    done (`_mirror_ids`), so it passes None, which leaves `mirror` None
+    until then.
 
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and every split it registers as a class; `_graph_from_json` every
@@ -487,8 +488,9 @@ def build_complex(seeds):
     classes are output in the order of those bytes.
     Reversing the orientation permutes the classes and commutes with every
     cover split, so only the top classes' mirrors are framed; once the
-    closure is done, every other class's mirror is read off the cover memo
-    (`_mirror_ids`).  That also checks that the covers into a class agree
+    closure is done, every other class's mirror is read off the top
+    classes' face tables, each a contiguous slice of the incidence entries
+    (`_mirror_ids`).  That also checks that the faces giving a class agree
     on its mirror, that the map is an involution, and that it is defined on
     every class with more than one level, so a seed set whose closure is
     not mirror-closed below the top level raises InvariantViolation.
@@ -565,6 +567,7 @@ def build_complex(seeds):
     # tuple of images of saddles 1..q)
     covers = {}
     incidence = []
+    tops = [None] * top_count   # top class -> its slice of `incidence`
     while queue:
         c = queue.pop()
         g = records[c].lmg
@@ -573,6 +576,8 @@ def build_complex(seeds):
         plan = plans.get(here)
         if plan is None:
             plan = plans[here] = _face_plan(J, shared)
+        if c < top_count:
+            tops[c] = (len(incidence), len(incidence) + len(plan))
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
         # face) into the class's representative, or None for g itself)
         reached = {here: (c, None)}
@@ -633,8 +638,8 @@ def build_complex(seeds):
                             records[c].class_id, records[c1].class_id,
                             list(rho)))
 
-    for c, m in enumerate(_mirror_ids(records, known, saddle_at, covers,
-                                      top_count)):
+    for c, m in enumerate(_mirror_ids(records, known, saddle_at, incidence,
+                                      tops)):
         records[c] = replace(records[c], mirror=m)
     return ComplexK(p=p, q=q, r=r, marking=marking,
                     classes=tuple(sorted(records, key=lambda rec: rec.canonical)),
@@ -642,73 +647,65 @@ def build_complex(seeds):
                     top_count=top_count)
 
 
-def _mirror_ids(records, known, saddle_at, covers, top_count):
+def _mirror_ids(records, known, saddle_at, incidence, tops):
     """Class index -> class id of its representative's mirror, read off the
-    closure's cover memo: m(c), the index of the mirror's class, is None
-    only for a top class whose mirror is not a class of the complex, which
-    keeps the id of its framed mirror.
+    top classes' face tables: `tops[t]` is the slice of `incidence` that
+    holds top class t's entries, one per proper face, in the order of the
+    one `_face_plan` that every top class shares.
 
-    Only the top classes (indices below `top_count`) have their mirror
-    framed, by `mg.canonicalize_mirror`, which builds no mirror graph: its
-    encoding is looked up in `known`, and sigma_c, the saddle relabeling
-    of mirror(rep c) into rep m(c), is matched by `saddle_positions` on
-    rep c itself.  Reversing the orientation commutes with resolving a
-    level and keeps every saddle label, so a cover entry
-    covers[(c0, K)] = (c1, rho) with m(c0) a class gives
-    covers[(m(c0), sigma_c0(K))] = (m(c1), rho') and
-    sigma_c1 = rho' . sigma_c0 . rho^-1.  The memo is read once per level
-    count of the source, so every source's mirror is known before its
-    covers are read.  An InvariantViolation names the class when two
-    covers into it give different mirrors, when m(m(c)) is not c, or when a
-    class with more than one level has no mirror: the complex of a
-    mirror-closed seed set is mirror-closed."""
+    Only the top classes' mirrors are framed, by `mg.canonicalize_mirror`,
+    which builds no mirror graph; its encoding is looked up in `known`, and
+    sigma_t, the saddle relabeling of mirror(rep t) into rep m(t), is
+    matched by `saddle_positions` on rep t.  The class at face F of t then
+    has as its mirror the class at face sigma_t(F) of m(t), exactly:
+    mirroring commutes with a level split and keeps every saddle label, so
+    mirror(split(rep t, F)) is isomorphic to split(rep m(t), sigma_t(F));
+    every proper ordered partition of 1..q, sigma_t(F) among them, is a
+    face of m(t); and by chain independence every class of the closure is
+    the class at some face of some top class.  A top class whose mirror is
+    not a class keeps its framed mirror's id and gives no face a mirror.
+    An InvariantViolation names the class when its faces give two mirrors,
+    when m(m(c)) is not c, or when a class with more than one level has no
+    mirror: the complex of a mirror-closed seed set is mirror-closed."""
     q = records[0].lmg.q
-    mirror = [None] * len(records)
-    sigma = [None] * len(records)
+    mirror = {}     # class id -> class id of its mirror in the complex
     outside = {}    # top class -> class id of a mirror not in the complex
-    for c in range(top_count):
-        g = records[c].lmg
+    moved = {}      # sigma -> place in a top's slice of sigma(F), per face F
+    for t, (start, end) in enumerate(tops):
+        g = records[t].lmg
         enc, framings = mg.canonicalize_mirror(g)
         m = known.get(enc)
         if m is None:
-            outside[c] = class_id(mg.form_bytes(enc))
-        else:
-            at = saddle_at[m]
-            pos = mg.saddle_positions(g, framings)
-            mirror[c] = m
-            sigma[c] = tuple(at[pos[v]] for v in range(1, q + 1))
-    levels = [rec.s for rec in records]
-    for s in range(1, q):
-        for (c0, face), (c1, rho) in covers.items():
-            m0, sig0 = mirror[c0], sigma[c0]
-            if levels[c0] != s or m0 is None:
-                continue
-            image = covers.get((m0, _relabel(face, sig0)))
-            if image is None:
+            outside[t] = class_id(mg.form_bytes(enc))
+            continue
+        mirror[records[t].class_id] = records[m].class_id
+        at = saddle_at[m]
+        pos = mg.saddle_positions(g, framings)
+        sigma = tuple(at[pos[v]] for v in range(1, q + 1))
+        if sigma not in moved:
+            faces = [face for _, face, _ in incidence[start:end]]
+            place = {face: k for k, face in enumerate(faces)}
+            moved[sigma] = [place[_relabel(face, sigma)] for face in faces]
+        lo = tops[m][0]
+        for (_, _, target), k in zip(incidence[start:end], moved[sigma]):
+            m1 = incidence[lo + k][2]
+            held = mirror.setdefault(target, m1)
+            if held != m1:
                 raise mg.InvariantViolation(
-                    "class %s: the mirror of face %s is no cover of class %s"
-                    % (records[c0].class_id, face, records[m0].class_id))
-            m1, rho1 = image
-            if mirror[c1] is None:
-                sig1 = [0] * q
-                for v, w in enumerate(rho):
-                    sig1[w - 1] = rho1[sig0[v] - 1]
-                mirror[c1], sigma[c1] = m1, tuple(sig1)
-            elif mirror[c1] != m1:
-                raise mg.InvariantViolation(
-                    "class %s: its covers give the mirrors %s and %s"
-                    % (records[c1].class_id, records[mirror[c1]].class_id,
-                       records[m1].class_id))
-    for c, m in enumerate(mirror):
-        if m is None and levels[c] > 1:
+                    "class %s: its faces give the mirrors %s and %s"
+                    % (target, held, m1))
+    out = []
+    for c, rec in enumerate(records):
+        m = mirror.get(rec.class_id)
+        if m is None and rec.s > 1:
             raise mg.InvariantViolation("class %s: its mirror is not a class "
-                                        "of the complex" % records[c].class_id)
-        if m is not None and mirror[m] != c:
+                                        "of the complex" % rec.class_id)
+        if m is not None and mirror.get(m) != rec.class_id:
             raise mg.InvariantViolation(
                 "class %s: the mirror of its mirror %s is not itself"
-                % (records[c].class_id, records[m].class_id))
-    return [outside[c] if m is None else records[m].class_id
-            for c, m in enumerate(mirror)]
+                % (rec.class_id, m))
+        out.append(outside[c] if m is None else m)
+    return out
 
 
 # ---------------------------------------------------------------------------

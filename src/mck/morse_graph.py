@@ -307,6 +307,18 @@ class LMG:
         return [(a, i) for a in range(len(self.atoms))
                 for i in range(len(self.atoms[a].edges))]
 
+    def edge_offsets(self):
+        """The position in `global_edges()` of each atom's first edge, then
+        the edge count: edge (a, e) sits at offsets[a] + e."""
+        return list(itertools.accumulate(
+            (len(atom.edges) for atom in self.atoms), initial=0))
+
+    def circle_positions(self, ref, offsets):
+        """The positions in `global_edges()` of the edges of circle `ref`,
+        (atom index, circle index), in trace order."""
+        a, ci = ref
+        return [offsets[a] + e for e in self.atoms[a].circles[ci][1]]
+
 
 def validate(g):
     """Full structural validation; returns None on success.
@@ -801,8 +813,7 @@ def automorphisms(g, framings):
     order the composition gives them.
     """
     ref_arr, ref_maps = framings[0]
-    offset = list(itertools.accumulate(
-        (len(atom.edges) for atom in g.atoms), initial=0))
+    offset = g.edge_offsets()
     if len(framings) == 1:
         return [Automorphism(
             darts=MappingProxyType({d: d for a in ref_arr for d in ref_maps[a]}),

@@ -82,13 +82,6 @@ class HomologyModel:
         return len(self.deleted)
 
 
-def _circle_edges(g, ref):
-    """Global edge ids on a circle, in trace order."""
-    a, ci = ref
-    _, cyc = g.atoms[a].circles[ci]
-    return [(a, e) for e in cyc]
-
-
 def _traded_edges(g):
     """The traded edge of each cylinder: the smallest edge of its upper-end
     circle, which bounds the atom above the cylinder from below.
@@ -104,31 +97,24 @@ def _traded_edges(g):
     above its upper atom, so neither refusal can occur.  `homology_model`
     still certifies the choice: the relations must be nonsingular and
     integral on the traded edges and vanish on the expansions."""
-    return [min(_circle_edges(g, hi)) for _, hi in g.cylinders]
+    return [(a, min(g.atoms[a].circles[ci][1])) for _, (a, ci) in g.cylinders]
 
 
 def homology_model(g):
     """Build the cylinder-adapted basis and the exact integer expansion
-    matrix.  Global edge (a, e) sits at position offset[a] + e, the edges
-    of the atoms before a followed by a's own."""
+    matrix.  Global edge (a, e) sits at position offset[a] + e
+    (`g.edge_offsets()`)."""
     edges = g.global_edges()
-    offset = [0]
-    for atom in g.atoms:
-        offset.append(offset[-1] + len(atom.edges))
+    offset = g.edge_offsets()
     nq2 = offset[-1]
     n = len(g.cylinders)
-
-    def positions(ref):
-        a, ci = ref
-        base = offset[a]
-        return [base + e for e in g.atoms[a].circles[ci][1]]
 
     relations = []
     for lo, hi in g.cylinders:
         row = [0] * nq2
-        for i in positions(hi):
+        for i in g.circle_positions(hi, offset):
             row[i] += 1
-        for i in positions(lo):
+        for i in g.circle_positions(lo, offset):
             row[i] -= 1
         relations.append(tuple(row))
 
@@ -173,7 +159,7 @@ def homology_model(g):
     gamma = []
     for lo, hi in g.cylinders:
         row = [0] * m
-        for i in positions(lo):
+        for i in g.circle_positions(lo, offset):
             row = [a + b for a, b in zip(row, expansion[i])]
         if not any(row):
             raise mg.InvariantViolation("vanishing core class")
@@ -387,12 +373,7 @@ def check_stab_action(g, model, autos):
     J = g.level_partition()
     n = model.n
     identity = linalg.identity(len(model.basis))
-    pos = {e: i for i, e in enumerate(model.edges)}
-
-    def circle_positions(ref):
-        a, ci = ref
-        return [pos[(a, e)] for e in g.atoms[a].circles[ci][1]]
-
+    base = g.edge_offsets()
     admissible = free = True
     for phi in moved:
         # row k: the image of kept edge basis[k] over the kept edges
@@ -417,8 +398,9 @@ def check_stab_action(g, model, autos):
             psi = list(range(len(model.edges)))
             for _ in cyc:
                 psi = [phi.edges[i] for i in psi]
-            lo, hi = g.cylinders[cyc[0]]
-            offsets.append((_circle_offset(psi, circle_positions(hi))
-                            - _circle_offset(psi, circle_positions(lo))) % 1)
+            lo, hi = (g.circle_positions(ref, base)
+                      for ref in g.cylinders[cyc[0]])
+            offsets.append((_circle_offset(psi, hi)
+                            - _circle_offset(psi, lo)) % 1)
         free &= any(offsets)
     return admissible, free

@@ -434,8 +434,7 @@ def circle_images(g, phi):
     """The circle map of the automorphism `phi` of `g`: each circle
     reference (atom, circle index) to its image, the circle on the same
     side through the image of its first edge."""
-    offset = list(itertools.accumulate(
-        (len(atom.edges) for atom in g.atoms), initial=0))
+    offset = g.edge_offsets()
     circles = [(a, ci, side, cyc) for a, atom in enumerate(g.atoms)
                for ci, (side, cyc) in enumerate(atom.circles)]
     at = {(offset[a] + e, side): (a, ci) for a, ci, side, cyc in circles

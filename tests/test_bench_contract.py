@@ -97,8 +97,9 @@ def test_tracer_sees_one_group_per_handle_record(traced_build):
 def test_one_mirror_framing_per_top_class(monkeypatch):
     # closure_sweep's eight complexes: the build frames the mirror of each
     # of the 230 top classes and reads the other 618 classes' mirrors off
-    # its cover memo; the mirrors are framed without building a mirror
-    # graph, by `canonicalize_mirror`, which the tracer does not wrap
+    # the top classes' face tables; the mirrors are framed without building
+    # a mirror graph, by `canonicalize_mirror`, which the tracer does not
+    # wrap
     seeds = []
     for p, q, r, marked in _load_bench("workloads").CLOSURE_JOBS:
         marking = None if marked == "all" else cb.MarkingSpec(
@@ -307,7 +308,7 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
     # covers it reads off a face table not at all; a handle record
     # reads its group off the pass that registered its class instead of
     # framing the representative again, and a multi-level class reads its
-    # mirror off the cover memo
+    # mirror off a top class's face table
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     passes = {"canonicalize": [], "canonicalize_mirror": []}

@@ -836,7 +836,7 @@ def test_class_poset_dot(complexes_q2):
 
 def test_mirror_self_flag(complex_q1, complexes_q2):
     # the build frames only the top classes' mirrors and reads the others
-    # off its cover memo; every class's mirror id and flag equal those of
+    # off their face tables; every class's mirror id and flag equal those of
     # its framed mirror, on the q <= 2 complexes and on (4,3,1), (3,3,2) and
     # (2,3,3) under four markings, seeds shuffled.  The one mirror outside
     # its complex is that of a (3,3,2) 1,1,1 top class (ROADMAP item 1)
@@ -862,23 +862,58 @@ def test_mirror_self_flag(complex_q1, complexes_q2):
 
 
 def test_covers_giving_two_mirrors_refused(monkeypatch):
-    # one cover entry of a chiral top class is sent to another two-level
-    # class before the mirrors are read off the memo: that class then gets
-    # one mirror from its own cover and another through the wrong entry
+    # one face entry of a chiral top class is sent to another two-level
+    # class before the mirrors are read off the face tables: that class
+    # then gets one mirror from its own faces and another through the
+    # wrong entry
     raw = cb._mirror_ids
 
-    def corrupted(records, known, saddle_at, covers, top_count):
-        (c0, face), (c1, rho) = next(
-            (key, value) for key, value in covers.items()
-            if records[key[0]].s == 1 and mg.canonical_form(
-                mg.mirror(records[key[0]].lmg)) != records[key[0]].canonical)
-        other = next(c for c, rec in enumerate(records)
-                     if rec.s == 2 and c != c1)
-        covers[(c0, face)] = (other, rho)
-        return raw(records, known, saddle_at, covers, top_count)
+    def corrupted(records, known, saddle_at, incidence, tops):
+        t = next(t for t, rec in enumerate(records[:len(tops)])
+                 if cb.class_id(mg.canonical_form(mg.mirror(rec.lmg)))
+                 != rec.class_id)
+        start = tops[t][0]
+        src, face, target = incidence[start]
+        other = next(rec.class_id for rec in records
+                     if rec.s == 2 and rec.class_id != target)
+        incidence[start] = (src, face, other)
+        return raw(records, known, saddle_at, incidence, tops)
 
     monkeypatch.setattr(cb, "_mirror_ids", corrupted)
     with pytest.raises(mg.InvariantViolation,
-                       match=r"class c[0-9a-f]{16}: its covers give the "
+                       match=r"class c[0-9a-f]{16}: its faces give the "
                              r"mirrors c[0-9a-f]{16} and c[0-9a-f]{16}"):
         build_complex(enumerate_top_classes(2, 2, 2))
+
+
+def test_broken_mirror_involution_refused(monkeypatch):
+    # the first chiral top class of (2,2,2) is framed as its own mirror:
+    # its faces then agree with one another, but its true mirror's mirror
+    # is no longer that mirror itself
+    seeds = enumerate_top_classes(2, 2, 2)
+    chiral = next(g for g in seeds if mg.canonical_form(mg.mirror(g))
+                  != mg.canonical_form(g))
+    raw = mg.canonicalize_mirror
+    monkeypatch.setattr(mg, "canonicalize_mirror", lambda g: (
+        mg.canonicalize(g) if g is chiral else raw(g)))
+    with pytest.raises(mg.InvariantViolation,
+                       match=r"class c[0-9a-f]{16}: the mirror of its mirror "
+                             r"c[0-9a-f]{16} is not itself"):
+        build_complex(seeds)
+
+
+def test_catalog_without_a_mirror_exits_4(tmp_path, capsys):
+    # the (4,3,1) all-marked catalog cut to its chiral entry 72: the
+    # mirror of that top class is not in the catalog, so neither are the
+    # mirrors of its faces, and `mck complex` exits 4 naming the first of
+    # them, with no traceback and no dump
+    classes = enumerate_top_classes(4, 3, 1)
+    cat, dump = tmp_path / "cat.json", tmp_path / "K.json"
+    cat.write_text(catalog_to_json(classes[72:73], 4, 3, 1,
+                                   MarkingSpec.all_marked(4, 3, 1)))
+    code = main(["complex", "--input", str(cat), "--out", str(dump)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert ("class cae277493ba361233: its mirror is not a class of the "
+            "complex" in err)
+    assert not dump.exists()
