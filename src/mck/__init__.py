@@ -1,8 +1,6 @@
 """Leveled Morse graphs on the sphere and their handle complexes."""
 
-from .permutohedron import (
-    OrderedPartition, enumerate_partitions, sub_blocks,
-)
+from .permutohedron import enumerate_partitions, sub_blocks
 from .morse_graph import (
     Atom, Cap, LMG, validate, canonical_form, decode_canonical,
     canonicalize, canonicalize_mirror, form_bytes, automorphisms, to_doc, to_json, from_json,

@@ -17,10 +17,13 @@ which makes output independent of enumeration order.
 The complex is the downward closure of the one-level seeds under saddle
 resolution, and each class carries its handle data (index, cylinder ranks,
 polytope dimension, symmetry group, handle Poincare polynomial).  Every
-proper refinement of a class's level partition gets an incidence entry, but
-only the covers (hyperfaces) are split, each at most once per class: a
-deeper face is a cover of the face `permutohedron.chain_predecessor` names,
-read through a saddle relabeling into that face's stored representative.
+proper refinement of a class's level partition gets an incidence entry,
+keyed by the face as a tuple of sorted saddle tuples, the one form of an
+ordered partition (`permutohedron`), which the closure relabels and the
+dump writes.  Only the covers (hyperfaces) are split, each at most once per
+class: a deeper face is a cover of the face
+`permutohedron.chain_predecessor` names, read through a saddle relabeling
+into that face's stored representative.
 A face with several blocks also covers other faces, and once a class's
 face table is complete, each such cover whose target class has a trivial
 group is entered for the class of the other face without a split, or
@@ -37,7 +40,7 @@ from fractions import Fraction
 
 from . import morse_graph as mg
 from . import twist_algebra as ta
-from .permutohedron import OrderedPartition, chain_predecessor, refinements
+from .permutohedron import chain_predecessor, face_str, merged, refinements
 from .perturbation import PerturbationError, delta
 
 MAX_TOP_Q = 4  # exhaustive search guard; scope of `ta._tree_witness`'s proof
@@ -419,17 +422,17 @@ def _relabel(face, rho):
 
 
 def _face_plan(J, shared):
-    """(face, chain predecessor, others) per proper face of J, as keys in
+    """(face, chain predecessor, others) per proper face of J, in
     `refinements` order: others are the faces of J other than the
-    predecessor that the face covers, `face.merged(k)` for some k."""
+    predecessor that the face covers, `merged(face, k)` for some k."""
     faces = refinements(J)
-    keys = {J1.key() for J1 in faces}
+    proper = set(faces)
     plan = []
     for J1 in faces:
-        before = chain_predecessor(J, J1).key()
-        merged = (J1.merged(k).key() for k in range(J1.s - 1))
-        plan.append((shared(J1.key()), before,
-                     tuple(F for F in merged if F in keys and F != before)))
+        before = chain_predecessor(J, J1)
+        covered = (merged(J1, k) for k in range(len(J1) - 1))
+        plan.append((shared(J1), before,
+                     tuple(F for F in covered if F in proper and F != before)))
     return plan
 
 
@@ -446,18 +449,17 @@ def build_complex(seeds):
     earlier and J1 covers, relabels J1 into that class's representative and
     looks the cover up.  By induction this is the class that a chain of
     cover splits from g to J1 reaches, and that class does not depend on
-    the chain.  The faces of J, their predecessors, the other faces each
-    covers and their keys depend on J only, so they are listed once per
-    distinct level partition (`_face_plan`), as tuples of sorted saddle
-    tuples that are relabeled directly; an `OrderedPartition` is built only
-    for a cover that is split.  Faces, relabelings and class ids are shared
-    objects, so the memo and the incidence entries hold references, not
-    copies.
+    the chain.  The faces of J, their predecessors and the other faces each
+    covers depend on J only, so they are listed once per distinct level
+    partition (`_face_plan`).  A face is a tuple of sorted saddle tuples
+    throughout: it is relabeled, memoized, split by `delta` and dumped in
+    that one form.  Faces, relabelings and class ids are shared objects, so
+    the memo and the incidence entries hold references, not copies.
 
     Derived cover entries.  Once g's face table is complete, each face F1
     of g whose class c1 has a trivial group (`gamma_order` 1) gives an
     entry for every other proper face F of J that F1 covers (F =
-    `F1.merged(k)`, not F1's chain predecessor): with (c0, rho_F) and
+    `merged(F1, k)`, not F1's chain predecessor): with (c0, rho_F) and
     (c1, rho_F1) the table's entries, covers[(c0, rho_F(F1))] =
     (c1, rho_F1 . rho_F^-1).  The entry is exact.  `split_level` carries
     every saddle label and touches only the atoms of the level it splits,
@@ -544,7 +546,7 @@ def build_complex(seeds):
     # and the incidence entries hold references, not copies (peak RSS 250
     # MB after building q = 4 `(5,4,1)` all marked, 293 MB without it)
     pool = {}
-    plans = {}      # level partition key -> `_face_plan`
+    plans = {}      # level partition -> `_face_plan`
 
     def shared(x):
         return pool.setdefault(x, x)
@@ -572,33 +574,32 @@ def build_complex(seeds):
         c = queue.pop()
         g = records[c].lmg
         J = g.level_partition()
-        here = J.key()
-        plan = plans.get(here)
+        plan = plans.get(J)
         if plan is None:
-            plan = plans[here] = _face_plan(J, shared)
+            plan = plans[J] = _face_plan(J, shared)
         if c < top_count:
             tops[c] = (len(incidence), len(incidence) + len(plan))
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
         # face) into the class's representative, or None for g itself)
-        reached = {here: (c, None)}
+        reached = {J: (c, None)}
         for face, before, _ in plan:
             c0, rho0 = reached[before]
             K = face if rho0 is None else _relabel(face, rho0)
             key = (c0, shared(K))
             if key not in covers:
-                cover = OrderedPartition.of(K, q)
                 try:
-                    h = delta(records[c0].lmg, cover)
+                    h = delta(records[c0].lmg, K)
                     enc, framings = mg.canonicalize(h)
                     if enc not in known:
                         mg.validate(h)
                 except mg.LMGError as exc:
                     raise mg.InvariantViolation(
                         "class %s: face %s: resolution produced an invalid "
-                        "graph: %s" % (records[c0].class_id, cover, exc)) from exc
+                        "graph: %s" % (records[c0].class_id, face_str(K),
+                                       exc)) from exc
                 except (mg.InvariantViolation, PerturbationError) as exc:
                     raise mg.InvariantViolation("class %s: face %s: %s" % (
-                        records[c0].class_id, cover, exc)) from exc
+                        records[c0].class_id, face_str(K), exc)) from exc
                 # outside the try: a failing handle record names its own class
                 if enc not in known:
                     register(enc, h, framings)
@@ -633,7 +634,7 @@ def build_complex(seeds):
                     raise mg.InvariantViolation(
                         "class %s: its cover %s reaches class %s by %s, but "
                         "the faces of class %s give class %s by %s" % (
-                            records[c0].class_id, OrderedPartition.of(K, q),
+                            records[c0].class_id, face_str(K),
                             records[held[0]].class_id, list(held[1]),
                             records[c].class_id, records[c1].class_id,
                             list(rho)))
@@ -996,12 +997,12 @@ def _check_incidence(records, incidence):
             raise mg.LMGJSONError("class %s: face %r leads to no stored class "
                                   "with s = %d" % (src, face, len(face)))
         faces.setdefault(src, []).append(face)
-    wanted = {}     # level partition key -> sorted keys of its proper faces
+    wanted = {}     # level partition -> its proper faces, sorted
     for rec in records:
         J = rec.lmg.level_partition()
-        want = wanted.get(J.key())
+        want = wanted.get(J)
         if want is None:
-            want = wanted[J.key()] = sorted(J1.key() for J1 in refinements(J))
+            want = wanted[J] = sorted(refinements(J))
         if sorted(faces.get(rec.class_id, [])) != want:
             raise mg.LMGJSONError("class %s: stored incidence entries do not "
                                   "match its %d faces" % (rec.class_id, len(want)))
@@ -1092,12 +1093,15 @@ def catalog_to_json(classes, p, q, r, marking, fh=None):
 
 def catalog_from_json(doc):
     """The classes and (p, q, r, marking) of a decoded catalog document;
-    every class is revalidated."""
+    every class is revalidated.  A catalog with no classes is refused as
+    malformed, like a complex dump with none."""
     try:
         p, q, r, marking = _params_from_json(doc)
         entries = mg._json_list(doc["classes"], "catalog classes")
     except (KeyError, TypeError) as exc:
         raise mg.LMGJSONError("malformed catalog document: %r" % (exc,))
+    if not entries:
+        raise mg.LMGJSONError("catalog document has no classes")
     classes = [_graph_from_json(entry, p, q, r, marking, "classes[%d]" % i)
                for i, entry in enumerate(entries)]
     return classes, p, q, r, marking

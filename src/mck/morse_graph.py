@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .permutohedron import OrderedPartition
-
 OUT_SLOTS = (0, 2)
 IN_SLOTS = (1, 3)
 
@@ -284,14 +282,11 @@ class LMG:
         return out
 
     def level_partition(self):
-        """Ordered partition of saddle labels by level (J)."""
-        blocks = []
-        for lev in self.levels:
-            blk = set()
-            for a in lev:
-                blk |= set(self.atoms[a].saddles)
-            blocks.append(frozenset(blk))
-        return OrderedPartition.of(blocks, self.q)
+        """Ordered partition J of saddle labels by level, as the tuple of
+        each level's sorted saddle labels."""
+        atoms = self.atoms
+        return tuple(tuple(sorted(v for a in lev for v in atoms[a].saddles))
+                     for lev in self.levels)
 
     def marking_counts(self):
         """((p_hat, q_hat, r_hat), (p_star, q_star, r_star))."""

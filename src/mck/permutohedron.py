@@ -2,7 +2,12 @@
 
 The ground set is {1..q}.  An ordered partition J = (J_1, ..., J_s) indexes a
 face of the order-q permutohedron, of dimension q - s; the test oracles spell
-out its vertices.  Nothing in this module touches floating point.
+out its vertices.  It has one form everywhere: the tuple of its blocks, each
+the sorted tuple of its labels, such as ((2,), (1, 3)), which is also how a
+face is relabeled, memoized and dumped.  The library makes its partitions
+itself, so they are not checked when they are made; the one that comes from
+a caller, `perturbation.delta`'s cover, is checked by `sub_blocks`.
+Nothing in this module touches floating point.
 
 Refinement order: J' < J means J' splits blocks of J into ordered runs of
 consecutive sub-blocks, equivalently the face of J' is contained in the face
@@ -12,7 +17,6 @@ of J.  `sub_blocks` is the one walk that decides it and names the runs,
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 MAX_ORDER = 8  # desk-scale guard for enumeration
 
@@ -29,54 +33,17 @@ class OrderBoundError(ValueError):
 # Ordered partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Ordered partition of {1..q} into nonempty blocks (order significant)."""
+def face_str(J):
+    """J printed with its blocks cut by bars, such as (2|1,3)."""
+    return "(" + "|".join(",".join(map(str, b)) for b in J) + ")"
 
-    blocks: tuple  # tuple of frozenset[int]
-    q: int
 
-    def __post_init__(self):
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise PartitionError("empty block")
-            if seen & b:
-                raise PartitionError("blocks not disjoint")
-            seen |= b
-        if seen != set(range(1, self.q + 1)):
-            raise PartitionError("blocks do not partition the ground set {1..%d}" % self.q)
-
-    @classmethod
-    def of(cls, blocks, q=None):
-        blocks = tuple(frozenset(b) for b in blocks)
-        if q is None:
-            q = sum(len(b) for b in blocks)
-        return cls(blocks, q)
-
-    @property
-    def s(self):
-        return len(self.blocks)
-
-    def key(self):
-        """Canonical hashable form: tuple of sorted tuples."""
-        return tuple(tuple(sorted(b)) for b in self.blocks)
-
-    def relabel(self, sigma):
-        """Apply the label permutation sigma (dict or callable) blockwise."""
-        f = sigma if callable(sigma) else sigma.__getitem__
-        return OrderedPartition.of([frozenset(f(x) for x in b) for b in self.blocks], self.q)
-
-    def merged(self, k):
-        """The face this one covers by splitting its block k: blocks k and
-        k + 1 joined, the inverse of a cover split."""
-        b = self.blocks
-        if not 0 <= k < len(b) - 1:
-            raise PartitionError("no blocks %d and %d to merge" % (k, k + 1))
-        return OrderedPartition(b[:k] + (b[k] | b[k + 1],) + b[k + 2:], self.q)
-
-    def __str__(self):
-        return "(" + "|".join(",".join(map(str, sorted(b))) for b in self.blocks) + ")"
+def merged(J, k):
+    """The face J covers by splitting its block k: blocks k and k + 1
+    joined, the inverse of a cover split."""
+    if not 0 <= k < len(J) - 1:
+        raise PartitionError("no blocks %d and %d to merge" % (k, k + 1))
+    return J[:k] + (tuple(sorted(J[k] + J[k + 1])),) + J[k + 2:]
 
 
 def enumerate_partitions(q):
@@ -87,28 +54,31 @@ def enumerate_partitions(q):
     """
     if not isinstance(q, int) or q < 1 or q > MAX_ORDER:
         raise OrderBoundError("q must be an integer in 1..%d, got %r" % (MAX_ORDER, q))
-    return [OrderedPartition.of(blocks, q)
-            for blocks in _ordered_partitions_of_set(range(1, q + 1))]
+    return _ordered_partitions_of_set(range(1, q + 1))
 
 
 def sub_blocks(J1, J):
     """Per block of J, the tuple of consecutive J1 blocks partitioning it;
-    None unless J1 refines J (J1 <= J)."""
-    if J1.q != J.q:
-        raise PartitionError("mismatched ground sets")
+    None unless J1 refines J (J1 <= J).  J1 may come from a caller, so its
+    shape is checked here: its blocks must be nonempty and, run by run, use
+    up each block of J exactly, with no label repeated, none from outside
+    J and no block left over."""
     groups = []
     i = 0
-    for b in J.blocks:
+    for b in J:
+        rest = set(b)
         grp = []
-        size = 0
-        while size < len(b):
-            if i == len(J1.blocks) or not J1.blocks[i] <= b:
+        while rest:
+            if i == len(J1) or not J1[i]:
                 return None
-            grp.append(J1.blocks[i])
-            size += len(J1.blocks[i])
+            for x in J1[i]:
+                if x not in rest:
+                    return None
+                rest.remove(x)
+            grp.append(J1[i])
             i += 1
         groups.append(tuple(grp))
-    return tuple(groups)
+    return tuple(groups) if i == len(J1) else None
 
 
 def chain_predecessor(J, target):
@@ -118,10 +88,11 @@ def chain_predecessor(J, target):
     sub-blocks.  It is J itself when `target` covers J, and `refinements`
     lists it before `target`."""
     groups = sub_blocks(target, J)
-    if groups is None or len(groups) == target.s:
-        raise PartitionError("%s is not a proper refinement of %s" % (target, J))
+    if groups is None or len(groups) == len(target):
+        raise PartitionError("%s is not a proper refinement of %s"
+                             % (face_str(target), face_str(J)))
     k = max(i for i, grp in enumerate(groups) if len(grp) > 1)
-    return target.merged(sum(map(len, groups[:k + 1])) - 2)
+    return merged(target, sum(map(len, groups[:k + 1])) - 2)
 
 
 def _ordered_partitions_of_set(labels):
@@ -134,8 +105,9 @@ def _ordered_partitions_of_set(labels):
         pos = len(prefix)
         if pos == n:
             s = max(prefix)
-            out.append(tuple(frozenset(labels[i] for i, v in enumerate(prefix) if v == k)
-                             for k in range(1, s + 1)))
+            out.append(tuple(
+                tuple(labels[i] for i, v in enumerate(prefix) if v == k)
+                for k in range(1, s + 1)))
             return
         for v in range(1, n + 1):
             new_max = max(used_max, v)
@@ -149,20 +121,18 @@ def _ordered_partitions_of_set(labels):
 
 @functools.cache
 def _block_orderings(block):
-    """The ordered partitions of one frozen block, computed once per block
-    (at most 2^q - 1 distinct blocks)."""
+    """The ordered partitions of one block, computed once per block (at
+    most 2^q - 1 distinct blocks)."""
     return tuple(_ordered_partitions_of_set(block))
 
 
 def refinements(J):
     """All proper refinements J' < J (each block split into an ordered
     partition of itself).  Deterministic order."""
-    per_block = [_block_orderings(b) for b in J.blocks]
     out = []
-    for combo in itertools.product(*per_block):
-        blocks = tuple(itertools.chain.from_iterable(combo))
-        J1 = OrderedPartition.of(blocks, J.q)
-        if J1.key() != J.key():
+    for combo in itertools.product(*map(_block_orderings, J)):
+        J1 = tuple(itertools.chain.from_iterable(combo))
+        if J1 != J:
             out.append(J1)
     return out
 
@@ -174,18 +144,17 @@ def refinements(J):
 def face_poset_dot(q):
     """Graphviz DOT of the face poset; edges are covering relations of
     refinement (split one block into two), read off each cover H as the
-    faces `H.merged(k)`.  A face lists the covers into it by (split block,
+    faces `merged(H, k)`.  A face lists the covers into it by (split block,
     lower block size, lower block)."""
     parts = enumerate_partitions(q)
-    keys = [J.key() for J in parts]
-    name = {jk: "f%d" % i for i, jk in enumerate(keys)}
-    into = {jk: [] for jk in keys}  # face -> its covers, (order, name)
-    for H, hk in zip(parts, keys):
-        for k in range(H.s - 1):
-            into[H.merged(k).key()].append(((k, len(hk[k]), hk[k]), name[hk]))
+    name = {J: "f%d" % i for i, J in enumerate(parts)}
+    into = {J: [] for J in parts}  # face -> its covers, (order, name)
+    for H in parts:
+        for k in range(len(H) - 1):
+            into[merged(H, k)].append(((k, len(H[k]), H[k]), name[H]))
     lines = ["digraph face_poset {", '  rankdir="BT";']
-    lines += ['  %s [label="%s"];' % (name[jk], J) for J, jk in zip(parts, keys)]
-    for jk, covers in into.items():
-        lines += ["  %s -> %s;" % (h, name[jk]) for _, h in sorted(covers)]
+    lines += ['  %s [label="%s"];' % (name[J], face_str(J)) for J in parts]
+    for J, covers in into.items():
+        lines += ["  %s -> %s;" % (h, name[J]) for _, h in sorted(covers)]
     lines.append("}")
     return "\n".join(lines) + "\n"

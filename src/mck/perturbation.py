@@ -27,9 +27,13 @@ circles become new cylinders.
 The library resolves covers only: `delta` splits one level of the level
 partition in two, and the complex builder reaches every deeper face as a
 cover of `permutohedron.chain_predecessor`'s partition, read in the class
-that partition lies in.  The surgery of one atom reads only which of its
-own saddles go down, so each atom keeps it per that set (`_atom_surgery`),
-and with it the new atoms, which thus live as long as the atom split.
+that partition lies in.  A cover is a tuple of sorted saddle tuples, the
+one form of an ordered partition, and the one partition a caller hands the
+library: `delta` refuses one that `sub_blocks` does not accept as a cover
+of the level partition (PerturbationError).  The surgery of one atom reads
+only which of its own saddles go down, so each atom keeps it per that set
+(`_atom_surgery`), and with it the new atoms, which thus live as long as
+the atom split.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
 InvariantViolation when a circle's edge set reaches no circle above it, or
@@ -43,7 +47,7 @@ import itertools
 
 from . import morse_graph as mg
 from .morse_graph import InvariantViolation
-from .permutohedron import sub_blocks
+from .permutohedron import face_str, sub_blocks
 
 
 class PerturbationError(ValueError):
@@ -253,12 +257,15 @@ def split_level(g, level, lower):
 
 def delta(g, cover):
     """The perturbed class attached to a cover of the level partition: one
-    level split into two sub-blocks.  Like `split_level`'s, the result is
-    not validated."""
+    level split into two sub-blocks.  `cover` is a tuple of saddle tuples,
+    such as ((2,), (1, 3)), and anything that is not a cover of g's level
+    partition raises PerturbationError (`sub_blocks` checks its shape).
+    Like `split_level`'s, the result is not validated."""
     J = g.level_partition()
     groups = sub_blocks(cover, J)
-    if groups is None or cover.s != J.s + 1:
-        raise PerturbationError("%s is not a cover of %s" % (cover, J))
+    if groups is None or len(cover) != len(J) + 1:
+        raise PerturbationError("%s is not a cover of %s"
+                                % (face_str(cover), face_str(J)))
     level = next(i for i, grp in enumerate(groups) if len(grp) == 2)
     return split_level(g, level + 1, groups[level][0])
 

@@ -333,7 +333,7 @@ def _circle_offset(psi, cyc):
 def _face_admissible(sigma, J):
     """The face clause of `check_stab_action`: whether the saddle
     permutation sigma (a mapping) stabilizes the ordered partition J."""
-    return J.relabel(sigma).key() == J.key()
+    return all(tuple(sorted(sigma[v] for v in b)) == b for b in J)
 
 
 def check_stab_action(g, model, autos):

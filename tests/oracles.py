@@ -30,8 +30,9 @@ serializers, which write the document one entry at a time.  The
 permutohedron helpers at the end (coarsenings, reflexive and strict
 refinement, covers, composition signatures, face vertices and coordinates,
 the induced face map's admissibility read off the vertices, a partition's
-level assignment and the value partition of a 0-cochain) state the face
-geometry that the library relies on without computing.
+relabeling and level assignment and the value partition of a 0-cochain)
+state the face geometry that the library relies on without computing.
+Partitions are the library's one form, tuples of sorted saddle tuples.
 Imported by the tests; pytest does not collect it.
 """
 
@@ -45,8 +46,7 @@ from mck import linalg
 from mck import morse_graph as mg
 from mck import twist_algebra as ta
 from mck.permutohedron import (
-    OrderedPartition, PartitionError, enumerate_partitions, refinements,
-    sub_blocks)
+    PartitionError, enumerate_partitions, face_str, refinements, sub_blocks)
 from mck.morse_graph import InvariantViolation
 from mck.perturbation import PerturbationError, delta
 
@@ -149,7 +149,7 @@ def enumerate_classes_direct(p, q, r, marking=None, max_q=2):
     marked_s, fixed_s = cb._marked_saddle_sets(marking)
     forms = {}
     for J in enumerate_partitions(q):
-        level_sets = [sorted(b) for b in J.blocks]
+        level_sets = [sorted(b) for b in J]
         per_level_splits = [list(_set_partitions(b)) for b in level_sets]
         for split_combo in itertools.product(*per_level_splits):
             groups = [[sorted(x) for x in lev] for lev in split_combo]
@@ -244,9 +244,9 @@ def merge_all_levels(g, seeds=None):
     for perm in itertools.permutations(unmarked):
         sub = dict(zip(unmarked, perm))
         sub.update({x: x for x in g.marked_saddles})
-        face = J.relabel(sub)
-        if face.key() not in seen:
-            seen.add(face.key())
+        face = relabel(J, sub)
+        if face not in seen:
+            seen.add(face)
             faces.append(face)
 
     if seeds is None:
@@ -268,14 +268,14 @@ def delta_chain(g, target):
         J = g.level_partition()
         groups = sub_blocks(target, J)
         if groups is None:
-            raise PerturbationError("%s does not refine %s" % (target, J))
+            raise PerturbationError("%s does not refine %s"
+                                    % (face_str(target), face_str(J)))
         level = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
         if level is None:
             return g
         grp = groups[level]
-        cover = OrderedPartition.of(J.blocks[:level] + (
-            grp[0], frozenset().union(*grp[1:])) + J.blocks[level + 1:], J.q)
-        g = delta(g, cover)
+        rest = tuple(sorted(itertools.chain.from_iterable(grp[1:])))
+        g = delta(g, J[:level] + (grp[0], rest) + J[level + 1:])
 
 
 def closure_by_delta(seeds, marking=None):
@@ -321,7 +321,7 @@ def closure_by_delta(seeds, marking=None):
                 mg.validate(h)
                 known[cf1] = h
                 queue.append(cf1)
-            incidence.append((src, J1.key(), cb.class_id(cf1)))
+            incidence.append((src, J1, cb.class_id(cf1)))
 
     records = tuple(cb.handle_record(known[cf], *mg.canonicalize(known[cf]),
                                      mg.canonicalize(mg.mirror(known[cf]))[0])
@@ -551,15 +551,25 @@ def algebra_json(g, model=None):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def relabel(J, sigma):
+    """J with each label x read as sigma[x] (sigma a mapping)."""
+    return tuple(tuple(sorted(sigma[x] for x in b)) for b in J)
+
+
+def ground_size(J):
+    """q, the number of labels J partitions."""
+    return sum(map(len, J))
+
+
 def assignment(J):
     """The level-assignment tuple (J(1), ..., J(q)), 1-based."""
-    lev = {x: k for k, b in enumerate(J.blocks, start=1) for x in b}
-    return tuple(lev[i] for i in range(1, J.q + 1))
+    lev = {x: k for k, b in enumerate(J, start=1) for x in b}
+    return tuple(lev[i] for i in range(1, ground_size(J) + 1))
 
 
 def composition_signature(J):
     """Block sizes (|J_1|, ..., |J_s|) in block order."""
-    return tuple(len(b) for b in J.blocks)
+    return tuple(len(b) for b in J)
 
 
 def refines_eq(J1, J2):
@@ -570,32 +580,31 @@ def refines_eq(J1, J2):
 def refines(J1, J2):
     """Strict refinement: J1 obtained from J2 by splitting blocks into
     ordered runs of consecutive sub-blocks (J1 != J2)."""
-    return J1.key() != J2.key() and refines_eq(J1, J2)
+    return J1 != J2 and refines_eq(J1, J2)
 
 
 def covers(J):
     """The covers (hyperfaces) of J: the strict refinements with one block
     more, searched among all ordered partitions of {1..q}."""
-    return [H for H in enumerate_partitions(J.q)
-            if H.s == J.s + 1 and refines(H, J)]
+    return [H for H in enumerate_partitions(ground_size(J))
+            if len(H) == len(J) + 1 and refines(H, J)]
 
 
 def coarsenings(J):
     """All J' with J <= J' (merging runs of consecutive blocks), incl. J."""
-    s = J.s
     out = []
     # choose cut positions among the s-1 gaps
-    for cuts in itertools.product((False, True), repeat=s - 1):
+    for cuts in itertools.product((False, True), repeat=len(J) - 1):
         blocks = []
-        cur = set(J.blocks[0])
+        cur = set(J[0])
         for i, cut in enumerate(cuts):
             if cut:
-                blocks.append(frozenset(cur))
-                cur = set(J.blocks[i + 1])
+                blocks.append(tuple(sorted(cur)))
+                cur = set(J[i + 1])
             else:
-                cur |= J.blocks[i + 1]
-        blocks.append(frozenset(cur))
-        out.append(OrderedPartition.of(blocks, J.q))
+                cur |= set(J[i + 1])
+        blocks.append(tuple(sorted(cur)))
+        out.append(tuple(blocks))
     return out
 
 
@@ -607,7 +616,7 @@ def face_vertices(J):
     whose first |J_1| values form the set J_1, the next |J_2| values the set
     J_2, and so on.  In coordinates, axis j of P_pi holds
     pi^{-1}(j) - (q+1)/2."""
-    pools = [itertools.permutations(sorted(b)) for b in J.blocks]
+    pools = [itertools.permutations(b) for b in J]
     return tuple(sorted(tuple(itertools.chain.from_iterable(combo))
                         for combo in itertools.product(*pools)))
 
@@ -618,7 +627,7 @@ def induced_face_admissible(sigma, J):
     vertex pi to sigma o pi.  Admissible means that sigma stabilizes the face
     and the map is trivial, or fixed-vertex-free with every subface mapping
     onto itself or onto a face disjoint from it."""
-    if J.relabel(sigma).key() != J.key():
+    if relabel(J, sigma) != J:
         return False
     moved = {pi: tuple(sigma[x] for x in pi) for pi in face_vertices(J)}
     if all(image == pi for pi, image in moved.items()):
@@ -626,8 +635,8 @@ def induced_face_admissible(sigma, J):
     if any(image == pi for pi, image in moved.items()):
         return False
     for sub in refinements(J):
-        image = sub.relabel(sigma)
-        if (image.key() != sub.key() and
+        image = relabel(sub, sigma)
+        if (image != sub and
                 set(face_vertices(sub)) & set(face_vertices(image))):
             return False
     return True
@@ -642,7 +651,7 @@ class PermFace:
     coordinate j of vertex pi is 2*pi^{-1}(j) - q - 1.
     """
 
-    partition: OrderedPartition
+    partition: tuple
     dim: int
     vertices: tuple
     coords: tuple
@@ -662,7 +671,7 @@ def _doubled_coords(pi):
 def face_of(J):
     """The permutohedron face indexed by the ordered partition J."""
     verts = face_vertices(J)
-    return PermFace(partition=J, dim=J.q - J.s, vertices=verts,
+    return PermFace(partition=J, dim=ground_size(J) - len(J), vertices=verts,
                     coords=tuple(_doubled_coords(pi) for pi in verts))
 
 
@@ -696,6 +705,5 @@ def partition_of_values(cochain):
     by_value = {}
     for label, v in enumerate(cochain.values, start=1):
         by_value.setdefault(v, set()).add(label)
-    blocks = [frozenset(by_value[v]) for v in sorted(by_value)]
-    J = OrderedPartition.of(blocks, cochain.q)
-    return J, len(blocks)
+    J = tuple(tuple(sorted(by_value[v])) for v in sorted(by_value))
+    return J, len(J)

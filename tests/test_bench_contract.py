@@ -197,7 +197,7 @@ def test_tracer_sees_one_plan_per_level_partition(traced_cover_build):
     # the faces of a level partition, their chain predecessors and keys are
     # listed once per distinct partition, not once per class
     K, calls = traced_cover_build
-    partitions = {rec.lmg.level_partition().key() for rec in K.classes}
+    partitions = {rec.lmg.level_partition() for rec in K.classes}
     assert calls["permutohedron.refinements.calls"] == len(partitions) == 13
 
 
@@ -210,12 +210,12 @@ def test_reload_lists_faces_once_per_level_partition(monkeypatch):
     raw = cb.refinements
 
     def counted(J):
-        asked.append(J.key())
+        asked.append(J)
         return raw(J)
 
     monkeypatch.setattr(cb, "refinements", counted)
     K = cb.complex_from_json(text)
-    partitions = {rec.lmg.level_partition().key() for rec in K.classes}
+    partitions = {rec.lmg.level_partition() for rec in K.classes}
     assert (len(K.classes), len(asked), len(partitions)) == (426, 13, 13)
 
 

@@ -321,6 +321,8 @@ def q1_files(tmp_path_factory):
     ("catalog", "euler", ("classes",), ""),
     ("catalog", "complex", ("classes",), {}),
     ("catalog", "euler", ("classes",), {}),
+    ("catalog", "complex", ("classes",), []),
+    ("catalog", "euler", ("classes",), []),
     ("complex", "euler", ("incidence",), ""),
     ("complex", "qpoly", ("incidence",), {}),
     ("complex", "dim", ("incidence",), ""),
@@ -347,7 +349,8 @@ def q1_files(tmp_path_factory):
         "complex-string-fixed-saddles", "catalog-string-marked-saddles",
         "complex-object-marked-saddles", "catalog-string-classes-complex",
         "catalog-string-classes-euler", "catalog-object-classes-complex",
-        "catalog-object-classes-euler", "complex-string-incidence-euler",
+        "catalog-object-classes-euler", "catalog-empty-classes-complex",
+        "catalog-empty-classes-euler", "complex-string-incidence-euler",
         "complex-object-incidence-qpoly", "complex-string-incidence-dim",
         "catalog-float-dart", "complex-float-dart", "catalog-dart-equal-darts",
         "complex-dart-equal-darts", "catalog-bool-circle-ref",

@@ -10,14 +10,14 @@ from mck import perturbation as pt
 from mck.complex_builder import MarkingSpec, enumerate_top_classes
 from mck.morse_graph import InvariantViolation
 from mck.permutohedron import (
-    OrderedPartition, PartitionError, chain_predecessor, enumerate_partitions,
-    refinements)
+    PartitionError, chain_predecessor, enumerate_partitions, refinements,
+    sub_blocks)
 from mck.perturbation import PerturbationError, delta, split_level
 
 from conftest import Q3_SPLITS, group_of
 from oracles import (
     cap_labelings, covers, delta_chain, enumerate_classes_direct, matchings,
-    merge_all_levels, refines_eq)
+    merge_all_levels, refines_eq, relabel)
 
 
 def catalog_q2(p, r):
@@ -68,7 +68,7 @@ def test_split_preserves_conserved_quantities():
                 assert (h.p, h.q, h.r) == (g.p, g.q, g.r)
                 assert h.marked_saddles == g.marked_saddles
                 assert h.fixed_saddles == g.fixed_saddles
-                assert h.level_partition().key() == J1.key()
+                assert h.level_partition() == J1
                 labels = sorted(v for a in h.atoms for v in a.saddles)
                 assert labels == list(range(1, g.q + 1))
 
@@ -76,7 +76,7 @@ def test_split_preserves_conserved_quantities():
 def test_cylinders_never_decrease_under_split():
     for g in catalog_q2(2, 2):
         n0 = len(g.cylinders)
-        h = delta(g, OrderedPartition.of([{2}, {1}]))
+        h = delta(g, ((2,), (1,)))
         assert len(h.cylinders) >= n0
 
 
@@ -132,17 +132,27 @@ def test_surgery_refuses_a_broken_curve_system(mutation, monkeypatch):
 
 def test_delta_requires_refinement(q2_two_level):
     with pytest.raises(PerturbationError):
-        delta(q2_two_level, OrderedPartition.of([{1, 2}]))
+        delta(q2_two_level, ((1, 2),))
 
 
 def test_delta_refuses_non_covers():
     # delta splits one level in two: the partition itself, a face two
-    # splits deep and a face that does not refine it are all refused
+    # splits deep and a face that does not refine it are all refused.  A
+    # cover is the one partition a caller hands the library, so
+    # `sub_blocks` checks its shape: a repeated label, an empty block, a
+    # label outside the ground set and an extra trailing block are refused
+    # too, each with one block more than the level partition
     g = enumerate_top_classes(4, 3, 1)[0]
-    h = delta(g, OrderedPartition.of([{1}, {2, 3}]))
+    h = delta(g, ((1,), (2, 3)))
+    f = catalog_q2(2, 2)[0]
+    assert f.level_partition() == ((1, 2),)
+    shapes = (((1,), (1, 2)), ((), (1, 2)), ((1,), (3,)), ((1, 2), (3,)))
+    for face in shapes:
+        assert sub_blocks(face, f.level_partition()) is None
     for graph, face in ((g, g.level_partition()),
-                        (g, OrderedPartition.of([{1}, {2}, {3}])),
-                        (h, OrderedPartition.of([{2}, {1, 3}]))):
+                        (g, ((1,), (2,), (3,))),
+                        (h, ((2,), (1, 3))),
+                        *((f, face) for face in shapes)):
         with pytest.raises(PerturbationError, match="is not a cover of"):
             delta(graph, face)
 
@@ -163,26 +173,26 @@ def test_delta_two_cover_chains_to_a_vertex_agree():
     # a vertex (a|b|c) lies below the two covers (a|b,c) and (a,b|c) of a
     # one-level partition; both chains of cover splits reach one class, on
     # every one-level seed of every q = 3 split, marked all and 0,3,0
-    vertices = [J for J in enumerate_partitions(3) if J.s == 3]
+    vertices = [J for J in enumerate_partitions(3) if len(J) == 3]
     for p, r in Q3_SPLITS:
         for marking in (MarkingSpec.all_marked(p, 3, r),
                         MarkingSpec(marked=(0, 3, 0), fixed=(0, 0, 0))):
             for g in enumerate_top_classes(p, 3, r, marking):
                 for J1 in vertices:
-                    a, b, c = J1.blocks
+                    a, b, c = J1
                     forms = {mg.canonical_form(delta(delta(g, mid), J1))
-                             for mid in (OrderedPartition.of([a, b | c]),
-                                         OrderedPartition.of([a | b, c]))}
+                             for mid in ((a, tuple(sorted(b + c))),
+                                         (tuple(sorted(a + b)), c))}
                     assert len(forms) == 1
 
 
 def test_delta_chain_independence_explicit_chains():
     # an explicit chain J -> mid -> target is a composition of deltas
     g = enumerate_top_classes(3, 3, 2)[0]
-    target = OrderedPartition.of([{2}, {1}, {3}])
+    target = ((2,), (1,), (3,))
     results = set()
     for mid in enumerate_partitions(3):
-        if mid.s == 2 and refines_eq(target, mid):
+        if len(mid) == 2 and refines_eq(target, mid):
             results.add(mg.canonical_form(delta(delta(g, mid), target)))
     assert len(results) == 1
     assert results.pop() == mg.canonical_form(delta_chain(g, target))
@@ -195,18 +205,18 @@ def test_chain_predecessor_is_where_delta_splits_last(monkeypatch):
     split_from = []
 
     def recording(h, level, lower):
-        split_from.append(h.level_partition().key())
+        split_from.append(h.level_partition())
         return split_level(h, level, lower)
 
     monkeypatch.setattr(pt, "split_level", recording)
     g = _first_q4_seeds(5, 1, MarkingSpec.all_marked(5, 4, 1), 1)[0]
     J = g.level_partition()
     faces = refinements(J)
-    listed = {J.key(): -1, **{J1.key(): i for i, J1 in enumerate(faces)}}
+    listed = {J: -1, **{J1: i for i, J1 in enumerate(faces)}}
     for i, J1 in enumerate(faces):
         split_from.clear()
         delta_chain(g, J1)
-        J0 = chain_predecessor(J, J1).key()
+        J0 = chain_predecessor(J, J1)
         assert J0 == split_from[-1] and listed[J0] < i
     assert len(faces) == 74
     with pytest.raises(PartitionError):
@@ -247,7 +257,7 @@ def test_delta_bytes_pinned_q4(p, r, marked):
         for J1 in refinements(g.level_partition()):
             h = delta_chain(g, J1)
             digest.update(mg.to_json(h).encode())
-            if J1.s == 2:
+            if len(J1) == 2:
                 for J2 in refinements(J1):
                     digest.update(mg.to_json(delta_chain(h, J2)).encode())
     assert digest.hexdigest() == Q4_PIN[(p, r, marked)]
@@ -274,7 +284,7 @@ def test_gamma_orbits_of_faces_share_targets():
     seen = set()
     for g in seeds:
         for J1 in refinements(g.level_partition()):
-            if J1.s != 2:
+            if len(J1) != 2:
                 continue
             h = delta(g, J1)
             cf = mg.canonical_form(h)
@@ -290,7 +300,7 @@ def test_gamma_orbits_of_faces_share_targets():
         for J2 in refinements(h.level_partition()):
             base = mg.canonical_form(delta_chain(h, J2))
             for phi in auts:
-                J2s = J2.relabel(lambda x: phi.saddles[x])
+                J2s = relabel(J2, phi.saddles)
                 assert mg.canonical_form(delta_chain(h, J2s)) == base
                 checked += 1
     assert checked > 0
@@ -309,7 +319,7 @@ def test_merge_two_level_example(q2_two_level):
     f = merge_all_levels(g)
     assert len(f.levels) == 1
     # the single level carries both saddles, necessarily in one atom
-    assert f.level_partition().key() == ((1, 2),)
+    assert f.level_partition() == ((1, 2),)
     assert len(f.atoms) == 1
     # round trip: some face assignment reproduces g
     J = g.level_partition()
