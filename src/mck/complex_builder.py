@@ -16,7 +16,10 @@ which makes output independent of enumeration order.
 
 The complex is the downward closure of the one-level seeds under saddle
 resolution, and each class carries its handle data (index, cylinder ranks,
-polytope dimension, symmetry group, handle Poincare polynomial).  Every
+polytope dimension, symmetry group, handle Poincare polynomial).  The
+homology model and the polytope dimension depend on a class's skeleton,
+its graph without the caps, and are computed once per skeleton of a
+complex (`handle_record`).  Every
 proper refinement of a class's level partition gets an incidence entry,
 keyed by the face as a tuple of sorted saddle tuples, the one form of an
 ordered partition (`permutohedron`), which the closure relabels and the
@@ -371,7 +374,7 @@ def _poly_mul(a, b):
     return out
 
 
-def handle_record(g, enc, framings, mirror_enc):
+def handle_record(g, enc, framings, mirror_enc, skeletons):
     """Compute the full handle record of one validated class from its
     framing pass `enc, framings = mg.canonicalize(g)`.  The canonical bytes
     are encoded here, once per class.  `mirror_enc` is the minimal encoding
@@ -383,6 +386,17 @@ def handle_record(g, enc, framings, mirror_enc):
     done (`_mirror_ids`), so it passes None, which leaves `mirror` None
     until then.
 
+    `skeletons` is the caller's table, one per complex: it maps a class's
+    skeleton, its graph without the caps, `(g.atoms, g.levels,
+    g.cylinders)`, to its homology model and polytope dimension.
+    `ta.homology_model` and `ta.u_polytope` read only the atoms (which hold
+    every saddle, so q too), the cylinders and the number of levels, so
+    classes that differ only in their caps get equal values.  An entry is computed, certificates
+    included, for the first class that meets its skeleton, and stored only
+    once both functions have returned, so a failure names that class.  The
+    caps enter through the group, so the group, the stabilizer check, the
+    torus directions and the Poincare polynomial stay per class.
+
     Both callers hand in validated graphs (`build_complex` validates its
     seeds and every split it registers as a class; `_graph_from_json` every
     stored one), so the classification does not validate again.  An
@@ -392,8 +406,12 @@ def handle_record(g, enc, framings, mirror_enc):
     autos = mg.automorphisms(g, framings)
     try:
         n = ta.classify_circles(g)
-        model = ta.homology_model(g)
-        dim_upoly = ta.u_polytope(g, model)
+        skeleton = (g.atoms, g.levels, g.cylinders)
+        entry = skeletons.get(skeleton)
+        if entry is None:
+            model = ta.homology_model(g)
+            entry = skeletons[skeleton] = (model, ta.u_polytope(g, model))
+        model, dim_upoly = entry
         admissible, free = ta.check_stab_action(g, model, autos)
         poincare = _poincare(n, autos)
     except mg.InvariantViolation as exc:
@@ -484,7 +502,9 @@ def build_complex(seeds):
 
     Each graph that becomes a representative (a seed or a cover split) is
     framed once by `canonicalize`, and its handle record is computed when
-    the class is registered, from that same pass.
+    the class is registered, from that same pass and the build's table of
+    skeletons, which computes each homology model and polytope dimension
+    once per build.
     Classes are looked up by the minimal encoding of that pass, a tuple;
     only a registered class has it turned into canonical bytes, and the
     classes are output in the order of those bytes.
@@ -547,13 +567,14 @@ def build_complex(seeds):
     # MB after building q = 4 `(5,4,1)` all marked, 293 MB without it)
     pool = {}
     plans = {}      # level partition -> `_face_plan`
+    skeletons = {}  # (atoms, levels, cylinders) -> (homology model, dim)
 
     def shared(x):
         return pool.setdefault(x, x)
 
     def register(enc, g, framings):
         known[enc] = len(records)
-        records.append(handle_record(g, enc, framings, None))
+        records.append(handle_record(g, enc, framings, None, skeletons))
         saddle_at.append({at: v for v, at
                           in mg.saddle_positions(g, framings).items()})
         queue.append(known[enc])
@@ -1058,11 +1079,13 @@ def complex_from_json(doc):
         raise ScopeError(SCOPE_REFUSAL)
     records = []
     seen = set()
+    skeletons = {}
     for i, (entry, lmg) in enumerate(zip(entries, lmgs)):
         g = _graph_from_json(lmg, p, q, r, marking,
                              "classes[%d] (id %r)" % (i, entry.get("id")))
         enc, framings = mg.canonicalize(g)
-        rec = handle_record(g, enc, framings, mg.canonicalize_mirror(g)[0])
+        rec = handle_record(g, enc, framings, mg.canonicalize_mirror(g)[0],
+                            skeletons)
         if rec.class_id != entry.get("id"):
             raise mg.LMGJSONError("class id %s does not match its graph"
                                   % entry.get("id"))

@@ -324,7 +324,8 @@ def closure_by_delta(seeds, marking=None):
             incidence.append((src, J1, cb.class_id(cf1)))
 
     records = tuple(cb.handle_record(known[cf], *mg.canonicalize(known[cf]),
-                                     mg.canonicalize(mg.mirror(known[cf]))[0])
+                                     mg.canonicalize(mg.mirror(known[cf]))[0],
+                                     {})
                     for cf in sorted(known))
     return cb.ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                        incidence=tuple(sorted(incidence)),

@@ -3,6 +3,7 @@ attribute name; every one of those names must stay resolvable, and the calls
 the library makes must still pass through the wrapped names."""
 
 import ast
+import dataclasses
 import gzip
 import importlib.util
 import random
@@ -16,6 +17,7 @@ import mck.cli  # noqa: F401  (imports every module the tracer wraps)
 from mck import complex_builder as cb
 from mck import morse_graph as mg
 from mck import perturbation as pt
+from mck import twist_algebra as ta
 
 import oracles
 
@@ -94,18 +96,25 @@ def test_tracer_sees_one_group_per_handle_record(traced_build):
             == 2 * sum(rec.gamma_order for rec in K.classes))
 
 
-def test_one_mirror_framing_per_top_class(monkeypatch):
-    # closure_sweep's eight complexes: the build frames the mirror of each
-    # of the 230 top classes and reads the other 618 classes' mirrors off
-    # the top classes' face tables; the mirrors are framed without building
-    # a mirror graph, by `canonicalize_mirror`, which the tracer does not
-    # wrap
+def _closure_seeds():
+    """The seed catalogs of closure_sweep's eight complexes, each in
+    catalog order."""
     seeds = []
     for p, q, r, marked in _load_bench("workloads").CLOSURE_JOBS:
         marking = None if marked == "all" else cb.MarkingSpec(
             marked=tuple(int(x) for x in marked.split(",")), fixed=(0, 0, 0))
         seeds.append(cb.enumerate_top_classes(p, q, r, marking))
     assert len(seeds) == 8
+    return seeds
+
+
+def test_one_mirror_framing_per_top_class(monkeypatch):
+    # closure_sweep's eight complexes: the build frames the mirror of each
+    # of the 230 top classes and reads the other 618 classes' mirrors off
+    # the top classes' face tables; the mirrors are framed without building
+    # a mirror graph, by `canonicalize_mirror`, which the tracer does not
+    # wrap
+    seeds = _closure_seeds()
     framed = []
     raw = mg.canonicalize_mirror
 
@@ -120,11 +129,93 @@ def test_one_mirror_framing_per_top_class(monkeypatch):
     assert len(framed) == 230
 
 
-def test_tracer_sees_one_elimination_per_handle_record(traced_build):
-    # each handle record's homology model is one rref; no square solves
+def _skeleton(g):
+    """A class's graph without its caps, as `handle_record` keys it."""
+    return g.atoms, g.levels, g.cylinders
+
+
+def test_tracer_sees_one_elimination_per_skeleton(traced_build):
+    # classes that differ only in their caps share a homology model, one
+    # rref per skeleton in the build and again in the reload: 14 for 20
+    # classes all marked, 14 for 11 with the minima unmarked; no square
+    # solves
     K, metrics = traced_build
-    assert metrics["linalg.rref.calls"] == 2 * len(K.classes)
+    assert len({_skeleton(rec.lmg) for rec in K.classes}) == 7
+    assert metrics["linalg.rref.calls"] == 14
     assert metrics["linalg.solve_square.calls"] == 0
+
+
+@pytest.fixture(scope="module", params=["build", "reload"])
+def skeleton_run(request):
+    """closure_sweep's eight builds, seeds in catalog order, or the reloads
+    of the four stored dumps: the complexes, the number of
+    `ta.homology_model` calls made and the (graph, model) pair that each
+    handle record passed to `ta.check_stab_action`."""
+    if request.param == "build":
+        operate, inputs = cb.build_complex, _closure_seeds()
+    else:
+        operate = cb.complex_from_json
+        inputs = [gzip.decompress(path.read_bytes()).decode()
+                  for path in sorted((BENCH / "dumps").glob("*.json.gz"))]
+    made, used = [], []
+    raw_model, raw_check = ta.homology_model, ta.check_stab_action
+
+    def counted(g):
+        made.append(g)
+        return raw_model(g)
+
+    def kept(g, model, autos):
+        used.append((g, model))
+        return raw_check(g, model, autos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ta, "homology_model", counted)
+        mp.setattr(ta, "check_stab_action", kept)
+        complexes = [operate(x) for x in inputs]
+    return request.param, complexes, len(made), used
+
+
+def test_one_homology_model_per_skeleton(skeleton_run):
+    # 848 classes in 220 skeletons, 1,804 in 314; a table coarser than
+    # (atoms, levels, cylinders) makes fewer models and skips the
+    # certificates of every skeleton it confuses
+    run, complexes, made, used = skeleton_run
+    classes, skeletons = {"build": (848, 220), "reload": (1804, 314)}[run]
+    assert sum(len(K.classes) for K in complexes) == len(used) == classes
+    assert sum(len({_skeleton(rec.lmg) for rec in K.classes})
+               for K in complexes) == made == skeletons
+
+
+def test_shared_homology_models_equal_fresh_ones(skeleton_run):
+    # every handle record's model and polytope dimension, read off the
+    # complex's table, are those its own graph gives
+    _, complexes, _, used = skeleton_run
+    for g, model in used:
+        assert model == ta.homology_model(g)
+    for K in complexes:
+        for rec in K.classes:
+            g = rec.lmg
+            assert rec.dim_upoly == ta.u_polytope(g, ta.homology_model(g))
+
+
+def test_records_through_one_table_equal_fresh_ones(skeleton_run):
+    # the classes in a shuffled order through one table give, field by
+    # field, the records of a fresh table per class and the complex's own
+    _, complexes, _, _ = skeleton_run
+    for K in complexes:
+        graphs = [rec.lmg for rec in K.classes]
+        random.Random(len(graphs)).shuffle(graphs)
+        stored = {rec.class_id: rec for rec in K.classes}
+        table = {}
+        for g in graphs:
+            enc, framings = mg.canonicalize(g)
+            mirror = mg.canonicalize_mirror(g)[0]
+            shared = cb.handle_record(g, enc, framings, mirror, table)
+            fresh = cb.handle_record(g, enc, framings, mirror, {})
+            for field in dataclasses.fields(cb.HandleRecord):
+                name = field.name
+                assert (getattr(shared, name) == getattr(fresh, name)
+                        == getattr(stored[shared.class_id], name)), name
 
 
 def test_tracer_sees_one_capping_per_tagged_atom():

@@ -380,7 +380,7 @@ def test_dump_outside_the_builder_scope_refused(tmp_path, capsys):
     marking = cb.MarkingSpec(marked=(2, 1, 1), fixed=(2, 0, 0))
     seeds = cb.enumerate_top_classes(2, 1, 1, marking)
     records = tuple(cb.handle_record(g, *mg.canonicalize(g),
-                                     mg.canonicalize(mg.mirror(g))[0])
+                                     mg.canonicalize(mg.mirror(g))[0], {})
                     for g in seeds)
     K = cb.ComplexK(p=2, q=1, r=1, marking=marking, classes=records,
                     incidence=(), top_count=len(records))
