@@ -3,7 +3,7 @@
 from .permutohedron import enumerate_partitions, sub_blocks
 from .morse_graph import (
     Atom, Cap, LMG, validate, canonical_form, decode_canonical,
-    canonicalize, canonicalize_mirror, form_bytes, automorphisms, to_doc, to_json, from_json,
+    canonicalize, canonicalize_mirror, form_bytes, automorphisms, to_json, from_json,
     to_dot, mirror, dual,
 )
 from .perturbation import split_level, delta

@@ -850,10 +850,19 @@ def morse_smale_report(K, betti=None):
 # Serialization
 # ---------------------------------------------------------------------------
 
-# the one encoder of catalog and dump entries: compact, keys sorted; every
-# value it encodes is a tree just built here, so it tracks no cycles
+# the encoder of params, report fields, faces and canonical forms: compact,
+# keys sorted; every value it encodes is a tree just built here, so it
+# tracks no cycles.  Graphs and class entries are written from templates.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
                             check_circular=False)
+
+# a dump's class entry, keys in sorted order: the id, the canonical form,
+# the graph and the `_record_fields` that the reload checks it against
+_CLASS_TEXT = ('{"admissible":%s,"c":0,"canonical":%s,"d":%d,'
+               '"dim_upoly":%d,"e":0,"free":%s,"free_exact":true,'
+               '"gamma_order":%d,"handle_dim":%d,"id":"%s","index":%d,'
+               '"lmg":%s,"mirror_self":%s,"n":%d,"nu0":%d,"poincare":[%s],'
+               '"s":%d,"t":%d}')
 
 
 def _pieces(fields, lists):
@@ -922,13 +931,22 @@ def complex_to_json(K, fh=None):
     file `fh` one class and one incidence entry at a time."""
     fields = dict(_report_fields(K), params=_params_doc(K.p, K.q, K.r,
                                                         K.marking))
-    classes = (_ENCODER.encode({"id": rec.class_id,
-                                "canonical": rec.canonical.decode("ascii"),
-                                "lmg": mg.to_doc(rec.lmg),
-                                **_record_fields(rec)})
-               for rec in K.classes)
+    classes = (_class_text(rec) for rec in K.classes)
     return _emit(fields, {"classes": classes,
                           "incidence": _incidence_texts(K.incidence)}, fh)
+
+
+def _class_text(rec):
+    """The text of a dump's class entry.  A class id is "c" and hex digits,
+    so it is written unescaped; the canonical form holds quoted strings."""
+    boolean = mg._JSON_BOOL
+    return _CLASS_TEXT % (
+        boolean[rec.all_admissible],
+        _ENCODER.encode(rec.canonical.decode("ascii")), rec.n,
+        rec.dim_upoly, boolean[rec.all_free], rec.gamma_order,
+        rec.handle_dim, rec.class_id, rec.index, mg._graph_text(rec.lmg),
+        boolean[rec.mirror_self], rec.n, rec.n, mg._ints(rec.poincare),
+        rec.s, len(rec.lmg.atoms))
 
 
 def _incidence_texts(incidence):
@@ -1110,7 +1128,7 @@ def catalog_to_json(classes, p, q, r, marking, fh=None):
     """The JSON catalog of `classes`, returned as text, or written to the
     open text file `fh` one class at a time."""
     return _emit({"params": _params_doc(p, q, r, marking)},
-                 {"classes": (_ENCODER.encode(mg.to_doc(g)) for g in classes)},
+                 {"classes": (mg._graph_text(g) for g in classes)},
                  fh)
 
 

@@ -179,8 +179,8 @@ class Atom:
 
     def kept(self, key, compute):
         """`compute()`, run once per key and kept as long as the atom lives:
-        "check", ("codes", marked, fixed), ("rebuilt", flip) and ("surgery",
-        lower).  A compute that raises keeps nothing."""
+        "check", "text", ("codes", marked, fixed), ("rebuilt", flip) and
+        ("surgery", lower).  A compute that raises keeps nothing."""
         table = self.__dict__.setdefault("_kept", {})
         if key not in table:
             table[key] = compute()
@@ -724,8 +724,8 @@ def decode_canonical(data):
 
     atoms = []
     saddle_labels = []
-    free = iter(x for x in range(1, q + 1)
-                if x not in set(marked_saddles))
+    taken = set(marked_saddles)
+    free = iter(x for x in range(1, q + 1) if x not in taken)
     for nv, edges, tags in atom_codes:
         labels = [tag[0] if tag[0] != -1 else next(free) for tag in tags]
         saddle_labels.append(labels)
@@ -746,12 +746,10 @@ def decode_canonical(data):
     # cylinders then land on other circles, and the graph returned is of
     # another class than `data` (test_decode_round_trip_partially_marked is
     # the expected failure that pins this).
-    free_min = iter(x for x in range(1, p + 1)
-                    if x not in {lab for _, kind, lab, m, _ in caps
-                                 if kind == "min" and m})
-    free_max = iter(x for x in range(1, r + 1)
-                    if x not in {lab for _, kind, lab, m, _ in caps
-                                 if kind == "max" and m})
+    taken_min = {lab for _, kind, lab, m, _ in caps if kind == "min" and m}
+    taken_max = {lab for _, kind, lab, m, _ in caps if kind == "max" and m}
+    free_min = iter(x for x in range(1, p + 1) if x not in taken_min)
+    free_max = iter(x for x in range(1, r + 1) if x not in taken_max)
     cap_objs = []
     for ref, kind, lab, m, fx in caps:
         if lab == -1:
@@ -917,33 +915,55 @@ def dual(g):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def to_doc(g):
-    """The JSON document of a leveled graph, as plain dicts, lists and
-    scalars; catalogs and complex dumps embed it as it is."""
-    atoms = []
-    for atom in g.atoms:
-        spos = {v: i for i, v in enumerate(atom.saddles)}
-        atoms.append({
-            "saddles": list(atom.saddles),
-            "darts": 4 * len(atom.saddles),
-            "edges": [[spos[o[0]] * 4 + o[1], spos[i[0]] * 4 + i[1]]
-                      for o, i in atom.edges],
-        })
-    return {
-        "q": g.q, "p": g.p, "r": g.r,
-        "levels": [list(lev) for lev in g.levels],
-        "atoms": atoms,
-        "caps": [{"circle": list(c.circle), "kind": c.kind, "label": c.label,
-                  "marked": c.marked, "fixed": c.fixed} for c in g.caps],
-        "cylinders": [[list(lo), list(hi)] for lo, hi in g.cylinders],
-        "marked_saddles": sorted(g.marked_saddles),
-        "fixed_saddles": sorted(g.fixed_saddles),
-    }
+# A graph document is written from these templates, keys in sorted order.
+# Every graph written has been validated, so its counts, labels and circle
+# references are ints, its cap kinds "min" or "max" and its cap flags bools.
+_GRAPH_TEXT = ('{"atoms":[%s],"caps":[%s],"cylinders":[%s],'
+               '"fixed_saddles":[%s],"levels":[%s],"marked_saddles":[%s],'
+               '"p":%d,"q":%d,"r":%d}')
+_ATOM_TEXT = '{"darts":%d,"edges":[%s],"saddles":[%s]}'
+_CAP_TEXT = ('{"circle":[%d,%d],"fixed":%s,"kind":"%s","label":%d,'
+             '"marked":%s}')
+_JSON_BOOL = ("false", "true")
+
+
+def _ints(xs):
+    return ",".join(map(str, xs))
+
+
+def _atom_text(atom):
+    """The text of an atom's entry in a graph document, kept on the atom:
+    an edge joins dart numbers 4 * (saddle position) + slot."""
+    def text():
+        pos = {v: 4 * i for i, v in enumerate(atom.saddles)}
+        return _ATOM_TEXT % (
+            4 * len(atom.saddles),
+            ",".join(["[%d,%d]" % (pos[o[0]] + o[1], pos[i[0]] + i[1])
+                      for o, i in atom.edges]),
+            _ints(atom.saddles))
+
+    return atom.kept("text", text)
+
+
+def _graph_text(g):
+    """The JSON text of a validated leveled graph: compact, keys sorted.
+    Catalogs and complex dumps embed it as it is."""
+    return _GRAPH_TEXT % (
+        ",".join([_atom_text(atom) for atom in g.atoms]),
+        ",".join([_CAP_TEXT % (*c.circle, _JSON_BOOL[c.fixed], c.kind,
+                               c.label, _JSON_BOOL[c.marked])
+                  for c in g.caps]),
+        ",".join(["[[%d,%d],[%d,%d]]" % (*lo, *hi) for lo, hi in g.cylinders]),
+        _ints(sorted(g.fixed_saddles)),
+        ",".join(["[%s]" % _ints(lev) for lev in g.levels]),
+        _ints(sorted(g.marked_saddles)),
+        g.p, g.q, g.r)
 
 
 def to_json(g):
-    """Stable JSON text for a leveled graph."""
-    return json.dumps(to_doc(g), separators=(",", ":"), sort_keys=True)
+    """Stable JSON text for a validated leveled graph: compact, keys sorted,
+    the text that catalogs and complex dumps embed."""
+    return _graph_text(g)
 
 
 def _json_list(x, what):

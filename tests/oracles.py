@@ -24,9 +24,11 @@ enumerates the vertices of a box cut by slabs, the reference for the
 library's certified polytope dimension; `polytope_slabs` reads a handle
 polytope's H-representation off the homology model, and
 `polytope_vertices` applies `box_vertices` to a small one.
-`whole_catalog_json` and `whole_complex_json` build a catalog or a dump as
-one document and serialize it in one call, the reference for the library's
-serializers, which write the document one entry at a time.  The
+`to_doc` builds a graph's document as dicts and lists, and
+`whole_catalog_json` and `whole_complex_json` build a catalog or a dump
+from it as one document and serialize it in one call: the references for
+the library's serializers, which write each graph and class entry from a
+template and the document one entry at a time.  The
 permutohedron helpers at the end (coarsenings, reflexive and strict
 refinement, covers, composition signatures, face vertices and coordinates,
 the induced face map's admissibility read off the vertices, a partition's
@@ -341,10 +343,34 @@ def _params_doc(p, q, r, marking):
             "fixed": list(marking.fixed)}
 
 
+def to_doc(g):
+    """The JSON document of a leveled graph, as plain dicts, lists and
+    scalars: the reference for the text that `mg.to_json` writes."""
+    atoms = []
+    for atom in g.atoms:
+        spos = {v: i for i, v in enumerate(atom.saddles)}
+        atoms.append({
+            "saddles": list(atom.saddles),
+            "darts": 4 * len(atom.saddles),
+            "edges": [[spos[o[0]] * 4 + o[1], spos[i[0]] * 4 + i[1]]
+                      for o, i in atom.edges],
+        })
+    return {
+        "q": g.q, "p": g.p, "r": g.r,
+        "levels": [list(lev) for lev in g.levels],
+        "atoms": atoms,
+        "caps": [{"circle": list(c.circle), "kind": c.kind, "label": c.label,
+                  "marked": c.marked, "fixed": c.fixed} for c in g.caps],
+        "cylinders": [[list(lo), list(hi)] for lo, hi in g.cylinders],
+        "marked_saddles": sorted(g.marked_saddles),
+        "fixed_saddles": sorted(g.fixed_saddles),
+    }
+
+
 def whole_catalog_json(classes, p, q, r, marking):
     """A catalog's text, the whole document built and then serialized."""
     return _whole_json({"params": _params_doc(p, q, r, marking),
-                        "classes": [mg.to_doc(g) for g in classes]})
+                        "classes": [to_doc(g) for g in classes]})
 
 
 def whole_complex_json(K):
@@ -355,7 +381,7 @@ def whole_complex_json(K):
         "classes": [{
             "id": rec.class_id,
             "canonical": rec.canonical.decode("ascii"),
-            "lmg": mg.to_doc(rec.lmg),
+            "lmg": to_doc(rec.lmg),
             **cb._record_fields(rec),
         } for rec in K.classes],
         "incidence": [[src, [list(b) for b in face], dst]

@@ -246,11 +246,14 @@ def test_closure_over_covers_matches_delta_oracle(complexes_q2, complexes_q3):
     # composing cover entries through saddle relabelings gives the dump
     # that resolving every refinement by its own delta gives, byte for byte;
     # with complexes_q3, the jobs cover every q <= 3 split under all four
-    # markings, and every class there has a certified polytope dimension
+    # markings, and every class there has a certified polytope dimension.
+    # The writer matches the whole-document oracle on every job, the q = 4
+    # closures (dart numbers up to 15, up to four atoms) among them.
     for name, seeds, K in _closure_jobs(complexes_q2, complexes_q3):
         same = complex_to_json(K) == complex_to_json(closure_by_delta(seeds))
         assert same, name
         _assert_polytope_dims(name, K)
+        _three_ways(lambda fh: complex_to_json(K, fh), whole_complex_json(K))
     for (p, r), K in complexes_q3.items():
         _assert_polytope_dims("%d-3-%d-all" % (p, r), K)
 

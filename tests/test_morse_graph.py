@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig8, group_of
-from oracles import circle_images, matchings
+from oracles import circle_images, matchings, to_doc
 from mck.complex_builder import MarkingSpec, _top_forms
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
     NonAlternatingError, StructureError, UnmatchedDartError,
     automorphisms, canonical_form, canonicalize, canonicalize_mirror,
-    components, decode_canonical, dual, form_bytes, from_json, mirror, to_doc, to_dot, to_json, trace_cycles, validate,
+    components, decode_canonical, dual, form_bytes, from_json, mirror, to_dot, to_json, trace_cycles, validate,
 )
 
 # a one-level q=3 class that is neither mirror-symmetric nor has any
@@ -353,6 +353,21 @@ def test_json_roundtrip(fig8_lmg, q2_two_level):
         assert from_json(json.loads(to_json(g))) == from_json(to_json(g))
         # the document that catalogs and dumps embed is the one to_json writes
         assert to_doc(g) == json.loads(to_json(g))
+
+
+def test_to_json_is_the_dumped_document(fig8_lmg, q2_two_level):
+    # the graph templates against the document built as dicts and lists and
+    # serialized by json: marked and unmarked caps, a fixed cap and saddle,
+    # two levels joined by a cylinder and a three-saddle atom
+    caps = fig8_lmg.caps
+    fixed = dataclasses.replace(
+        fig8_lmg, caps=(dataclasses.replace(caps[0], fixed=True), *caps[1:]),
+        fixed_saddles=frozenset({1}))
+    for g in (fig8_lmg, fig8(False, False), fixed, q2_two_level,
+              dual(q2_two_level), from_json(CHIRAL_Q3)):
+        validate(g)
+        assert to_json(g) == json.dumps(to_doc(g), separators=(",", ":"),
+                                        sort_keys=True)
 
 
 def test_missing_key_is_a_parse_error(q2_two_level):
