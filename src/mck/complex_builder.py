@@ -24,9 +24,10 @@ proper refinement of a class's level partition gets an incidence entry,
 keyed by the face as a tuple of sorted saddle tuples, the one form of an
 ordered partition (`permutohedron`), which the closure relabels and the
 dump writes.  Only the covers (hyperfaces) are split, each at most once per
-class: a deeper face is a cover of the face
-`permutohedron.chain_predecessor` names, read through a saddle relabeling
-into that face's stored representative.
+class, and `delta` runs once per skeleton and cover: the other classes on
+that skeleton take the stored split and move their caps.  A deeper face is
+a cover of the face `permutohedron.chain_predecessor` names, read through a
+saddle relabeling into that face's stored representative.
 A face with several blocks also covers other faces, and once a class's
 face table is complete, each such cover whose target class has a trivial
 group is entered for the class of the other face without a split, or
@@ -439,6 +440,37 @@ def _relabel(face, rho):
     return tuple(tuple(sorted(rho[v - 1] for v in block)) for block in face)
 
 
+def _split(splits, skeleton, g, cover):
+    """`delta(g, cover)`, served from `splits`, a build's split table, when
+    a graph on g's skeleton (index `skeleton`) was split along `cover`
+    before.  The table maps (skeleton, cover) to the split's atoms, levels
+    and cylinders and its circle map {old cap circle: new cap circle}, read
+    off the caps, which `split_level` copies in order, moving only their
+    circles; none of it depends on the caps.  A hit builds the split from
+    the stored skeleton and moves g's own caps through the map; a cap
+    circle missing from the map raises InvariantViolation.  A miss calls
+    `delta`, so each stored (skeleton, cover) has passed its cover check."""
+    entry = splits.get((skeleton, cover))
+    if entry is None:
+        h = delta(g, cover)
+        splits[(skeleton, cover)] = (h.atoms, h.levels, h.cylinders, {
+            old.circle: new.circle for old, new in zip(g.caps, h.caps)})
+        return h
+    atoms, levels, cylinders, moved = entry
+    caps = []
+    for cap in g.caps:
+        circle = moved.get(cap.circle)
+        if circle is None:
+            raise mg.InvariantViolation("cap circle %s has no image in the "
+                                        "split of its skeleton" % (cap.circle,))
+        caps.append(cap if circle == cap.circle else mg.Cap(
+            circle, cap.kind, cap.label, cap.marked, cap.fixed))
+    return mg.LMG(q=g.q, p=g.p, r=g.r, levels=levels, atoms=atoms,
+                  caps=tuple(caps), cylinders=cylinders,
+                  marked_saddles=g.marked_saddles,
+                  fixed_saddles=g.fixed_saddles)
+
+
 def _face_plan(J, shared):
     """(face, chain predecessor, others) per proper face of J, in
     `refinements` order: others are the faces of J other than the
@@ -470,9 +502,29 @@ def build_complex(seeds):
     the chain.  The faces of J, their predecessors and the other faces each
     covers depend on J only, so they are listed once per distinct level
     partition (`_face_plan`).  A face is a tuple of sorted saddle tuples
-    throughout: it is relabeled, memoized, split by `delta` and dumped in
-    that one form.  Faces, relabelings and class ids are shared objects, so
-    the memo and the incidence entries hold references, not copies.
+    throughout: it is relabeled, memoized, split and dumped in that one
+    form.  Faces, relabelings and class ids are shared objects, so the memo
+    and the incidence entries hold references, not copies.
+
+    Split table.  A split reads only the skeleton of the graph it splits,
+    `(atoms, levels, cylinders)`, and the cover; `split_level` copies the
+    caps in order and moves only their circles.  Each class gets a skeleton
+    index once, when it is registered, and `splits`, made fresh per build
+    like `skeletons`, maps (skeleton index, cover in that representative's
+    labels) to the split's atoms, levels and cylinders and its circle map
+    (`_split`).  A (class, cover) pair whose skeleton was split along that
+    cover before takes the stored skeleton and moves its own caps through
+    the map, so it gets the graph `delta` would give; a cap circle missing
+    from the map raises InvariantViolation naming the class and face.
+    Only a miss calls `delta`, which keeps its cover check and its
+    PerturbationError: a hit repeats a (skeleton, cover) that passed them.
+
+    Identity relabelings.  A relabeling equal to the identity is None, as
+    a class's own entry is, and `_relabel` and the compositions skip it.
+    An isomorphism between two classes' graphs fixes the marked saddles,
+    so with every saddle marked every relabeling is the identity, and
+    `saddle_positions` is called neither for a cover nor for a registered
+    class (`saddle_at` holds None).
 
     Derived cover entries.  Once g's face table is complete, each face F1
     of g whose class c1 has a trivial group (`gamma_order` 1) gives an
@@ -537,8 +589,10 @@ def build_complex(seeds):
     of two new sub-levels; each saddle of the split level lies in exactly
     one new atom, a component of its sub-block's curve system; and caps are
     copied with their kind, label and flags, only their circles moved.  A
-    split thus carries its input's saddle and cap labels, and its input is
-    a seed or a registered class, validated already."""
+    split served from the table is built the same way, on a skeleton that
+    `split_level` made.  A split thus carries its input's saddle and cap
+    labels, and its input is a seed or a registered class, validated
+    already."""
     if not seeds:
         raise ParameterError("no seed classes")
     g0 = seeds[0]
@@ -568,15 +622,29 @@ def build_complex(seeds):
     pool = {}
     plans = {}      # level partition -> `_face_plan`
     skeletons = {}  # (atoms, levels, cylinders) -> (homology model, dim)
+    skeleton_ids = {}   # (atoms, levels, cylinders) -> skeleton index
+    skeleton_of = []    # class index -> skeleton index of representative
+    splits = {}     # (skeleton index, cover) -> `_split` entry
+    identity = tuple(range(1, q + 1))
+    # an isomorphism fixes marked saddles, so with every saddle marked
+    # every relabeling is the identity and no saddle is located
+    all_marked = len(g0.marked_saddles) == q
 
     def shared(x):
         return pool.setdefault(x, x)
 
+    def relabeling(images):
+        """The shared relabeling with `images`, None for the identity."""
+        rho = tuple(images)
+        return None if rho == identity else shared(rho)
+
     def register(enc, g, framings):
         known[enc] = len(records)
         records.append(handle_record(g, enc, framings, None, skeletons))
-        saddle_at.append({at: v for v, at
-                          in mg.saddle_positions(g, framings).items()})
+        skeleton_of.append(skeleton_ids.setdefault(
+            (g.atoms, g.levels, g.cylinders), len(skeleton_ids)))
+        saddle_at.append(None if all_marked else {
+            at: v for v, at in mg.saddle_positions(g, framings).items()})
         queue.append(known[enc])
 
     for g in seeds:
@@ -587,7 +655,7 @@ def build_complex(seeds):
 
     # (class, cover face of its representative) -> (target class, saddle
     # relabeling of that split into the target's representative, as the
-    # tuple of images of saddles 1..q)
+    # tuple of images of saddles 1..q, or None for the identity)
     covers = {}
     incidence = []
     tops = [None] * top_count   # top class -> its slice of `incidence`
@@ -601,7 +669,7 @@ def build_complex(seeds):
         if c < top_count:
             tops[c] = (len(incidence), len(incidence) + len(plan))
         # face -> (class of delta(g, face), saddle relabeling of delta(g,
-        # face) into the class's representative, or None for g itself)
+        # face) into the class's representative, or None for the identity)
         reached = {J: (c, None)}
         for face, before, _ in plan:
             c0, rho0 = reached[before]
@@ -609,7 +677,7 @@ def build_complex(seeds):
             key = (c0, shared(K))
             if key not in covers:
                 try:
-                    h = delta(records[c0].lmg, K)
+                    h = _split(splits, skeleton_of[c0], records[c0].lmg, K)
                     enc, framings = mg.canonicalize(h)
                     if enc not in known:
                         mg.validate(h)
@@ -625,13 +693,16 @@ def build_complex(seeds):
                 if enc not in known:
                     register(enc, h, framings)
                 c1 = known[enc]
-                at = saddle_at[c1]
-                pos = mg.saddle_positions(h, framings)
-                covers[key] = (c1, shared(tuple(at[pos[v]]
-                                                for v in range(1, q + 1))))
+                rho = None
+                if not all_marked:
+                    at = saddle_at[c1]
+                    pos = mg.saddle_positions(h, framings)
+                    rho = relabeling(at[pos[v]] for v in identity)
+                covers[key] = (c1, rho)
             c1, rho1 = covers[key]
             if rho0 is not None:
-                rho1 = shared(tuple(rho1[w - 1] for w in rho0))
+                rho1 = rho0 if rho1 is None else relabeling(
+                    rho1[w - 1] for w in rho0)
             reached[face] = (c1, rho1)
             incidence.append((records[c].class_id, face, records[c1].class_id))
         # derived cover entries: face F1 of g, whose class has a trivial
@@ -643,22 +714,27 @@ def build_complex(seeds):
                 continue
             for other in others:
                 c0, rho0 = reached[other]
-                back = [0] * q
-                for v, w in enumerate(rho0, 1):
-                    back[w - 1] = v
-                K = _relabel(face, rho0)
-                rho = tuple(rho1[v - 1] for v in back)
+                if rho0 is None:
+                    K, rho = face, rho1
+                else:
+                    back = [0] * q
+                    for v, w in enumerate(rho0, 1):
+                        back[w - 1] = v
+                    K = _relabel(face, rho0)
+                    rho = relabeling(back if rho1 is None
+                                     else (rho1[v - 1] for v in back))
                 held = covers.get((c0, K))
                 if held is None:
-                    covers[(c0, shared(K))] = (c1, shared(rho))
+                    covers[(c0, shared(K))] = (c1, rho)
                 elif held != (c1, rho):
                     raise mg.InvariantViolation(
                         "class %s: its cover %s reaches class %s by %s, but "
                         "the faces of class %s give class %s by %s" % (
                             records[c0].class_id, face_str(K),
-                            records[held[0]].class_id, list(held[1]),
+                            records[held[0]].class_id,
+                            list(held[1] or identity),
                             records[c].class_id, records[c1].class_id,
-                            list(rho)))
+                            list(rho or identity)))
 
     for c, m in enumerate(_mirror_ids(records, known, saddle_at, incidence,
                                       tops)):
@@ -684,12 +760,15 @@ def _mirror_ids(records, known, saddle_at, incidence, tops):
     mirror(split(rep t, F)) is isomorphic to split(rep m(t), sigma_t(F));
     every proper ordered partition of 1..q, sigma_t(F) among them, is a
     face of m(t); and by chain independence every class of the closure is
-    the class at some face of some top class.  A top class whose mirror is
-    not a class keeps its framed mirror's id and gives no face a mirror.
+    the class at some face of some top class.  A sigma_t equal to the
+    identity is None, and so is every one when `saddle_at` holds None
+    (every saddle marked): then F is read as itself and no saddle is
+    located.  A top class whose mirror is not a class keeps its framed
+    mirror's id and gives no face a mirror.
     An InvariantViolation names the class when its faces give two mirrors,
     when m(m(c)) is not c, or when a class with more than one level has no
     mirror: the complex of a mirror-closed seed set is mirror-closed."""
-    q = records[0].lmg.q
+    identity = tuple(range(1, records[0].lmg.q + 1))
     mirror = {}     # class id -> class id of its mirror in the complex
     outside = {}    # top class -> class id of a mirror not in the complex
     moved = {}      # sigma -> place in a top's slice of sigma(F), per face F
@@ -702,12 +781,18 @@ def _mirror_ids(records, known, saddle_at, incidence, tops):
             continue
         mirror[records[t].class_id] = records[m].class_id
         at = saddle_at[m]
-        pos = mg.saddle_positions(g, framings)
-        sigma = tuple(at[pos[v]] for v in range(1, q + 1))
+        sigma = None
+        if at is not None:
+            pos = mg.saddle_positions(g, framings)
+            sigma = tuple(at[pos[v]] for v in identity)
+            if sigma == identity:
+                sigma = None
         if sigma not in moved:
             faces = [face for _, face, _ in incidence[start:end]]
             place = {face: k for k, face in enumerate(faces)}
-            moved[sigma] = [place[_relabel(face, sigma)] for face in faces]
+            moved[sigma] = [place[face if sigma is None
+                                  else _relabel(face, sigma)]
+                            for face in faces]
         lo = tops[m][0]
         for (_, _, target), k in zip(incidence[start:end], moved[sigma]):
             m1 = incidence[lo + k][2]

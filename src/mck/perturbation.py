@@ -27,13 +27,19 @@ circles become new cylinders.
 The library resolves covers only: `delta` splits one level of the level
 partition in two, and the complex builder reaches every deeper face as a
 cover of `permutohedron.chain_predecessor`'s partition, read in the class
-that partition lies in.  A cover is a tuple of sorted saddle tuples, the
-one form of an ordered partition, and the one partition a caller hands the
-library: `delta` refuses one that `sub_blocks` does not accept as a cover
-of the level partition (PerturbationError).  The surgery of one atom reads
-only which of its own saddles go down, so each atom keeps it per that set
-(`_atom_surgery`), and with it the new atoms, which thus live as long as
-the atom split.
+that partition lies in through a saddle relabeling (None when it is the
+identity, which every relabeling is when every saddle is marked).  A split
+reads only the graph's skeleton (atoms, levels, cylinders) and moves each
+cap's circle by a map that depends on the skeleton alone, so the builder
+calls `delta` once per skeleton and cover it meets and serves the other
+classes on that skeleton from its split table, moving their caps through
+the stored circle map (`build_complex`).  A cover is a tuple of sorted
+saddle tuples, the one form of an ordered partition, and the one partition
+a caller hands the library: `delta` refuses one that `sub_blocks` does not
+accept as a cover of the level partition (PerturbationError).  The surgery
+of one atom reads only which of its own saddles go down, so each atom keeps
+it per that set (`_atom_surgery`), and with it the new atoms, which thus
+live as long as the atom split.
 
 Neither `split_level` nor `delta` validates its result.  The surgery raises
 InvariantViolation when a circle's edge set reaches no circle above it, or

@@ -254,27 +254,57 @@ def _covers(K):
                for rec in K.classes)
 
 
-def test_tracer_sees_one_split_per_class_and_cover(traced_cover_build):
-    # closure over covers: with the saddles unmarked, the build splits a
-    # class along each of its hyperfaces at most once, reads the 30 covers
-    # whose trivial-group target an earlier face table names off that
-    # table, and composes the deeper faces; the class and incidence counts
-    # are those of resolving every face
-    K, calls = traced_cover_build
-    assert calls["perturbation.split_level.calls"] == 156 < _covers(K) == 186
-    assert calls["perturbation.delta.calls"] == 156
-    assert (len(K.classes), len(K.incidence), K.top_count) == (71, 306, 20)
-    # the same with a marked saddle and the seeds in shuffled orders; the
-    # catalog's 66 entries lie in 64 classes (ROADMAP item 1)
-    seeds = cb.enumerate_top_classes(
-        3, 3, 2, cb.MarkingSpec(marked=(1, 1, 1), fixed=(0, 0, 0)))
-    assert len(seeds) == 66
-    for order in range(3):
-        random.Random(order).shuffle(seeds)
+def _traced_with_pairs(seeds):
+    """`build_complex(seeds)` under the tracer, the pass's metric values,
+    and the (class, cover) pairs the build resolves: its framing passes
+    (`canonicalize`), one per seed and one per pair."""
+    passes = [0]
+    raw = mg.canonicalize
+
+    def counted(g):
+        passes[0] += 1
+        return raw(g)
+
+    mg.canonicalize = counted
+    try:
         K, calls = _traced(lambda: cb.build_complex(seeds))
-        assert calls["perturbation.split_level.calls"] == 551 < _covers(K) == 638
-        assert calls["perturbation.delta.calls"] == 551
-        assert (len(K.classes), len(K.incidence), K.top_count) == (267, 1022, 64)
+    finally:
+        mg.canonicalize = raw
+    return K, calls, passes[0] - len(seeds)
+
+
+def test_tracer_sees_one_split_per_class_and_cover():
+    # closure over covers: the build resolves a class along each of its
+    # hyperfaces at most once, reads the covers whose trivial-group target
+    # an earlier face table names off that table (30 of the 186 at
+    # (4, 3, 1)), and composes the deeper faces; the class and incidence
+    # counts are those of resolving every face.  A pair whose skeleton was
+    # split along that cover before is served from the build's split
+    # table, so `delta` and `split_level` run once per (skeleton, cover) of
+    # the representatives met: how many depends on which graphs become
+    # representatives, so on the seed order (catalog order, then three
+    # shuffles of it).  The catalog's 66 (3, 3, 2) entries lie in 64
+    # classes (ROADMAP item 1)
+    for pqr, marked, entries, pairs, covers, misses, counts in (
+            ((4, 3, 1), (4, 0, 1), 20, 156, 186, (22, 24, 24, 24),
+             (71, 306, 20)),
+            ((3, 3, 2), (1, 1, 1), 66, 551, 638, (123, 138, 141, 134),
+             (267, 1022, 64))):
+        seeds = cb.enumerate_top_classes(
+            *pqr, cb.MarkingSpec(marked=marked, fixed=(0, 0, 0)))
+        assert len(seeds) == entries
+        got = []
+        for order in (None, 0, 1, 2):
+            shuffled = list(seeds)
+            if order is not None:
+                random.Random(order).shuffle(shuffled)
+            K, calls, resolved = _traced_with_pairs(shuffled)
+            assert resolved == pairs < _covers(K) == covers, pqr
+            assert (len(K.classes), len(K.incidence), K.top_count) == counts
+            assert (calls["perturbation.delta.calls"]
+                    == calls["perturbation.split_level.calls"])
+            got.append(calls["perturbation.split_level.calls"])
+        assert tuple(got) == misses, pqr
 
 
 def test_tracer_sees_one_validation_per_class(traced_cover_build):
@@ -339,16 +369,19 @@ def test_one_atom_code_computation_per_distinct_atom(monkeypatch):
 
 
 def test_one_surgery_per_atom_and_lower_block(monkeypatch):
-    # an atom keeps its surgery per its own lower saddles, so the 156 cover
-    # splits compute 20 surgeries, each of two sub-level systems, and no
-    # (atom, lower saddles) twice.  The table is the test's own, so no atom
-    # an earlier test left alive is handed out, and the spy records values,
-    # so it holds no atom
+    # an atom keeps its surgery per its own lower saddles, so the 22 cover
+    # splits that the 156 (class, cover) pairs leave to `split_level` (the
+    # others are served from the build's split table) compute 20
+    # surgeries, each of two sub-level systems, and no (atom, lower
+    # saddles) twice.  The table is the test's own, so no atom an earlier
+    # test left alive is handed out, and the spy records values, so it
+    # holds no atom
     monkeypatch.setattr(mg, "_interned", weakref.WeakValueDictionary())
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
-    systems, splits = [], []
+    systems, splits, passes = [], [], []
     raw, raw_split = pt._sublevel_system, pt.split_level
+    raw_canonicalize = mg.canonicalize
 
     def counted(atom, kept, turn):
         systems.append((atom.saddles, atom.edges, frozenset(kept), turn))
@@ -358,10 +391,16 @@ def test_one_surgery_per_atom_and_lower_block(monkeypatch):
         splits.append(level)
         return raw_split(g, level, lower)
 
+    def framed(g):
+        passes.append(1)
+        return raw_canonicalize(g)
+
     monkeypatch.setattr(pt, "_sublevel_system", counted)
     monkeypatch.setattr(pt, "split_level", split)
+    monkeypatch.setattr(mg, "canonicalize", framed)
     K = cb.build_complex(seeds)
-    assert (len(K.classes), len(splits), _covers(K)) == (71, 156, 186)
+    pairs = len(passes) - len(seeds)
+    assert (len(K.classes), len(splits), pairs, _covers(K)) == (71, 22, 156, 186)
     surgeries = [key[:3] for key in systems if key[3] == +1]
     assert len(systems) == len(set(systems)) == 40
     assert len(surgeries) == len(set(surgeries)) == 20
@@ -391,6 +430,25 @@ def test_one_atom_check_per_atom_object(monkeypatch):
     atoms = {atom for K in complexes for rec in K.classes for atom in rec.lmg.atoms}
     assert len(complexes) == 4
     assert len({id(atom) for atom in checked}) == len(checked) == len(atoms) == 56
+
+
+def test_no_saddle_located_when_every_saddle_is_marked(monkeypatch):
+    # an isomorphism fixes the marked saddles, so with all of them marked
+    # every relabeling is the identity: the build neither locates a saddle
+    # nor relabels a face.  With the saddles unmarked it does both
+    calls = {"saddle_positions": 0, "_relabel": 0}
+    for module, name in ((mg, "saddle_positions"), (cb, "_relabel")):
+        def counted(*args, raw=getattr(module, name), name=name):
+            calls[name] += 1
+            return raw(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert len(cb.build_complex(cb.enumerate_top_classes(4, 3, 1)).classes) == 426
+    assert calls == {"saddle_positions": 0, "_relabel": 0}
+    seeds = cb.enumerate_top_classes(
+        4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
+    assert len(cb.build_complex(seeds).classes) == 71
+    assert calls["saddle_positions"] > 0 and calls["_relabel"] > 0
 
 
 def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):

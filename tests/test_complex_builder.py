@@ -336,6 +336,60 @@ def test_no_representative_split_twice(complexes_q2, complexes_q3,
     assert jobs == 28 and q3["splits"] < q3["pairs"]
 
 
+def test_split_table_serves_the_delta_split(complexes_q2, complexes_q3):
+    # a split table that meets the classes of a complex in their stored
+    # order, one skeleton index per distinct (atoms, levels, cylinders) as
+    # the build gives it, serves every (class, cover) pair of a skeleton
+    # after its first one from the table; each split it gives, served or
+    # not, is `delta`'s, on every q <= 3 complex under the markings all,
+    # p,0,r, 1,1,1 and 0,3,0 (0,q,0 leaves too few marked points at q <= 2).
+    # 8,854 of the 10,664 pairs are served
+    jobs = {"%d-3-%d-all" % pr: K for pr, K in complexes_q3.items()}
+    jobs.update((name, K) for name, _, K in _closure_jobs(complexes_q2,
+                                                           complexes_q3)
+                if K.q <= 3)
+    served = pairs = 0
+    for name, K in jobs.items():
+        splits, skeletons = {}, {}
+        for rec in K.classes:
+            g = rec.lmg
+            skeleton = skeletons.setdefault((g.atoms, g.levels, g.cylinders),
+                                            len(skeletons))
+            for J1 in covers(g.level_partition()):
+                served += (skeleton, J1) in splits
+                assert cb._split(splits, skeleton, g, J1) == pt.delta(g, J1), (
+                    name, rec.class_id, J1)
+                pairs += 1
+    assert (len(jobs), served, pairs) == (31, 8854, 10664)
+
+
+def test_circle_map_missing_a_cap_circle_exits_4(tmp_path, capsys,
+                                                 monkeypatch):
+    # a split table whose circle maps each lost one entry leaves a cap of
+    # the next class served from the table with no circle: the build names
+    # the class and face, and `mck complex` exits 4
+    seeds = enumerate_top_classes(4, 3, 1)
+    cat = tmp_path / "cat.json"
+    cat.write_text(catalog_to_json(seeds, 4, 3, 1,
+                                   MarkingSpec.all_marked(4, 3, 1)))
+    raw = cb._split
+
+    def dropping(splits, skeleton, g, cover):
+        missed = (skeleton, cover) not in splits
+        h = raw(splits, skeleton, g, cover)
+        if missed:
+            splits[(skeleton, cover)][3].popitem()
+        return h
+
+    monkeypatch.setattr(cb, "_split", dropping)
+    with pytest.raises(mg.InvariantViolation) as info:
+        build_complex(seeds)
+    assert re.fullmatch(r"class c[0-9a-f]{16}: face \([0-9,|]+\): cap circle "
+                        r"\([0-9]+, [0-9]+\) has no image in the split of its "
+                        r"skeleton", str(info.value))
+    _assert_exit_4_naming(info.value, cat, tmp_path, capsys)
+
+
 def test_rotated_cover_relabeling_exits_4(tmp_path, capsys, monkeypatch):
     # the relabeling of the first split that registers a three-level class
     # is rotated (saddle v read as v + 1); a face table later reads that
@@ -378,11 +432,13 @@ def test_relabeled_face_that_is_no_cover_exits_4(tmp_path, capsys,
                                                  monkeypatch):
     # a relabeling that sends a deeper face to a face that is no cover of
     # the class it is read in is a failed identity, not a parameter error:
-    # the build names the class and face, and `mck complex` exits 4
-    seeds = enumerate_top_classes(4, 3, 1)
+    # the build names the class and face, and `mck complex` exits 4.  The
+    # saddles are unmarked, so relabelings move them and the closure reads
+    # faces through `_relabel` (with every saddle marked it never does)
+    marking = MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0))
+    seeds = enumerate_top_classes(4, 3, 1, marking)
     cat = tmp_path / "cat.json"
-    cat.write_text(catalog_to_json(seeds, 4, 3, 1,
-                                   MarkingSpec.all_marked(4, 3, 1)))
+    cat.write_text(catalog_to_json(seeds, 4, 3, 1, marking))
     raw = cb._relabel
     done = []
 
