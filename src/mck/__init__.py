@@ -2,8 +2,9 @@
 
 from .permutohedron import enumerate_partitions, sub_blocks
 from .morse_graph import (
-    Atom, Cap, LMG, validate, canonical_form, decode_canonical,
-    canonicalize, canonicalize_mirror, form_bytes, automorphisms, to_json, from_json,
+    Atom, Cap, LMG, Skeleton, SkeletonTable, validate, canonical_form,
+    decode_canonical, canonicalize, canonicalize_mirror, canonical_skeleton,
+    form_bytes, automorphisms, to_json, from_json,
     to_dot, mirror, dual,
 )
 from .perturbation import split_level, delta

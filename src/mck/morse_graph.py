@@ -315,70 +315,174 @@ class LMG:
         return [offsets[a] + e for e in self.atoms[a].circles[ci][1]]
 
 
-def validate(g):
+# ---------------------------------------------------------------------------
+# Skeletons
+# ---------------------------------------------------------------------------
+#
+# A graph's skeleton is the graph without its caps, (atoms, levels,
+# cylinders).  The classes of a complex lie on far fewer skeletons than
+# there are classes (31,680 on 568 at (5,4,1) all marked), and whatever
+# does not read the caps is the same for all of them: the skeleton checks
+# of `validate`, the cap-free frame of `canonicalize` and
+# `canonicalize_mirror`, and the complex builder's homology model and
+# splits.  One operation (a catalog, a build, a reload) keeps one
+# `SkeletonTable`; each of its entries keeps those values, each computed
+# for the first graph that asks, and each class pays only for its caps.
+
+
+class Skeleton:
+    """One skeleton, `(atoms, levels, cylinders)`, and what was computed on
+    it.  An entry is also the table of its one skeleton: a caller that holds
+    g's entry passes it where a `SkeletonTable` is taken, and no lookup
+    hashes g's skeleton again."""
+
+    __slots__ = ("atoms", "levels", "cylinders", "_kept")
+
+    def __init__(self, atoms, levels, cylinders):
+        self.atoms, self.levels, self.cylinders = atoms, levels, cylinders
+        self._kept = {}
+
+    atom_levels = LMG.atom_levels
+
+    def skeleton(self, g):
+        return self
+
+    def kept(self, key, compute):
+        """`compute()`, run once per key and kept as long as the entry
+        lives: "check", ("frame", mirrored, q, p, r, marked saddles, fixed
+        saddles), and the builder's "model" and ("split", cover).  A
+        compute that raises keeps nothing."""
+        try:
+            return self._kept[key]
+        except KeyError:
+            value = self._kept[key] = compute()
+            return value
+
+
+class SkeletonTable:
+    """One operation's skeletons, keyed by their raw content `(g.atoms,
+    g.levels, g.cylinders)`; no table is kept at module level, so nothing
+    it holds outlives the operation."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries = {}
+
+    def skeleton(self, g):
+        """The entry of g's skeleton, made on first sight."""
+        key = (g.atoms, g.levels, g.cylinders)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = Skeleton(*key)
+        return entry
+
+
+def _skeleton(g, table):
+    """g's entry in `table`, or a throwaway entry when `table` is None."""
+    if table is None:
+        return Skeleton(g.atoms, g.levels, g.cylinders)
+    return table.skeleton(g)
+
+
+def _check_skeleton(skeleton):
+    """The checks of `validate` that read no cap, in its order: atoms,
+    placement, saddle labels, cylinder ends, sides and levels, and
+    connectivity.  Returns (saddle count, {circle: side} over the circles
+    that no cylinder uses)."""
+    atoms, levels = skeleton.atoms, skeleton.levels
+    if not atoms:
+        raise StructureError("no atoms")
+    for atom in atoms:
+        atom.check()
+
+    placed = [a for lev in levels for a in lev]
+    if sorted(placed) != list(range(len(atoms))):
+        raise StructureError("levels must list every atom exactly once")
+    if any(not lev for lev in levels):
+        raise StructureError("empty level")
+
+    labels = [v for atom in atoms for v in atom.saddles]
+    if len(set(labels)) != len(labels):
+        raise LabelCollisionError("saddle label used by two atoms")
+    # 1..q for the q that the atoms hold; a graph's declared q is compared
+    # with that count, so no set is built from a declared q
+    if set(labels) != set(range(1, len(labels) + 1)):
+        raise StructureError("saddle labels must be {1..q}")
+
+    sides = {(a, c): side for a, atom in enumerate(atoms)
+             for c, (side, _) in enumerate(atom.circles)}
+    paired = set()
+
+    def use(ref):
+        if ref not in sides:
+            raise StructureError("bad circle reference %r" % (ref,))
+        if ref in paired:
+            raise StructureError("circle %r used twice (cylinder and "
+                                 "cylinder)" % (ref,))
+        paired.add(ref)
+
+    levels_of = skeleton.atom_levels()
+    for lo, hi in skeleton.cylinders:
+        use(tuple(lo))
+        use(tuple(hi))
+        if sides[tuple(lo)] != "upper":
+            raise CapSideError("cylinder lower end %r is not an upper circle" % (lo,))
+        if sides[tuple(hi)] != "lower":
+            raise CapSideError("cylinder upper end %r is not a lower circle" % (hi,))
+        li, lj = levels_of[lo[0]], levels_of[hi[0]]
+        if li >= lj:
+            raise CylinderLevelError("cylinder pairs level %d with level %d" % (li, lj))
+
+    # surface connectivity through cylinders
+    pairs = [(lo[0], hi[0]) for lo, hi in skeleton.cylinders]
+    if len(components(range(len(atoms)), pairs)) != 1:
+        raise DisconnectedError("assembled surface is not connected")
+    return len(labels), {ref: side for ref, side in sides.items()
+                         if ref not in paired}
+
+
+def validate(g, table=None):
     """Full structural validation; returns None on success.
 
     Raises a distinct LMGError subclass per diagnostic.  How many points are
     marked is the marking's rule (`MarkingSpec.check`), not the graph's.
+
+    The checks that read no cap (`_check_skeleton`) run once per skeleton
+    of `table` (a `SkeletonTable` or g's entry in one; None checks afresh)
+    and are kept once they pass; every graph then has its caps checked
+    against the circles that no cylinder uses.  A graph with defects of
+    both kinds reports a skeleton defect first.
     """
-    if not g.atoms:
-        raise StructureError("no atoms")
-    for atom in g.atoms:
-        atom.check()
-
-    placed = [a for lev in g.levels for a in lev]
-    if sorted(placed) != list(range(len(g.atoms))):
-        raise StructureError("levels must list every atom exactly once")
-    if any(not lev for lev in g.levels):
-        raise StructureError("empty level")
-
-    labels = [v for atom in g.atoms for v in atom.saddles]
-    if len(set(labels)) != len(labels):
-        raise LabelCollisionError("saddle label used by two atoms")
-    # the count first: a set of 1..q is built only for as many labels
-    if len(labels) != g.q or set(labels) != set(range(1, g.q + 1)):
+    skeleton = _skeleton(g, table)
+    q, free = skeleton.kept("check", lambda: _check_skeleton(skeleton))
+    if g.q != q:
         raise StructureError("saddle labels must be {1..q}")
 
-    tables = [atom.circles for atom in g.atoms]
-    usage = {}
-
-    def use(ref, what):
-        a, c = ref
-        if not (0 <= a < len(g.atoms)) or not (0 <= c < len(tables[a])):
-            raise StructureError("bad circle reference %r" % (ref,))
-        if ref in usage:
-            raise StructureError("circle %r used twice (%s and %s)"
-                                 % (ref, usage[ref], what))
-        usage[ref] = what
-
+    capped = set()
     for cap in g.caps:
         if cap.kind not in ("min", "max"):
             raise StructureError("bad cap kind %r" % (cap.kind,))
-        use(tuple(cap.circle), "cap")
-        side = tables[cap.circle[0]][cap.circle[1]][0]
+        ref = tuple(cap.circle)
+        side = free.get(ref)
+        if side is None:
+            a, c = ref
+            if not (0 <= a < len(g.atoms) and 0 <= c < len(g.atoms[a].circles)):
+                raise StructureError("bad circle reference %r" % (ref,))
+            raise StructureError("circle %r used twice (cap and cylinder)"
+                                 % (ref,))
+        if ref in capped:
+            raise StructureError("circle %r used twice (cap and cap)" % (ref,))
+        capped.add(ref)
         if cap.kind == "min" and side != "lower":
             raise CapSideError("min-disk on an upper circle: %r" % (cap,))
         if cap.kind == "max" and side != "upper":
             raise CapSideError("max-disk on a lower circle: %r" % (cap,))
         if cap.fixed and not cap.marked:
             raise StructureError("fixed cap must be marked: %r" % (cap,))
-
-    levels_of = g.atom_levels()
-    for lo, hi in g.cylinders:
-        use(tuple(lo), "cylinder")
-        use(tuple(hi), "cylinder")
-        if tables[lo[0]][lo[1]][0] != "upper":
-            raise CapSideError("cylinder lower end %r is not an upper circle" % (lo,))
-        if tables[hi[0]][hi[1]][0] != "lower":
-            raise CapSideError("cylinder upper end %r is not a lower circle" % (hi,))
-        li, lj = levels_of[lo[0]], levels_of[hi[0]]
-        if li >= lj:
-            raise CylinderLevelError("cylinder pairs level %d with level %d" % (li, lj))
-
-    for a in range(len(g.atoms)):
-        for c in range(len(tables[a])):
-            if (a, c) not in usage:
-                raise StructureError("circle (%d, %d) neither capped nor paired" % (a, c))
+    if len(capped) != len(free):
+        a, c = min(free.keys() - capped)
+        raise StructureError("circle (%d, %d) neither capped nor paired" % (a, c))
 
     mins = sorted(c.label for c in g.caps if c.kind == "min")
     maxs = sorted(c.label for c in g.caps if c.kind == "max")
@@ -395,15 +499,10 @@ def validate(g):
                              % (g.p, g.r, p_actual, r_actual))
     if mins != list(range(1, p_actual + 1)) or maxs != list(range(1, r_actual + 1)):
         raise LabelCollisionError("extremum labels must be 1..p and 1..r")
-    if not g.marked_saddles <= set(labels):
+    if not g.marked_saddles <= set(range(1, q + 1)):
         raise LabelCollisionError("marked saddle outside {1..q}")
     if not g.fixed_saddles <= g.marked_saddles:
         raise StructureError("fixed saddles must be marked")
-
-    # surface connectivity through cylinders
-    pairs = [(lo[0], hi[0]) for lo, hi in g.cylinders]
-    if len(components(range(len(g.atoms)), pairs)) != 1:
-        raise DisconnectedError("assembled surface is not connected")
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +522,25 @@ def validate(g):
 # automorphism (`automorphisms`), and the first places every saddle
 # (`saddle_positions`); neither frames the graph again.  Each atom's circle
 # maps are computed once per minimal root dart and shared by every framing
-# that picks it.  One kernel (`_minimal_framings`) does the minimizing: it
-# builds the header, level sizes, codes and caps once per graph, as every
-# framing it considers shares them, and compares those framings by their
-# cylinders alone.  `canonicalize_mirror` feeds it the mirror's atoms and
-# circle maps, which each atom keeps, so the reload and the build frame a
-# mirror without building the mirror graph; `mirror` stays the constructor
-# and the reference it is tested against.
+# that picks it.
+#
+# One kernel (`_minimal_framings`) does the minimizing, in two parts.  The
+# cap-free frame (`_skeleton_frame`) depends on the skeleton and the
+# marking alone: each atom's minimal codes and roots, the atoms of each
+# level sorted by code and grouped into runs of equal code, the header,
+# level sizes and codes, each atom's circle count, and a memo from
+# (arrangement, chosen roots) to that framing's cylinders and dart maps.
+# A skeleton's entry (`Skeleton.kept`) keeps it per marking and orientation,
+# so the classes on one skeleton share it.  The per-graph pass computes the
+# cap blocks, keeps the run orders and roots whose blocks are least, encodes
+# the caps once, and compares the framings left by their cylinders alone,
+# read off the memo.  `canonicalize_mirror` reads a frame built on the
+# mirror's atoms and circle maps, which each atom keeps, so the reload and
+# the build frame a mirror without building the mirror graph; `mirror`
+# stays the constructor and the reference it is tested against.  A caller
+# with no table gets a throwaway entry, so there is one framing path.
+# `canonical_skeleton` is the same pass with no caps: its framings are the
+# skeleton's automorphisms.
 #
 # An atom's minimal codes and realizing framings depend only on the atom and
 # on which of its saddles are marked or fixed, and one operation meets the
@@ -448,7 +559,6 @@ def validate(g):
 # later split that meets them again finds their codes kept.
 # The candidate scan (`_one_level_atoms`) makes plain atoms: its matchings
 # are distinct, so interning would only fill the table.
-
 
 def _atom_traversal(atom, root):
     """Relabel darts from an outgoing root dart.
@@ -537,11 +647,6 @@ def _relabeled_circles(atom, dmap):
     return tuple(image)
 
 
-def _cap_entry(cap):
-    """A cap's entry in an encoding, its circle reference left out."""
-    return (cap.kind, cap.label if cap.marked else -1, cap.marked, cap.fixed)
-
-
 def _framing_cylinders(cylinders, pos, circle_maps):
     """The cylinder part of one framing's encoding, the only part in which
     the framings `_minimal_framings` compares differ: each cylinder as its
@@ -556,88 +661,150 @@ def _framing_cylinders(cylinders, pos, circle_maps):
     return tuple(out)
 
 
-def _minimal_framings(g, atoms, caps, cylinders):
-    """The one minimization behind `canonicalize` and `canonicalize_mirror`.
+def _skeleton_frame(skeleton, g, mirrored):
+    """The cap-free part of `_minimal_framings` for g's skeleton and
+    marking, on the mirror's atoms when `mirrored`: a tuple (head, roots,
+    levels, cylinders, circle maps, memo).
 
-    `atoms[a]` is the atom framed in place of atom a of `g`, which supplies
-    the levels, the marked and fixed saddles and the header; `caps` lists
-    (circle reference, `_cap_entry`) and `cylinders` pairs of circle
-    references, both in the circles of `atoms`.  Returns the minimal
+    head is the encoding's header, level sizes and atom codes; roots[a] is
+    (the realizations of atom a's least code, as `_atom_min_codes` gives
+    them, the end mark of its cap blocks, its circle count, and the index
+    of every realization); levels[k] is (level k's atoms sorted by code,
+    and their runs of equal code, or None when every run has one atom, so
+    that the level has that one order); cylinders are in the circles of
+    the framed atoms, and circle maps, None unless `mirrored`, take a
+    circle of g's atom a to its image.  The memo maps (arrangement,
+    realization index per atom) to that framing's cylinders
+    (`_framing_cylinders`) and dart maps."""
+    atoms, circle_maps, cylinders = skeleton.atoms, None, skeleton.cylinders
+    if mirrored:
+        atoms, circle_maps = zip(*(_rebuilt_atom(atom, False) for atom in atoms))
+        cylinders = [((a, circle_maps[a][c]), (b, circle_maps[b][d]))
+                     for (a, c), (b, d) in cylinders]
+    code_of, roots = [], []
+    for atom in atoms:
+        code, realizations = _atom_min_codes(atom, g.marked_saddles,
+                                             g.fixed_saddles)
+        code_of.append(code)
+        roots.append((realizations, ((len(atom.circles),),),
+                      tuple(range(len(realizations)))))
+    levels, codes = [], []
+    for lev in skeleton.levels:
+        ordered = tuple(sorted(lev, key=code_of.__getitem__))
+        codes += [code_of[a] for a in ordered]
+        runs = [tuple(run) for _, run
+                in itertools.groupby(ordered, key=code_of.__getitem__)]
+        levels.append((ordered, runs if len(runs) < len(ordered) else None))
+    head = ((g.q, g.p, g.r, tuple(sorted(g.marked_saddles)),
+             tuple(sorted(g.fixed_saddles))),
+            tuple(len(lev) for lev in skeleton.levels), tuple(codes))
+    return head, roots, levels, cylinders, circle_maps, {}
+
+
+def _frame(g, table, mirrored):
+    """g's cap-free frame, kept on its entry in `table` (None: a throwaway
+    entry) per marking and orientation."""
+    skeleton = _skeleton(g, table)
+    return skeleton.kept(
+        ("frame", mirrored, g.q, g.p, g.r, g.marked_saddles, g.fixed_saddles),
+        lambda: _skeleton_frame(skeleton, g, mirrored))
+
+
+def _framing(roots, cylinders, arrangement, picked):
+    """The memo's value for one framing: its cylinders and {atom: dart
+    map}; `picked[i]` indexes the realizations of atom `arrangement[i]`."""
+    pos = {a: i for i, a in enumerate(arrangement)}
+    chosen = [roots[a][0][k] for a, k in zip(arrangement, picked)]
+    return (_framing_cylinders(cylinders, pos, {
+                a: cmap for a, (_, cmap) in zip(arrangement, chosen)}),
+            {a: dmap for a, (dmap, _) in zip(arrangement, chosen)})
+
+
+def _minimal_framings(frame, caps):
+    """The one minimization behind `canonicalize`, `canonicalize_mirror`
+    and `canonical_skeleton`: the per-graph pass over a cap-free frame
+    (`_skeleton_frame`).
+
+    `caps` are the graph's caps, read in the circles of the frame's atoms
+    through its circle maps.  A cap enters the encoding as its circle and
+    (kind, label if marked else -1, marked, fixed).  Returns the minimal
     encoding and its framings, as `canonicalize` documents them.
     """
-    code_of = []       # atom -> its least code
-    least = []         # atom -> (least cap block, realizations reaching it)
-    on_atom = [[] for _ in atoms]   # (circle, rest of the cap entry)
-    for (a, ci), rest in caps:
-        on_atom[a].append((ci, rest))
-    for atom, on in zip(atoms, on_atom):
-        best_code, realizations = _atom_min_codes(atom, g.marked_saddles,
-                                                  g.fixed_saddles)
-        code_of.append(best_code)
-        end = ((len(atom.circles),),)
+    head, roots, levels, cylinders, circle_maps, memo = frame
+    on_atom = [[] for _ in roots]   # (circle, rest of the cap entry)
+    for cap in caps:
+        a, ci = cap.circle
+        if circle_maps is not None:
+            ci = circle_maps[a][ci]
+        on_atom[a].append((ci, (cap.kind, cap.label if cap.marked else -1,
+                                cap.marked, cap.fixed)))
+    least = []   # atom -> (least cap block, indices of the roots reaching it)
+    for (realizations, end, every), on in zip(roots, on_atom):
+        if not on:
+            least.append((end, every))
+            continue
         blocks = [tuple(sorted([(cmap[ci], rest) for ci, rest in on])) + end
                   for _, cmap in realizations]
         if len(blocks) == 1:
-            least.append((blocks[0], realizations))
+            least.append((blocks[0], every))
             continue
         low = min(blocks)
-        least.append((low, [real for real, block in zip(realizations, blocks)
-                            if block == low]))
+        least.append((low, tuple(k for k, block in enumerate(blocks)
+                                 if block == low)))
 
     level_orders = []
-    codes = []
-    for lev in g.levels:
-        if len(lev) == 1:
-            codes.append(code_of[lev[0]])
-            level_orders.append([lev])
+    for ordered, runs in levels:
+        if runs is None:
+            level_orders.append((ordered,))
             continue
-        ordered = sorted(lev, key=code_of.__getitem__)
-        codes += [code_of[a] for a in ordered]
-        runs = []
-        for _, grp in itertools.groupby(ordered, key=code_of.__getitem__):
-            grp = tuple(grp)
-            if len(grp) == 1:
-                runs.append([grp])
+        orders = []
+        for run in runs:
+            if len(run) == 1:
+                orders.append((run,))
                 continue
-            want = sorted(least[a][0] for a in grp)
-            runs.append([perm for perm in itertools.permutations(grp)
-                         if [least[a][0] for a in perm] == want])
+            want = sorted(least[a][0] for a in run)
+            orders.append([perm for perm in itertools.permutations(run)
+                           if [least[a][0] for a in perm] == want])
         level_orders.append([tuple(itertools.chain.from_iterable(p))
-                             for p in itertools.product(*runs)])
+                             for p in itertools.product(*orders)])
 
     # every candidate places the same least cap blocks at each position
     first = tuple(itertools.chain.from_iterable(
         orders[0] for orders in level_orders))
-    cap_part = tuple(((i, ci), *rest) for i, a in enumerate(first)
-                     for ci, rest in least[a][0][:-1])
-    shared = ((g.q, g.p, g.r, tuple(sorted(g.marked_saddles)),
-               tuple(sorted(g.fixed_saddles))),
-              tuple(len(lev) for lev in g.levels), tuple(codes), cap_part)
+    cap_part = tuple([((i, ci), *rest) for i, a in enumerate(first)
+                      for ci, rest in least[a][0][:-1]])
 
     best = None
     winners = []
     for combo in itertools.product(*level_orders):
         arrangement = tuple(itertools.chain.from_iterable(combo))
-        pos = {a: i for i, a in enumerate(arrangement)}
         for picked in itertools.product(*(least[a][1] for a in arrangement)):
-            cyls = _framing_cylinders(
-                cylinders, pos,
-                {a: cmap for a, (_, cmap) in zip(arrangement, picked)})
+            key = (arrangement, picked)
+            framing = memo.get(key)
+            if framing is None:
+                framing = memo[key] = _framing(roots, cylinders, arrangement,
+                                               picked)
+            cyls, dart_maps = framing
             if best is None or cyls < best:
                 best, winners = cyls, []
             if cyls == best:
-                winners.append((arrangement, {a: dmap for a, (dmap, _)
-                                              in zip(arrangement, picked)}))
-    return shared + (best,), winners
+                winners.append((arrangement, dart_maps))
+    return head + (cap_part, best), winners
 
 
-def canonicalize(g):
+def canonicalize(g, table=None):
     """(minimal encoding, framings) from one pass over framings: the
     encoding as a nested tuple, and all framings realizing it, as pairs
     (arrangement of atom indices, {atom: dart map}), in the order of the
     exhaustive pass over every product of in-level orders and minimal
     roots.  Two graphs are isomorphic iff their encodings are equal;
-    `form_bytes` turns an encoding into the canonical form.
+    `form_bytes` turns an encoding into the canonical form.  The dart maps
+    are read-only and shared with the other graphs of g's skeleton.
+
+    `table` is the operation's `SkeletonTable`, or g's entry in one, whose
+    cap-free frame of g's skeleton (`_skeleton_frame`) the pass reads; with
+    None the frame is built for this call alone.  A table serves any
+    number of markings: the frame is kept per marking.
 
     Only the framings whose caps can be least are compared.  The header and
     level sizes are fixed, and atoms inside a level are sorted by code and
@@ -656,31 +823,35 @@ def canonicalize(g):
 
     Every one of those framings places at each position the least blocks of
     its run in ascending order, so all of them have the same caps: the
-    header, level sizes, codes and caps are built once, and the framings
-    are compared by their cylinders alone (`_framing_cylinders`).  An atom
-    with one minimal root has its one block as its least, and a level or a
-    run of one atom has one order, so none of them is compared.
+    header, level sizes and codes come with the frame, the caps are encoded
+    once, and the framings are compared by their cylinders alone, which
+    the frame's memo holds per framing for every class on the skeleton
+    (`_framing_cylinders`).  An atom with one minimal root has its one
+    block as its least, and a level or a run of one atom has one order, so
+    none of them is compared.
     """
-    return _minimal_framings(g, g.atoms,
-                             [(c.circle, _cap_entry(c)) for c in g.caps],
-                             g.cylinders)
+    return _minimal_framings(_frame(g, table, False), g.caps)
 
 
-def canonicalize_mirror(g):
+def canonicalize_mirror(g, table=None):
     """`canonicalize(mirror(g))`, equal in encoding and framings, without
-    building the mirror graph: each atom's mirror and circle map are read
-    off `_rebuilt_atom`, which the atom keeps.  Mirroring keeps every
+    building the mirror graph: the frame is built on each atom's mirror and
+    circle map, read off `_rebuilt_atom`, which the atom keeps, and kept on
+    g's entry in `table` beside `canonicalize`'s.  Mirroring keeps every
     saddle label, so `saddle_positions(g, framings)` places the saddles of
     the mirror."""
-    atoms, circle_maps = zip(*(_rebuilt_atom(atom, False) for atom in g.atoms))
+    return _minimal_framings(_frame(g, table, True), g.caps)
 
-    def ref(circle):
-        a, ci = circle
-        return (a, circle_maps[a][ci])
 
-    return _minimal_framings(
-        g, atoms, [(ref(c.circle), _cap_entry(c)) for c in g.caps],
-        [(ref(lo), ref(hi)) for lo, hi in g.cylinders])
+def canonical_skeleton(g, table=None):
+    """(minimal encoding, |Aut(S)|) of g's skeleton S, its graph without
+    the caps: `canonicalize`'s pass with no caps.  Its framings are the
+    automorphisms of S that preserve levels and orientation and fix the
+    marked saddles, one each, so |Aut(S)| is their number.  Graphs of one
+    marking have equal skeleton encodings iff their skeletons are
+    isomorphic."""
+    enc, framings = _minimal_framings(_frame(g, table, False), ())
+    return enc, len(framings)
 
 
 # the encoder of canonical forms: compact, nested lists in their order; an
@@ -694,10 +865,11 @@ def form_bytes(enc):
     return _FORM_ENCODER.encode(enc).encode("ascii")
 
 
-def canonical_form(g):
+def canonical_form(g, table=None):
     """Canonical byte string: equal iff isomorphic by an orientation- and
-    level-preserving isomorphism fixing marked labels pointwise."""
-    return form_bytes(canonicalize(g)[0])
+    level-preserving isomorphism fixing marked labels pointwise.  `table`
+    is `canonicalize`'s."""
+    return form_bytes(canonicalize(g, table)[0])
 
 
 def saddle_positions(g, framings):

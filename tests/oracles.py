@@ -327,7 +327,7 @@ def closure_by_delta(seeds, marking=None):
 
     records = tuple(cb.handle_record(known[cf], *mg.canonicalize(known[cf]),
                                      mg.canonicalize(mg.mirror(known[cf]))[0],
-                                     {})
+                                     mg.SkeletonTable())
                     for cf in sorted(known))
     return cb.ComplexK(p=p, q=q, r=r, marking=marking, classes=records,
                        incidence=tuple(sorted(incidence)),

@@ -118,9 +118,9 @@ def test_one_mirror_framing_per_top_class(monkeypatch):
     framed = []
     raw = mg.canonicalize_mirror
 
-    def counted(g):
+    def counted(g, table=None):
         framed.append(g)
-        return raw(g)
+        return raw(g, table)
 
     monkeypatch.setattr(mg, "canonicalize_mirror", counted)
     complexes = [cb.build_complex(s) for s in seeds]
@@ -206,12 +206,13 @@ def test_records_through_one_table_equal_fresh_ones(skeleton_run):
         graphs = [rec.lmg for rec in K.classes]
         random.Random(len(graphs)).shuffle(graphs)
         stored = {rec.class_id: rec for rec in K.classes}
-        table = {}
+        table = mg.SkeletonTable()
         for g in graphs:
             enc, framings = mg.canonicalize(g)
             mirror = mg.canonicalize_mirror(g)[0]
             shared = cb.handle_record(g, enc, framings, mirror, table)
-            fresh = cb.handle_record(g, enc, framings, mirror, {})
+            fresh = cb.handle_record(g, enc, framings, mirror,
+                                     mg.SkeletonTable())
             for field in dataclasses.fields(cb.HandleRecord):
                 name = field.name
                 assert (getattr(shared, name) == getattr(fresh, name)
@@ -261,9 +262,9 @@ def _traced_with_pairs(seeds):
     passes = [0]
     raw = mg.canonicalize
 
-    def counted(g):
+    def counted(g, table=None):
         passes[0] += 1
-        return raw(g)
+        return raw(g, table)
 
     mg.canonicalize = counted
     try:
@@ -391,9 +392,9 @@ def test_one_surgery_per_atom_and_lower_block(monkeypatch):
         splits.append(level)
         return raw_split(g, level, lower)
 
-    def framed(g):
+    def framed(g, table=None):
         passes.append(1)
-        return raw_canonicalize(g)
+        return raw_canonicalize(g, table)
 
     monkeypatch.setattr(pt, "_sublevel_system", counted)
     monkeypatch.setattr(pt, "split_level", split)
@@ -462,9 +463,9 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     passes = {"canonicalize": [], "canonicalize_mirror": []}
     for name, calls in passes.items():
-        def counted(g, raw=getattr(mg, name), calls=calls):
+        def counted(g, table=None, *, raw=getattr(mg, name), calls=calls):
             calls.append(g)
-            return raw(g)
+            return raw(g, table)
 
         monkeypatch.setattr(mg, name, counted)
     K = cb.build_complex(seeds)
@@ -479,7 +480,9 @@ def test_one_framing_pass_per_seed_cover_split_and_mirror(monkeypatch):
 def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
     # the build's 196 framing passes compare only the framings whose cap
     # blocks are least, 220 in all, not every product of in-level orders
-    # and minimal roots; each of them costs one `_framing_cylinders`
+    # and minimal roots; each skeleton's cap-free frame keeps the cylinders
+    # of every framing it has encoded, so a framing costs one
+    # `_framing_cylinders` per skeleton, marking and orientation: 63
     seeds = cb.enumerate_top_classes(
         4, 3, 1, cb.MarkingSpec(marked=(4, 0, 1), fixed=(0, 0, 0)))
     encoded = []
@@ -492,7 +495,7 @@ def test_framings_encoded_only_where_caps_can_be_least(monkeypatch):
     monkeypatch.setattr(mg, "_framing_cylinders", counted)
     K = cb.build_complex(seeds)
     assert len(K.classes) == 71
-    assert len(encoded) == 220
+    assert len(encoded) == 63
 
 
 def test_library_calls_traced_functions_through_traced_names():

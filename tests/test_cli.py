@@ -380,7 +380,8 @@ def test_dump_outside_the_builder_scope_refused(tmp_path, capsys):
     marking = cb.MarkingSpec(marked=(2, 1, 1), fixed=(2, 0, 0))
     seeds = cb.enumerate_top_classes(2, 1, 1, marking)
     records = tuple(cb.handle_record(g, *mg.canonicalize(g),
-                                     mg.canonicalize(mg.mirror(g))[0], {})
+                                     mg.canonicalize(mg.mirror(g))[0],
+                                     mg.SkeletonTable())
                     for g in seeds)
     K = cb.ComplexK(p=2, q=1, r=1, marking=marking, classes=records,
                     incidence=(), top_count=len(records))
@@ -531,10 +532,10 @@ def test_cap_label_blind_canonical_form_exits_4(tmp_path, capsys, monkeypatch):
     # form, and `enumerate` stops with exit 4 and writes no catalog
     form = mg.canonical_form
 
-    def blind(g):
+    def blind(g, table=None):
         return form(dataclasses.replace(g, caps=tuple(
             dataclasses.replace(c, label=0, marked=False, fixed=False)
-            for c in g.caps)))
+            for c in g.caps)), table)
 
     monkeypatch.setattr(mg, "canonical_form", blind)
     cat = tmp_path / "cat.json"

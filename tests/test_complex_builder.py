@@ -337,10 +337,10 @@ def test_no_representative_split_twice(complexes_q2, complexes_q3,
 
 
 def test_split_table_serves_the_delta_split(complexes_q2, complexes_q3):
-    # a split table that meets the classes of a complex in their stored
-    # order, one skeleton index per distinct (atoms, levels, cylinders) as
-    # the build gives it, serves every (class, cover) pair of a skeleton
-    # after its first one from the table; each split it gives, served or
+    # a skeleton table that meets the classes of a complex in their stored
+    # order, one entry per distinct (atoms, levels, cylinders) as the build
+    # gives it, serves every (class, cover) pair of a skeleton after its
+    # first one from the entry's splits; each split it gives, served or
     # not, is `delta`'s, on every q <= 3 complex under the markings all,
     # p,0,r, 1,1,1 and 0,3,0 (0,q,0 leaves too few marked points at q <= 2).
     # 8,854 of the 10,664 pairs are served
@@ -350,15 +350,15 @@ def test_split_table_serves_the_delta_split(complexes_q2, complexes_q3):
                 if K.q <= 3)
     served = pairs = 0
     for name, K in jobs.items():
-        splits, skeletons = {}, {}
+        table = mg.SkeletonTable()
         for rec in K.classes:
             g = rec.lmg
-            skeleton = skeletons.setdefault((g.atoms, g.levels, g.cylinders),
-                                            len(skeletons))
+            skeleton = table.skeleton(g)
             for J1 in covers(g.level_partition()):
-                served += (skeleton, J1) in splits
-                assert cb._split(splits, skeleton, g, J1) == pt.delta(g, J1), (
-                    name, rec.class_id, J1)
+                served += ("split", J1) in skeleton._kept
+                h, target = cb._split(table, skeleton, g, J1)
+                assert h == pt.delta(g, J1), (name, rec.class_id, J1)
+                assert target is table.skeleton(h), (name, rec.class_id, J1)
                 pairs += 1
     assert (len(jobs), served, pairs) == (31, 8854, 10664)
 
@@ -374,12 +374,12 @@ def test_circle_map_missing_a_cap_circle_exits_4(tmp_path, capsys,
                                    MarkingSpec.all_marked(4, 3, 1)))
     raw = cb._split
 
-    def dropping(splits, skeleton, g, cover):
-        missed = (skeleton, cover) not in splits
-        h = raw(splits, skeleton, g, cover)
+    def dropping(table, skeleton, g, cover):
+        missed = ("split", cover) not in skeleton._kept
+        split = raw(table, skeleton, g, cover)
         if missed:
-            splits[(skeleton, cover)][3].popitem()
-        return h
+            skeleton._kept[("split", cover)][1].popitem()
+        return split
 
     monkeypatch.setattr(cb, "_split", dropping)
     with pytest.raises(mg.InvariantViolation) as info:
@@ -924,7 +924,7 @@ def test_covers_giving_two_mirrors_refused(monkeypatch):
     # wrong entry
     raw = cb._mirror_ids
 
-    def corrupted(records, known, saddle_at, incidence, tops):
+    def corrupted(records, skeleton_of, known, saddle_at, incidence, tops):
         t = next(t for t, rec in enumerate(records[:len(tops)])
                  if cb.class_id(mg.canonical_form(mg.mirror(rec.lmg)))
                  != rec.class_id)
@@ -933,7 +933,7 @@ def test_covers_giving_two_mirrors_refused(monkeypatch):
         other = next(rec.class_id for rec in records
                      if rec.s == 2 and rec.class_id != target)
         incidence[start] = (src, face, other)
-        return raw(records, known, saddle_at, incidence, tops)
+        return raw(records, skeleton_of, known, saddle_at, incidence, tops)
 
     monkeypatch.setattr(cb, "_mirror_ids", corrupted)
     with pytest.raises(mg.InvariantViolation,
@@ -950,8 +950,8 @@ def test_broken_mirror_involution_refused(monkeypatch):
     chiral = next(g for g in seeds if mg.canonical_form(mg.mirror(g))
                   != mg.canonical_form(g))
     raw = mg.canonicalize_mirror
-    monkeypatch.setattr(mg, "canonicalize_mirror", lambda g: (
-        mg.canonicalize(g) if g is chiral else raw(g)))
+    monkeypatch.setattr(mg, "canonicalize_mirror", lambda g, table=None: (
+        mg.canonicalize(g, table) if g is chiral else raw(g, table)))
     with pytest.raises(mg.InvariantViolation,
                        match=r"class c[0-9a-f]{16}: the mirror of its mirror "
                              r"c[0-9a-f]{16} is not itself"):
