@@ -236,7 +236,7 @@ def _one_level_atoms(p, q, r, matchings):
             yield atom
 
 
-def _top_forms(p, q, r, marking, matchings, table=None):
+def _top_forms(p, q, r, marking, matchings, table):
     """The canonical forms of the valid candidates of `matchings` (the
     `_orbit_matchings` scan), one per one-level class, in scan order.
 
@@ -266,11 +266,9 @@ def _top_forms(p, q, r, marking, matchings, table=None):
     `_cap_labelings` computes the atom's minimal codes
     (`mg._atom_min_codes`) first; the atom keeps them for the canonical
     forms of all its cappings, which share one skeleton, so one entry of
-    `table` (a fresh one when None) and one cap-free frame.
+    `table` and one cap-free frame.
     """
     marked_s, fixed_s = _marked_saddle_sets(marking)
-    if table is None:
-        table = mg.SkeletonTable()
     forms = []
     for atom in _one_level_atoms(p, q, r, matchings):
         skeleton = None
@@ -1112,9 +1110,9 @@ def _graph_from_json(entry, p, q, r, marking, where, table):
     """(one stored graph, its entry in `table`), the graph on the entry's
     atoms, levels and cylinders and validated through the entry, with the
     document's (p, q, r) and the cap flags and marked and fixed saddles its
-    marking gives.  The entry must be a JSON object,
-    not text holding one.  An error is raised again, of its own class, with
-    `where`, the entry's place, in front."""
+    marking gives.  The entry must be a JSON object, not text holding one.
+    An error is raised again, of its own class, with `where`, the entry's
+    place, in front."""
     try:
         if not isinstance(entry, dict):
             raise mg.LMGJSONError("graph entry is not a JSON object")
@@ -1139,11 +1137,14 @@ def _graph_from_json(entry, p, q, r, marking, where, table):
     return g, skeleton
 
 
-def _incidence_entry(src, face, dst):
+def _incidence_entry(src, face, dst, faces):
+    """One stored incidence entry, its face read as one shared object per
+    distinct face in `faces`, as the build shares them."""
     if not (type(src) is type(dst) is str and type(face) is list and all(
             type(b) is list and all(type(x) is int for x in b) for b in face)):
         raise mg.LMGJSONError("malformed incidence entry %r" % ([src, face, dst],))
-    return src, tuple(tuple(b) for b in face), dst
+    face = tuple(tuple(b) for b in face)
+    return src, faces.setdefault(face, face), dst
 
 
 def _check_incidence(records, incidence):
@@ -1212,7 +1213,8 @@ def complex_from_json(doc):
         p, q, r, marking = _params_from_json(doc)
         entries = mg._json_list(doc["classes"], "complex classes")
         lmgs = [entry["lmg"] for entry in entries]
-        incidence = tuple(sorted(_incidence_entry(*entry) for entry
+        faces = {}
+        incidence = tuple(sorted(_incidence_entry(*entry, faces) for entry
                                  in mg._json_list(doc["incidence"], "incidence")))
     except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise mg.LMGJSONError("malformed complex document: %r" % (exc,))

@@ -560,6 +560,7 @@ def validate(g, table=None):
 # The candidate scan (`_one_level_atoms`) makes plain atoms: its matchings
 # are distinct, so interning would only fill the table.
 
+
 def _atom_traversal(atom, root):
     """Relabel darts from an outgoing root dart.
 

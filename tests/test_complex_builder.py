@@ -112,7 +112,8 @@ def test_cap_labelings_are_valid_by_construction():
                 kept.append(mg.canonical_form(g))
         assert len(kept) == len(forms) and set(kept) == forms, (
             p, q, r, marking)
-        assert cb._top_forms(p, q, r, marking, orbits) == kept
+        assert cb._top_forms(p, q, r, marking, orbits,
+                             mg.SkeletonTable()) == kept
     assert built == 24852
 
 
@@ -869,7 +870,7 @@ def test_swapped_targets_refused_by_the_mirror_check(tmp_path, capsys):
                 cb._check_mirrors(K.classes, swapped)
             except mg.LMGJSONError:
                 caught.append((i, j))
-    assert K.incidence == tuple(cb._incidence_entry(*e) for e in entries)
+    assert K.incidence == tuple(cb._incidence_entry(*e, {}) for e in entries)
     assert len(caught) == 50
     i, j = caught[0]
     entries[i][2], entries[j][2] = entries[j][2], entries[i][2]

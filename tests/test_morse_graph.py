@@ -14,7 +14,7 @@ from mck.complex_builder import MarkingSpec, _top_forms
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
-    NonAlternatingError, StructureError, UnmatchedDartError,
+    NonAlternatingError, SkeletonTable, StructureError, UnmatchedDartError,
     automorphisms, canonical_form, canonicalize, canonicalize_mirror,
     components, decode_canonical, dual, form_bytes, from_json, mirror, to_dot, to_json, trace_cycles, validate,
 )
@@ -245,7 +245,8 @@ def test_decode_round_trip_partially_marked():
     # the (3, 3, 2) catalog marked 1,1,1 decodes each form of the scan;
     # atoms of one orbit of the full matching scan repeat their forms
     marking = MarkingSpec(marked=(1, 1, 1), fixed=(0, 0, 0))
-    forms = set(_top_forms(3, 3, 2, marking, list(matchings((1, 2, 3)))))
+    forms = set(_top_forms(3, 3, 2, marking, list(matchings((1, 2, 3))),
+                           SkeletonTable()))
     assert [cf for cf in sorted(forms)
             if canonical_form(decode_canonical(cf)) != cf] == []
 
