@@ -5,7 +5,7 @@ from .morse_graph import (
     Atom, Cap, LMG, Skeleton, SkeletonTable, validate, canonical_form,
     decode_canonical, canonicalize, canonicalize_mirror, canonical_skeleton,
     form_bytes, automorphisms, to_json, from_json,
-    to_dot, mirror, dual,
+    mirror, dual,
 )
 from .perturbation import split_level, delta
 from .twist_algebra import (

@@ -131,6 +131,39 @@ def _load_complex_or_catalog(path):
         raise CliError(EXIT_IO, "corrupted input %s: %s" % (path, exc))
 
 
+def to_dot(g):
+    """Graphviz DOT: one subgraph per level, caps and cylinders drawn."""
+    lines = ["digraph lmg {", '  rankdir="BT";']
+    for k, lev in enumerate(g.levels):
+        lines.append('  subgraph cluster_level_%d {' % (k + 1))
+        lines.append('    label="level %d";' % (k + 1))
+        for a in lev:
+            for v in g.atoms[a].saddles:
+                mark = "*" if v in g.fixed_saddles else ("+" if v in g.marked_saddles else "")
+                lines.append('    s%d [label="s%d%s" shape=circle];' % (v, v, mark))
+        lines.append("  }")
+    for a, atom in enumerate(g.atoms):
+        for i, (o, t) in enumerate(atom.edges):
+            lines.append('  s%d -> s%d [label="e%d.%d"];' % (o[0], t[0], a, i))
+    for c in g.caps:
+        anchor = g.atoms[c.circle[0]].saddles[0]
+        node = "%s%d" % (c.kind, c.label)
+        shape = "triangle" if c.kind == "max" else "invtriangle"
+        mark = "*" if c.fixed else ("+" if c.marked else "")
+        lines.append('  %s [label="%s%s" shape=%s];' % (node, node, mark, shape))
+        if c.kind == "max":
+            lines.append('  s%d -> %s [style=dotted arrowhead=none label="c%d.%d"];'
+                         % (anchor, node, c.circle[0], c.circle[1]))
+        else:
+            lines.append('  %s -> s%d [style=dotted arrowhead=none label="c%d.%d"];'
+                         % (node, anchor, c.circle[0], c.circle[1]))
+    for k, (lo, hi) in enumerate(g.cylinders):
+        lines.append('  s%d -> s%d [style=dashed label="Z%d"];'
+                     % (g.atoms[lo[0]].saddles[0], g.atoms[hi[0]].saddles[0], k + 1))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -222,7 +255,7 @@ def cmd_export_dot(args):
         if not (0 <= args.index < len(classes)):
             raise CliError(EXIT_PARAMS, "--index out of range (%d classes)"
                            % len(classes))
-        text = mg.to_dot(classes[args.index])
+        text = to_dot(classes[args.index])
     _write(args.out, lambda fh: fh.write(text), end="")
     return 0
 

@@ -236,7 +236,7 @@ def _one_level_atoms(p, q, r, matchings):
             yield atom
 
 
-def _top_forms(p, q, r, marking, matchings, table):
+def _top_forms(p, q, r, marking, matchings):
     """The canonical forms of the valid candidates of `matchings` (the
     `_orbit_matchings` scan), one per one-level class, in scan order.
 
@@ -265,8 +265,11 @@ def _top_forms(p, q, r, marking, matchings, table):
 
     `_cap_labelings` computes the atom's minimal codes
     (`mg._atom_min_codes`) first; the atom keeps them for the canonical
-    forms of all its cappings, which share one skeleton, so one entry of
-    `table` and one cap-free frame.
+    forms of all its cappings, which share one skeleton, so one cap-free
+    frame.  It is kept on an entry of the atom's own (`mg.Skeleton`), not in
+    the operation's table: the scan's atoms are distinct, so no later graph
+    has that skeleton, and the atom and its frame are dropped once its
+    cappings are framed.
     """
     marked_s, fixed_s = _marked_saddle_sets(marking)
     forms = []
@@ -274,7 +277,7 @@ def _top_forms(p, q, r, marking, matchings, table):
         skeleton = None
         for g in _cap_labelings(atom, p, r, marking, marked_s, fixed_s, q):
             if skeleton is None:
-                skeleton = table.skeleton(g)
+                skeleton = mg.Skeleton(g.atoms, g.levels, g.cylinders)
             forms.append(mg.canonical_form(g, skeleton))
     return forms
 
@@ -285,20 +288,19 @@ def enumerate_top_classes(p, q, r, marking=None):
     Entries are decoded canonical representatives, so the catalog is a pure
     function of (p, q, r, marking).  Every capping the scan keeps is a
     class of its own; two with one canonical form raise InvariantViolation.
-    The cappings are framed and the classes validated through one
-    `mg.SkeletonTable`.
+    The classes are validated through one `mg.SkeletonTable`.
     """
     if marking is None:
         marking = MarkingSpec.all_marked(p, q, r)
     _check_top_params(p, q, r, marking)
     matchings = _orbit_matchings(q, _marked_saddle_sets(marking)[0])
-    table = mg.SkeletonTable()
-    forms = sorted(_top_forms(p, q, r, marking, matchings, table))
+    forms = sorted(_top_forms(p, q, r, marking, matchings))
     for a, b in zip(forms, forms[1:]):
         if a == b:
             raise mg.InvariantViolation(
                 "class %s: two cappings kept as distinct one-level classes "
                 "have one canonical form" % class_id(a))
+    table = mg.SkeletonTable()
     out = []
     for cf in forms:
         g = mg.decode_canonical(cf)

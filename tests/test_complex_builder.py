@@ -112,8 +112,7 @@ def test_cap_labelings_are_valid_by_construction():
                 kept.append(mg.canonical_form(g))
         assert len(kept) == len(forms) and set(kept) == forms, (
             p, q, r, marking)
-        assert cb._top_forms(p, q, r, marking, orbits,
-                             mg.SkeletonTable()) == kept
+        assert cb._top_forms(p, q, r, marking, orbits) == kept
     assert built == 24852
 
 

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import fig8, group_of
 from oracles import circle_images, matchings, to_doc
+from mck.cli import to_dot
 from mck.complex_builder import MarkingSpec, _top_forms
 from mck.morse_graph import (
     Atom, Cap, LMG, CapSideError, CylinderLevelError, DisconnectedError,
     EulerCountError, LabelCollisionError, LMGJSONError,
-    NonAlternatingError, SkeletonTable, StructureError, UnmatchedDartError,
+    NonAlternatingError, StructureError, UnmatchedDartError,
     automorphisms, canonical_form, canonicalize, canonicalize_mirror,
-    components, decode_canonical, dual, form_bytes, from_json, mirror, to_dot, to_json, trace_cycles, validate,
+    components, decode_canonical, dual, form_bytes, from_json, mirror, to_json, trace_cycles, validate,
 )
 
 # a one-level q=3 class that is neither mirror-symmetric nor has any
@@ -245,8 +246,7 @@ def test_decode_round_trip_partially_marked():
     # the (3, 3, 2) catalog marked 1,1,1 decodes each form of the scan;
     # atoms of one orbit of the full matching scan repeat their forms
     marking = MarkingSpec(marked=(1, 1, 1), fixed=(0, 0, 0))
-    forms = set(_top_forms(3, 3, 2, marking, list(matchings((1, 2, 3))),
-                           SkeletonTable()))
+    forms = set(_top_forms(3, 3, 2, marking, list(matchings((1, 2, 3)))))
     assert [cf for cf in sorted(forms)
             if canonical_form(decode_canonical(cf)) != cf] == []
 
